@@ -724,8 +724,7 @@ func BenchmarkRewriteUnderLoad(b *testing.B) {
 		WaveSize:     replicas,
 		Core: dynacut.CustomizerOptions{
 			RedirectTo:     errAddr,
-			TicksPerSecond: 2_000_000_000_000,
-			MaxChargeTicks: 3 * bucket,
+			TicksPerSecond: 2_300_000_000, // one rewrite models ~3 buckets
 		},
 	}
 	cfg := dynacut.SLOConfig{

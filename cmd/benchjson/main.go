@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -26,20 +27,23 @@ import (
 	"github.com/dynacut/dynacut/internal/obs"
 )
 
-// Result is one benchmark line: name, iteration count, and every
-// value/unit pair Go's benchmark runner printed (ns/op, B/op,
-// allocs/op, and any b.ReportMetric custom units).
+// Result is one benchmark line: its package (the last `pkg:` header
+// before it), name, iteration count, and every value/unit pair Go's
+// benchmark runner printed (ns/op, B/op, allocs/op, and any
+// b.ReportMetric custom units).
 type Result struct {
+	Pkg        string             `json:"pkg,omitempty"`
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
 // Report is the whole run, plus the go test environment header lines.
+// A run over several packages prints a `pkg:` header per package; each
+// Result records its own.
 type Report struct {
 	Goos    string   `json:"goos,omitempty"`
 	Goarch  string   `json:"goarch,omitempty"`
-	Pkg     string   `json:"pkg,omitempty"`
 	CPU     string   `json:"cpu,omitempty"`
 	Results []Result `json:"results"`
 	// Trace is the per-phase summary of the JSONL trace named by
@@ -67,6 +71,34 @@ func parseLine(line string) (Result, bool) {
 	return r, len(r.Metrics) > 0
 }
 
+// parseLog reads a `go test -bench` log into rep, copying every line
+// to tee so the log stays readable.
+func parseLog(in io.Reader, tee io.Writer, rep *Report) error {
+	pkg := ""
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		fmt.Fprintln(tee, line)
+		switch {
+		case strings.HasPrefix(line, "goos: "):
+			rep.Goos = strings.TrimPrefix(line, "goos: ")
+		case strings.HasPrefix(line, "goarch: "):
+			rep.Goarch = strings.TrimPrefix(line, "goarch: ")
+		case strings.HasPrefix(line, "pkg: "):
+			pkg = strings.TrimPrefix(line, "pkg: ")
+		case strings.HasPrefix(line, "cpu: "):
+			rep.CPU = strings.TrimPrefix(line, "cpu: ")
+		default:
+			if r, ok := parseLine(line); ok {
+				r.Pkg = pkg
+				rep.Results = append(rep.Results, r)
+			}
+		}
+	}
+	return sc.Err()
+}
+
 func main() {
 	out := flag.String("o", "", "output JSON file (required)")
 	tracePath := flag.String("trace", "", "JSONL trace file to summarize into the report")
@@ -91,27 +123,7 @@ func main() {
 		}
 		rep.Trace = obs.Summarize(events)
 	}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line) // tee: keep the log readable
-		switch {
-		case strings.HasPrefix(line, "goos: "):
-			rep.Goos = strings.TrimPrefix(line, "goos: ")
-		case strings.HasPrefix(line, "goarch: "):
-			rep.Goarch = strings.TrimPrefix(line, "goarch: ")
-		case strings.HasPrefix(line, "pkg: "):
-			rep.Pkg = strings.TrimPrefix(line, "pkg: ")
-		case strings.HasPrefix(line, "cpu: "):
-			rep.CPU = strings.TrimPrefix(line, "cpu: ")
-		default:
-			if r, ok := parseLine(line); ok {
-				rep.Results = append(rep.Results, r)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	if err := parseLog(os.Stdin, os.Stdout, &rep); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: reading stdin: %v\n", err)
 		os.Exit(1)
 	}

@@ -400,11 +400,10 @@ func runLoad(replicas, workers, wave int, live bool, sched string, interval, hor
 		WaveSize:     wave,
 		Core: dynacut.CustomizerOptions{
 			RedirectTo: errAddr,
-			// Convert the rewrite's wall-clock interruption to vticks
-			// aggressively and cap it, so the charged downtime is a
-			// deterministic span the demo can cross-check.
-			TicksPerSecond: 2_000_000_000_000,
-			MaxChargeTicks: 3 * bucket,
+			// Charge the modelled interruption so one lighttpd
+			// rewrite spans about three buckets: a deterministic
+			// span the demo can cross-check.
+			TicksPerSecond: 2_300_000_000,
 		},
 	}
 	cfg := dynacut.SLOConfig{

@@ -13,7 +13,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -70,18 +70,14 @@ type Options struct {
 	// themselves and log the address instead of being treated as
 	// attacks, so over-eliminated blocks can be found.
 	Verifier bool
-	// TicksPerSecond, when nonzero, converts the wall-clock rewrite
-	// time into virtual clock ticks charged to the machine — the
-	// service-interruption window of Figure 8. With retries, every
-	// attempt's time is charged, so Figure 8-style interruption
-	// numbers stay honest.
+	// TicksPerSecond, when nonzero, charges every rewrite's modelled
+	// service interruption to the machine's virtual clock at this many
+	// ticks per modelled second — the interruption window of Figure 8.
+	// The model (downtimeNsPerProc, downtimeNsPerPage) counts work, not
+	// host time, so the charge is identical on every host and under
+	// -race. Every post-commit restore is charged, rollback restores
+	// and retried attempts included.
 	TicksPerSecond uint64
-	// MaxChargeTicks, when nonzero, caps the virtual ticks charged per
-	// rewrite. The measured downtime is wall time, so a descheduled
-	// test host can inflate one rewrite's charge by orders of
-	// magnitude; timeline experiments set a cap a few buckets wide so
-	// a scheduling outlier cannot swallow the rest of the timeline.
-	MaxChargeTicks uint64
 	// MaxAttempts bounds how many times Rewrite retries the whole
 	// edit/restore cycle on failure before giving up (each failed
 	// attempt is rolled back first). 0 or 1 = no retry.
@@ -142,6 +138,8 @@ type Stats struct {
 	// accumulated across attempts, including rollback restores. The
 	// pre-commit segments (checkpoint, edit, handler insertion,
 	// validation) run while the guest still serves and are not downtime.
+	// It is for reporting only: the virtual clock is charged from the
+	// work-count model instead (see charge).
 	Downtime time.Duration
 	// ImageBytes is the serialized size of the pre-edit checkpoint; for
 	// an incremental dump this is the delta blob, not the flattened set.
@@ -181,17 +179,6 @@ type Stats struct {
 // Total returns the end-to-end rewrite cost, health probing included.
 func (s Stats) Total() time.Duration {
 	return s.Checkpoint + s.CodeUpdate + s.InsertHandler + s.Restore + s.HealthCheck
-}
-
-// Interruption returns the service-interruption window: the time the
-// guest was not available, i.e. the measured kill-to-restored Downtime.
-// Checkpoint, image editing and validation all run while the original
-// guest is still serving (criu.Dump leaves it running), so they do not
-// count; neither does the health probe, which runs against the
-// already-restored, already-serving guest (its guest-side cost lands
-// on the virtual clock as executed instructions).
-func (s Stats) Interruption() time.Duration {
-	return s.Downtime
 }
 
 // Customizer errors.
@@ -240,10 +227,6 @@ type Customizer struct {
 	// tree): the next checkpoint dumps only pages dirtied since it.
 	// Invalidated on rollback — the next dump is then a full one.
 	parent *criu.ImageSet
-	// tickCarry holds the sub-tick remainder of charge()'s
-	// seconds→ticks conversion so fractional interruptions accumulate
-	// across rewrites instead of truncating to zero.
-	tickCarry float64
 
 	verifierCount int
 
@@ -358,7 +341,10 @@ func (c *Customizer) rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 	stats.ImageBytes = set.TotalBytes()
 	stats.PagesDumped = set.PagesDumped
 	stats.PagesSkipped = set.PagesSkipped
-	defer func() { c.charge(stats) }()
+	// Every restore past the commit point, edited or rollback, brings
+	// back a decode of this one dump; each is charged its modelled cost.
+	restores := uint64(0)
+	defer func() { c.charge(restores, set) }()
 
 	// Validate while the guest is still running: a bad image set must
 	// be rejected before it can cost us a live process.
@@ -494,7 +480,8 @@ func (c *Customizer) rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 		// below.)
 		tKill := time.Now()
 		endKill := c.span("kill", attempt)
-		for _, pid := range curPIDs {
+		killed := curPIDs
+		for _, pid := range killed {
 			c.machine.Kill(pid)
 		}
 		endKill(nil)
@@ -502,6 +489,7 @@ func (c *Customizer) rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 		t3 := time.Now()
 		endRestore := c.span("restore", attempt)
 		procs, pidMap, err := criu.Restore(c.machine, work)
+		restores++
 		endRestore(err)
 		stats.Restore += time.Since(t3)
 		if err != nil {
@@ -510,11 +498,13 @@ func (c *Customizer) rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 			endRB := c.span("rollback", attempt)
 			var rbErr error
 			curPIDs, rbErr = c.rollbackOr(&stats, pristine, blobParent, rootOld, restoreErr)
+			restores++
 			endRB(rbErr)
 			stats.Downtime += time.Since(tKill) // down from kill through the rollback restore
 			if rbErr != nil {
 				return stats, rbErr
 			}
+			c.reap(killed)
 			rolledBack = true
 			lastErr = restoreErr
 			continue
@@ -543,11 +533,13 @@ func (c *Customizer) rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 			endRB := c.span("rollback", attempt)
 			var rbErr error
 			curPIDs, rbErr = c.rollbackOr(&stats, pristine, blobParent, rootOld, hcErr)
+			restores++
 			endRB(rbErr)
 			stats.Downtime += time.Since(tDown)
 			if rbErr != nil {
 				return stats, rbErr
 			}
+			c.reap(killed)
 			rolledBack = true
 			lastErr = fmt.Errorf("health check (attempt %d): %w", attempt, hcErr)
 			continue
@@ -558,6 +550,7 @@ func (c *Customizer) rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 		// the live PIDs — are the parent for the next checkpoint.
 		c.pid = newRoot
 		c.parent = work.RemapPIDs(pidMap)
+		c.reap(killed)
 		stats.RolledBack = false
 		c.point("rewrite.commit", int64(attempt))
 		// The restored text is the new expected state: reseal the
@@ -650,24 +643,42 @@ func (c *Customizer) healthCheck(root int, procs []*kernel.Process) error {
 	return nil
 }
 
-// charge converts the accumulated service interruption into virtual
-// clock ticks (the Figure 8 interruption window). Failed attempts are
-// charged too: their downtime was real. The conversion rounds to the
-// nearest tick and carries the sub-tick remainder to the next rewrite,
-// so many small interruptions cannot each truncate to zero.
-func (c *Customizer) charge(stats Stats) {
+// The service-interruption cost model, in modelled nanoseconds: one
+// post-commit restore window costs downtimeNsPerProc per process killed
+// and restored plus downtimeNsPerPage per page restored. Calibrated
+// from the per-layer medians of `bash benchmark/run.sh --workload
+// kv-cut --seed 1 --trace 1` on a 2-vCPU x86-64 host (interpreter):
+// one process with 3+11 pages (criu.pages_dumped + pages_skipped) took
+// criu.restore_us 147.4 plus a 6.0 µs kill span. A Memory.SetPage loop
+// there cost 3–5 µs a page; 5 µs is the per-page share, and the other
+// 83 µs (page tables, backing files, registers, descriptors) is per
+// process.
+const (
+	downtimeNsPerProc = 83_000
+	downtimeNsPerPage = 5_000
+)
+
+// charge advances the virtual clock by the modelled interruption of
+// restores restore windows of set, at Options.TicksPerSecond (the
+// Figure 8 window). Failed attempts and rollback restores are charged
+// too: their downtime was real.
+func (c *Customizer) charge(restores uint64, set *criu.ImageSet) {
 	if c.opts.TicksPerSecond == 0 {
 		return
 	}
-	exact := stats.Interruption().Seconds()*float64(c.opts.TicksPerSecond) + c.tickCarry
-	ticks := math.Floor(exact + 0.5)
-	c.tickCarry = exact - ticks
-	if max := c.opts.MaxChargeTicks; max > 0 && ticks > float64(max) {
-		ticks = float64(max)
-		c.tickCarry = 0 // an outlier's excess is dropped, not deferred
-	}
-	if ticks > 0 {
-		c.machine.AdvanceClock(uint64(ticks))
+	ns := restores * (uint64(len(set.PIDs))*downtimeNsPerProc +
+		uint64(set.PagesDumped+set.PagesSkipped)*downtimeNsPerPage)
+	hi, lo := bits.Mul64(ns, c.opts.TicksPerSecond)
+	ticks, _ := bits.Div64(hi, lo, uint64(time.Second))
+	c.machine.AdvanceClock(ticks)
+}
+
+// reap removes processes the transaction killed from the process
+// table once a restore has replaced them, so repeated rewrites leave
+// no dead entries for the scheduler to walk.
+func (c *Customizer) reap(pids []int) {
+	for _, pid := range pids {
+		c.machine.Remove(pid)
 	}
 }
 
@@ -976,7 +987,6 @@ func (c *Customizer) Rebind(pid int) {
 	c.verifierCount = 0
 	c.handler = nil
 	c.parent = nil
-	c.tickCarry = 0
 	// The restored tree's text is a fresh expected state; the old
 	// oracle described a guest that no longer exists.
 	c.oracle = nil

@@ -409,22 +409,94 @@ func TestCustomizerErrors(t *testing.T) {
 	}
 }
 
+// TestServiceInterruptionChargesVirtualClock: a rewrite charges the
+// virtual clock exactly its modelled interruption — one restore window
+// of the dumped tree — and nothing host-dependent, so the same rewrite
+// on two clones of one machine charges identical ticks.
 func TestServiceInterruptionChargesVirtualClock(t *testing.T) {
 	tb := newTestbed(t, webserv.Config{Name: "lighttpd", Port: 8087})
 	blocks := tb.profileFeatures(t, wantedReqs, undesiredReqs)
+	const tps = 100_000_000
+	rewrite := func(ticksPerSecond uint64) (uint64, Stats) {
+		m := tb.m.Clone()
+		c, err := New(m, tb.proc.PID(), Options{
+			RedirectTo:     tb.errPathAddr(t),
+			TicksPerSecond: ticksPerSecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := m.Clock()
+		stats, err := c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Clock() - before, stats
+	}
+	charged, stats := rewrite(tps)
+	again, _ := rewrite(tps)
+	uncharged, _ := rewrite(0)
+	if charged != again {
+		t.Fatalf("same rewrite on two clones advanced the clock %d and %d ticks", charged, again)
+	}
+	// One process restored once: the charge is the model, exactly.
+	modelNs := uint64(downtimeNsPerProc + (stats.PagesDumped+stats.PagesSkipped)*downtimeNsPerPage)
+	if want := modelNs * tps / 1e9; charged-uncharged != want || want == 0 {
+		t.Fatalf("rewrite charged %d ticks, model says %d (%d ns at %d ticks/s)",
+			charged-uncharged, want, modelNs, uint64(tps))
+	}
+}
+
+// TestRewriteReapsReplacedProcesses: every process a rewrite kills is
+// removed from the process table once its replacement is restored —
+// on commit and after a rollback restore — so repeated disable/enable
+// cycles leave no dead entries behind.
+func TestRewriteReapsReplacedProcesses(t *testing.T) {
+	tb := newTestbed(t, webserv.Config{Name: "lighttpd", Port: 8088})
+	blocks := tb.profileFeatures(t, wantedReqs, undesiredReqs)
+	failHealth := false
 	c, err := New(tb.m, tb.proc.PID(), Options{
-		RedirectTo:     tb.errPathAddr(t),
-		TicksPerSecond: 100_000_000,
+		RedirectTo: tb.errPathAddr(t),
+		HealthCheck: func(*kernel.Machine, int) error {
+			if failHealth {
+				return errors.New("injected health failure")
+			}
+			return nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := tb.m.Clock()
-	if _, err := c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry); err != nil {
-		t.Fatal(err)
+	var replaced []int
+	step := func(run func() (Stats, error)) {
+		t.Helper()
+		old := c.PID()
+		if _, err := run(); err != nil && !errors.Is(err, ErrRolledBack) {
+			t.Fatal(err)
+		}
+		if c.PID() == old {
+			t.Fatalf("rewrite kept root pid %d", old)
+		}
+		replaced = append(replaced, old)
 	}
-	if tb.m.Clock() <= before {
-		t.Error("virtual clock not charged for the rewrite window")
+	const cycles = 5
+	for i := 0; i < cycles; i++ {
+		step(func() (Stats, error) { return c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry) })
+		step(func() (Stats, error) { return c.EnableBlocks("webdav-write") })
+	}
+	failHealth = true // one rolled-back rewrite: the rollback restore reaps too
+	step(func() (Stats, error) { return c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry) })
+
+	for _, pid := range replaced {
+		if _, err := tb.m.Process(pid); !errors.Is(err, kernel.ErrNoProcess) {
+			t.Errorf("replaced pid %d still in the process table (err %v)", pid, err)
+		}
+	}
+	if n := len(tb.m.Processes()); n != 1 {
+		t.Fatalf("%d live processes after %d rewrites, want 1", n, len(replaced))
+	}
+	if _, err := tb.m.Process(c.PID()); err != nil {
+		t.Fatalf("current root %d: %v", c.PID(), err)
 	}
 }
 

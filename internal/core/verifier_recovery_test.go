@@ -4,14 +4,12 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/dynacut/dynacut/internal/apps/webserv"
 	"github.com/dynacut/dynacut/internal/coverage"
 	"github.com/dynacut/dynacut/internal/crit"
 	"github.com/dynacut/dynacut/internal/criu"
 	"github.com/dynacut/dynacut/internal/faultinject"
-	"github.com/dynacut/dynacut/internal/kernel"
 )
 
 // TestVerifierTableExhaustionRecovers fills the in-guest verifier
@@ -237,31 +235,5 @@ func TestDisableRetriesThroughArmFault(t *testing.T) {
 	}
 	if n != 1 {
 		t.Fatalf("%d handler modules mapped, want exactly 1", n)
-	}
-}
-
-// TestChargeCapsSchedulingOutliers: the virtual-tick charge for a
-// rewrite's downtime is measured wall time, so a descheduled host can
-// inflate it arbitrarily; MaxChargeTicks bounds the damage and drops
-// (not defers) the outlier's excess.
-func TestChargeCapsSchedulingOutliers(t *testing.T) {
-	m := kernel.NewMachine()
-	c := &Customizer{machine: m, opts: Options{
-		TicksPerSecond: 1_000_000,
-		MaxChargeTicks: 500,
-	}}
-	before := m.Clock()
-	c.charge(Stats{Downtime: 3 * time.Second}) // would be 3M ticks uncapped
-	if got := m.Clock() - before; got != 500 {
-		t.Fatalf("outlier charged %d ticks, want capped 500", got)
-	}
-	if c.tickCarry != 0 {
-		t.Fatalf("capped charge deferred %v ticks of excess", c.tickCarry)
-	}
-	// Under the cap, charges are unaffected and sub-tick carry works.
-	before = m.Clock()
-	c.charge(Stats{Downtime: 100 * time.Microsecond})
-	if got := m.Clock() - before; got != 100 {
-		t.Fatalf("normal charge = %d ticks, want 100", got)
 	}
 }

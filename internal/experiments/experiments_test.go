@@ -154,6 +154,20 @@ func TestFigure8ServiceInterruption(t *testing.T) {
 	if len(res.WithDynaCut) != figure8Buckets || len(res.Baseline) != figure8Buckets {
 		t.Fatalf("series lengths %d/%d", len(res.WithDynaCut), len(res.Baseline))
 	}
+	// The dip is charged from the work-count model, not host time, so
+	// the timeline around each rewrite is exact on any host and under
+	// -race: one empty bucket, one partial, then full recovery.
+	golden := map[int][]float64{
+		18: {800, 800, 0, 536, 800, 800}, // buckets 18–23, SET disabled at 20
+		46: {800, 800, 0, 376, 800, 800}, // buckets 46–51, SET re-enabled at 48
+	}
+	for from, want := range golden {
+		for i, w := range want {
+			if got := res.WithDynaCut[from+i].Throughput; got != w {
+				t.Errorf("bucket %d: %v responses, want %v", from+i, got, w)
+			}
+		}
+	}
 	// Throughput before, between and after the rewrites is nonzero.
 	sum := func(pts []F8Point, lo, hi int) float64 {
 		var s float64

@@ -430,16 +430,18 @@ type F8Result struct {
 // The timeline runs on the machine's virtual clock: 70 buckets of
 // figure8BucketTicks instructions each, with the SET command disabled
 // at bucket 20 and re-enabled at bucket 48 (the paper's 70-second
-// trace). The wall-clock cost of each rewrite is charged to the
-// virtual clock via TicksPerSecond, so the service-interruption
-// window appears in the timeline at its true relative size.
+// trace). Each rewrite's modelled service interruption is charged to
+// the virtual clock via TicksPerSecond, so the interruption window
+// appears in the timeline at its relative size and every run yields
+// the same timeline.
 const (
 	figure8Buckets     = 70
 	figure8BucketTicks = 100_000
-	// figure8TickRate maps 1 second of rewrite wall time to virtual
-	// ticks; calibrated so a ~100–500µs rewrite spans ~1–2 buckets,
-	// like the paper's sub-second dip in a 70 s window.
-	figure8TickRate = 400_000_000
+	// figure8TickRate charges one tick per modelled nanosecond: a
+	// kvstore rewrite models 133–153 µs (one process, 10–14 pages), so
+	// it spans 1–2 buckets, like the paper's sub-second dip in a 70 s
+	// window.
+	figure8TickRate = 1_000_000_000
 )
 
 // Figure8 drives a GET workload against the Redis-like store while
@@ -485,11 +487,6 @@ func figure8Run(rewrite bool) ([]F8Point, *loadgen.Result, bool, error) {
 	cust, err := dynacut.NewCustomizer(sess.Machine, sess.PID(), dynacut.CustomizerOptions{
 		RedirectTo:     errAddr,
 		TicksPerSecond: figure8TickRate,
-		// A rewrite normally charges 1–2 buckets; cap the charge so a
-		// descheduled host (a loaded -race run) cannot inflate one
-		// rewrite's wall time into an interruption that swallows the
-		// rest of the 70-bucket timeline.
-		MaxChargeTicks: 8 * figure8BucketTicks,
 	})
 	if err != nil {
 		return nil, nil, false, err

@@ -67,10 +67,11 @@ func TestFleetScrubCleanRollout(t *testing.T) {
 	if sw := res.Sweeps[len(res.Sweeps)-1]; sw.Quorum != 6 || sw.Divergent != 0 {
 		t.Errorf("final sweep quorum %d divergent %d, want 6/0", sw.Quorum, sw.Divergent)
 	}
-	// Journal: v3 magic, one clean attest record per replica per wave.
+	// Journal: the DJL3 magic, one clean attest record per replica per
+	// wave.
 	data := ctl.Journal().Bytes()
-	if binary.LittleEndian.Uint32(data) != journalMagicV3 {
-		t.Fatalf("journal magic %#x, want v3", binary.LittleEndian.Uint32(data))
+	if binary.LittleEndian.Uint32(data) != 0x444a_4c33 {
+		t.Fatalf("journal magic %#x, want DJL3", binary.LittleEndian.Uint32(data))
 	}
 	kinds := recKinds(ctl.Journal().Records())
 	if kinds[RecAttest] != 6*len(res.Waves) {

@@ -35,20 +35,9 @@ var (
 	ErrJournalMagic = errors.New("fleet: not a rollout journal")
 )
 
-// Journal format versions. New journals are written at the current
-// version; DecodeJournal reads every version it has ever written.
-//
-//	DJL1: original format — 39-byte record header, no Mode byte.
-//	DJL2: added the per-record step Mode byte for live-patch rollouts.
-//	DJL3: added the attestation record kinds (RecAttest, RecRepair,
-//	      RecQuarantine); wire layout identical to v2.
-const (
-	journalMagicV1 uint32 = 0x444a_4c31
-	journalMagicV2 uint32 = 0x444a_4c32
-	journalMagicV3 uint32 = 0x444a_4c33
-	// journalMagic is the version new journals are written at.
-	journalMagic = journalMagicV3
-)
+// journalMagic opens every journal: "DJL3" read as a little-endian
+// word. Journals live in memory only, so this is the one format.
+const journalMagic uint32 = 0x444a_4c33
 
 // RecKind enumerates journal record types.
 type RecKind uint8
@@ -77,17 +66,17 @@ const (
 	RecResume
 	// RecDone closes the rollout: Replica holds the committed count.
 	RecDone
-	// RecAttest records one replica's attestation verdict (journal v3).
+	// RecAttest records one replica's attestation verdict.
 	// Attempt holds the AttestVerdict, Ident the first four bytes of
 	// the attested root, Ticks the pages checked.
 	RecAttest
-	// RecRepair records an in-place anti-entropy repair attempt
-	// (journal v3): Attempt is the try number, Ticks the pages
-	// repaired, Outcome the step outcome after the repair.
+	// RecRepair records an in-place anti-entropy repair attempt:
+	// Attempt is the try number, Ticks the pages repaired, Outcome the
+	// step outcome after the repair.
 	RecRepair
 	// RecQuarantine records a replica drained from the fleet after its
-	// repair budget was exhausted (journal v3): Attempt holds the
-	// failed try count. A later RecAttest with VerdictReadmit lifts it.
+	// repair budget was exhausted: Attempt holds the failed try count.
+	// A later RecAttest with VerdictReadmit lifts it.
 	RecQuarantine
 )
 
@@ -202,21 +191,14 @@ func encodeRecord(r Record) []byte {
 	return buf
 }
 
-// recHeaderLen is the fixed prefix of an encoded record since v2:
-// kind (1), replica/wave/attempt/outcome/ident (4 each), ticks/vclock
-// (8 each), mode (1), note length (2). v1 records had no Mode byte.
-const (
-	recHeaderLen   = 40
-	recHeaderLenV1 = 39
-)
+// recHeaderLen is the fixed prefix of an encoded record: kind (1),
+// replica/wave/attempt/outcome/ident (4 each), ticks/vclock (8 each),
+// mode (1), note length (2).
+const recHeaderLen = 40
 
-// decodeRecord parses one record payload at the given journal version.
-func decodeRecord(p []byte, version uint32) (Record, error) {
-	hdr := recHeaderLen
-	if version == journalMagicV1 {
-		hdr = recHeaderLenV1
-	}
-	if len(p) < hdr {
+// decodeRecord parses one record payload.
+func decodeRecord(p []byte) (Record, error) {
+	if len(p) < recHeaderLen {
 		return Record{}, fmt.Errorf("%w: short record payload (%d bytes)", ErrJournalCorrupt, len(p))
 	}
 	r := Record{
@@ -228,20 +210,13 @@ func decodeRecord(p []byte, version uint32) (Record, error) {
 		Ticks:   binary.LittleEndian.Uint64(p[17:]),
 		Ident:   binary.LittleEndian.Uint32(p[25:]),
 		VClock:  binary.LittleEndian.Uint64(p[29:]),
+		Mode:    StepMode(p[37]),
 	}
-	noteOff := 37
-	if version != journalMagicV1 {
-		r.Mode = StepMode(p[37])
-		noteOff = 38
-	}
-	if version != journalMagicV3 && r.Kind >= RecAttest {
-		return Record{}, fmt.Errorf("%w: record kind %d not valid before journal v3", ErrJournalCorrupt, r.Kind)
-	}
-	n := int(binary.LittleEndian.Uint16(p[noteOff:]))
-	if len(p) != hdr+n {
+	n := int(binary.LittleEndian.Uint16(p[38:]))
+	if len(p) != recHeaderLen+n {
 		return Record{}, fmt.Errorf("%w: record payload length %d, note claims %d", ErrJournalCorrupt, len(p), n)
 	}
-	r.Note = string(p[hdr:])
+	r.Note = string(p[recHeaderLen:])
 	return r, nil
 }
 
@@ -313,20 +288,13 @@ func (j *Journal) Len() int {
 	return len(j.recs)
 }
 
-// DecodeJournal parses a serialized journal at any version this
-// package has ever written (v1, v2 or v3). A truncated or CRC-damaged
+// DecodeJournal parses a serialized journal. A truncated or CRC-damaged
 // final frame — the signature of a crash mid-append — is dropped
 // silently; the same damage anywhere before the tail returns
 // ErrJournalCorrupt, because an append-only log cannot lose interior
 // records without foul play.
 func DecodeJournal(data []byte) ([]Record, error) {
-	if len(data) < 4 {
-		return nil, ErrJournalMagic
-	}
-	version := binary.LittleEndian.Uint32(data)
-	switch version {
-	case journalMagicV1, journalMagicV2, journalMagicV3:
-	default:
+	if len(data) < 4 || binary.LittleEndian.Uint32(data) != journalMagic {
 		return nil, ErrJournalMagic
 	}
 	var recs []Record
@@ -347,7 +315,7 @@ func DecodeJournal(data []byte) ([]Record, error) {
 			}
 			return nil, fmt.Errorf("%w: CRC mismatch at offset %d (record %d)", ErrJournalCorrupt, off, len(recs))
 		}
-		rec, err := decodeRecord(payload, version)
+		rec, err := decodeRecord(payload)
 		if err != nil {
 			if off+8+n == len(data) {
 				break
@@ -362,10 +330,9 @@ func DecodeJournal(data []byte) ([]Record, error) {
 
 // journalFrom rebuilds an appendable journal over previously decoded
 // records: resume continues the same log. The committed records are
-// re-encoded into a fresh current-version buffer rather than sliced
-// out of the old bytes — a v3 journal round-trips byte-identically
-// (resume determinism is preserved), while a v1/v2 journal is
-// upgraded to v3 on resume, and any torn tail is dropped either way.
+// re-encoded into a fresh buffer rather than sliced out of the old
+// bytes — the journal round-trips byte-identically (resume determinism
+// is preserved) and any torn tail is dropped.
 func journalFrom(recs []Record) *Journal {
 	j := NewJournal()
 	j.recs = append([]Record(nil), recs...)

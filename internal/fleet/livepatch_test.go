@@ -46,13 +46,13 @@ func countingApplyLive(tpl *template, counts []atomic.Int32) func(r *Replica) (c
 	}
 }
 
-// TestJournalModeRoundTrip: the v2 record format must carry the step
+// TestJournalModeRoundTrip: the record format must carry the step
 // mode through encode/decode for every kind and mode.
 func TestJournalModeRoundTrip(t *testing.T) {
 	for _, mode := range []StepMode{ModeTransaction, ModeLivePatch, ModeFellBack} {
 		r := Record{Kind: RecIntent, Replica: 3, Wave: 1, Attempt: 2,
 			Outcome: OutcomeCommitted, Ticks: 77, Ident: 5, VClock: 123, Mode: mode, Note: "x"}
-		got, err := decodeRecord(encodeRecord(r), journalMagic)
+		got, err := decodeRecord(encodeRecord(r))
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}

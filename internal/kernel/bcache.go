@@ -325,9 +325,10 @@ func (m *Memory) CachedBlocks() []BlockInfo {
 }
 
 // BlockCacheStats aggregates the translation-cache counters across
-// every process on the machine.
+// every process on the machine, including processes already removed
+// from the table.
 func (m *Machine) BlockCacheStats() BlockCacheStats {
-	var s BlockCacheStats
+	s := m.reapedCache
 	for _, p := range m.procs {
 		s.Add(p.mem.BlockCacheStats())
 	}

@@ -79,6 +79,9 @@ type Machine struct {
 	execMode      ExecMode
 	cacheDivs     []CacheDivergence
 	cacheDivTotal uint64
+	// reapedCache keeps the block-cache counters of removed processes
+	// so BlockCacheStats stays cumulative.
+	reapedCache BlockCacheStats
 
 	// Tick-progress watchdog: fn fires between scheduler rounds once
 	// the virtual clock has advanced by at least wdEvery ticks since
@@ -289,7 +292,10 @@ func (m *Machine) Kill(pid int) error {
 
 // Remove deletes an exited process table entry.
 func (m *Machine) Remove(pid int) {
-	delete(m.procs, pid)
+	if p, ok := m.procs[pid]; ok {
+		m.reapedCache.Add(p.mem.BlockCacheStats())
+		delete(m.procs, pid)
+	}
 }
 
 // NewRawProcess creates an empty process shell (restore path). The

@@ -257,7 +257,7 @@ func (m *Machine) sysFork(p *Process, next uint64) uint64 {
 func (m *Machine) sysWait(p *Process) uint64 {
 	for pid, c := range m.procs {
 		if c.parent == p.pid && c.exited {
-			delete(m.procs, pid)
+			m.Remove(pid)
 			return uint64(pid)<<8 | uint64(c.exitCode&0xff)
 		}
 	}

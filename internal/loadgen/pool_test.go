@@ -129,7 +129,7 @@ func TestOpenPoolDrivesReplicas(t *testing.T) {
 	pool := &OpenPool{Workers: 2}
 	for i := 0; i < 3; i++ {
 		pool.Drivers = append(pool.Drivers, &OpenDriver{
-			Machine: m.Clone(), Port: port, Schedule: sched, Mix: mix,
+			Machine: m.Clone(), Port: port, Schedule: sched, Mix: mix.Clone(),
 		})
 	}
 	results, err := pool.Run(200_000)

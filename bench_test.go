@@ -751,8 +751,6 @@ func BenchmarkRewriteUnderLoad(b *testing.B) {
 	if _, err := liveCust.InstallHandler(); err != nil {
 		b.Fatal(err)
 	}
-	fcfgLive := fcfg
-	fcfgLive.LivePatch = &dynacut.LivePatchSpec{Blocks: blocks, Policy: dynacut.PolicyBlockEntry}
 	applyLive := func(r *dynacut.FleetReplica) (dynacut.RewriteStats, error) {
 		return r.Cust.DisableBlocksLive("webdav-write", blocks, dynacut.PolicyBlockEntry)
 	}
@@ -773,7 +771,7 @@ func BenchmarkRewriteUnderLoad(b *testing.B) {
 		if got := rep.Rollout.Committed(); got != replicas {
 			b.Fatalf("committed %d/%d", got, replicas)
 		}
-		repLive, _, err := dynacut.RolloutUnderLoad(liveM, liveCust.PID(), fcfgLive, cfg, applyLive)
+		repLive, _, err := dynacut.RolloutUnderLoad(liveM, liveCust.PID(), fcfg, cfg, applyLive)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -132,7 +132,6 @@ func run(replicas, workers, wave, failat, crash int, live bool, out string) erro
 	}
 	rootPID := sess.PID()
 	if live {
-		cfg.LivePatch = &dynacut.LivePatchSpec{Blocks: blocks, Policy: dynacut.PolicyBlockEntry}
 		if rootPID, err = prepLive(sess, errAddr); err != nil {
 			return err
 		}
@@ -274,7 +273,6 @@ func runScrub(replicas, workers, wave, flipevery int) error {
 		WaveSize:     wave,
 		Scrub:        true,
 		FaultHook:    inj,
-		LivePatch:    &dynacut.LivePatchSpec{Blocks: blocks, Policy: dynacut.PolicyBlockEntry},
 		Core: dynacut.CustomizerOptions{
 			RedirectTo:  errAddr,
 			HealthCheck: dynacut.HealthProbe(app.Config.Port, "GET /\n", "200"),
@@ -425,7 +423,6 @@ func runLoad(replicas, workers, wave int, live bool, sched string, interval, hor
 	}
 	rootPID := sess.PID()
 	if live {
-		fcfg.LivePatch = &dynacut.LivePatchSpec{Blocks: blocks, Policy: dynacut.PolicyBlockEntry}
 		if rootPID, err = prepLive(sess, errAddr); err != nil {
 			return err
 		}

@@ -214,12 +214,9 @@ type (
 	JournalRecord = fleet.Record
 	// JournalRecKind enumerates rollout-journal record types.
 	JournalRecKind = fleet.RecKind
-	// StepMode is the rewrite path of one rollout step (transaction,
-	// live-patch, or fell-back), journaled on intents and outcomes.
+	// StepMode is the rewrite path a rollout step actually took
+	// (transaction, live-patch, or fell-back), journaled on outcomes.
 	StepMode = fleet.StepMode
-	// LivePatchSpec declares a rollout's live-patch block set so torn
-	// journal windows are verified byte-wise on resume.
-	LivePatchSpec = fleet.LivePatchSpec
 	// AttestVerdict classifies one replica inside a fleet attestation
 	// sweep (clean, repaired, skew, foreign, readmit).
 	AttestVerdict = fleet.AttestVerdict

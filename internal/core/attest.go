@@ -315,12 +315,26 @@ func (c *Customizer) Attestation() (Attestation, error) {
 // LiveRoot hashes the root process's live text pages and returns the
 // attestation root they produce — the cheap divergence probe a fleet
 // sweep collects from every replica before deciding whether to pay for
-// a full Attest.
+// a full Attest. It consults the kernel.text.bitflip fault site first;
+// TextRoot is the same hash without it.
 func (c *Customizer) LiveRoot() ([sha256.Size]byte, error) {
 	if err := c.ensureSealed(); err != nil {
 		return [sha256.Size]byte{}, err
 	}
 	c.injectBitflip()
+	return c.TextRoot()
+}
+
+// TextRoot hashes the root process's live text pages into an
+// attestation root, with no fault site consulted. It equals
+// Attestation().Root exactly when the live text is the expected text,
+// so it tells which code version a process is running from the code
+// itself — the check a resumed rollout controller classifies torn
+// steps by.
+func (c *Customizer) TextRoot() ([sha256.Size]byte, error) {
+	if err := c.ensureSealed(); err != nil {
+		return [sha256.Size]byte{}, err
+	}
 	p, err := c.machine.Process(c.pid)
 	if err != nil || p.Exited() {
 		return [sha256.Size]byte{}, ErrDead

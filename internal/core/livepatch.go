@@ -376,55 +376,6 @@ func liveConflict(targets []*kernel.Process, spans []blockSpan) string {
 	return ""
 }
 
-// CountPatched reports, byte-wise from the live guest's text, how many
-// of blocks are fully INT3 under policy (full) and how many are only
-// partially INT3 (partial — possible for PolicyWipeBlocks when a crash
-// interrupted a multi-byte write path). It is the ground truth a
-// resumed rollout controller uses to classify a torn live-patch
-// journal window: unlike DisabledBlockCount, it cannot be fooled by
-// lost in-memory bookkeeping, and a partial result proves torn text
-// that must never be re-patched blindly (re-patching would record INT3
-// as the "original" bytes and corrupt every later EnableBlocks).
-func (c *Customizer) CountPatched(blocks []coverage.AbsBlock, policy Policy) (full, partial int, err error) {
-	p, err := c.machine.Process(c.pid)
-	if err != nil || p.Exited() {
-		return 0, 0, ErrDead
-	}
-	mem := p.Mem()
-	for _, b := range blocks {
-		n := 1
-		if policy != PolicyBlockEntry {
-			n = int(b.Size)
-		}
-		data, rerr := mem.Read(b.Addr, n)
-		if rerr != nil {
-			return 0, 0, fmt.Errorf("core: reading block %#x: %w", b.Addr, rerr)
-		}
-		int3 := 0
-		for _, by := range data {
-			if by == 0xCC {
-				int3++
-			}
-		}
-		switch {
-		case int3 == len(data):
-			full++
-		case int3 > 0:
-			partial++
-		}
-	}
-	return full, partial, nil
-}
-
-// FilterProtected returns blocks minus any block covering the
-// configured RedirectTo address — the set DisableBlocks and
-// DisableBlocksLive actually apply. External verifiers (a rollout
-// controller classifying a torn journal window byte-wise) must
-// compare the guest's text against this set, not the raw input.
-func (c *Customizer) FilterProtected(blocks []coverage.AbsBlock) []coverage.AbsBlock {
-	return append([]coverage.AbsBlock(nil), c.filterProtected(blocks)...)
-}
-
 // InstallHandler injects the SIGTRAP handler library now, through a
 // no-op rewrite transaction, without disabling anything. Fleet
 // templates call it once before cloning so every replica already

@@ -76,6 +76,19 @@ func rootIdent(root [sha256.Size]byte) uint32 {
 	return binary.LittleEndian.Uint32(root[:4])
 }
 
+// expectedIdent fingerprints the replica's expected text root for its
+// step intent. It reads the sealed oracle only and hashes no page. A
+// replica whose oracle cannot be read (its root process died) journals
+// zero; resume cannot read such a replica's text either and refuses
+// the step.
+func expectedIdent(r *Replica) uint32 {
+	att, err := r.Cust.Attestation()
+	if err != nil {
+		return 0
+	}
+	return rootIdent(att.Root)
+}
+
 // AttestSweep runs one fleet-wide attestation sweep: collect each
 // active replica's live root, flag divergence from the quorum
 // (advisory) and from the replica's own oracle (authoritative), repair

@@ -67,7 +67,7 @@ func TestFleetChaosWaveFaults(t *testing.T) {
 			if inj.Injected() == 0 {
 				t.Fatal("armed wave fault never fired")
 			}
-			assertConverged(t, f, res)
+			assertConverged(t, f, res, dirDisable)
 		})
 	}
 }
@@ -111,7 +111,7 @@ func TestFleetChaosRollbackFaults(t *testing.T) {
 			if inj.Injected() == 0 {
 				t.Fatal("armed rollback fault never fired")
 			}
-			assertConverged(t, f, res)
+			assertConverged(t, f, res, dirDisable)
 		})
 	}
 }

@@ -71,8 +71,8 @@ type StepEvent struct {
 	Wave    int
 	Attempt int
 	Outcome Outcome
-	// Mode is the step's rewrite path: the requested mode on "lease"
-	// events, the mode actually taken on "outcome" events.
+	// Mode is the rewrite path a step actually took, set only on
+	// "outcome" events; every other kind leaves it zero.
 	Mode   StepMode
 	VClock uint64
 }
@@ -303,7 +303,8 @@ func (c *Controller) isCrashed() bool {
 type priorState struct {
 	resolved   bool // an outcome record exists
 	outcome    ReplicaOutcome
-	openIntent bool // an intent with no outcome: the torn window
+	openIntent bool   // an intent with no outcome: the torn window
+	intentRoot uint32 // the latest intent's expected-root fingerprint
 	wave       int
 }
 
@@ -324,6 +325,7 @@ func (c *Controller) replay(res *RolloutResult) (states []priorState, waveFails 
 		case RecIntent:
 			st := &states[r.Replica]
 			st.openIntent = true
+			st.intentRoot = r.Ident
 			st.wave = int(r.Wave)
 		case RecOutcome:
 			st := &states[r.Replica]
@@ -371,45 +373,33 @@ func (c *Controller) replay(res *RolloutResult) (states []priorState, waveFails 
 	return states, waveFails, haltedAt, finished
 }
 
-// verifyCommitted classifies a torn-window replica: the journal shows
-// a leased intent but no outcome, so the predecessor died between the
-// lease and the outcome record — the rewrite may or may not have
-// committed. Config.Verify decides from the live replica. Without it,
-// a live-patch rollout (Config.LivePatch) is verified byte-wise
-// against the replica's text — the customizer's in-memory bookkeeping
-// does not survive a controller crash, and a crash can land mid-patch,
-// so only the bytes themselves are trustworthy; any other rollout
-// falls back to asking the customizer whether blocks are disabled.
-func (c *Controller) verifyCommitted(r *Replica) (bool, error) {
-	if v := c.f.cfg.Verify; v != nil {
-		return v(r)
-	}
-	if lp := c.f.cfg.LivePatch; lp != nil {
-		return verifyLiveBlocks(r, lp)
-	}
-	return r.Cust.DisabledBlockCount() > 0, nil
-}
-
-// verifyLiveBlocks classifies a torn live-patch window from the
-// replica's text bytes. All blocks INT3 → committed (skip). No block
-// touched → not committed (safe to re-run; the fast path saves
-// originals before writing, so a clean re-patch is exactly-once in
-// effect). Anything in between is torn text: the crash interrupted
-// the patch loop, and re-running apply would record INT3 bytes as
-// "originals" — so it is surfaced as an error (the resume fails with
-// "cannot classify") for the operator to restore the replica from its
-// pristine checkpoint instead.
-func verifyLiveBlocks(r *Replica, lp *LivePatchSpec) (bool, error) {
-	blocks := r.Cust.FilterProtected(lp.Blocks)
-	full, partial, err := r.Cust.CountPatched(blocks, lp.Policy)
+// committedAfterCrash classifies a torn-window replica: the journal
+// shows a leased intent but no outcome, so the predecessor died between
+// the lease and the outcome record and the step may or may not have
+// committed. The replica's live text root decides, whatever the step
+// did (disable or enable, transaction or live patch): the intent
+// fingerprinted the expected root at lease, and every core commit
+// reseals the expected root from the committed text. Live text still
+// at the intent's root never committed and re-runs; live text at a new
+// expected root committed; anything else is torn or corrupt text that
+// a re-run would build on, so it is refused.
+func committedAfterCrash(r *Replica, intentRoot uint32) (bool, error) {
+	live, err := r.Cust.TextRoot()
 	if err != nil {
 		return false, err
 	}
-	if partial > 0 || (full > 0 && full < len(blocks)) {
-		return false, fmt.Errorf("fleet: torn live patch on replica %d: %d/%d blocks fully patched, %d partially — refusing to re-patch; restore the replica from its pristine checkpoint",
-			r.Index, full, len(blocks), partial)
+	att, err := r.Cust.Attestation()
+	if err != nil {
+		return false, err
 	}
-	return full == len(blocks) && full > 0, nil
+	switch {
+	case rootIdent(live) == intentRoot:
+		return false, nil
+	case live == att.Root:
+		return true, nil
+	}
+	return false, fmt.Errorf("fleet: torn text on replica %d: live root %08x matches neither the intent's %08x nor the expected %08x — refusing to re-run the step; restore the replica from its pristine checkpoint",
+		r.Index, rootIdent(live), intentRoot, rootIdent(att.Root))
 }
 
 // Run executes the rollout (or, after ResumeController, whatever of
@@ -464,7 +454,7 @@ func (c *Controller) Run(apply func(r *Replica) (core.Stats, error)) (*RolloutRe
 				continue
 			}
 			if st.openIntent {
-				committed, err := c.verifyCommitted(f.replicas[i])
+				committed, err := committedAfterCrash(f.replicas[i], st.intentRoot)
 				if err != nil {
 					return res, fmt.Errorf("fleet: resume cannot classify replica %d (torn journal window): %w", i, err)
 				}
@@ -480,7 +470,7 @@ func (c *Controller) Run(apply func(r *Replica) (core.Stats, error)) (*RolloutRe
 					c.emit(StepEvent{Kind: "skip", Replica: i, Wave: st.wave, Outcome: OutcomeCommitted, VClock: c.lanes[0]})
 					if !c.append(Record{Kind: RecOutcome, Replica: int32(i), Wave: int32(st.wave),
 						Outcome: OutcomeCommitted, Ticks: 1, VClock: c.lanes[0],
-						Mode: c.f.cfg.requestedMode(), Note: "verified-after-crash"}) {
+						Note: "verified-after-crash"}) {
 						return c.finish(res)
 					}
 				}
@@ -683,12 +673,11 @@ func (c *Controller) runWave(wi int, wave []int, res *RolloutResult, apply func(
 		// deterministic under concurrency.
 		for _, l := range round {
 			if !c.append(Record{Kind: RecIntent, Replica: int32(l.step.replica), Wave: int32(wi),
-				Attempt: int32(l.step.attempt), VClock: l.start, Mode: f.cfg.requestedMode()}) {
+				Attempt: int32(l.step.attempt), Ident: expectedIdent(f.replicas[l.step.replica]), VClock: l.start}) {
 				return
 			}
 			f.obs.Point("fleet.step.lease", int64(l.step.replica))
-			c.emit(StepEvent{Kind: "lease", Replica: l.step.replica, Wave: wi, Attempt: l.step.attempt,
-				Mode: f.cfg.requestedMode(), VClock: l.start})
+			c.emit(StepEvent{Kind: "lease", Replica: l.step.replica, Wave: wi, Attempt: l.step.attempt, VClock: l.start})
 		}
 		if h := f.cfg.FaultHook; h != nil {
 			for _, l := range round {
@@ -736,7 +725,7 @@ func (c *Controller) runWave(wi int, wave []int, res *RolloutResult, apply func(
 					c.emit(StepEvent{Kind: "budget-exhausted", Replica: ri, Wave: wi, Attempt: l.step.attempt, VClock: l.deadline})
 					if !c.append(Record{Kind: RecOutcome, Replica: int32(ri), Wave: int32(wi), Attempt: int32(l.step.attempt),
 						Outcome: OutcomeFailed, Ticks: 1, VClock: l.deadline,
-						Mode: f.cfg.requestedMode(), Note: "lease retry budget exhausted"}) {
+						Note: "lease retry budget exhausted"}) {
 						return
 					}
 					continue
@@ -762,7 +751,7 @@ func (c *Controller) runWave(wi int, wave []int, res *RolloutResult, apply func(
 			c.setClock(c.lanes[l.lane])
 			c.note(ri, l.out.Outcome, false)
 			f.obs.Point("fleet.step.outcome", int64(ri))
-			mode := f.cfg.outcomeMode(l.out.Stats)
+			mode := stepMode(l.out.Stats)
 			c.emit(StepEvent{Kind: "outcome", Replica: ri, Wave: wi, Attempt: l.step.attempt,
 				Outcome: l.out.Outcome, Mode: mode, VClock: c.lanes[l.lane]})
 			note := ""

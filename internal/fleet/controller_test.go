@@ -118,7 +118,7 @@ func TestRestorePristineRetryClearsErr(t *testing.T) {
 	if len(out.RestoreErrs) != 1 || !errors.Is(out.RestoreErrs[0], faultinject.ErrInjected) {
 		t.Fatalf("retry history = %v, want the one injected failure", out.RestoreErrs)
 	}
-	assertConverged(t, f, res)
+	assertConverged(t, f, res, dirDisable)
 }
 
 // TestMidWaveHaltAbortsInFlight: Halt() landing while a wave's
@@ -176,7 +176,7 @@ func TestMidWaveHaltAbortsInFlight(t *testing.T) {
 			t.Fatalf("cancelled replica %d = %v, want pending", i, o)
 		}
 	}
-	assertConverged(t, f, res)
+	assertConverged(t, f, res, dirDisable)
 }
 
 // TestControllerStepStreamAndStatus: the controller streams every

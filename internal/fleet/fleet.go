@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 
 	"github.com/dynacut/dynacut/internal/core"
-	"github.com/dynacut/dynacut/internal/coverage"
 	"github.com/dynacut/dynacut/internal/criu"
 	"github.com/dynacut/dynacut/internal/faultinject"
 	"github.com/dynacut/dynacut/internal/kernel"
@@ -78,25 +77,6 @@ type Config struct {
 	RetryBudget int
 	BackoffBase uint64
 	BackoffCap  uint64
-	// Verify classifies a replica whose journal entry is torn (a
-	// controller crash between lease and outcome): it must report
-	// whether the rollout's rewrite committed on this replica. nil
-	// asks the customizer whether any blocks are disabled — correct
-	// for DisableBlocks payloads (with LivePatch set, the byte-wise
-	// text check below is used instead); custom payloads should probe
-	// the guest directly.
-	Verify func(r *Replica) (bool, error)
-	// LivePatch declares the rollout's steps request the live-patch
-	// fast path for these blocks. Step intents are journaled with
-	// ModeLivePatch, outcomes with the mode that actually ran, and —
-	// critically for resume — a torn journal window is classified
-	// byte-wise against the replica's live text (core.CountPatched)
-	// instead of by disabled-block count: in-memory bookkeeping dies
-	// with a crashed controller, but the text bytes cannot lie, and a
-	// partially patched replica is surfaced as an error rather than
-	// blindly re-patched. The apply closure should use
-	// Customizer.DisableBlocksLive with the same blocks and policy.
-	LivePatch *LivePatchSpec
 	// OnStep, when non-nil, receives every scheduling event (lease,
 	// expiry, requeue, outcome, skip, halt, crash) as the controller
 	// dispatches — the incremental status stream.
@@ -113,25 +93,17 @@ type Config struct {
 	RepairBudget int
 }
 
-// LivePatchSpec names the block set a live-patch rollout applies, so
-// the controller can verify replicas byte-wise on resume.
-type LivePatchSpec struct {
-	Blocks []coverage.AbsBlock
-	Policy core.Policy
-}
-
-// StepMode is the rewrite path of one rollout step, journaled on
-// intent and outcome records.
+// StepMode is the rewrite path one rollout step actually took, derived
+// from its core.Stats and journaled on outcome records only.
 type StepMode uint8
 
 const (
 	// ModeTransaction: the full checkpoint → edit → restore cycle.
 	ModeTransaction StepMode = iota
-	// ModeLivePatch: the zero-downtime live-patch fast path (on an
-	// intent record: requested; on an outcome record: taken).
+	// ModeLivePatch: the zero-downtime live-patch fast path.
 	ModeLivePatch
-	// ModeFellBack (outcome records only): the step requested a live
-	// patch but fell back to the checkpoint transaction.
+	// ModeFellBack: the step asked for a live patch but fell back to
+	// the checkpoint transaction.
 	ModeFellBack
 )
 
@@ -148,17 +120,8 @@ func (m StepMode) String() string {
 	}
 }
 
-// requestedMode is the mode journaled on intent records.
-func (c Config) requestedMode() StepMode {
-	if c.LivePatch != nil {
-		return ModeLivePatch
-	}
-	return ModeTransaction
-}
-
-// outcomeMode derives the journaled outcome mode from the rewrite's
-// stats: what the step actually did, not what was requested.
-func (c Config) outcomeMode(s core.Stats) StepMode {
+// stepMode is the mode a step took, read from its rewrite stats.
+func stepMode(s core.Stats) StepMode {
 	switch {
 	case s.LivePatched:
 		return ModeLivePatch

@@ -107,12 +107,24 @@ func coreOpts(tpl *template) core.Options {
 	return core.Options{RedirectTo: tpl.redirect, HealthCheck: healthProbe}
 }
 
-// assertConverged enforces the fleet invariant: every replica is
-// either on the new version (undesired feature returns 403) or on its
-// pristine checkpoint (feature still works, 201) — and serving wanted
-// requests either way. A dead or torn replica fails.
-func assertConverged(t *testing.T, f *Fleet, res *RolloutResult) {
+// direction is what a test rollout does to the webdav-write feature.
+type direction bool
+
+const (
+	dirDisable direction = true  // cut: committed replicas answer PUT with 403
+	dirEnable  direction = false // re-enable: committed replicas answer 201
+)
+
+// assertConverged enforces the fleet invariant: every replica is on the
+// rollout's target state, on its pre-rollout state, or on its pristine
+// checkpoint (feature working, 201) — and serving wanted requests
+// either way. dir names the target state. A dead or torn replica fails.
+func assertConverged(t *testing.T, f *Fleet, res *RolloutResult, dir direction) {
 	t.Helper()
+	newPut, oldPut := "201", "403"
+	if dir == dirDisable {
+		newPut, oldPut = "403", "201"
+	}
 	for _, r := range f.Replicas() {
 		o := res.Outcomes[r.Index]
 		if o.Outcome == OutcomeLost {
@@ -123,17 +135,17 @@ func assertConverged(t *testing.T, f *Fleet, res *RolloutResult) {
 		if !strings.Contains(get, "200") {
 			t.Fatalf("replica %d (%v) not serving: GET -> %q", r.Index, o.Outcome, get)
 		}
+		want := oldPut
 		switch {
 		case o.Outcome == OutcomeCommitted:
-			if !strings.Contains(put, "403") {
-				t.Fatalf("replica %d committed but PUT -> %q, want 403", r.Index, put)
-			}
-		case o.Outcome.OldVersion():
-			if !strings.Contains(put, "201") {
-				t.Fatalf("replica %d (%v) should be pristine but PUT -> %q, want 201", r.Index, o.Outcome, put)
-			}
-		default:
+			want = newPut
+		case o.Outcome == OutcomeRestored:
+			want = "201"
+		case !o.Outcome.OldVersion():
 			t.Fatalf("replica %d unclassified outcome %v", r.Index, o.Outcome)
+		}
+		if !strings.Contains(put, want) {
+			t.Fatalf("replica %d (%v) PUT -> %q, want %s", r.Index, o.Outcome, put, want)
 		}
 	}
 }
@@ -162,7 +174,7 @@ func TestFleetRolloutCommitsAllReplicas(t *testing.T) {
 		len(res.Waves[1].Replicas) != 2 || len(res.Waves[2].Replicas) != 1 {
 		t.Fatalf("waves = %+v", res.Waves)
 	}
-	assertConverged(t, f, res)
+	assertConverged(t, f, res, dirDisable)
 
 	// The template guest was never part of the rollout.
 	if got := request(tpl.m, tpl.port, "PUT /f data\n"); !strings.Contains(got, "201") {
@@ -228,7 +240,7 @@ func TestFleetCanaryFailureHaltsRollout(t *testing.T) {
 			t.Fatalf("replica %d outcome = %v, want pending", i, got)
 		}
 	}
-	assertConverged(t, f, res)
+	assertConverged(t, f, res, dirDisable)
 
 	// Resume lifts the halt; the same fleet then rolls out cleanly.
 	failCanary = false
@@ -240,7 +252,7 @@ func TestFleetCanaryFailureHaltsRollout(t *testing.T) {
 	if res2.Halted || res2.Committed() != 4 {
 		t.Fatalf("resumed rollout: %+v", res2)
 	}
-	assertConverged(t, f, res2)
+	assertConverged(t, f, res2, dirDisable)
 }
 
 func TestFleetWaveFailureRestoresCommitted(t *testing.T) {
@@ -279,7 +291,7 @@ func TestFleetWaveFailureRestoresCommitted(t *testing.T) {
 	if res.Outcomes[2].Outcome != OutcomeFailed {
 		t.Fatalf("failing replica = %v, want failed", res.Outcomes[2].Outcome)
 	}
-	assertConverged(t, f, res)
+	assertConverged(t, f, res, dirDisable)
 }
 
 // TestFleetRolloutPooledSpeedup is the BENCH_pr5 acceptance claim in

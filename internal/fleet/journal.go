@@ -47,9 +47,11 @@ const (
 	// wave count, Attempt the worker-lane count.
 	RecStart RecKind = iota + 1
 	// RecIntent is appended when a step is leased, before its rewrite
-	// runs. An intent with no later outcome for the same replica is a
-	// torn window: the controller died after leasing, and resume must
-	// verify the replica instead of trusting the journal.
+	// runs; Ident holds the fingerprint of the replica's expected text
+	// root at lease (rootIdent of Customizer.Attestation().Root). An
+	// intent with no later outcome for the same replica is a torn
+	// window: the controller died after leasing, and resume classifies
+	// the replica by its live text root instead of trusting the journal.
 	RecIntent
 	// RecOutcome resolves a step: Outcome, Ticks and (for commits) the
 	// post-commit checkpoint Ident deposited in the shared page store.
@@ -158,12 +160,9 @@ type Record struct {
 	Ticks   uint64
 	Ident   uint32
 	VClock  uint64
-	// Mode records the step's rewrite path. On an intent record it is
-	// the requested mode (ModeLivePatch when Config.LivePatch is set);
-	// on an outcome record it is what actually happened — a requested
-	// live patch that took the transaction instead is journaled as
-	// ModeFellBack. Resume uses the intent mode to pick the right
-	// torn-window verification (byte-wise for live patches).
+	// Mode is the rewrite path a step actually took. It is set only on
+	// outcome records of steps that ran; intents, verified-after-crash
+	// outcomes and every other record leave it zero.
 	Mode StepMode
 	Note string
 }

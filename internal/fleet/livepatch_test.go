@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/dynacut/dynacut/internal/core"
+	"github.com/dynacut/dynacut/internal/coverage"
 	"github.com/dynacut/dynacut/internal/faultinject"
 )
 
@@ -33,8 +34,7 @@ func bootLiveTemplate(t *testing.T) *template {
 func liveConfig(tpl *template, replicas, workers, canary, wave int) Config {
 	return Config{
 		Replicas: replicas, Workers: workers, CanaryShards: canary, WaveSize: wave,
-		Core:      coreOpts(tpl),
-		LivePatch: &LivePatchSpec{Blocks: tpl.blocks, Policy: core.PolicyBlockEntry},
+		Core: coreOpts(tpl),
 	}
 }
 
@@ -47,10 +47,10 @@ func countingApplyLive(tpl *template, counts []atomic.Int32) func(r *Replica) (c
 }
 
 // TestJournalModeRoundTrip: the record format must carry the step
-// mode through encode/decode for every kind and mode.
+// mode of an outcome record through encode/decode for every mode.
 func TestJournalModeRoundTrip(t *testing.T) {
 	for _, mode := range []StepMode{ModeTransaction, ModeLivePatch, ModeFellBack} {
-		r := Record{Kind: RecIntent, Replica: 3, Wave: 1, Attempt: 2,
+		r := Record{Kind: RecOutcome, Replica: 3, Wave: 1, Attempt: 2,
 			Outcome: OutcomeCommitted, Ticks: 77, Ident: 5, VClock: 123, Mode: mode, Note: "x"}
 		got, err := decodeRecord(encodeRecord(r))
 		if err != nil {
@@ -64,13 +64,15 @@ func TestJournalModeRoundTrip(t *testing.T) {
 
 // TestFleetLivePatchRollout: a staged rollout over the fast path
 // converges the whole fleet with zero fallbacks, and the journal
-// records ModeLivePatch on both the intents and the outcomes.
+// records ModeLivePatch on every outcome and the pristine text root on
+// every intent.
 func TestFleetLivePatchRollout(t *testing.T) {
 	tpl := bootLiveTemplate(t)
 	f, err := New(tpl.m, tpl.pid, liveConfig(tpl, 6, 2, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	pristine := expectedIdent(f.Replicas()[0])
 	c := NewController(f, nil)
 	res, err := c.Run(func(r *Replica) (core.Stats, error) {
 		return r.Cust.DisableBlocksLive("webdav-write", tpl.blocks, core.PolicyBlockEntry)
@@ -99,8 +101,8 @@ func TestFleetLivePatchRollout(t *testing.T) {
 		switch r.Kind {
 		case RecIntent:
 			intents++
-			if r.Mode != ModeLivePatch {
-				t.Fatalf("intent for replica %d journaled mode %v, want live-patch", r.Replica, r.Mode)
+			if r.Ident != pristine {
+				t.Fatalf("intent for replica %d journaled root %08x, want the pristine %08x", r.Replica, r.Ident, pristine)
 			}
 		case RecOutcome:
 			outcomes++
@@ -112,7 +114,7 @@ func TestFleetLivePatchRollout(t *testing.T) {
 	if intents != 6 || outcomes != 6 {
 		t.Fatalf("journal has %d intents / %d outcomes, want 6/6", intents, outcomes)
 	}
-	assertConverged(t, f, res)
+	assertConverged(t, f, res, dirDisable)
 }
 
 // TestFleetLivePatchFallbackJournalsMode: a replica that cannot take
@@ -121,9 +123,7 @@ func TestFleetLivePatchRollout(t *testing.T) {
 // ModeFellBack, distinguishable from both clean paths.
 func TestFleetLivePatchFallbackJournalsMode(t *testing.T) {
 	tpl := bootLiveTemplate(t)
-	cfg := liveConfig(tpl, 2, 1, 1, 1)
-	cfg.LivePatch = &LivePatchSpec{Blocks: tpl.blocks, Policy: core.PolicyUnmapPages}
-	f, err := New(tpl.m, tpl.pid, cfg)
+	f, err := New(tpl.m, tpl.pid, liveConfig(tpl, 2, 1, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,15 +147,8 @@ func TestFleetLivePatchFallbackJournalsMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		switch r.Kind {
-		case RecIntent:
-			if r.Mode != ModeLivePatch {
-				t.Fatalf("intent mode %v, want the requested live-patch", r.Mode)
-			}
-		case RecOutcome:
-			if r.Mode != ModeFellBack {
-				t.Fatalf("outcome mode %v, want fell-back", r.Mode)
-			}
+		if r.Kind == RecOutcome && r.Mode != ModeFellBack {
+			t.Fatalf("outcome mode %v, want fell-back", r.Mode)
 		}
 	}
 }
@@ -163,9 +156,10 @@ func TestFleetLivePatchFallbackJournalsMode(t *testing.T) {
 // TestFleetLivePatchTornAppendResume is the resume double-apply
 // regression test: the controller dies after a live patch committed
 // but before its outcome record survived. Resume must classify the
-// replica byte-wise (all blocks INT3 -> committed), skip it, and never
-// run the payload again — a second live patch would record INT3 as the
-// "original" bytes and poison every later EnableBlocks.
+// replica by its text root (the new expected root -> committed), skip
+// it, and never run the payload again — a second live patch would
+// record INT3 as the "original" bytes and poison every later
+// EnableBlocks.
 func TestFleetLivePatchTornAppendResume(t *testing.T) {
 	tpl := bootLiveTemplate(t)
 	inj := faultinject.New(2)
@@ -198,14 +192,14 @@ func TestFleetLivePatchTornAppendResume(t *testing.T) {
 			t.Fatalf("replica %d live-patched %d times across crash+resume, want exactly 1", i, n)
 		}
 	}
-	assertConverged(t, f, res2)
+	assertConverged(t, f, res2, dirDisable)
 }
 
 // TestFleetLivePatchTornTextRefusesResume: a journal with an open
-// live-patch intent over a replica whose text is only partially INT3
-// is unclassifiable — neither committed nor pristine. Resume must
-// refuse with a torn-window error instead of re-patching (or worse,
-// trusting DisabledBlockCount's lost in-memory bookkeeping).
+// intent over a replica whose text is only partially INT3 is
+// unclassifiable — its live root is neither the root the intent
+// journaled nor the replica's expected root. Resume must refuse with a
+// torn-window error instead of re-patching over half-written text.
 func TestFleetLivePatchTornTextRefusesResume(t *testing.T) {
 	tpl := bootLiveTemplate(t)
 	f, err := New(tpl.m, tpl.pid, liveConfig(tpl, 2, 1, 1, 1))
@@ -213,37 +207,52 @@ func TestFleetLivePatchTornTextRefusesResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := f.Replicas()[0]
-	filtered := victim.Cust.FilterProtected(tpl.blocks)
-	if len(filtered) < 2 {
-		t.Skipf("need >= 2 blocks to tear, got %d", len(filtered))
+	// The blocks a live patch writes: every block but the one holding
+	// the redirect target.
+	var patched []coverage.AbsBlock
+	for _, b := range tpl.blocks {
+		if tpl.redirect < b.Addr || tpl.redirect >= b.Addr+b.Size {
+			patched = append(patched, b)
+		}
+	}
+	if len(patched) < 2 {
+		t.Skipf("need >= 2 blocks to tear, got %d", len(patched))
+	}
+	root, err := victim.Cust.TextRoot()
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// The torn window a crash mid-patch leaves behind: one block's
 	// entry is INT3, the rest are pristine, and the journal holds an
-	// intent with no outcome.
-	procs := victim.Machine.Processes()
-	if len(procs) == 0 {
-		t.Fatal("victim replica has no processes")
+	// intent with no outcome, stamped with the pre-patch root.
+	p, err := victim.Machine.Process(victim.Cust.PID())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := procs[0].Mem().Write(filtered[0].Addr, []byte{0xCC}); err != nil {
+	if err := p.Mem().Write(patched[0].Addr, []byte{0xCC}); err != nil {
 		t.Fatal(err)
 	}
 	j := NewJournal()
 	for _, r := range []Record{
 		{Kind: RecStart, Replica: 2, Wave: 2, Attempt: 1},
-		{Kind: RecIntent, Replica: 0, Wave: 0, Attempt: 1, Mode: ModeLivePatch},
+		{Kind: RecIntent, Replica: 0, Wave: 0, Attempt: 1, Ident: rootIdent(root)},
 	} {
 		if err := j.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	_, err = f.ResumeRollout(j.Bytes(), countingApplyLive(tpl, make([]atomic.Int32, 2)))
+	counts := make([]atomic.Int32, 2)
+	_, err = f.ResumeRollout(j.Bytes(), countingApplyLive(tpl, counts))
 	if err == nil {
 		t.Fatal("resume classified a half-patched replica")
 	}
 	if !strings.Contains(err.Error(), "cannot classify") || !strings.Contains(err.Error(), "torn") {
 		t.Fatalf("error %q does not name the torn window", err)
+	}
+	if n := counts[0].Load(); n != 0 {
+		t.Fatalf("resume re-patched the torn replica %d times", n)
 	}
 }
 
@@ -252,7 +261,7 @@ func TestFleetLivePatchTornTextRefusesResume(t *testing.T) {
 // the controller killed at a seed-varied record boundary (even seeds)
 // or by a torn journal append (odd seeds). Every seed must resume to
 // a fully converged fleet with exactly one live patch per replica —
-// byte-wise verification, never a blind re-patch.
+// text-root classification, never a blind re-patch.
 func TestFleetChaosControllerCrashLivePatch(t *testing.T) {
 	tpl := bootLiveTemplate(t)
 	const replicas = 64
@@ -304,7 +313,7 @@ func TestFleetChaosControllerCrashLivePatch(t *testing.T) {
 						o.Index, o.Outcome, o.Stats.FallbackReason)
 				}
 			}
-			assertConverged(t, f, res2)
+			assertConverged(t, f, res2, dirDisable)
 		})
 	}
 }

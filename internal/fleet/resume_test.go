@@ -95,7 +95,7 @@ func TestControllerCrashResumeSkipsCommitted(t *testing.T) {
 	if !sawResume {
 		t.Fatal("resumed journal has no resume record")
 	}
-	assertConverged(t, f, res2)
+	assertConverged(t, f, res2, dirDisable)
 }
 
 // TestControllerTornAppendResume: the fleet.journal.append fault tears
@@ -139,7 +139,7 @@ func TestControllerTornAppendResume(t *testing.T) {
 			t.Fatalf("replica %d rewritten %d times across torn append+resume, want 1", i, n)
 		}
 	}
-	assertConverged(t, f, res2)
+	assertConverged(t, f, res2, dirDisable)
 }
 
 // TestJournalResumeDeterminism is the byte-determinism acceptance
@@ -238,7 +238,7 @@ func TestFleetChaosLeaseExpiry(t *testing.T) {
 			if inj.Injected() == 0 {
 				t.Fatal("armed lease fault never fired")
 			}
-			assertConverged(t, f, res)
+			assertConverged(t, f, res, dirDisable)
 		})
 	}
 }
@@ -285,7 +285,7 @@ func TestFleetLeaseBudgetExhausted(t *testing.T) {
 	if res.FleetTicks == 0 {
 		t.Fatal("degenerate makespan")
 	}
-	assertConverged(t, f, res)
+	assertConverged(t, f, res, dirDisable)
 }
 
 // TestFleetChaosControllerCrash is the fleet-scale acceptance sweep:
@@ -345,7 +345,99 @@ func TestFleetChaosControllerCrash(t *testing.T) {
 					t.Fatalf("replica %d rewritten %d times across crash+resume, want exactly 1", i, n)
 				}
 			}
-			assertConverged(t, f, res2)
+			assertConverged(t, f, res2, dirDisable)
 		})
 	}
+}
+
+// TestFleetChaosTornStepMatrix sweeps every controller-crash boundary
+// of four rollouts — a disable and an enable, each by transaction and
+// by live patch — and resumes each crash from its journal. The odd
+// cases also sweep a torn append at every journal record. A torn step
+// is classified by the replica's live text root alone, so every resume
+// must finish the rollout: no error, all replicas committed, the
+// payload run exactly once per replica, and every replica in the
+// rollout's target state.
+func TestFleetChaosTornStepMatrix(t *testing.T) {
+	tpl := bootLiveTemplate(t)
+	disable := disableWebdav(tpl)
+	disableLive := func(r *Replica) (core.Stats, error) {
+		return r.Cust.DisableBlocksLive("webdav-write", tpl.blocks, core.PolicyBlockEntry)
+	}
+	enable := func(r *Replica) (core.Stats, error) { return r.Cust.EnableBlocks("webdav-write") }
+	cases := []struct {
+		name string
+		cut  func(r *Replica) (core.Stats, error) // committed before the swept rollout
+		step func(r *Replica) (core.Stats, error)
+		dir  direction
+	}{
+		{"disable-transaction", nil, disable, dirDisable},
+		{"disable-live", nil, disableLive, dirDisable},
+		{"enable-after-transaction-cut", disable, enable, dirEnable},
+		{"enable-after-live-cut", disableLive, enable, dirEnable},
+	}
+	for ci, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sites := []string{faultinject.SiteFleetControllerCrash}
+			if ci%2 == 1 {
+				sites = append(sites, faultinject.SiteFleetJournalAppend)
+			}
+			for _, site := range sites {
+				n := 1
+				for crashThenResume(t, tpl, tc.cut, tc.step, tc.dir, site, n) {
+					n++
+				}
+				if n < 3 {
+					t.Fatalf("%s: the rollout crashed at %d boundaries, want a sweep", site, n-1)
+				}
+			}
+		})
+	}
+}
+
+// crashThenResume runs one cell of the torn-step matrix: an 8-replica
+// fleet, optionally cut first, runs step with the nth hit of site
+// armed, then resumes from the journal and checks the fleet converged.
+// It reports false once the armed fault no longer lands — the sweep is
+// past the rollout's last boundary.
+func crashThenResume(t *testing.T, tpl *template, cut, step func(r *Replica) (core.Stats, error),
+	dir direction, site string, n int) bool {
+	t.Helper()
+	const replicas = 8
+	inj := faultinject.New(int64(n))
+	f, err := New(tpl.m, tpl.pid, Config{Replicas: replicas, Workers: 2, Core: coreOpts(tpl), FaultHook: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut != nil {
+		if res, err := f.Rollout(cut); err != nil || res.Committed() != replicas {
+			t.Fatalf("cut rollout: err=%v committed=%d", err, res.Committed())
+		}
+	}
+	inj.FailAt(site, n)
+	counts := make([]atomic.Int32, replicas)
+	apply := func(r *Replica) (core.Stats, error) {
+		counts[r.Index].Add(1)
+		return step(r)
+	}
+	c := NewController(f, nil)
+	if _, err := c.Run(apply); err == nil {
+		return false
+	} else if !errors.Is(err, ErrControllerCrashed) {
+		t.Fatalf("%s hit %d: err = %v, want ErrControllerCrashed", site, n, err)
+	}
+	res, err := f.ResumeRollout(c.Journal().Bytes(), apply)
+	if err != nil {
+		t.Fatalf("%s hit %d: resume: %v", site, n, err)
+	}
+	if res.Committed() != replicas {
+		t.Fatalf("%s hit %d: resumed rollout committed %d/%d", site, n, res.Committed(), replicas)
+	}
+	for i := range counts {
+		if got := counts[i].Load(); got != 1 {
+			t.Fatalf("%s hit %d: replica %d ran the payload %d times across crash+resume, want 1", site, n, i, got)
+		}
+	}
+	assertConverged(t, f, res, dir)
+	return true
 }

@@ -310,7 +310,6 @@ func TestLivePatchRolloutUnderLoadNearZeroDowntime(t *testing.T) {
 	tpl.pid = cust.PID()
 
 	fcfg := fleetCfg(tpl, replicas)
-	fcfg.LivePatch = &fleet.LivePatchSpec{Blocks: tpl.blocks, Policy: core.PolicyBlockEntry}
 	apply := func(r *fleet.Replica) (core.Stats, error) {
 		return r.Cust.DisableBlocksLive("webdav-write", tpl.blocks, core.PolicyBlockEntry)
 	}
@@ -392,7 +391,6 @@ func TestScrubRolloutUnderLoadBitflipStorm(t *testing.T) {
 	inj := faultinject.New(7)
 	inj.FailTransient(faultinject.SiteTextBitflip, 2, 3)
 	fcfg := fleetCfg(tpl, replicas)
-	fcfg.LivePatch = &fleet.LivePatchSpec{Blocks: tpl.blocks, Policy: core.PolicyBlockEntry}
 	fcfg.Scrub = true
 	fcfg.FaultHook = inj
 	apply := func(r *fleet.Replica) (core.Stats, error) {

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race chaos fuzz check bench cover loc supervise-demo fleet-demo load-demo
+.PHONY: all build test vet race chaos fuzz check bench bench-smoke cover loc supervise-demo fleet-demo load-demo
 
 all: check
 
@@ -64,6 +64,18 @@ BENCH_JSON ?= BENCH_pr10.json
 bench:
 	$(GO) test -run '^$$' -bench 'Figure6_|Figure7_|Figure8_|IncrementalDump|Observer_|SupervisorOverhead|FleetRollout|FleetControllerScale|PageStoreParallel|RewriteUnderLoad|ExecEngine' -benchmem -benchtime 1x . ./internal/criu/ \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
+
+# End-to-end smoke of the benchmark (benchmark/run.sh): one 1-second
+# run of each workload. Fails unless every run's JSON result line says
+# all checks were correct and none failed — the GET/PUT probes after
+# every rollout and cut are the behavioural evidence.
+bench-smoke:
+	@for w in spec-exec kv-cut fleet-rollout; do \
+		line=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+		echo "$$w: $$line"; \
+		echo "$$line" | grep -q '"correct":true' && echo "$$line" | grep -q '"failed":0[,}]' \
+			|| { echo "FAIL: bench-smoke $$w"; exit 1; }; \
+	done
 
 # The historical full sweep (every figure, table, ablation and micro).
 bench-all:

@@ -109,11 +109,12 @@ type Options struct {
 	// back to the checkpoint transaction (0 = DefaultQuiesceRounds).
 	LiveQuiesceRounds int
 	// Observer, when non-nil, receives a typed event for every rewrite
-	// phase (checkpoint, edit, validate, kill, restore, health,
-	// rollback) plus pipeline counters. New also installs it as the
-	// machine's observer if the machine has none, so kernel, criu and
-	// fault-injection telemetry land in the same sink. nil = zero
-	// overhead: no events, no metrics, no allocations.
+	// phase (checkpoint, validate, pristine, decode, edit, kill,
+	// restore, health, rollback, reseal) plus pipeline counters. New
+	// also installs it as the machine's observer if the machine has
+	// none, so kernel, criu and fault-injection telemetry land in the
+	// same sink. nil = zero overhead: no events, no metrics, no
+	// allocations.
 	Observer *obs.Observer
 	// AttestStore, when non-nil, backs the attestation oracle's
 	// expected-content deposits (attest.go). Fleets pass their shared
@@ -372,7 +373,9 @@ func (c *Customizer) rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 	// alias into them; the blob passes through the machine's fault
 	// hook, modeling corruption of the image files on the tmpfs
 	// between dump and restore.
+	endPristine := c.span("pristine", 0)
 	pristine := c.machine.MutateBlob(faultinject.SitePristine, set.Marshal())
+	endPristine(nil)
 
 	// Edit closures mutate customizer bookkeeping (saved bytes,
 	// unmapped ranges, verifier table, handler). Snapshot it (deep,
@@ -556,7 +559,8 @@ func (c *Customizer) rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 		// The restored text is the new expected state: reseal the
 		// attestation oracle against it (pristine digests stay in each
 		// page's version chain).
-		_ = c.resealOracle()
+		endReseal := c.span("reseal", attempt)
+		endReseal(c.resealOracle())
 		if o := c.opts.Observer; o != nil {
 			o.Add("core.commits", 1)
 		}

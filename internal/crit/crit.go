@@ -20,10 +20,10 @@ import (
 	"github.com/dynacut/dynacut/internal/kernel"
 )
 
-// FileStore provides the "on-disk" binaries referenced by the images;
-// *kernel.Machine implements it.
+// FileStore provides the parsed "on-disk" binaries referenced by the
+// images; *kernel.Machine implements it.
 type FileStore interface {
-	ReadFile(name string) ([]byte, error)
+	Binary(name string) (*delf.File, error)
 }
 
 // Editor errors.
@@ -371,11 +371,7 @@ func (e *Editor) ResolveSymbol(pid int, name string) (uint64, error) {
 		return 0, err
 	}
 	for _, mod := range mods {
-		data, err := e.store.ReadFile(mod.Name)
-		if err != nil {
-			continue
-		}
-		file, err := delf.Unmarshal(data)
+		file, err := e.store.Binary(mod.Name)
 		if err != nil {
 			continue
 		}

@@ -85,11 +85,7 @@ func restoreOne(m *kernel.Machine, p *kernel.Process, pi *ProcImage, boundHere m
 		if v.Anon || v.Backing == "" || v.BackSection == "" {
 			continue
 		}
-		data, err := m.ReadFile(v.Backing)
-		if err != nil {
-			return fmt.Errorf("rematerialize %s: %w", v.Name, err)
-		}
-		file, err := delf.Unmarshal(data)
+		file, err := m.Binary(v.Backing)
 		if err != nil {
 			return fmt.Errorf("rematerialize %s: %w", v.Name, err)
 		}

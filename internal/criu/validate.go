@@ -1,6 +1,7 @@
 package criu
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -8,11 +9,11 @@ import (
 	"github.com/dynacut/dynacut/internal/kernel"
 )
 
-// FileStore provides the "on-disk" binaries referenced by the images;
-// *kernel.Machine implements it. Validate uses it to check that every
-// backing file a restore would re-read actually exists and parses.
+// FileStore provides the parsed "on-disk" binaries referenced by the
+// images; *kernel.Machine implements it. Validate uses it to check that
+// every backing file a restore would re-read actually exists and parses.
 type FileStore interface {
-	ReadFile(name string) ([]byte, error)
+	Binary(name string) (*delf.File, error)
 }
 
 // Validate cross-checks the internal consistency of the image set
@@ -52,10 +53,9 @@ func (s *ImageSet) Validate(store FileStore) error {
 			return fmt.Errorf("%w: pid %d has no images", ErrInconsistentImage, pid)
 		}
 	}
-	binaries := map[string]*delf.File{} // backing-file parse cache
 	for i, pid := range s.PIDs {
 		pi := s.Procs[pid]
-		if err := validateProc(pid, pi, store, binaries); err != nil {
+		if err := validateProc(pid, pi, store); err != nil {
 			return err
 		}
 		// Parents must restore before children, or the restored tree
@@ -68,7 +68,7 @@ func (s *ImageSet) Validate(store FileStore) error {
 	return nil
 }
 
-func validateProc(pid int, pi *ProcImage, store FileStore, binaries map[string]*delf.File) error {
+func validateProc(pid int, pi *ProcImage, store FileStore) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%w: pid %d: %s", ErrInconsistentImage, pid, fmt.Sprintf(format, args...))
 	}
@@ -191,17 +191,12 @@ func validateProc(pid int, pi *ProcImage, store FileStore, binaries map[string]*
 			if v.Anon || v.Backing == "" || v.BackSection == "" {
 				continue
 			}
-			file, ok := binaries[v.Backing]
-			if !ok {
-				data, err := store.ReadFile(v.Backing)
-				if err != nil {
-					return fail("VMA %s: backing file: %v", v.Name, err)
-				}
-				file, err = delf.Unmarshal(data)
-				if err != nil {
-					return fail("VMA %s: backing file %s: %v", v.Name, v.Backing, err)
-				}
-				binaries[v.Backing] = file
+			file, err := store.Binary(v.Backing)
+			if errors.Is(err, kernel.ErrNoFile) {
+				return fail("VMA %s: backing file: %v", v.Name, err)
+			}
+			if err != nil {
+				return fail("VMA %s: backing file %s: %v", v.Name, v.Backing, err)
 			}
 			if _, err := file.Section(v.BackSection); err != nil {
 				return fail("VMA %s: backing section: %v", v.Name, err)

@@ -2,6 +2,7 @@ package criu
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -113,6 +114,35 @@ func TestUnmarshalRejectsMissingChecksum(t *testing.T) {
 	_, err := Unmarshal(blob)
 	if !errors.Is(err, ErrCorruptImage) {
 		t.Fatalf("missing checksum -> %v, want ErrCorruptImage", err)
+	}
+}
+
+// TestValidateBackingFileErrors pins the text of both disk-check
+// failures: a backing file that is missing and one that is on disk but
+// does not parse as DELF.
+func TestValidateBackingFileErrors(t *testing.T) {
+	m, p, set := dumpCounter(t)
+	var v VMAEntry
+	for _, e := range set.Procs[p.PID()].MM.VMAs {
+		if !e.Anon && e.Backing != "" && e.BackSection != "" {
+			v = e
+			break
+		}
+	}
+	if v.Backing == "" {
+		t.Fatal("no file-backed VMA in dump")
+	}
+	m.WriteFile(v.Backing, []byte("not a DELF binary"))
+	want := fmt.Sprintf("%v: pid %d: VMA %s: backing file %s: delf: malformed file: bad magic",
+		ErrInconsistentImage, p.PID(), v.Name, v.Backing)
+	if err := set.Validate(m); !errors.Is(err, ErrInconsistentImage) || err.Error() != want {
+		t.Fatalf("unparseable backing file: got %v\nwant %s", err, want)
+	}
+
+	want = fmt.Sprintf("%v: pid %d: VMA %s: backing file: kernel: no such file on disk: %q",
+		ErrInconsistentImage, p.PID(), v.Name, v.Backing)
+	if err := set.Validate(kernel.NewMachine()); !errors.Is(err, ErrInconsistentImage) || err.Error() != want {
+		t.Fatalf("missing backing file: got %v\nwant %s", err, want)
 	}
 }
 

@@ -435,11 +435,9 @@ func (c *Controller) Run(apply func(r *Replica) (core.Stats, error)) (*RolloutRe
 
 	if c.resumed {
 		// Committed replicas are skipped outright — the acceptance
-		// invariant "resume never repeats a committed rewrite". Their
-		// post-commit checkpoints are content-addressed in the shared
-		// store; a recorded ident that the store no longer holds means
-		// the journal and the store disagree, and the replica is
-		// re-verified like a torn window instead of trusted.
+		// invariant "resume never repeats a committed rewrite". Only an
+		// open intent (no outcome journaled) is classified against the
+		// replica's live text root.
 		for i := range states {
 			st := &states[i]
 			if st.resolved {
@@ -798,14 +796,9 @@ func (c *Controller) execute(l *lease, apply func(r *Replica) (core.Stats, error
 		}
 	}
 	if out.Outcome == OutcomeCommitted {
-		// Anchor the commit in the content-addressed store: the
-		// journal's outcome record carries this ident, so a resumed
-		// controller can check convergence without touching the guest.
-		if flat, cerr := r.Cust.Checkpoint(); cerr == nil {
-			if id, derr := c.f.store.Deposit(flat); derr == nil {
-				l.ident = id
-			}
-		}
+		// The outcome record carries the committed text root's
+		// fingerprint, read from the resealed oracle; no page is hashed.
+		l.ident = expectedIdent(r)
 	}
 	out.Ticks = r.Machine.Clock() - before
 	if out.Ticks == 0 {

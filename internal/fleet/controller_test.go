@@ -49,10 +49,14 @@ func TestControllerJournalShape(t *testing.T) {
 			if r.Outcome != OutcomeCommitted {
 				t.Fatalf("outcome record %+v in a clean rollout", r)
 			}
-			// Every commit is anchored in the shared store: the recorded
-			// checkpoint ident must be materializable.
-			if r.Ident == 0 || !f.Store().Contains(r.Ident) {
-				t.Fatalf("outcome record %+v: post-commit ident not in store", r)
+			// Every commit journals the fingerprint of the replica's
+			// committed (resealed) text root.
+			att, err := f.Replicas()[r.Replica].Cust.Attestation()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Ident != rootIdent(att.Root) {
+				t.Fatalf("outcome record %+v: ident is not the committed text root %08x", r, rootIdent(att.Root))
 			}
 		}
 	}

@@ -203,6 +203,39 @@ func TestFleetRolloutCommitsAllReplicas(t *testing.T) {
 	}
 }
 
+// TestFleetRolloutDepositsNoCheckpoint: a commit is journaled by its
+// text-root fingerprint, not anchored by a post-commit checkpoint, so
+// a clean disable+enable cycle over 8 replicas leaves the shared page
+// store holding exactly the image sets it held after spawn.
+func TestFleetRolloutDepositsNoCheckpoint(t *testing.T) {
+	tpl := bootTemplate(t)
+	f, err := New(tpl.m, tpl.pid, Config{
+		Replicas: 8, Workers: 2, CanaryShards: 1, WaveSize: 4,
+		Core: coreOpts(tpl),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spawned := f.Store().Stats().Sets
+	enable := func(r *Replica) (core.Stats, error) { return r.Cust.EnableBlocks("webdav-write") }
+	for _, step := range []struct {
+		apply func(r *Replica) (core.Stats, error)
+		dir   direction
+	}{{disableWebdav(tpl), dirDisable}, {enable, dirEnable}} {
+		res, err := f.Rollout(step.apply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Committed() != 8 {
+			t.Fatalf("committed = %d/8 (outcomes %+v)", res.Committed(), res.Outcomes)
+		}
+		assertConverged(t, f, res, step.dir)
+		if got := f.Store().Stats().Sets; got != spawned {
+			t.Fatalf("store holds %d image sets after the rollout, %d after spawn", got, spawned)
+		}
+	}
+}
+
 func TestFleetCanaryFailureHaltsRollout(t *testing.T) {
 	tpl := bootTemplate(t)
 	// The canary's health check fails every attempt: core rolls the

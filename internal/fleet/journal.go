@@ -54,7 +54,8 @@ const (
 	// the replica by its live text root instead of trusting the journal.
 	RecIntent
 	// RecOutcome resolves a step: Outcome, Ticks and (for commits) the
-	// post-commit checkpoint Ident deposited in the shared page store.
+	// Ident of the committed text root (rootIdent of the resealed
+	// Customizer.Attestation().Root).
 	RecOutcome
 	// RecWaveDone closes a wave: Wave is the index, Attempt the
 	// failure count.

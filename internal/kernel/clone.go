@@ -26,12 +26,13 @@ func (m *Machine) Clone() *Machine {
 			conns:     make(map[uint64]*conn, len(m.net.conns)),
 			nextConn:  m.net.nextConn,
 		},
-		disk: make(map[string][]byte, len(m.disk)),
+		disk: make(map[string]*diskFile, len(m.disk)),
 	}
-	// Disk blobs are immutable once written (WriteFile copies), so the
-	// byte slices can be shared; only the map itself is per-machine.
-	for name, blob := range m.disk {
-		c.disk[name] = blob
+	// Disk files — blob and parsed binary — are immutable once written
+	// (WriteFile copies, ReadFile copies out), so they are shared; only
+	// the map itself is per-machine.
+	for name, f := range m.disk {
+		c.disk[name] = f
 	}
 
 	// Network: copy every connection and listener once, preserving the

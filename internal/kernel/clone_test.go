@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"github.com/dynacut/dynacut/internal/delf"
@@ -57,6 +58,11 @@ func TestCloneDeepCopiesGuestState(t *testing.T) {
 	}
 	if blob, err := c.ReadFile("prog"); err != nil || !bytes.Equal(blob, []byte{1, 2, 3}) {
 		t.Fatalf("clone disk = %v, %v", blob, err)
+	}
+	// The blob is not DELF: the parse error WriteFile stored travels
+	// with the clone and surfaces from Binary.
+	if bin, err := c.Binary("prog"); bin != nil || !errors.Is(err, delf.ErrBadFile) {
+		t.Fatalf("clone Binary(prog) = %v, %v; want the parse error", bin, err)
 	}
 
 	// Divergence: writes on either side must not leak to the other.

@@ -3,7 +3,10 @@ package kernel
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
+
+	"github.com/dynacut/dynacut/internal/delf"
 )
 
 func TestDiskReadWrite(t *testing.T) {
@@ -23,6 +26,84 @@ func TestDiskReadWrite(t *testing.T) {
 	got, _ = m.ReadFile("iso")
 	if got[0] != 9 {
 		t.Error("WriteFile aliased the caller's slice")
+	}
+}
+
+// diskExitSrc is a guest that exits with code.
+func diskExitSrc(code int) string {
+	return fmt.Sprintf(".text\n.global _start\n_start:\n\tmov r0, 1\n\tmov r1, %d\n\tsyscall\n", code)
+}
+
+// TestDiskReadFileReturnsCopy: clones share disk files, so a caller
+// writing into ReadFile's result must change neither the blob nor its
+// parsed binary, on the machine or on any clone.
+func TestDiskReadFileReturnsCopy(t *testing.T) {
+	m := NewMachine()
+	exe := buildExe(t, "prog", diskExitSrc(0))
+	blob := exe.Marshal()
+	m.WriteFile("prog", blob)
+	c := m.Clone()
+	bin, err := m.Binary("prog")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := m.ReadFile("prog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		got[i] = 0xff
+	}
+	for name, mm := range map[string]*Machine{"machine": m, "clone": c} {
+		if again, _ := mm.ReadFile("prog"); !bytes.Equal(again, blob) {
+			t.Errorf("%s: ReadFile changed after a caller wrote into its result", name)
+		}
+		b, err := mm.Binary("prog")
+		if err != nil || b != bin || !bytes.Equal(b.Marshal(), blob) {
+			t.Errorf("%s: Binary changed after a caller wrote into ReadFile's result (err %v)", name, err)
+		}
+	}
+}
+
+// TestDiskBinaryParsedOnce: WriteFile parses once, clones share the
+// parsed file, a rewrite replaces it, and a blob that is not DELF is
+// stored with its parse error, reported by Binary.
+func TestDiskBinaryParsedOnce(t *testing.T) {
+	m := NewMachine()
+	if _, err := m.Binary("missing"); !errors.Is(err, ErrNoFile) {
+		t.Errorf("Binary(missing) err = %v", err)
+	}
+	first := buildExe(t, "prog", diskExitSrc(0))
+	m.WriteFile("prog", first.Marshal())
+	bin, err := m.Binary("prog")
+	if err != nil || bin.Name != "prog" {
+		t.Fatalf("Binary = %+v, %v", bin, err)
+	}
+	c := m.Clone()
+	cc := c.Clone()
+	for name, mm := range map[string]*Machine{"clone": c, "clone of clone": cc} {
+		if b, err := mm.Binary("prog"); err != nil || b != bin {
+			t.Errorf("%s: Binary = %p, %v; want the template's %p", name, b, err, bin)
+		}
+	}
+
+	second := buildExe(t, "prog", diskExitSrc(1))
+	c.WriteFile("prog", second.Marshal())
+	nb, err := c.Binary("prog")
+	if err != nil || nb == bin || !bytes.Equal(nb.Marshal(), second.Marshal()) {
+		t.Fatalf("after WriteFile the clone's Binary = %p, %v; want a fresh parse of the new blob", nb, err)
+	}
+	if b, _ := m.Binary("prog"); b != bin {
+		t.Error("a clone's WriteFile replaced the template's binary")
+	}
+
+	m.WriteFile("junk", []byte{1, 2, 3})
+	if _, err := m.ReadFile("junk"); err != nil {
+		t.Fatalf("ReadFile(junk) = %v", err)
+	}
+	if b, err := m.Binary("junk"); b != nil || !errors.Is(err, delf.ErrBadFile) {
+		t.Errorf("Binary(junk) = %v, %v; want the parse error", b, err)
 	}
 }
 

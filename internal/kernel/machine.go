@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/dynacut/dynacut/internal/delf"
 	"github.com/dynacut/dynacut/internal/obs"
 )
 
@@ -70,7 +71,7 @@ type Machine struct {
 	syshook   SyscallHook
 	faultHook FaultHook
 	obs       *obs.Observer
-	disk      map[string][]byte // serialized DELF files by name
+	disk      map[string]*diskFile // DELF binaries by name
 
 	// Execution engine selection (see bcache.go). ModeInterpret is the
 	// reference interpreter; ModeTranslate runs through the basic-block
@@ -100,8 +101,17 @@ func NewMachine() *Machine {
 		procs:   map[int]*Process{},
 		nextPID: 0,
 		net:     newNetwork(),
-		disk:    map[string][]byte{},
+		disk:    map[string]*diskFile{},
 	}
+}
+
+// diskFile is one binary on the machine's disk: its serialized bytes
+// and the result of parsing them, computed once by WriteFile. Both are
+// immutable, so clones share the same *diskFile.
+type diskFile struct {
+	blob []byte
+	bin  *delf.File
+	err  error // the parse error of a blob that is not DELF
 }
 
 // Machine-level errors.
@@ -233,18 +243,35 @@ func (m *Machine) Clock() uint64 { return m.clock }
 // interruption window (Figure 8).
 func (m *Machine) AdvanceClock(ticks uint64) { m.clock += ticks }
 
-// WriteFile stores a serialized binary on the machine's disk.
+// WriteFile stores a copy of a serialized binary on the machine's disk
+// and parses it once; a blob that does not parse is stored anyway and
+// its parse error is reported by Binary.
 func (m *Machine) WriteFile(name string, data []byte) {
-	m.disk[name] = append([]byte(nil), data...)
+	blob := append([]byte(nil), data...)
+	bin, err := delf.Unmarshal(blob)
+	m.disk[name] = &diskFile{blob: blob, bin: bin, err: err}
 }
 
-// ReadFile retrieves a binary from disk.
+// ReadFile returns a copy of a binary's bytes from disk; the stored
+// blob is shared with clones and with its parsed form, so it is never
+// handed out.
 func (m *Machine) ReadFile(name string) ([]byte, error) {
-	b, ok := m.disk[name]
+	f, ok := m.disk[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoFile, name)
 	}
-	return b, nil
+	return append([]byte(nil), f.blob...), nil
+}
+
+// Binary returns the parsed binary stored under name, or the error
+// parsing its blob produced. The *delf.File is shared by the machine
+// and its clones and must not be modified.
+func (m *Machine) Binary(name string) (*delf.File, error) {
+	f, ok := m.disk[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoFile, name)
+	}
+	return f.bin, f.err
 }
 
 // Process returns the process with the given PID.

@@ -4,10 +4,10 @@
 // emit into while they run (the role CRIU's --display-stats and
 // DynamoRIO's drcov runtime counters play in the original stack).
 //
-// An Observer holds a bounded ring buffer of typed events — each
-// stamped with both the wall clock and the machine's virtual clock, so
-// traces are deterministic under test — plus named counters, gauges
-// and log2-bucketed histograms. Exporters (jsonl.go) turn the ring
+// An Observer holds a bounded ring buffer of typed events, grown on
+// demand up to its bound — each stamped with both the wall clock and
+// the machine's virtual clock, so traces are deterministic under test
+// — plus named counters, gauges and log2-bucketed histograms. Exporters (jsonl.go) turn the ring
 // into a JSONL trace or a human-readable phase summary.
 //
 // A nil *Observer is the off switch: every emit site checks for nil
@@ -27,7 +27,8 @@ type Kind string
 // Event kinds.
 const (
 	// KindPhaseStart / KindPhaseEnd bracket one rewrite phase
-	// (checkpoint, edit, validate, kill, restore, health, rollback).
+	// (checkpoint, pristine, decode, edit, validate, kill, restore,
+	// health, rollback, reseal).
 	KindPhaseStart Kind = "phase-start"
 	KindPhaseEnd   Kind = "phase-end"
 	// KindFault marks an injected fault (site in Name, hit count in N).
@@ -96,8 +97,11 @@ type Observer struct {
 	clock func() uint64
 	wall  func() time.Time
 
-	seq     uint64
+	seq uint64
+	// ring grows on demand (clamped doubling) up to bound slots; until
+	// it first fills at the bound, len(ring) == n and head == 0.
 	ring    []Event
+	bound   int
 	head    int // index of the oldest event
 	n       int // events currently held
 	dropped uint64
@@ -108,15 +112,16 @@ type Observer struct {
 	open     map[spanKey]spanStart
 }
 
-// New creates an observer with a bounded event ring of the given
-// capacity (0 = DefaultCapacity). Until SetClock is called, events
-// carry VClock 0.
+// New creates an observer whose event ring holds at most capacity
+// events (0 = DefaultCapacity). The ring's backing array starts empty
+// and grows as events arrive, so a quiet observer costs a few slots,
+// not capacity. Until SetClock is called, events carry VClock 0.
 func New(capacity int) *Observer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
 	return &Observer{
-		ring:     make([]Event, capacity),
+		bound:    capacity,
 		counters: map[string]int64{},
 		gauges:   map[string]int64{},
 		hists:    map[string]*Hist{},
@@ -155,15 +160,22 @@ func (o *Observer) stamp(ev *Event) {
 }
 
 // push appends one stamped event to the ring, overwriting the oldest
-// when full. Caller holds o.mu.
+// once it holds bound events. Below the bound the backing array
+// doubles when full, clamped so it never exceeds the bound. Caller
+// holds o.mu.
 func (o *Observer) push(ev Event) {
-	if o.n == len(o.ring) {
+	if o.n == o.bound {
 		o.ring[o.head] = ev
-		o.head = (o.head + 1) % len(o.ring)
+		o.head = (o.head + 1) % o.bound
 		o.dropped++
 		return
 	}
-	o.ring[(o.head+o.n)%len(o.ring)] = ev
+	if o.n == cap(o.ring) {
+		grown := make([]Event, o.n, min(max(2*o.n, 8), o.bound))
+		copy(grown, o.ring)
+		o.ring = grown
+	}
+	o.ring = append(o.ring, ev)
 	o.n++
 }
 
@@ -314,9 +326,8 @@ func (o *Observer) Events() []Event {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	out := make([]Event, o.n)
-	for i := 0; i < o.n; i++ {
-		out[i] = o.ring[(o.head+i)%len(o.ring)]
-	}
+	n := copy(out, o.ring[o.head:])
+	copy(out[n:], o.ring[:o.head])
 	return out
 }
 
@@ -327,8 +338,9 @@ func (o *Observer) Len() int {
 	return o.n
 }
 
-// Cap returns the ring capacity.
-func (o *Observer) Cap() int { return len(o.ring) }
+// Cap returns the ring's bound: the most events it holds before it
+// overwrites the oldest.
+func (o *Observer) Cap() int { return o.bound }
 
 // Dropped returns how many events were overwritten by ring overflow.
 func (o *Observer) Dropped() uint64 {

@@ -30,6 +30,45 @@ func TestObserverRingBounded(t *testing.T) {
 	}
 }
 
+// TestObserverRingGrowsOnDemand: the backing array starts empty, grows
+// by clamped doubling and never past the bound — also when the bound is
+// not a power of two or is below the first growth step — and once the
+// bound is reached, wrap, drops and Events() order are those of a ring
+// allocated at full size.
+func TestObserverRingGrowsOnDemand(t *testing.T) {
+	for _, bound := range []int{3, 8, 100} {
+		o := New(bound)
+		if cap(o.ring) != 0 || o.Cap() != bound {
+			t.Fatalf("bound %d: after New cap(ring)=%d Cap()=%d, want 0/%d", bound, cap(o.ring), o.Cap(), bound)
+		}
+		total := 2*bound + 5
+		for i := 0; i < total; i++ {
+			o.Point("p", int64(i))
+			if c := cap(o.ring); c > bound || c < o.Len() {
+				t.Fatalf("bound %d, event %d: cap(ring)=%d len=%d", bound, i, c, o.Len())
+			}
+		}
+		if cap(o.ring) != bound || o.Len() != bound || o.Dropped() != uint64(total-bound) {
+			t.Fatalf("bound %d: cap(ring)=%d len=%d dropped=%d", bound, cap(o.ring), o.Len(), o.Dropped())
+		}
+		for i, ev := range o.Events() {
+			if want := int64(total - bound + i); ev.N != want || ev.Seq != uint64(want) {
+				t.Fatalf("bound %d: event %d = %+v, want N=Seq=%d", bound, i, ev, want)
+			}
+		}
+	}
+	if o := New(0); cap(o.ring) != 0 || o.Cap() != DefaultCapacity {
+		t.Fatalf("New(0): cap(ring)=%d Cap()=%d", cap(o.ring), o.Cap())
+	}
+	// Below the bound the ring holds exactly what was emitted, in order.
+	o := New(DefaultCapacity)
+	o.Point("a", 1)
+	o.Point("b", 2)
+	if evs := o.Events(); len(evs) != 2 || evs[0].Name != "a" || evs[1].Name != "b" || cap(o.ring) > 8 {
+		t.Fatalf("events=%+v cap(ring)=%d", evs, cap(o.ring))
+	}
+}
+
 // TestClockStamping: events carry the installed virtual clock and the
 // (stubbed) wall clock.
 func TestClockStamping(t *testing.T) {

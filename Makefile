@@ -23,8 +23,8 @@ race:
 # trace. Runs vet first and the coverage floor last: the chaos gate is
 # also the lint and coverage gate.
 chaos: vet
-	$(GO) test -race -run 'Chaos|Rollback|Rolls|Transient|Retried|Revalidated|Corrupt|BitFlip|Truncation|Observer|Overflow|Supervisor|Breaker|Storm|Fleet|Controller|Journal|Lease|MidWave|Pristine|PageStore|LivePatch|InstallHandler|Attest|Scrub|Quarantine|Repair|Lockstep|Translate|BlockCache|FlipBits' \
-		./internal/core/ ./internal/criu/ ./internal/faultinject/ ./internal/fleet/ ./internal/kernel/ ./internal/obs/ ./internal/supervise/ .
+	$(GO) test -race -run 'Chaos|Rollback|Rolls|Transient|Retried|Revalidated|Corrupt|BitFlip|Truncation|Observer|Overflow|Supervisor|Breaker|Storm|Fleet|Controller|Journal|Lease|MidWave|Pristine|PageStore|LivePatch|InstallHandler|Attest|Scrub|Quarantine|Repair|Lockstep|Translate|BlockCache|FlipBits|Clone' \
+		./internal/core/ ./internal/crit/ ./internal/criu/ ./internal/faultinject/ ./internal/fleet/ ./internal/kernel/ ./internal/obs/ ./internal/supervise/ .
 	$(GO) test -race -run 'Driver|Pool|Merge|Schedule|Ramp|Poisson|TraceCSV|Histogram|Mix|RolloutUnderLoad|SteadyState|HaltReleases|ConfigValidation|LivePatch|Scrub' \
 		./internal/loadgen/ ./internal/slo/
 	$(MAKE) cover

@@ -109,12 +109,11 @@ type Options struct {
 	// back to the checkpoint transaction (0 = DefaultQuiesceRounds).
 	LiveQuiesceRounds int
 	// Observer, when non-nil, receives a typed event for every rewrite
-	// phase (checkpoint, validate, pristine, decode, edit, kill,
-	// restore, health, rollback, reseal) plus pipeline counters. New
-	// also installs it as the machine's observer if the machine has
-	// none, so kernel, criu and fault-injection telemetry land in the
-	// same sink. nil = zero overhead: no events, no metrics, no
-	// allocations.
+	// phase (checkpoint, validate, edit, kill, restore, health,
+	// rollback, reseal) plus pipeline counters. New also installs it as
+	// the machine's observer if the machine has none, so kernel, criu
+	// and fault-injection telemetry land in the same sink. nil = zero
+	// overhead: no events, no metrics, no allocations.
 	Observer *obs.Observer
 	// AttestStore, when non-nil, backs the attestation oracle's
 	// expected-content deposits (attest.go). Fleets pass their shared
@@ -171,8 +170,8 @@ type Stats struct {
 	// RolledBack reports the transaction's final outcome: true when
 	// the rewrite failed and the guest is running the restored
 	// pre-edit images (its live connections intact). It is false both
-	// on success and when an early failure — bad dump, corrupt image
-	// blob, failed edit — was caught before the guest was killed, in
+	// on success and when an early failure — bad dump, failed edit,
+	// invalid edited images — was caught before the guest was killed, in
 	// which case the original processes were never touched.
 	RolledBack bool
 }
@@ -301,8 +300,8 @@ func (c *Customizer) Handler() *Handler { return c.handler }
 // connections survive.
 //
 // The cycle is transactional. The freshly dumped images are validated
-// and a pristine serialized copy is kept before anything is killed;
-// every attempt edits a fresh decode of that copy. Failures before
+// before anything is killed and then stay untouched as the rollback
+// anchor: every attempt edits its own Clone of them. Failures before
 // the commit point (handler injection, the edit itself, validation of
 // the edited images) leave the original processes untouched. The
 // commit point is killing the originals to free their ports; past it,
@@ -320,62 +319,20 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 
 func (c *Customizer) rewrite(edit func(ed *crit.Editor, pids []int) error) (Stats, error) {
 	var stats Stats
-	p, err := c.machine.Process(c.pid)
-	if err != nil || p.Exited() {
-		return stats, ErrDead
-	}
-	rootOld := c.pid
-
-	// Incremental checkpoint: dump only the pages dirtied since the
-	// last committed images. Dump's fault prepass guarantees a failed
-	// dump clears no dirty bitmap, so c.parent stays valid on error.
-	t0 := time.Now()
-	endCkpt := c.span("checkpoint", 0)
-	set, err := criu.Dump(c.machine, c.pid, criu.DumpOpts{
-		ExecPages: true, Tree: c.opts.Tree, Parent: c.parent,
-	})
-	endCkpt(err)
+	// The dumped set is the rollback anchor: every attempt edits a
+	// clone of it, and a rollback restores it as is.
+	set, took, err := c.dump()
+	stats.Checkpoint = took
 	if err != nil {
-		return stats, fmt.Errorf("checkpoint: %w", err)
+		return stats, err
 	}
-	stats.Checkpoint = time.Since(t0)
 	stats.ImageBytes = set.TotalBytes()
 	stats.PagesDumped = set.PagesDumped
 	stats.PagesSkipped = set.PagesSkipped
 	// Every restore past the commit point, edited or rollback, brings
-	// back a decode of this one dump; each is charged its modelled cost.
+	// back this one dump; each is charged its modelled cost.
 	restores := uint64(0)
 	defer func() { c.charge(restores, set) }()
-
-	// Validate while the guest is still running: a bad image set must
-	// be rejected before it can cost us a live process.
-	endVal := c.span("validate", 0)
-	err = set.Validate(c.machine)
-	endVal(err)
-	if err != nil {
-		// The dump reset the dirty bitmaps, so older parents no longer
-		// cover the guest's writes — and this set is not trustworthy.
-		// Force the next checkpoint to be a full dump.
-		c.parent = nil
-		return stats, fmt.Errorf("checkpoint: %w", err)
-	}
-
-	// The guest's memory is, as of this dump, exactly what the set
-	// describes — so the set is the parent for the next incremental
-	// dump, whatever else this transaction does (dirty tracking
-	// restarted at the dump). Committing below upgrades it to the
-	// PID-remapped post-edit images.
-	c.parent = set
-	blobParent := set.Parent // what a decode of the pristine blob binds to
-
-	// The pristine pre-edit images are the rollback anchor. Keeping
-	// them serialized (and re-decoding per use) guarantees no edit can
-	// alias into them; the blob passes through the machine's fault
-	// hook, modeling corruption of the image files on the tmpfs
-	// between dump and restore.
-	endPristine := c.span("pristine", 0)
-	pristine := c.machine.MutateBlob(faultinject.SitePristine, set.Marshal())
-	endPristine(nil)
 
 	// Edit closures mutate customizer bookkeeping (saved bytes,
 	// unmapped ranges, verifier table, handler). Snapshot it (deep,
@@ -407,22 +364,7 @@ func (c *Customizer) rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 		c.verifierCount = verifierSnap
 		c.handler = handlerSnap
 
-		endDecode := c.span("decode", attempt)
-		work, err := criu.Unmarshal(pristine)
-		if err == nil {
-			// A delta blob comes back detached; re-attach its ancestry.
-			// An identity mismatch means the blob's parent reference was
-			// corrupted in flight — caught like any other corruption.
-			err = work.BindParent(blobParent)
-		}
-		endDecode(err)
-		if err != nil {
-			// The serialized images are corrupt; the checksum caught it
-			// before anything was killed. The guest is untouched, and
-			// retrying a deterministically bad blob is pointless.
-			stats.RolledBack = rolledBack
-			return stats, fmt.Errorf("image decode: %w", err)
-		}
+		work := set.Clone()
 		ed := crit.NewEditor(work, c.machine)
 
 		// Ensure the handler library is present in the image set:
@@ -500,7 +442,7 @@ func (c *Customizer) rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 			restoreErr := fmt.Errorf("%w (attempt %d): %w", ErrRestoreFailed, attempt, err)
 			endRB := c.span("rollback", attempt)
 			var rbErr error
-			curPIDs, rbErr = c.rollbackOr(&stats, pristine, blobParent, rootOld, restoreErr)
+			curPIDs, rbErr = c.rollbackOr(&stats, set, restoreErr)
 			restores++
 			endRB(rbErr)
 			stats.Downtime += time.Since(tKill) // down from kill through the rollback restore
@@ -514,10 +456,7 @@ func (c *Customizer) rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 		}
 		stats.Downtime += time.Since(tKill)
 
-		newRoot := pidMap[rootOld]
-		if newRoot == 0 && len(procs) > 0 {
-			newRoot = procs[0].PID()
-		}
+		newRoot := procs[0].PID() // Restore returns the dump root first
 
 		t4 := time.Now()
 		endHealth := c.span("health", attempt)
@@ -535,7 +474,7 @@ func (c *Customizer) rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 			}
 			endRB := c.span("rollback", attempt)
 			var rbErr error
-			curPIDs, rbErr = c.rollbackOr(&stats, pristine, blobParent, rootOld, hcErr)
+			curPIDs, rbErr = c.rollbackOr(&stats, set, hcErr)
 			restores++
 			endRB(rbErr)
 			stats.Downtime += time.Since(tDown)
@@ -582,42 +521,32 @@ func (c *Customizer) rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 	return stats, lastErr
 }
 
-// rollbackOr restores the pristine pre-edit images after a post-commit
-// failure (cause). On success it returns the new live PIDs and updates
-// c.pid; the incremental-dump parent is invalidated either way — a
-// rolled-back transaction forces the next checkpoint to be a full
-// dump. If the rollback restore itself fails the guest is lost: it
-// marks the transaction dead and returns an ErrRollbackFailed error
-// carrying both failures.
-func (c *Customizer) rollbackOr(stats *Stats, pristine []byte, blobParent *criu.ImageSet, rootOld int, cause error) ([]int, error) {
+// rollbackOr restores the pristine pre-edit images (the dumped set,
+// which no attempt edits) after a post-commit failure (cause). On
+// success it returns the new live PIDs and updates c.pid; the
+// incremental-dump parent is invalidated either way — a rolled-back
+// transaction forces the next checkpoint to be a full dump. If the
+// rollback restore itself fails the guest is lost: it marks the
+// transaction dead and returns an ErrRollbackFailed error carrying
+// both failures.
+func (c *Customizer) rollbackOr(stats *Stats, set *criu.ImageSet, cause error) ([]int, error) {
 	if o := c.opts.Observer; o != nil {
 		o.Add("core.rollbacks", 1)
 	}
 	c.parent = nil
-	set, err := criu.Unmarshal(pristine)
-	if err == nil {
-		err = set.BindParent(blobParent)
+	procs, _, err := criu.Restore(c.machine, set)
+	if err != nil {
+		stats.RolledBack = false
+		return nil, fmt.Errorf("%w: %v (while recovering from: %v)", ErrRollbackFailed, err, cause)
 	}
-	if err == nil {
-		var procs []*kernel.Process
-		var pidMap map[int]int
-		procs, pidMap, err = criu.Restore(c.machine, set)
-		if err == nil {
-			pids := make([]int, len(procs))
-			for i, p := range procs {
-				pids[i] = p.PID()
-			}
-			c.pid = pidMap[rootOld]
-			if c.pid == 0 && len(procs) > 0 {
-				c.pid = procs[0].PID()
-			}
-			// The rolled-back pristine text is the expected state now.
-			_ = c.resealOracle()
-			return pids, nil
-		}
+	pids := make([]int, len(procs))
+	for i, p := range procs {
+		pids[i] = p.PID()
 	}
-	stats.RolledBack = false
-	return nil, fmt.Errorf("%w: %v (while recovering from: %v)", ErrRollbackFailed, err, cause)
+	c.pid = pids[0]
+	// The rolled-back pristine text is the expected state now.
+	_ = c.resealOracle()
+	return pids, nil
 }
 
 // healthCheck probes the freshly restored tree before the transaction
@@ -950,30 +879,48 @@ func (c *Customizer) EnableAll() (Stats, error) {
 // self-contained, restorable with no ancestry attached. Callers that
 // checkpoint outside this method corrupt the incremental pipeline.
 func (c *Customizer) Checkpoint() (*criu.ImageSet, error) {
-	p, err := c.machine.Process(c.pid)
-	if err != nil || p.Exited() {
-		return nil, ErrDead
-	}
-	end := c.span("checkpoint", 0)
-	set, err := criu.Dump(c.machine, c.pid, criu.DumpOpts{
-		ExecPages: true, Tree: c.opts.Tree, Parent: c.parent,
-	})
-	end(err)
+	set, _, err := c.dump()
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
+		return nil, err
 	}
-	if err := set.Validate(c.machine); err != nil {
-		// Dirty bitmaps were reset by the dump but the set is not
-		// trustworthy: force the next checkpoint to be a full dump.
-		c.parent = nil
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	c.parent = set
 	flat, err := set.Flatten()
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	return flat, nil
+}
+
+// dump checkpoints the live tree incrementally against c.parent,
+// times the dump alone (Stats.Checkpoint), and validates the set while
+// the guest still runs. A valid set becomes the next dump's parent —
+// the guest's memory is exactly what it describes, since the dump
+// restarted dirty tracking. Dump's fault prepass guarantees a failed
+// dump clears no dirty bitmap, so c.parent stays valid then; a set
+// that fails validation forces the next checkpoint to be a full dump.
+func (c *Customizer) dump() (*criu.ImageSet, time.Duration, error) {
+	p, err := c.machine.Process(c.pid)
+	if err != nil || p.Exited() {
+		return nil, 0, ErrDead
+	}
+	t0 := time.Now()
+	endCkpt := c.span("checkpoint", 0)
+	set, err := criu.Dump(c.machine, c.pid, criu.DumpOpts{
+		ExecPages: true, Tree: c.opts.Tree, Parent: c.parent,
+	})
+	endCkpt(err)
+	if err != nil {
+		return nil, 0, fmt.Errorf("checkpoint: %w", err)
+	}
+	took := time.Since(t0)
+	endVal := c.span("validate", 0)
+	err = set.Validate(c.machine)
+	endVal(err)
+	if err != nil {
+		c.parent = nil
+		return nil, took, fmt.Errorf("checkpoint: %w", err)
+	}
+	c.parent = set
+	return set, took, nil
 }
 
 // Rebind re-points the customizer at a guest tree that was restored

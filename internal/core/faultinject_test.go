@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/dynacut/dynacut/internal/apps/webserv"
+	"github.com/dynacut/dynacut/internal/coverage"
 	"github.com/dynacut/dynacut/internal/crit"
 	"github.com/dynacut/dynacut/internal/criu"
 	"github.com/dynacut/dynacut/internal/faultinject"
@@ -57,8 +58,6 @@ func TestChaosSingleFaultInvariant(t *testing.T) {
 		{"restore-pages", func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteRestorePages) }, true, true},
 		{"restore-files", func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteRestoreFiles) }, true, true},
 		{"health", func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteHealth) }, true, true},
-		{"pristine-corrupt", func(in *faultinject.Injector) { in.CorruptImageByte(faultinject.SitePristine, -1) }, false, false},
-		{"pristine-truncate", func(in *faultinject.Injector) { in.TruncateBlob(faultinject.SitePristine, -1) }, false, false},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -218,6 +217,78 @@ func TestRollbackPreservesLiveConnectionPerPolicy(t *testing.T) {
 					t.Fatalf("PUT after re-enable -> %q", got)
 				}
 			}
+		})
+	}
+}
+
+// TestRollbackRestoresPristineText: the dumped set is the rollback
+// anchor and every attempt edits a clone of it, so no attempt's edits
+// may reach the guest through the anchor. A rollback must bring back
+// the exact pre-rewrite text, and a retried transaction must save the
+// pristine bytes — its re-enable lands on the same text root as a
+// fault-free disable → enable cycle.
+func TestRollbackRestoresPristineText(t *testing.T) {
+	for i, pol := range []Policy{PolicyBlockEntry, PolicyWipeBlocks} {
+		t.Run(pol.String(), func(t *testing.T) {
+			cfg := webserv.Config{Name: "lighttpd", Port: uint16(9180 + i)}
+			cycle := func(tb *testbed, blocks []coverage.AbsBlock, in *faultinject.Injector, attempts int) [32]byte {
+				t.Helper()
+				if in != nil {
+					tb.m.SetFaultHook(in)
+				}
+				c, err := New(tb.m, tb.currentRoot(t), Options{RedirectTo: tb.errPathAddr(t), MaxAttempts: attempts})
+				if err != nil {
+					t.Fatal(err)
+				}
+				stats, err := c.DisableBlocks("webdav-write", blocks, pol)
+				tb.m.SetFaultHook(nil)
+				if err != nil {
+					t.Fatalf("disable: %v", err)
+				}
+				if in != nil && stats.Attempts != 2 {
+					t.Fatalf("Attempts = %d, want 2", stats.Attempts)
+				}
+				if _, err := c.EnableBlocks("webdav-write"); err != nil {
+					t.Fatalf("enable: %v", err)
+				}
+				root, err := c.TextRoot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return root
+			}
+
+			ref := newTestbed(t, cfg)
+			want := cycle(ref, ref.profileFeatures(t, wantedReqs, undesiredReqs), nil, 1)
+
+			tb := newTestbed(t, cfg)
+			blocks := tb.profileFeatures(t, wantedReqs, undesiredReqs)
+			c, err := New(tb.m, tb.proc.PID(), Options{RedirectTo: tb.errPathAddr(t)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, err := c.TextRoot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := faultinject.New(int64(1100 + i))
+			in.FailRestoreAtStep(1)
+			tb.m.SetFaultHook(in)
+			_, err = c.DisableBlocks("webdav-write", blocks, pol)
+			tb.m.SetFaultHook(nil)
+			if !errors.Is(err, ErrRolledBack) {
+				t.Fatalf("err = %v, want ErrRolledBack", err)
+			}
+			if after, err := c.TextRoot(); err != nil || after != before {
+				t.Fatalf("text root after rollback = %x (err %v), want pristine %x", after[:8], err, before[:8])
+			}
+
+			in = faultinject.New(int64(1110 + i))
+			in.FailTransient(faultinject.PrefixRestore, 1, 1)
+			if got := cycle(tb, blocks, in, 2); got != want {
+				t.Fatalf("text root after retried disable → enable = %x, want %x (fault-free cycle)", got[:8], want[:8])
+			}
+			tb.assertServing(t)
 		})
 	}
 }

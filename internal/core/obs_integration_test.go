@@ -143,8 +143,6 @@ func TestChaosObserverEventsMatchInjections(t *testing.T) {
 		func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteRestorePages) },
 		func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteRestoreFiles) },
 		func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteHealth) },
-		func(in *faultinject.Injector) { in.CorruptImageByte(faultinject.SitePristine, -1) },
-		func(in *faultinject.Injector) { in.TruncateBlob(faultinject.SitePristine, -1) },
 	}
 
 	// A deliberately small ring: the sweep emits far more events than
@@ -289,7 +287,7 @@ func TestObserverTraceReconstructsTimeline(t *testing.T) {
 		}
 	}
 	for attempt := 1; attempt <= 2; attempt++ {
-		for _, name := range []string{"decode", "edit", "validate", "kill", "restore"} {
+		for _, name := range []string{"edit", "validate", "kill", "restore"} {
 			if find(obs.KindPhaseStart, name, attempt) == nil {
 				t.Errorf("missing phase %q attempt %d", name, attempt)
 			}

@@ -1,0 +1,110 @@
+package crit
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+
+	"github.com/dynacut/dynacut/internal/criu"
+	"github.com/dynacut/dynacut/internal/kernel"
+)
+
+// TestImageSetCloneIsolatesEdits applies every Editor mutator to a
+// Clone of a full set and of a delta set: the edits must land in the
+// clone while the source set and its parent stay byte-identical, since
+// the source is the rewrite transaction's rollback anchor.
+func TestImageSetCloneIsolatesEdits(t *testing.T) {
+	w := setup(t)
+	pid := w.p.PID()
+	resultSym, err := w.exe.Symbol("result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	featA, err := w.exe.Symbol("feature_a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A delta against the full set: the data page is dirtied (its own
+	// page), the text page stays inherited from the parent.
+	if err := w.p.Mem().WriteU64(resultSym.Value, 7); err != nil {
+		t.Fatal(err)
+	}
+	delta, err := criu.Dump(w.m, pid, criu.DumpOpts{ExecPages: true, Parent: w.set})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dpi, err := delta.Proc(pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dpi.Delta || dpi.ParentImage() == nil {
+		t.Fatal("second dump is not a bound delta")
+	}
+	for _, pn := range dpi.PageMap.PageNumbers {
+		if pn == featA.Value/kernel.PageSize {
+			t.Fatal("text page is not inherited from the parent")
+		}
+	}
+	lib := buildLib(t, "sighandler.so", sighandlerLibSrc)
+	dataPage := resultSym.Value / kernel.PageSize * kernel.PageSize
+
+	for _, tc := range []struct {
+		name string
+		set  *criu.ImageSet
+	}{{"full", w.set}, {"delta", delta}} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := tc.set.Marshal()
+			var parentBefore []byte
+			if tc.set.Parent != nil {
+				parentBefore = tc.set.Parent.Marshal()
+			}
+			clone := tc.set.Clone()
+			ed := NewEditor(clone, w.m)
+			must := func(what string, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+			}
+			must("write own page", ed.WriteMem(pid, resultSym.Value, []byte{1, 2, 3}))
+			must("write parent-resolved page", ed.BlockEntry(pid, featA.Value))
+			v := criu.VMAEntry{Start: 0x6000_0000_0000, End: 0x6000_0000_0000 + kernel.PageSize, Perm: 3, Name: "extra", Anon: true}
+			must("add vma", ed.AddVMA(pid, v, []byte{9, 9}))
+			must("grow vma", ed.GrowVMA(pid, v.Start, v.End+kernel.PageSize))
+			must("unmap", ed.UnmapRange(pid, dataPage, dataPage+kernel.PageSize))
+			must("sigaction", ed.SetSigaction(pid, int(kernel.SIGTRAP), 0x1234, 0x5678))
+			must("syscall filter", ed.SetSyscallFilter(pid, []uint64{0, 1}))
+			_, err := ed.InsertLibrary(pid, lib, 0)
+			must("insert library", err)
+			must("remove library", ed.RemoveLibrary(pid, lib.Name))
+
+			raw, err := ed.CoreJSON(pid)
+			must("core json", err)
+			var core criu.CoreImage
+			must("decode core", json.Unmarshal(raw, &core))
+			core.RIP++
+			raw, err = json.Marshal(&core)
+			must("encode core", err)
+			must("set core json", ed.SetCoreJSON(pid, raw))
+
+			raw, err = ed.MMJSON(pid)
+			must("mm json", err)
+			var mm criu.MMImage
+			must("decode mm", json.Unmarshal(raw, &mm))
+			mm.Modules = append(mm.Modules, criu.ModuleEntry{Name: "extra.so", Lo: v.Start, Hi: v.End})
+			raw, err = json.Marshal(&mm)
+			must("encode mm", err)
+			must("set mm json", ed.SetMMJSON(pid, raw))
+
+			if bytes.Equal(clone.Marshal(), before) {
+				t.Fatal("edits did not land in the clone")
+			}
+			if !bytes.Equal(tc.set.Marshal(), before) {
+				t.Error("editing the clone changed the source set")
+			}
+			if tc.set.Parent != nil && !bytes.Equal(tc.set.Parent.Marshal(), parentBefore) {
+				t.Error("editing the clone changed the parent set")
+			}
+		})
+	}
+}

@@ -392,9 +392,23 @@ spin: .quad 0
 	if len(set.PIDs) != 2 {
 		t.Fatalf("dumped %d procs, want 2", len(set.PIDs))
 	}
-	// Parent must come first for restore ordering.
-	if set.Procs[set.PIDs[0]].Core.Parent != 0 {
-		t.Error("parent not first in image order")
+	// The dump root comes first for restore ordering, and a PageStore
+	// round trip keeps that order: callers take the restored root as
+	// Restore's first process.
+	if set.PIDs[0] != p.PID() || set.Procs[set.PIDs[0]].Core.Parent != 0 {
+		t.Errorf("image order %v, want root %d first", set.PIDs, p.PID())
+	}
+	store := NewPageStore()
+	ident, err := store.Deposit(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err = store.Materialize(ident)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.PIDs[0] != p.PID() {
+		t.Errorf("materialized order %v, want root %d first", set.PIDs, p.PID())
 	}
 	// Kill tree and restore both.
 	for _, pr := range m.Processes() {
@@ -408,6 +422,9 @@ spin: .quad 0
 	}
 	if len(restored) != 2 {
 		t.Fatalf("restored %d", len(restored))
+	}
+	if restored[0].PID() != pidMap[p.PID()] {
+		t.Errorf("restored[0] = pid %d, want the restored root %d", restored[0].PID(), pidMap[p.PID()])
 	}
 	// Parent-child relationship is preserved under new PIDs.
 	if restored[1].Parent() != restored[0].PID() {

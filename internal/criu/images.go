@@ -465,6 +465,30 @@ func (s *ImageSet) RemapPIDs(pidMap map[int]int) *ImageSet {
 	return out
 }
 
+// Clone returns a copy of the set that an editor may mutate freely:
+// every proc image's own slices (pages, pagemap, VMAs, modules, signal
+// dispositions, syscall filter, holes, descriptors) are copied, while
+// the parent chain is shared — a set is immutable once it has been
+// dumped against, and edits to a delta only ever shadow parent pages.
+func (s *ImageSet) Clone() *ImageSet {
+	out := &ImageSet{
+		PIDs:         append([]int(nil), s.PIDs...),
+		Procs:        make(map[int]*ProcImage, len(s.Procs)),
+		Parent:       s.Parent,
+		PagesDumped:  s.PagesDumped,
+		PagesSkipped: s.PagesSkipped,
+		parentID:     s.parentID,
+		hasPByRef:    s.hasPByRef,
+	}
+	for pid, pi := range s.Procs {
+		c := cloneProcShell(pi)
+		c.Pages = append([]byte(nil), pi.Pages...)
+		c.parent = pi.parent
+		out.Procs[pid] = c
+	}
+	return out
+}
+
 // Proc returns the image of one PID.
 func (s *ImageSet) Proc(pid int) (*ProcImage, error) {
 	pi, ok := s.Procs[pid]

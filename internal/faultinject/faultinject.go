@@ -3,19 +3,17 @@
 // installed on a kernel.Machine (Machine.SetFaultHook) and consulted
 // at named hook sites inside criu.Dump, criu.Restore, crit.Editor and
 // core.Customizer; an armed plan makes the nth hit of a site fail
-// with ErrInjected, and blob-mutation plans corrupt or truncate a
-// serialized image set in flight.
+// with ErrInjected.
 //
-// Determinism is the whole point: the seed comes in explicitly
-// (New(seed)), nothing touches math/rand's global state, and every
-// decision the injector makes is recorded in its event log — so every
-// chaos run is exactly reproducible from (seed, plan).
+// Determinism is the whole point: an armed plan fires on a fixed hit
+// count, the injector draws no random numbers, and every decision it
+// makes is recorded in its event log — so every chaos run is exactly
+// reproducible from (seed, plan).
 package faultinject
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 )
@@ -48,9 +46,6 @@ const (
 	SiteEditUnmap = "crit.edit.unmap"
 	// SiteHealth fires at the start of the post-restore health check.
 	SiteHealth = "core.health"
-	// SitePristine is the blob-mutation site for the serialized
-	// pre-edit checkpoint (models tmpfs image corruption).
-	SitePristine = "core.pristine"
 	// SiteInjectArm fires between mapping the handler library and
 	// arming its sigaction — the partial-failure window where a fault
 	// would otherwise leak the injected mapping into the image.
@@ -189,46 +184,34 @@ func (pl *plan) active() bool {
 	return pl.times < 0 || pl.count < pl.at+pl.times
 }
 
-// blobPlan arms one mutation of a serialized blob at a site.
-type blobPlan struct {
-	site     string
-	truncate bool
-	arg      int // byte offset (corrupt) or kept length (truncate); < 0 = seeded random
-	done     bool
-}
-
 // Injector is a deterministic fault injector. It implements the
-// kernel.FaultHook and kernel.BlobMutator interfaces. The zero value
-// is not usable; construct with New.
+// kernel.FaultHook interface. The zero value is not usable; construct
+// with New.
 type Injector struct {
 	mu       sync.Mutex
 	seed     int64
-	rng      *rand.Rand
 	plans    []*plan
-	blobs    []*blobPlan
 	hits     map[string]int
 	log      []Event
 	reporter func(site string, hit int, injected bool)
 }
 
-// New creates an injector whose random choices (corruption offsets,
-// truncation lengths) derive solely from seed.
+// New creates an injector labelled with seed. Its decisions depend
+// only on the armed plans and the order of hits; the seed names the
+// run in every injected error, so a chaos failure reads back as the
+// (seed, plan) that reproduces it.
 func New(seed int64) *Injector {
-	return &Injector{
-		seed: seed,
-		rng:  rand.New(rand.NewSource(seed)),
-		hits: map[string]int{},
-	}
+	return &Injector{seed: seed, hits: map[string]int{}}
 }
 
 // Seed returns the seed the injector was built with.
 func (in *Injector) Seed() int64 { return in.seed }
 
-// SetReporter installs a callback invoked for every injected fault
-// (blob mutations included) — the kernel.FaultReporter contract. A
-// machine with both this injector and an observer installed wires the
-// callback so each injection lands in the trace as a fault event,
-// making chaos runs self-explaining. nil disables reporting.
+// SetReporter installs a callback invoked for every injected fault —
+// the kernel.FaultReporter contract. A machine with both this injector
+// and an observer installed wires the callback so each injection lands
+// in the trace as a fault event, making chaos runs self-explaining.
+// nil disables reporting.
 func (in *Injector) SetReporter(f func(site string, hit int, injected bool)) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -279,22 +262,6 @@ func (in *Injector) FailEditAtStep(n int) { in.FailAt(PrefixEdit, n) }
 // FailPageMap arms the first pagemap dump to fail.
 func (in *Injector) FailPageMap() { in.FailOnce(SiteDumpPageMap) }
 
-// CorruptImageByte arms a one-byte flip of the blob passing through
-// site. off < 0 picks a seeded random offset.
-func (in *Injector) CorruptImageByte(site string, off int) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.blobs = append(in.blobs, &blobPlan{site: site, arg: off})
-}
-
-// TruncateBlob arms a truncation of the blob passing through site to
-// n bytes. n < 0 picks a seeded random cut point.
-func (in *Injector) TruncateBlob(site string, n int) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.blobs = append(in.blobs, &blobPlan{site: site, truncate: true, arg: n})
-}
-
 // Fault implements the fault hook: it records the hit and returns a
 // non-nil error when an armed plan matches.
 func (in *Injector) Fault(site string, detail int) error {
@@ -317,39 +284,6 @@ func (in *Injector) Fault(site string, detail int) error {
 	return nil
 }
 
-// MutateBlob implements the blob-mutation hook: armed plans for site
-// are applied (once each) to a copy of blob.
-func (in *Injector) MutateBlob(site string, blob []byte) []byte {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := blob
-	for _, bp := range in.blobs {
-		if bp.done || bp.site != site || len(out) == 0 {
-			continue
-		}
-		bp.done = true
-		mutated := append([]byte(nil), out...)
-		if bp.truncate {
-			n := bp.arg
-			if n < 0 || n >= len(mutated) {
-				n = in.rng.Intn(len(mutated))
-			}
-			mutated = mutated[:n]
-		} else {
-			off := bp.arg
-			if off < 0 || off >= len(mutated) {
-				off = in.rng.Intn(len(mutated))
-			}
-			// Flip a random bit so the byte always changes.
-			mutated[off] ^= byte(1 << in.rng.Intn(8))
-		}
-		in.log = append(in.log, Event{Site: site, Hit: 1, Fail: true})
-		in.report(site, 1)
-		out = mutated
-	}
-	return out
-}
-
 // Hits returns how many times site was consulted.
 func (in *Injector) Hits(site string) int {
 	in.mu.Lock()
@@ -357,7 +291,7 @@ func (in *Injector) Hits(site string) int {
 	return in.hits[site]
 }
 
-// Injected returns how many faults (including blob mutations) fired.
+// Injected returns how many faults fired.
 func (in *Injector) Injected() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()

@@ -1,7 +1,6 @@
 package faultinject
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 )
@@ -66,60 +65,6 @@ func TestPrefixDoesNotMatchOtherSites(t *testing.T) {
 	}
 	if err := in.Fault(SiteDumpProc, 0); err == nil {
 		t.Error("dump site did not match dump prefix")
-	}
-}
-
-func TestCorruptImageByteIsDeterministic(t *testing.T) {
-	blob := bytes.Repeat([]byte{0xAB}, 256)
-	mutate := func(seed int64) []byte {
-		in := New(seed)
-		in.CorruptImageByte(SitePristine, -1)
-		return in.MutateBlob(SitePristine, blob)
-	}
-	a, b := mutate(42), mutate(42)
-	if !bytes.Equal(a, b) {
-		t.Error("same seed produced different corruption")
-	}
-	if bytes.Equal(a, blob) {
-		t.Error("corruption did not change the blob")
-	}
-	if c := mutate(43); bytes.Equal(a, c) {
-		t.Error("different seeds produced identical corruption (suspicious)")
-	}
-	// The original must never be modified in place.
-	if !bytes.Equal(blob, bytes.Repeat([]byte{0xAB}, 256)) {
-		t.Error("MutateBlob modified the input slice")
-	}
-}
-
-func TestCorruptImageByteExactOffset(t *testing.T) {
-	blob := make([]byte, 64)
-	in := New(7)
-	in.CorruptImageByte(SitePristine, 10)
-	out := in.MutateBlob(SitePristine, blob)
-	for i, bt := range out {
-		if (bt != 0) != (i == 10) {
-			t.Fatalf("byte %d = %#x", i, bt)
-		}
-	}
-}
-
-func TestTruncateBlob(t *testing.T) {
-	blob := make([]byte, 100)
-	in := New(7)
-	in.TruncateBlob(SitePristine, 33)
-	if out := in.MutateBlob(SitePristine, blob); len(out) != 33 {
-		t.Errorf("len = %d, want 33", len(out))
-	}
-	// Plans fire once: a second pass is untouched.
-	if out := in.MutateBlob(SitePristine, blob); len(out) != 100 {
-		t.Errorf("second pass len = %d, want 100", len(out))
-	}
-	// Other sites are untouched.
-	in2 := New(7)
-	in2.TruncateBlob(SitePristine, 10)
-	if out := in2.MutateBlob("elsewhere", blob); len(out) != 100 {
-		t.Errorf("wrong site mutated: len = %d", len(out))
 	}
 }
 

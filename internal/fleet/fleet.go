@@ -144,7 +144,6 @@ type Replica struct {
 	// shared page store — the rollback anchor of the staged rollout.
 	PristineID uint32
 
-	pristineRoot int
 	// quarantined drains the replica from waves and sweeps after its
 	// repair budget was exhausted; set and cleared only through the
 	// journaled quarantine/readmit protocol.
@@ -383,7 +382,7 @@ func New(template *kernel.Machine, rootPID int, cfg Config) (*Fleet, error) {
 		}
 		f.replicas = append(f.replicas, &Replica{
 			Index: i, Machine: m, Cust: cust, Obs: ro,
-			PristineID: ident, pristineRoot: cust.PID(),
+			PristineID: ident,
 		})
 	}
 	f.obs.PhaseEnd("fleet.spawn", 0, nil)
@@ -494,16 +493,12 @@ func (f *Fleet) restorePristine(out *ReplicaOutcome) {
 			r.Machine.Kill(procs[i].PID())
 			r.Machine.Remove(procs[i].PID())
 		}
-		procs2, pidMap, err := criu.RestoreFromStore(r.Machine, f.store, r.PristineID)
+		restored, _, err := criu.RestoreFromStore(r.Machine, f.store, r.PristineID)
 		if err != nil {
 			out.RestoreErrs = append(out.RestoreErrs, err)
 			continue
 		}
-		newRoot := pidMap[r.pristineRoot]
-		if newRoot == 0 && len(procs2) > 0 {
-			newRoot = procs2[0].PID()
-		}
-		r.Cust.Rebind(newRoot)
+		r.Cust.Rebind(restored[0].PID()) // Restore returns the dump root first
 		out.Outcome = OutcomeRestored
 		out.Err = nil
 		f.obs.Point("fleet.rollback", int64(out.Index))

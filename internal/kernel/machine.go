@@ -42,18 +42,11 @@ type FaultHook interface {
 	Fault(site string, detail int) error
 }
 
-// BlobMutator is an optional FaultHook extension that can corrupt a
-// serialized blob in flight (modeling image corruption on the tmpfs
-// between dump and restore).
-type BlobMutator interface {
-	MutateBlob(site string, blob []byte) []byte
-}
-
 // FaultReporter is an optional FaultHook extension: hooks that
 // implement it are handed a callback to invoke for every fault they
-// actually inject (blob mutations included, which Machine.Fault cannot
-// see fail). The machine wires the callback to the installed observer,
-// so every injected fault becomes a trace event.
+// actually inject, with the per-plan hit number Machine.Fault cannot
+// see. The machine wires the callback to the installed observer, so
+// every injected fault becomes a trace event.
 type FaultReporter interface {
 	// SetReporter installs the callback (nil disables reporting).
 	SetReporter(func(site string, hit int, injected bool))
@@ -162,7 +155,7 @@ func (m *Machine) SetObserver(o *obs.Observer) {
 func (m *Machine) Observer() *obs.Observer { return m.obs }
 
 // wireFaultReporter connects a reporting fault hook to the observer so
-// each injected fault (blob mutations included) becomes an event.
+// each injected fault becomes an event.
 func (m *Machine) wireFaultReporter() {
 	fr, ok := m.faultHook.(FaultReporter)
 	if !ok {
@@ -223,15 +216,6 @@ func (m *Machine) Fault(site string, detail int) error {
 		}
 	}
 	return err
-}
-
-// MutateBlob passes a serialized blob through the installed fault
-// hook, if it supports blob mutation.
-func (m *Machine) MutateBlob(site string, blob []byte) []byte {
-	if mu, ok := m.faultHook.(BlobMutator); ok {
-		return mu.MutateBlob(site, blob)
-	}
-	return blob
 }
 
 // Clock returns the virtual time in ticks (1 tick = 1 retired

@@ -203,12 +203,11 @@ type Supervisor struct {
 
 	attached bool
 	busy     bool // a step is running; suppress reentrant steps
-	rootAt   int  // root PID recorded when lastGood was taken
 
-	// lastGood is the serialized, self-contained (flattened) pristine
-	// image set taken at Attach (or the last Rearm) — the degradation
-	// ladder's final anchor.
-	lastGood []byte
+	// lastGood is the self-contained (flattened) pristine image set
+	// taken at Attach (or the last Rearm) — the degradation ladder's
+	// final anchor. Restore only reads it, so it serves every try.
+	lastGood *criu.ImageSet
 
 	breakers map[string]*Breaker
 	order    []string // features in first-disable order, for blame
@@ -270,14 +269,13 @@ func (s *Supervisor) Attach() error {
 	if err != nil {
 		return fmt.Errorf("supervise: attach: %w", err)
 	}
-	s.lastGood = set.Marshal()
-	s.rootAt = s.cust.PID()
+	s.lastGood = set
 	now := s.m.Clock()
 	s.calmSince = now
 	s.nextCanaryAt = now + s.cfg.CanaryEvery
 	s.m.SetTickWatchdog(s.cfg.PollEvery, s.Step)
 	s.attached = true
-	s.point("supervise.attach", int64(len(s.lastGood)))
+	s.point("supervise.attach", int64(s.lastGood.TotalBytes()))
 	return nil
 }
 
@@ -651,25 +649,16 @@ func (s *Supervisor) restorePristine(now uint64) bool {
 			lastErr = err
 			continue
 		}
-		set, err := criu.Unmarshal(s.lastGood)
-		if err != nil {
-			lastErr = err
-			continue
-		}
 		for _, p := range s.m.Processes() {
 			s.m.Kill(p.PID())
 			s.m.Remove(p.PID())
 		}
-		procs, pidMap, err := criu.Restore(s.m, set)
+		procs, _, err := criu.Restore(s.m, s.lastGood)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		root := pidMap[s.rootAt]
-		if root == 0 && len(procs) > 0 {
-			root = procs[0].PID()
-		}
-		s.cust.Rebind(root)
+		s.cust.Rebind(procs[0].PID()) // Restore returns the dump root first
 		s.restored = true
 		s.disarmed = true // pristine images predate all edits; stay off until Rearm
 		s.lastHits = 0
@@ -736,13 +725,12 @@ func (s *Supervisor) Rearm() error {
 	if err != nil {
 		return fmt.Errorf("supervise: rearm: %w", err)
 	}
-	s.lastGood = set.Marshal()
-	s.rootAt = s.cust.PID()
+	s.lastGood = set
 	s.disarmed = false
 	s.restored = false
 	s.level = 0
 	s.calmSince = s.m.Clock()
-	s.point("supervise.rearm", int64(len(s.lastGood)))
+	s.point("supervise.rearm", int64(s.lastGood.TotalBytes()))
 	return nil
 }
 

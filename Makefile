@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race chaos fuzz check bench bench-smoke cover loc supervise-demo fleet-demo load-demo
+.PHONY: all build test vet race chaos fuzz check bench bench-mod bench-smoke cover loc supervise-demo fleet-demo load-demo
 
 all: check
 
@@ -53,8 +53,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 10s ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz FuzzBlockCacheDecode -fuzztime 10s ./internal/kernel/
 
+# The benchmark is a module of its own, outside `./...`: vet and test
+# it here so a facade change that breaks it fails locally too.
+bench-mod:
+	cd benchmark && $(GO) vet . && $(GO) test .
+
 # The tier-1 gate: everything that must pass before a commit.
-check: build vet test race
+check: build vet test race bench-mod
 
 # Perf trajectory: run the headline figure benchmarks plus the
 # incremental-checkpoint benchmark and record the numbers as JSON so

@@ -2,7 +2,22 @@ package dynacut
 
 import (
 	"testing"
+
+	applibc "github.com/dynacut/dynacut/internal/apps/libc"
+	"github.com/dynacut/dynacut/internal/asm"
+	"github.com/dynacut/dynacut/internal/core"
+	"github.com/dynacut/dynacut/internal/delf/link"
 )
+
+// assembleLibrary builds a position-independent shared library from
+// assembly source, the library counterpart of Assemble.
+func assembleLibrary(name, src string) (*Binary, error) {
+	obj, err := asm.Assemble(src)
+	if err != nil {
+		return nil, err
+	}
+	return link.Library(name, []*asm.Object{obj})
+}
 
 // TestExportedSlicesAreCopies: mutating returned slices must not
 // corrupt package state.
@@ -25,7 +40,7 @@ func TestExportedSlicesAreCopies(t *testing.T) {
 	if ServingSyscalls()[0] == 999999 {
 		t.Error("ServingSyscalls exposed internal state")
 	}
-	if len(MasterSyscalls()) == 0 {
+	if len(core.MasterSyscalls) == 0 {
 		t.Error("no master syscalls")
 	}
 }
@@ -34,7 +49,7 @@ func TestAssembleErrorsSurface(t *testing.T) {
 	if _, err := Assemble("bad", "not assembly at all"); err == nil {
 		t.Error("garbage source assembled")
 	}
-	if _, err := AssembleLibrary("bad.so", ".text\nf:\n\tjmp nowhere\n"); err == nil {
+	if _, err := assembleLibrary("bad.so", ".text\nf:\n\tjmp nowhere\n"); err == nil {
 		t.Error("library with undefined symbol linked")
 	}
 	// Missing _start.
@@ -93,7 +108,7 @@ func TestGraphHelpers(t *testing.T) {
 // TestAnalyzeCFGOnLibrary: static analysis also works on shared
 // libraries (used for the libc customization extension).
 func TestAnalyzeCFGOnLibrary(t *testing.T) {
-	lib, err := BuildLibc()
+	lib, err := applibc.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

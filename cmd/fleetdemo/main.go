@@ -52,6 +52,8 @@ import (
 	"strings"
 
 	"github.com/dynacut/dynacut"
+	"github.com/dynacut/dynacut/internal/fleet"
+	"github.com/dynacut/dynacut/internal/slo"
 )
 
 // setup boots and profiles the template web server every demo mode
@@ -136,7 +138,7 @@ func run(replicas, workers, wave, failat, crash int, live bool, out string) erro
 			return err
 		}
 	}
-	f, err := dynacut.NewFleet(sess.Machine, rootPID, cfg)
+	f, err := fleet.New(sess.Machine, rootPID, cfg)
 	if err != nil {
 		return err
 	}
@@ -162,7 +164,7 @@ func run(replicas, workers, wave, failat, crash int, live bool, out string) erro
 	res, err := c.Run(apply)
 	if errors.Is(err, dynacut.ErrControllerCrashed) {
 		jb := c.Journal().Bytes()
-		recs, derr := dynacut.DecodeRolloutJournal(jb)
+		recs, derr := fleet.DecodeJournal(jb)
 		if derr != nil {
 			return derr
 		}
@@ -204,7 +206,7 @@ func run(replicas, workers, wave, failat, crash int, live bool, out string) erro
 		get := firstLine(probe(r.Machine, app.Config.Port, "GET /\n"))
 		note := ""
 		if o.Err != nil {
-			if errors.Is(o.Err, dynacut.ErrFleetHalted) {
+			if errors.Is(o.Err, fleet.ErrHalted) {
 				note = "  (halted)"
 			} else {
 				note = fmt.Sprintf("  (%v)", firstLine(o.Err.Error()))
@@ -278,7 +280,7 @@ func runScrub(replicas, workers, wave, flipevery int) error {
 			HealthCheck: dynacut.HealthProbe(app.Config.Port, "GET /\n", "200"),
 		},
 	}
-	f, err := dynacut.NewFleet(sess.Machine, rootPID, cfg)
+	f, err := fleet.New(sess.Machine, rootPID, cfg)
 	if err != nil {
 		return err
 	}
@@ -298,7 +300,7 @@ func runScrub(replicas, workers, wave, flipevery int) error {
 		fmt.Printf("sweep after wave %d: quorum %d/%d on the modal root, %d divergent\n",
 			sw.Wave, sw.Quorum, sw.Quorum+sw.Divergent, sw.Divergent)
 		for _, ra := range sw.Replicas {
-			if ra.Verdict == dynacut.VerdictClean {
+			if ra.Verdict == fleet.VerdictClean {
 				continue
 			}
 			line := fmt.Sprintf("  replica %2d  %-9v  %d pages checked", ra.Index, ra.Verdict, ra.Checked)
@@ -318,11 +320,11 @@ func runScrub(replicas, workers, wave, flipevery int) error {
 	var attests, repairs, quarantines int
 	for _, rec := range c.Journal().Records() {
 		switch rec.Kind {
-		case dynacut.RecAttest:
+		case fleet.RecAttest:
 			attests++
-		case dynacut.RecRepair:
+		case fleet.RecRepair:
 			repairs++
-		case dynacut.RecQuarantine:
+		case fleet.RecQuarantine:
 			quarantines++
 		}
 	}
@@ -429,7 +431,7 @@ func runLoad(replicas, workers, wave int, live bool, sched string, interval, hor
 	}
 
 	fmt.Printf("== open-loop load: %s schedule, horizon %d vticks, %d replicas ==\n", sched, horizon, replicas)
-	baseFleet, err := dynacut.NewFleet(sess.Machine, rootPID, fcfg)
+	baseFleet, err := fleet.New(sess.Machine, rootPID, fcfg)
 	if err != nil {
 		return err
 	}
@@ -459,7 +461,7 @@ func runLoad(replicas, workers, wave int, live bool, sched string, interval, hor
 	}
 
 	fmt.Println("\n== per-replica downtime: journal stamps vs observed service gaps ==")
-	obs := map[int]dynacut.DowntimeSpan{}
+	obs := map[int]slo.Span{}
 	for _, s := range rep.ObservedSpans {
 		obs[s.Replica] = s
 	}

@@ -27,7 +27,6 @@ package dynacut
 
 import (
 	"github.com/dynacut/dynacut/internal/apps/kvstore"
-	applibc "github.com/dynacut/dynacut/internal/apps/libc"
 	"github.com/dynacut/dynacut/internal/apps/specgen"
 	"github.com/dynacut/dynacut/internal/apps/webserv"
 	"github.com/dynacut/dynacut/internal/asm"
@@ -55,12 +54,6 @@ type (
 	Machine = kernel.Machine
 	// Process is one guest process.
 	Process = kernel.Process
-	// HostConn is a host-side client connection into a guest server.
-	HostConn = kernel.HostConn
-	// Module describes one binary mapped into a process.
-	Module = kernel.Module
-	// Signal is a guest signal number.
-	Signal = kernel.Signal
 	// ExecMode selects the machine's execution engine: the reference
 	// interpreter, the basic-block translation cache, or the
 	// self-checking lockstep variant (Machine.SetExecMode).
@@ -68,16 +61,11 @@ type (
 	// BlockCacheStats is the translation cache's counter set
 	// (Machine.BlockCacheStats).
 	BlockCacheStats = kernel.BlockCacheStats
-	// CacheDivergence is one stale cached decode caught by lockstep
-	// mode (Machine.CacheDivergences).
-	CacheDivergence = kernel.CacheDivergence
 	// Lockstep runs the interpreter and the translating engine side
 	// by side on cloned machines, diffing full machine state after
 	// every scheduler round — the differential oracle that proves the
 	// engines equivalent.
 	Lockstep = kernel.Lockstep
-	// Divergence is one state difference found by a Lockstep harness.
-	Divergence = kernel.Divergence
 
 	// Binary is a DELF executable or shared library.
 	Binary = delf.File
@@ -90,22 +78,6 @@ type (
 	Policy = core.Policy
 	// RewriteStats reports the cost of one rewrite cycle.
 	RewriteStats = core.Stats
-	// Handler is the injected SIGTRAP handler's in-guest state.
-	Handler = core.Handler
-
-	// Attestation is a Customizer's expected-state oracle snapshot:
-	// per-text-page digests folded into a Merkle-style root plus the
-	// active feature set.
-	Attestation = core.Attestation
-	// AttestReport is one attestation pass: live text hashed against
-	// the oracle, mismatches classified repairable or foreign.
-	AttestReport = core.AttestReport
-	// PageMismatch is one diverged text page inside an AttestReport.
-	PageMismatch = core.PageMismatch
-	// PageVerdict classifies one mismatched page.
-	PageVerdict = core.PageVerdict
-	// RepairStats reports one anti-entropy repair pass.
-	RepairStats = core.RepairStats
 
 	// Graph is a code-coverage graph.
 	Graph = coverage.Graph
@@ -126,18 +98,12 @@ type (
 	// Install via CustomizerOptions.Observer; a nil observer costs
 	// nothing.
 	Observer = obs.Observer
-	// ObsEvent is one structured trace event in an Observer's ring.
-	ObsEvent = obs.Event
-	// TraceSummary aggregates a trace into per-phase statistics.
-	TraceSummary = obs.TraceSummary
 
 	// FaultInjector deterministically injects failures into the
 	// checkpoint/rewrite/restore machinery (install with
 	// Machine.SetFaultHook) — the chaos-testing harness behind the
 	// transactional-rewrite guarantees.
 	FaultInjector = faultinject.Injector
-	// FaultEvent is one consultation of the fault injector.
-	FaultEvent = faultinject.Event
 
 	// CFG is a static control-flow graph.
 	CFG = disasm.CFG
@@ -168,15 +134,6 @@ type (
 	Supervisor = supervise.Supervisor
 	// SupervisorConfig tunes the supervisor's cadences and thresholds.
 	SupervisorConfig = supervise.Config
-	// SupervisorStatus snapshots the supervisor's ledger.
-	SupervisorStatus = supervise.Status
-	// FeatureBreaker is one feature's circuit-breaker ledger.
-	FeatureBreaker = supervise.Breaker
-	// BreakerState is a circuit breaker's state (closed/open/half-open).
-	BreakerState = supervise.BreakerState
-	// SupervisorAggregate is a fleet-wide merge of supervisor ledgers
-	// (worst-state breakers, level histogram, loss counts).
-	SupervisorAggregate = supervise.AggregateStatus
 
 	// Fleet owns N replicas cloned copy-on-write from one booted
 	// template guest and applies customizations across them as staged
@@ -186,77 +143,21 @@ type (
 	FleetConfig = fleet.Config
 	// FleetReplica is one cloned guest plus its customizer.
 	FleetReplica = fleet.Replica
-	// FleetStatus pairs per-replica supervisor ledgers with their
-	// fleet-wide aggregate.
-	FleetStatus = fleet.Status
-	// ReplicaOutcome records where one replica ended after a rollout.
-	ReplicaOutcome = fleet.ReplicaOutcome
-	// RolloutOutcome classifies one replica's end state.
-	RolloutOutcome = fleet.Outcome
-	// RolloutResult is the full record of one staged rollout.
-	RolloutResult = fleet.RolloutResult
-	// WaveResult summarizes one canary shard or rollout wave.
-	WaveResult = fleet.WaveResult
 
 	// RolloutController is the crash-resumable rollout engine behind
 	// Fleet.Rollout: worker lanes lease per-replica steps off a work
 	// queue under virtual-clock deadlines, and every scheduling
 	// decision is journaled so a dead controller can be resumed.
 	RolloutController = fleet.Controller
-	// ControllerStatus snapshots a controller mid-rollout.
-	ControllerStatus = fleet.ControllerStatus
-	// StepEvent is one scheduling event streamed through
-	// FleetConfig.OnStep (lease, expire, requeue, outcome, ...).
-	StepEvent = fleet.StepEvent
 	// RolloutJournal is the append-only CRC-framed log of a rollout.
 	RolloutJournal = fleet.Journal
-	// JournalRecord is one rollout-journal entry.
-	JournalRecord = fleet.Record
-	// JournalRecKind enumerates rollout-journal record types.
-	JournalRecKind = fleet.RecKind
-	// StepMode is the rewrite path a rollout step actually took
-	// (transaction, live-patch, or fell-back), journaled on outcomes.
-	StepMode = fleet.StepMode
-	// AttestVerdict classifies one replica inside a fleet attestation
-	// sweep (clean, repaired, skew, foreign, readmit).
-	AttestVerdict = fleet.AttestVerdict
-	// SweepResult summarizes one fleet-wide attestation sweep.
-	SweepResult = fleet.SweepResult
-	// ReplicaAttest is one replica's verdict inside a SweepResult.
-	ReplicaAttest = fleet.ReplicaAttest
-
-	// PageStore is the content-addressed checkpoint store replicas
-	// deduplicate their pristine images into.
-	PageStore = criu.PageStore
-	// PageStoreStats reports dedup effectiveness.
-	PageStoreStats = criu.StoreStats
 
 	// LoadRequest is one weighted entry of a workload mix.
 	LoadRequest = loadgen.Request
 	// LoadMix is a deterministic weighted request mix.
 	LoadMix = loadgen.Mix
-	// LoadHistogram records request latencies (in guest instructions)
-	// with ceil nearest-rank percentile queries.
-	LoadHistogram = loadgen.Histogram
-	// LoadBucket is one throughput window on the virtual-time axis.
-	LoadBucket = loadgen.Bucket
-	// LoadResult aggregates one load-driver run.
-	LoadResult = loadgen.Result
-	// LoadDriver is the closed-loop workload driver: one request in
-	// flight, the next fired as the previous resolves (Figure 8).
-	LoadDriver = loadgen.Driver
-	// OpenLoadDriver is the open-loop driver: requests fire at the
-	// vticks a LoadSchedule dictates, outstanding responses or not,
-	// with a bounded in-flight window and explicit drop accounting.
-	OpenLoadDriver = loadgen.OpenDriver
-	// LoadPool fans closed-loop drivers across fleet replicas.
-	LoadPool = loadgen.Pool
-	// OpenLoadPool fans open-loop drivers across fleet replicas.
-	OpenLoadPool = loadgen.OpenPool
 	// LoadSchedule dictates open-loop arrival times on the vtick axis.
 	LoadSchedule = loadgen.Schedule
-	// LoadArrival is one scheduled request arrival.
-	LoadArrival = loadgen.Arrival
 	// LoadTrace is a trace-driven schedule parsed from CSV
 	// (invocations-per-slot with optional per-slot payloads).
 	LoadTrace = loadgen.TraceSchedule
@@ -268,63 +169,7 @@ type (
 	// downtime spans measured from the journal and from observed
 	// service gaps independently.
 	SLOReport = slo.Report
-	// DowntimeSpan is one replica's downtime interval.
-	DowntimeSpan = slo.Span
 )
-
-// Replica end states after a staged rollout.
-const (
-	OutcomePending    = fleet.OutcomePending
-	OutcomeCommitted  = fleet.OutcomeCommitted
-	OutcomeAborted    = fleet.OutcomeAborted
-	OutcomeFailed     = fleet.OutcomeFailed
-	OutcomeRolledBack = fleet.OutcomeRolledBack
-	OutcomeRestored   = fleet.OutcomeRestored
-	OutcomeLost       = fleet.OutcomeLost
-)
-
-// Rollout-journal record kinds.
-const (
-	RecStart    = fleet.RecStart
-	RecIntent   = fleet.RecIntent
-	RecOutcome  = fleet.RecOutcome
-	RecWaveDone = fleet.RecWaveDone
-	RecHalt     = fleet.RecHalt
-	RecResume   = fleet.RecResume
-	RecDone     = fleet.RecDone
-
-	// Journal v3 attestation kinds.
-	RecAttest     = fleet.RecAttest
-	RecRepair     = fleet.RecRepair
-	RecQuarantine = fleet.RecQuarantine
-)
-
-// Attestation-sweep verdicts (JournalRecord.Attempt of a RecAttest).
-const (
-	VerdictClean    = fleet.VerdictClean
-	VerdictRepaired = fleet.VerdictRepaired
-	VerdictSkew     = fleet.VerdictSkew
-	VerdictForeign  = fleet.VerdictForeign
-	VerdictReadmit  = fleet.VerdictReadmit
-)
-
-// Per-page attestation verdicts (PageMismatch.Verdict).
-const (
-	PageClean      = core.PageClean
-	PageRepairable = core.PageRepairable
-	PageForeign    = core.PageForeign
-)
-
-// Rollout step modes (JournalRecord.Mode / StepEvent.Mode).
-const (
-	ModeTransaction = fleet.ModeTransaction
-	ModeLivePatch   = fleet.ModeLivePatch
-	ModeFellBack    = fleet.ModeFellBack
-)
-
-// DefaultQuiesceRounds bounds DisableBlocksLive's quiescence loop
-// when CustomizerOptions.LiveQuiesceRounds is zero.
-const DefaultQuiesceRounds = core.DefaultQuiesceRounds
 
 // Removal policies (§3.2.2), cheapest to strongest.
 const (
@@ -333,19 +178,9 @@ const (
 	PolicyUnmapPages = core.PolicyUnmapPages
 )
 
-// Circuit-breaker states.
-const (
-	BreakerClosed   = supervise.BreakerClosed
-	BreakerOpen     = supervise.BreakerOpen
-	BreakerHalfOpen = supervise.BreakerHalfOpen
-)
-
-// Signals.
-const (
-	SIGTRAP = kernel.SIGTRAP
-	SIGSEGV = kernel.SIGSEGV
-	SIGSYS  = kernel.SIGSYS
-)
+// SIGSYS is the signal that kills a guest issuing a syscall outside
+// its Customizer.RestrictSyscalls allow list.
+const SIGSYS = kernel.SIGSYS
 
 // Execution engines (Machine.SetExecMode; DESIGN.md §15).
 const (
@@ -365,58 +200,21 @@ var (
 	// from the pre-edit images and keeps serving.
 	ErrRolledBack = core.ErrRolledBack
 	// ErrRestoreFailed: a restore failed after the guest was killed
-	// (always accompanied by a rollback, or by ErrRollbackFailed).
+	// (always accompanied by a rollback, or by a failed rollback that
+	// loses the guest).
 	ErrRestoreFailed = core.ErrRestoreFailed
-	// ErrRollbackFailed: the rollback restore failed too; the guest is
-	// lost.
-	ErrRollbackFailed = core.ErrRollbackFailed
 	// ErrCorruptImage: an image blob failed its checksum or framing.
 	ErrCorruptImage = criu.ErrCorruptImage
-	// ErrStoreCorrupt: a content-addressed page-store blob no longer
-	// hashes to its key — the store rotted underneath us.
-	ErrStoreCorrupt = criu.ErrStoreCorrupt
-	// ErrInconsistentImage: a decoded image set fails cross-checks
-	// (ImageSet.Validate).
-	ErrInconsistentImage = criu.ErrInconsistentImage
-	// ErrFaultInjected: a failure came from the fault injector.
-	ErrFaultInjected = faultinject.ErrInjected
 	// ErrQuarantined: DisableFeature refused — the feature's breaker is
 	// open and under probation.
 	ErrQuarantined = supervise.ErrQuarantined
 	// ErrDisarmed: DisableFeature refused — the degradation ladder
 	// switched patching off; Rearm to resume.
 	ErrDisarmed = supervise.ErrDisarmed
-	// ErrGuestLost: the supervisor exhausted its pristine-restore
-	// attempts; the guest is gone.
-	ErrGuestLost = supervise.ErrGuestLost
-	// ErrRewriteAborted: a rewrite stopped at its pre-commit gate; the
-	// guest is untouched.
-	ErrRewriteAborted = core.ErrAborted
-	// ErrFleetHalted: a staged rollout halted (canary or wave failure)
-	// before this replica's rewrite committed.
-	ErrFleetHalted = fleet.ErrHalted
 	// ErrControllerCrashed: the rollout controller died mid-rollout
 	// (injected crash or torn journal append); resume from its journal
 	// with ResumeRolloutController.
 	ErrControllerCrashed = fleet.ErrControllerCrashed
-	// ErrJournalCorrupt: a rollout journal has CRC or framing damage
-	// before its final record — damage a crash cannot explain.
-	ErrJournalCorrupt = fleet.ErrJournalCorrupt
-	// ErrJournalMagic: bytes handed to DecodeRolloutJournal are not a
-	// rollout journal.
-	ErrJournalMagic = fleet.ErrJournalMagic
-	// ErrNoLoadMix: a load driver has arrivals without payloads and no
-	// mix to draw them from.
-	ErrNoLoadMix = loadgen.ErrNoMix
-	// ErrNoLoadSchedule: an open-loop driver has no schedule.
-	ErrNoLoadSchedule = loadgen.ErrNoSchedule
-	// ErrLoadTruncated: a response was still mid-write when its
-	// request budget ran out.
-	ErrLoadTruncated = loadgen.ErrTruncated
-	// ErrBadLoadTrace: a trace CSV failed to parse.
-	ErrBadLoadTrace = loadgen.ErrBadTrace
-	// ErrNoLoadHorizon: an SLOConfig is missing its horizon.
-	ErrNoLoadHorizon = slo.ErrNoHorizon
 )
 
 // NewMachine creates an empty simulated machine.
@@ -437,11 +235,6 @@ func NewFaultInjector(seed int64) *FaultInjector { return faultinject.New(seed) 
 // the given capacity (<= 0 selects the default).
 func NewObserver(capacity int) *Observer { return obs.New(capacity) }
 
-// SummarizeTrace aggregates a slice of trace events (e.g. read back
-// from a JSONL file via obs tooling, or Observer.Events) into
-// per-phase statistics.
-func SummarizeTrace(events []ObsEvent) *TraceSummary { return obs.Summarize(events) }
-
 // NewCustomizer wraps the guest process rooted at pid.
 func NewCustomizer(m *Machine, pid int, opts CustomizerOptions) (*Customizer, error) {
 	return core.New(m, pid, opts)
@@ -451,20 +244,6 @@ func NewCustomizer(m *Machine, pid int, opts CustomizerOptions) (*Customizer, er
 // guest. Call Attach to snapshot the last-good images and start it.
 func NewSupervisor(m *Machine, cust *Customizer, cfg SupervisorConfig) *Supervisor {
 	return supervise.New(m, cust, cfg)
-}
-
-// AggregateSupervisors merges per-replica supervisor ledgers into one
-// fleet-wide view (worst breaker state wins, strikes are summed).
-func AggregateSupervisors(sts ...SupervisorStatus) SupervisorAggregate {
-	return supervise.Aggregate(sts...)
-}
-
-// NewFleet clones the booted guest rooted at rootPID on template into
-// cfg.Replicas copy-on-write replicas whose pristine checkpoints
-// deduplicate into a shared PageStore. The template itself is never
-// part of the fleet and stays untouched.
-func NewFleet(template *Machine, rootPID int, cfg FleetConfig) (*Fleet, error) {
-	return fleet.New(template, rootPID, cfg)
 }
 
 // NewFleetFromSession builds a fleet from a profiled Session (the
@@ -488,21 +267,6 @@ func ResumeRolloutController(f *Fleet, journal []byte) (*RolloutController, erro
 	return fleet.ResumeController(f, journal)
 }
 
-// DecodeRolloutJournal parses a serialized rollout journal, tolerating
-// the torn final frame a crash mid-append leaves behind.
-func DecodeRolloutJournal(data []byte) ([]JournalRecord, error) {
-	return fleet.DecodeJournal(data)
-}
-
-// NewPageStore creates an empty content-addressed checkpoint store.
-func NewPageStore() *PageStore { return criu.NewPageStore() }
-
-// RestoreFromStore materializes the checkpoint named by ident out of
-// the store into fresh processes on m.
-func RestoreFromStore(m *Machine, store *PageStore, ident uint32) ([]*Process, map[int]int, error) {
-	return criu.RestoreFromStore(m, store, ident)
-}
-
 // DefaultInitEndSyscall is the accept(2) analogue used by AutoNudge
 // as the canonical init/serving boundary for servers.
 const DefaultInitEndSyscall = core.DefaultInitEndSyscall
@@ -513,18 +277,11 @@ const DefaultInitEndSyscall = core.DefaultInitEndSyscall
 // specialization built on process rewriting.
 func ServingSyscalls() []uint64 { return append([]uint64(nil), core.ServingSyscalls...) }
 
-// MasterSyscalls returns the allow list for a supervising master
-// process.
-func MasterSyscalls() []uint64 { return append([]uint64(nil), core.MasterSyscalls...) }
-
 // NewAutoNudge arms automatic init-end detection: onInit fires once
 // when the guest first issues the trigger syscall.
 func NewAutoNudge(m *Machine, trigger uint64, onInit func(pid int)) *AutoNudge {
 	return core.NewAutoNudge(m, trigger, onInit)
 }
-
-// BuildLibc builds the shared C-library guest binary.
-func BuildLibc() (*Binary, error) { return applibc.Build() }
 
 // BuildWebServer builds the Lighttpd/Nginx-like guest.
 func BuildWebServer(cfg WebServerConfig) (*WebServerApp, error) { return webserv.Build(cfg) }
@@ -547,16 +304,6 @@ func Assemble(name, src string, libs ...*Binary) (*Binary, error) {
 		return nil, err
 	}
 	return link.Executable(name, []*asm.Object{obj}, libs...)
-}
-
-// AssembleLibrary builds a position-independent shared library from
-// assembly source.
-func AssembleLibrary(name, src string) (*Binary, error) {
-	obj, err := asm.Assemble(src)
-	if err != nil {
-		return nil, err
-	}
-	return link.Library(name, []*asm.Object{obj})
 }
 
 // Dump checkpoints a process (tree) into CRIU-style images.
@@ -613,10 +360,6 @@ func GraphFromLog(l *CoverageLog) *Graph { return coverage.FromLog(l) }
 
 // NewLoadMix builds a deterministic weighted request mix.
 func NewLoadMix(reqs ...LoadRequest) *LoadMix { return loadgen.NewMix(reqs...) }
-
-// MergeLoadResults folds per-replica load results into one fleet view
-// (nil slots from failed replicas are skipped).
-func MergeLoadResults(results ...*LoadResult) *LoadResult { return loadgen.Merge(results...) }
 
 // NewConstantSchedule arrives every interval vticks.
 func NewConstantSchedule(interval uint64) LoadSchedule { return loadgen.NewConstant(interval) }

@@ -80,7 +80,7 @@ func TestPublicEndToEndCustomization(t *testing.T) {
 }
 
 func TestPublicAssemble(t *testing.T) {
-	lib, err := AssembleLibrary("mini.so", `
+	lib, err := assembleLibrary("mini.so", `
 .text
 .global seven
 seven:

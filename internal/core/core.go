@@ -141,8 +141,10 @@ type Stats struct {
 	// It is for reporting only: the virtual clock is charged from the
 	// work-count model instead (see charge).
 	Downtime time.Duration
-	// ImageBytes is the serialized size of the pre-edit checkpoint; for
-	// an incremental dump this is the delta blob, not the flattened set.
+	// ImageBytes is the pre-edit checkpoint's size estimate,
+	// ImageSet.TotalBytes of the dumped set: for an incremental dump
+	// that is the delta set, not the flattened chain. It is not a
+	// marshalled length.
 	ImageBytes int
 	// PagesDumped / PagesSkipped report the incremental checkpoint's
 	// work: pages serialized into the image versus pages elided because

@@ -498,8 +498,10 @@ func (s *ImageSet) Proc(pid int) (*ProcImage, error) {
 	return pi, nil
 }
 
-// TotalBytes reports the aggregate image size — the "image size" rows
-// of Figure 7.
+// TotalBytes estimates the set's image size — the "image size" rows
+// of Figure 7: page bytes, plus 64 bytes per VMA and 8 per page
+// number. It counts this set's own images only (a delta set's parent
+// chain is excluded) and is not the length Marshal produces.
 func (s *ImageSet) TotalBytes() int {
 	n := 0
 	for _, pi := range s.Procs {

@@ -194,12 +194,6 @@ func (m *Memory) noteLayoutChange() {
 	}
 }
 
-// TextGen returns the current mutation generation of page pn (zero
-// until the block cache exists and the page is first mutated). Tests
-// and the attestation layer use it to prove that a silent flip or a
-// repair advanced the counter the cache validates against.
-func (m *Memory) TextGen(pn uint64) uint64 { return m.gens[pn] }
-
 // VMAs returns a copy of the VMA table.
 func (m *Memory) VMAs() []VMA {
 	return append([]VMA(nil), m.vmas...)

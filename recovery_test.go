@@ -4,6 +4,9 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"github.com/dynacut/dynacut/internal/core"
+	"github.com/dynacut/dynacut/internal/faultinject"
 )
 
 // profileWebDAV boots the web server and profiles the WebDAV write
@@ -63,7 +66,7 @@ func TestCanaryDetectsBadCustomization(t *testing.T) {
 	if !stats.RolledBack {
 		t.Error("stats.RolledBack = false after rollback")
 	}
-	if errors.Is(err, ErrRollbackFailed) {
+	if errors.Is(err, core.ErrRollbackFailed) {
 		t.Fatalf("rollback failed: %v", err)
 	}
 	// The rolled-back guest serves GET as before.
@@ -95,8 +98,8 @@ func TestFaultInjectedRestoreRollsBackThenSucceeds(t *testing.T) {
 		t.Fatalf("err = %v, want ErrRolledBack", err)
 	case !errors.Is(err, ErrRestoreFailed):
 		t.Fatalf("err = %v, want ErrRestoreFailed in chain", err)
-	case !errors.Is(err, ErrFaultInjected):
-		t.Fatalf("err = %v, want ErrFaultInjected in chain", err)
+	case !errors.Is(err, faultinject.ErrInjected):
+		t.Fatalf("err = %v, want faultinject.ErrInjected in chain", err)
 	}
 	if !stats.RolledBack || in.Injected() == 0 {
 		t.Fatalf("RolledBack=%v injected=%d", stats.RolledBack, in.Injected())

@@ -331,6 +331,3 @@ func (s *Session) SymbolAddr(name string) (uint64, error) {
 	}
 	return sym.Value, nil
 }
-
-// RunFor executes up to n guest instructions.
-func (s *Session) RunFor(n uint64) uint64 { return s.Machine.Run(n) }

@@ -88,22 +88,12 @@ type Options struct {
 	// canary request through this so server flows verify end-to-end
 	// service.
 	HealthCheck func(m *kernel.Machine, pid int) error
-	// HealthBudget is the instruction budget of the built-in liveness
-	// probe run after each restore (0 = a small default). The probe
-	// fails if the restored root exits or dies on a signal within the
-	// budget.
-	HealthBudget uint64
 	// BeforeCommit, when non-nil, runs immediately before the commit
 	// point of every attempt (killing the originals). A non-nil error
 	// aborts the transaction with ErrAborted and the guest untouched —
 	// the last moment an external controller (a halted fleet rollout)
 	// can stop an in-flight rewrite without paying a rollback.
 	BeforeCommit func(attempt int) error
-	// OnOutcome, when non-nil, is called after every Rewrite with its
-	// final stats and error (nil on commit). Fleet supervisors use it
-	// to aggregate per-replica outcomes without wrapping every call
-	// site.
-	OnOutcome func(Stats, error)
 	// LiveQuiesceRounds bounds how many scheduler rounds
 	// DisableBlocksLive runs waiting for quiescence before falling
 	// back to the checkpoint transaction (0 = DefaultQuiesceRounds).
@@ -204,9 +194,10 @@ var (
 	ErrAborted = errors.New("core: rewrite aborted before commit")
 )
 
-// defaultHealthBudget is the instruction budget of the built-in
-// post-restore liveness probe when Options.HealthBudget is zero.
-const defaultHealthBudget = 20000
+// healthBudget is the instruction budget of the built-in post-restore
+// liveness probe: it fails if a restored process exits or dies on a
+// signal within the budget.
+const healthBudget = 20000
 
 // Customizer dynamically customizes one guest program.
 type Customizer struct {
@@ -312,14 +303,6 @@ func (c *Customizer) Handler() *Handler { return c.handler }
 // live connections intact. Options.MaxAttempts > 1 retries the whole
 // cycle after any rolled-back (or pre-commit) failure.
 func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stats, error) {
-	stats, err := c.rewrite(edit)
-	if c.opts.OnOutcome != nil {
-		c.opts.OnOutcome(stats, err)
-	}
-	return stats, err
-}
-
-func (c *Customizer) rewrite(edit func(ed *crit.Editor, pids []int) error) (Stats, error) {
 	var stats Stats
 	// The dumped set is the rollback anchor: every attempt edits a
 	// clone of it, and a rollback restores it as is.
@@ -560,14 +543,10 @@ func (c *Customizer) healthCheck(root int, procs []*kernel.Process) error {
 	if err := c.machine.Fault(faultinject.SiteHealth, root); err != nil {
 		return err
 	}
-	budget := c.opts.HealthBudget
-	if budget == 0 {
-		budget = defaultHealthBudget
-	}
-	c.machine.Run(budget)
+	c.machine.Run(healthBudget)
 	for _, p := range procs {
 		if p.Exited() {
-			return fmt.Errorf("core: restored pid %d died within %d ticks of restore", p.PID(), budget)
+			return fmt.Errorf("core: restored pid %d died within %d ticks of restore", p.PID(), healthBudget)
 		}
 	}
 	if c.opts.HealthCheck != nil {
@@ -793,36 +772,10 @@ func (c *Customizer) setVMAPerm(ed *crit.Editor, pid int, start uint64, perm uin
 // original bytes are written back (the paper's bidirectional
 // transformation). Unmapped pages cannot be re-enabled this way.
 func (c *Customizer) EnableBlocks(name string) (Stats, error) {
-	blocks, ok := c.disabled[name]
-	if !ok {
+	if _, ok := c.disabled[name]; !ok {
 		return Stats{}, fmt.Errorf("%w: %q", ErrNotDisabled, name)
 	}
-	patched := 0
-	stats, err := c.Rewrite(func(ed *crit.Editor, pids []int) error {
-		patched = 0 // the closure re-runs on retried attempts
-		for _, pid := range pids {
-			for _, b := range blocks {
-				orig, ok := c.saved[b.Addr]
-				if !ok {
-					return fmt.Errorf("core: no saved bytes for %#x", b.Addr)
-				}
-				if err := ed.WriteMem(pid, b.Addr, orig); err != nil {
-					return err
-				}
-				patched++
-			}
-		}
-		return nil
-	})
-	stats.BlocksPatched = patched
-	if err != nil {
-		return stats, err
-	}
-	for _, b := range blocks {
-		delete(c.saved, b.Addr)
-	}
-	delete(c.disabled, name)
-	return stats, nil
+	return c.enable([]string{name})
 }
 
 // EnableAll restores every currently disabled feature in a single
@@ -840,6 +793,12 @@ func (c *Customizer) EnableAll() (Stats, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	return c.enable(names)
+}
+
+// enable writes the saved original bytes of the named disabled
+// features back in one rewrite and, on commit, forgets them.
+func (c *Customizer) enable(names []string) (Stats, error) {
 	patched := 0
 	stats, err := c.Rewrite(func(ed *crit.Editor, pids []int) error {
 		patched = 0 // the closure re-runs on retried attempts
@@ -925,15 +884,27 @@ func (c *Customizer) dump() (*criu.ImageSet, time.Duration, error) {
 	return set, took, nil
 }
 
-// Rebind re-points the customizer at a guest tree that was restored
-// outside its own rewrite cycle — e.g. the supervisor materializing
-// its last-good pristine images after the degradation ladder bottoms
-// out. All customization bookkeeping is reset to "nothing disabled":
-// the restored images predate every edit this instance applied. If
-// the images do carry an injected handler, the next rewrite
-// re-derives its state from the module table instead of re-injecting.
-func (c *Customizer) Rebind(pid int) {
-	c.pid = pid
+// RestoreImages replaces the guest with a checkpoint taken outside
+// the rewrite cycle — the supervisor's last-good images after its
+// degradation ladder bottoms out, or a fleet replica's pristine
+// checkpoint. Every process on the machine is killed and removed
+// (children before parents), set is restored, and the customizer is
+// re-pointed at the restored root. All customization bookkeeping is
+// reset to "nothing disabled": the restored images predate every edit
+// this instance applied. If the images do carry an injected handler,
+// the next rewrite re-derives its state from the module table instead
+// of re-injecting.
+func (c *Customizer) RestoreImages(set *criu.ImageSet) error {
+	procs := c.machine.Processes()
+	for i := len(procs) - 1; i >= 0; i-- {
+		c.machine.Kill(procs[i].PID())
+		c.machine.Remove(procs[i].PID())
+	}
+	restored, _, err := criu.Restore(c.machine, set)
+	if err != nil {
+		return err
+	}
+	c.pid = restored[0].PID() // Restore returns the dump root first
 	c.saved = map[uint64][]byte{}
 	c.disabled = map[string][]coverage.AbsBlock{}
 	c.unmapped = nil
@@ -945,6 +916,7 @@ func (c *Customizer) Rebind(pid int) {
 	c.oracle = nil
 	c.attSealed = false
 	_ = c.resealOracle()
+	return nil
 }
 
 // Disabled reports the currently disabled block groups.

@@ -83,10 +83,7 @@ func (c *Customizer) DisableBlocksLive(name string, blocks []coverage.AbsBlock, 
 	stats, reason, err := c.livePatch(name, filtered, policy)
 	if reason == "" {
 		// The fast path ran to a verdict (committed or hard error like
-		// ErrDead/ErrAborted); report it like Rewrite would.
-		if c.opts.OnOutcome != nil {
-			c.opts.OnOutcome(stats, err)
-		}
+		// ErrDead/ErrAborted).
 		return stats, err
 	}
 	c.point("livepatch.fallback", int64(stats.QuiesceRounds))

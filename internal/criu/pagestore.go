@@ -337,9 +337,8 @@ func (s *PageStore) Stats() StoreStats {
 }
 
 // RestoreFromStore materializes a deposited image set and restores it
-// into the machine — the fleet's pristine-rollback path: N replicas
-// share one deposited pristine checkpoint and each can be rebuilt from
-// it independently.
+// into the machine: N replicas share one deposited pristine checkpoint
+// and each can be rebuilt from it independently.
 func RestoreFromStore(m *kernel.Machine, store *PageStore, ident uint32) ([]*kernel.Process, map[int]int, error) {
 	set, err := store.Materialize(ident)
 	if err != nil {

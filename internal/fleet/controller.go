@@ -8,7 +8,6 @@ import (
 
 	"github.com/dynacut/dynacut/internal/core"
 	"github.com/dynacut/dynacut/internal/faultinject"
-	"github.com/dynacut/dynacut/internal/supervise"
 )
 
 // Controller is the event-driven rollout engine: a work queue of
@@ -47,18 +46,18 @@ const (
 	crashAfterRecord
 )
 
-// Controller scheduling defaults.
+// Controller scheduling constants.
 const (
-	// defaultLeaseTicks is the lease duration on the controller's
-	// virtual clock — comfortably above a typical rewrite cost (~65
-	// vticks on the webserv guest), so healthy workers never expire.
-	defaultLeaseTicks = 1024
-	// defaultRetryBudget bounds lease attempts per step.
-	defaultRetryBudget = 3
-	// defaultBackoffBase / defaultBackoffCap shape the capped
-	// exponential requeue backoff after a lease expires.
-	defaultBackoffBase = 64
-	defaultBackoffCap  = 1024
+	// leaseTicks is the lease duration on the controller's virtual
+	// clock — comfortably above a typical rewrite cost (~65 vticks on
+	// the webserv guest), so healthy workers never expire.
+	leaseTicks = 1024
+	// retryBudget bounds lease attempts per step.
+	retryBudget = 3
+	// backoffBase / backoffCap shape the capped exponential requeue
+	// backoff after a lease expires.
+	backoffBase uint64 = 64
+	backoffCap  uint64 = 1024
 )
 
 // StepEvent is one increment of rollout progress, streamed to
@@ -75,25 +74,6 @@ type StepEvent struct {
 	// "outcome" events; every other kind leaves it zero.
 	Mode   StepMode
 	VClock uint64
-}
-
-// ControllerStatus is an incremental snapshot of a rollout in flight:
-// per-replica outcomes so far, queue/lease accounting, and the
-// supervise.Aggregate fold of any attached per-replica supervisors —
-// one struct answering "how is the rollout doing" mid-wave.
-type ControllerStatus struct {
-	VClock        uint64
-	Wave          int
-	Done          int
-	Skipped       int
-	LeaseExpiries int
-	Requeues      int
-	Halted        bool
-	Crashed       bool
-	Resumed       bool
-	Outcomes      []Outcome
-	Attempts      []int
-	Supervise     supervise.AggregateStatus
 }
 
 // step is one unit of rollout work: rewrite one replica, attempt n.
@@ -124,18 +104,13 @@ type Controller struct {
 
 	prior    []Record // journal records from a dead predecessor
 	hasStart bool
+	resumed  bool
 
-	mu            sync.Mutex
-	vclock        uint64
-	wave          int
-	done          int
-	skipped       int
-	leaseExpiries int
-	requeues      int
-	crashed       bool
-	resumed       bool
-	outcomes      []Outcome
-	attempts      []int
+	// mu guards the crashed flag and the per-replica attempt counts,
+	// which worker goroutines write.
+	mu       sync.Mutex
+	crashed  bool
+	attempts []int
 }
 
 // NewController builds a fresh controller over the fleet with an
@@ -152,7 +127,6 @@ func NewController(f *Fleet, j *Journal) *Controller {
 		f:        f,
 		j:        j,
 		lanes:    make([]uint64, f.cfg.Workers),
-		outcomes: make([]Outcome, len(f.replicas)),
 		attempts: make([]int, len(f.replicas)),
 	}
 }
@@ -185,58 +159,11 @@ func ResumeController(f *Fleet, journal []byte) (*Controller, error) {
 // while Run is in flight).
 func (c *Controller) Journal() *Journal { return c.j }
 
-// Status snapshots the rollout's incremental progress, folding any
-// attached per-replica supervisors through supervise.Aggregate.
-func (c *Controller) Status() ControllerStatus {
-	c.mu.Lock()
-	st := ControllerStatus{
-		VClock:        c.vclock,
-		Wave:          c.wave,
-		Done:          c.done,
-		Skipped:       c.skipped,
-		LeaseExpiries: c.leaseExpiries,
-		Requeues:      c.requeues,
-		Halted:        c.f.halted.Load(),
-		Crashed:       c.crashed,
-		Resumed:       c.resumed,
-		Outcomes:      append([]Outcome(nil), c.outcomes...),
-		Attempts:      append([]int(nil), c.attempts...),
-	}
-	c.mu.Unlock()
-	var sups []supervise.Status
-	for _, s := range c.f.sups {
-		sups = append(sups, s.Status())
-	}
-	st.Supervise = supervise.Aggregate(sups...)
-	return st
-}
-
 // emit streams one step event to the configured callback.
 func (c *Controller) emit(ev StepEvent) {
 	if c.f.cfg.OnStep != nil {
 		c.f.cfg.OnStep(ev)
 	}
-}
-
-// note records a replica's current outcome for Status snapshots.
-func (c *Controller) note(replica int, o Outcome, skipped bool) {
-	c.mu.Lock()
-	c.outcomes[replica] = o
-	if skipped {
-		c.skipped++
-	} else {
-		c.done++
-	}
-	c.mu.Unlock()
-}
-
-// setClock advances the published virtual clock (monotonic).
-func (c *Controller) setClock(v uint64) {
-	c.mu.Lock()
-	if v > c.vclock {
-		c.vclock = v
-	}
-	c.mu.Unlock()
 }
 
 // crashPoint consults the fleet.controller.crash site at a journal
@@ -254,23 +181,24 @@ func (c *Controller) crashPoint(detail int) bool {
 		return false
 	}
 	if err := h.Fault(faultinject.SiteFleetControllerCrash, detail); err != nil {
-		c.die("crash site")
+		c.die()
 		return true
 	}
 	return false
 }
 
-// die marks the controller crashed.
-func (c *Controller) die(why string) {
+// die marks the controller crashed, stamping the crash at the latest
+// lane time. Only the dispatch thread calls it, so the lanes are
+// stable.
+func (c *Controller) die() {
 	c.mu.Lock()
 	already := c.crashed
 	c.crashed = true
-	v := c.vclock
 	c.mu.Unlock()
 	if !already {
+		v := c.laneMax()
 		c.f.obs.Point("fleet.controller.crash", int64(v))
 		c.emit(StepEvent{Kind: "crash", Replica: -1, VClock: v})
-		_ = why
 	}
 }
 
@@ -282,7 +210,7 @@ func (c *Controller) append(r Record) bool {
 		return false
 	}
 	if err := c.j.Append(r); err != nil {
-		c.die("journal append")
+		c.die()
 		return false
 	}
 	c.f.obs.Point("fleet.journal.append", int64(r.Kind))
@@ -369,7 +297,6 @@ func (c *Controller) replay(res *RolloutResult) (states []priorState, waveFails 
 	for i := range c.lanes {
 		c.lanes[i] = last
 	}
-	c.setClock(last)
 	return states, waveFails, haltedAt, finished
 }
 
@@ -443,7 +370,6 @@ func (c *Controller) Run(apply func(r *Replica) (core.Stats, error)) (*RolloutRe
 			if st.resolved {
 				res.Outcomes[i] = st.outcome
 				res.Outcomes[i].Index = i
-				c.note(i, st.outcome.Outcome, st.outcome.Outcome == OutcomeCommitted)
 				if st.outcome.Outcome == OutcomeCommitted {
 					res.SkippedCommitted++
 					f.obs.Point("fleet.resume.skip", int64(i))
@@ -463,7 +389,6 @@ func (c *Controller) Run(apply func(r *Replica) (core.Stats, error)) (*RolloutRe
 					res.Outcomes[i].Outcome = OutcomeCommitted
 					res.Outcomes[i].Ticks = 1
 					res.SkippedCommitted++
-					c.note(i, OutcomeCommitted, true)
 					f.obs.Point("fleet.resume.skip", int64(i))
 					c.emit(StepEvent{Kind: "skip", Replica: i, Wave: st.wave, Outcome: OutcomeCommitted, VClock: c.lanes[0]})
 					if !c.append(Record{Kind: RecOutcome, Replica: int32(i), Wave: int32(st.wave),
@@ -516,9 +441,6 @@ func (c *Controller) Run(apply func(r *Replica) (core.Stats, error)) (*RolloutRe
 	}
 
 	for wi, wave := range waves {
-		c.mu.Lock()
-		c.wave = wi
-		c.mu.Unlock()
 		if fails, ok := waveFails[wi]; ok {
 			// Wave fully resolved before the crash.
 			res.Waves = append(res.Waves, WaveResult{
@@ -547,12 +469,7 @@ func (c *Controller) Run(apply func(r *Replica) (core.Stats, error)) (*RolloutRe
 		}
 		wr := WaveResult{Index: wi, Canary: wi == 0, Replicas: append([]int(nil), wave...), Failures: fails}
 		res.Waves = append(res.Waves, wr)
-		failRate := float64(fails) / float64(len(wave))
-		threshold := f.cfg.FailureThreshold
-		if wi == 0 {
-			threshold = 0 // any canary failure halts
-		}
-		halt := fails > 0 && failRate > threshold
+		halt := fails > 0
 
 		// Second-chance recovery: a replica whose own rollback failed
 		// is dead, but its pristine checkpoint survives in the store.
@@ -572,8 +489,8 @@ func (c *Controller) Run(apply func(r *Replica) (core.Stats, error)) (*RolloutRe
 				f.obs.PhaseEnd("fleet.wave", wi, ErrControllerCrashed)
 				break
 			}
-			// Un-commit the failed wave: a wave that crossed the
-			// threshold does not stay half-deployed.
+			// Un-commit the failed wave: a wave with a failed replica
+			// does not stay half-deployed.
 			c.completeHalt(res, wave, wi)
 			f.obs.PhaseEnd("fleet.wave", wi, fmt.Errorf("wave %d: %d/%d failed, rollout halted", wi, fails, len(wave)))
 			break
@@ -603,23 +520,6 @@ func (c *Controller) Run(apply func(r *Replica) (core.Stats, error)) (*RolloutRe
 // runWave drains one wave's step queue through the worker lanes.
 func (c *Controller) runWave(wi int, wave []int, res *RolloutResult, apply func(r *Replica) (core.Stats, error)) {
 	f := c.f
-	leaseTicks := f.cfg.LeaseTicks
-	if leaseTicks == 0 {
-		leaseTicks = defaultLeaseTicks
-	}
-	budget := f.cfg.RetryBudget
-	if budget <= 0 {
-		budget = defaultRetryBudget
-	}
-	backoffBase := f.cfg.BackoffBase
-	if backoffBase == 0 {
-		backoffBase = defaultBackoffBase
-	}
-	backoffCap := f.cfg.BackoffCap
-	if backoffCap == 0 {
-		backoffCap = defaultBackoffCap
-	}
-
 	var pending []*step
 	for _, ri := range wave {
 		if res.Outcomes[ri].Outcome != OutcomePending {
@@ -707,19 +607,14 @@ func (c *Controller) runWave(wi int, wave []int, res *RolloutResult, apply func(
 				// the deadline and the step requeues with backoff —
 				// or fails for good once the budget is spent.
 				c.lanes[l.lane] = l.deadline
-				c.setClock(l.deadline)
-				c.mu.Lock()
-				c.leaseExpiries++
-				c.mu.Unlock()
 				res.LeaseExpiries++
 				f.obs.Point("fleet.lease.expired", int64(ri))
 				c.emit(StepEvent{Kind: "expire", Replica: ri, Wave: wi, Attempt: l.step.attempt, VClock: l.deadline})
-				if l.step.attempt >= budget {
+				if l.step.attempt >= retryBudget {
 					out := &res.Outcomes[ri]
 					out.Outcome = OutcomeFailed
 					out.Err = fmt.Errorf("fleet: replica %d lease expired %d times, retry budget exhausted", ri, l.step.attempt)
 					out.Ticks = 1
-					c.note(ri, OutcomeFailed, false)
 					c.emit(StepEvent{Kind: "budget-exhausted", Replica: ri, Wave: wi, Attempt: l.step.attempt, VClock: l.deadline})
 					if !c.append(Record{Kind: RecOutcome, Replica: int32(ri), Wave: int32(wi), Attempt: int32(l.step.attempt),
 						Outcome: OutcomeFailed, Ticks: 1, VClock: l.deadline,
@@ -735,9 +630,6 @@ func (c *Controller) runWave(wi int, wave []int, res *RolloutResult, apply func(
 				l.step.attempt++
 				l.step.notBefore = l.deadline + backoff
 				pending = append(pending, l.step)
-				c.mu.Lock()
-				c.requeues++
-				c.mu.Unlock()
 				res.Requeues++
 				f.obs.Point("fleet.step.requeue", int64(ri))
 				c.emit(StepEvent{Kind: "requeue", Replica: ri, Wave: wi, Attempt: l.step.attempt, VClock: l.step.notBefore})
@@ -746,8 +638,6 @@ func (c *Controller) runWave(wi int, wave []int, res *RolloutResult, apply func(
 
 			res.Outcomes[ri] = l.out
 			c.lanes[l.lane] = l.start + l.out.Ticks
-			c.setClock(c.lanes[l.lane])
-			c.note(ri, l.out.Outcome, false)
 			f.obs.Point("fleet.step.outcome", int64(ri))
 			mode := stepMode(l.out.Stats)
 			c.emit(StepEvent{Kind: "outcome", Replica: ri, Wave: wi, Attempt: l.step.attempt,
@@ -810,7 +700,6 @@ func (c *Controller) execute(l *lease, apply func(r *Replica) (core.Stats, error
 // result, so a crash between restores is resumable.
 func (c *Controller) restoreJournaled(out *ReplicaOutcome, wave int) {
 	c.f.restorePristine(out)
-	c.note(out.Index, out.Outcome, false)
 	note := ""
 	if out.Err != nil {
 		note = out.Err.Error()

@@ -4,7 +4,7 @@
 // content-addressed page store (so N replicas cost ~1 guest of blob
 // storage), and applies a rewrite across the fleet as a staged
 // rollout — canary shards first, then waves — halting and restoring
-// pristine state when a wave's failure rate crosses the threshold.
+// pristine state when any replica of a wave fails.
 //
 // The invariant the rollout maintains is per-replica atomicity lifted
 // to the fleet: every replica ends a rollout either committed to the
@@ -53,10 +53,8 @@ type Config struct {
 	// remaining waves run: any canary failure halts the rollout.
 	CanaryShards int
 	// WaveSize is the batch size of the post-canary waves (0 = 4).
+	// Any failed replica halts its wave.
 	WaveSize int
-	// FailureThreshold is the fraction of a post-canary wave that may
-	// fail without halting the rollout. 0 = any failure halts.
-	FailureThreshold float64
 	// Core is the per-replica customizer option template. Observer is
 	// replaced with a per-replica observer; BeforeCommit is chained
 	// after the fleet's halt check.
@@ -67,16 +65,6 @@ type Config struct {
 	// Observer, when non-nil, receives the fleet-level timeline (wave
 	// spans, halt/rollback points). nil allocates a private one.
 	Observer *obs.Observer
-
-	// Controller tuning (zero = defaults). LeaseTicks is the
-	// virtual-clock lease a worker holds on a step before the
-	// controller declares it dead and requeues; RetryBudget bounds
-	// lease attempts per step; BackoffBase/BackoffCap shape the capped
-	// exponential requeue backoff.
-	LeaseTicks  uint64
-	RetryBudget int
-	BackoffBase uint64
-	BackoffCap  uint64
 	// OnStep, when non-nil, receives every scheduling event (lease,
 	// expiry, requeue, outcome, skip, halt, crash) as the controller
 	// dispatches — the incremental status stream.
@@ -251,7 +239,7 @@ type WaveResult struct {
 type RolloutResult struct {
 	Waves    []WaveResult
 	Outcomes []ReplicaOutcome
-	// Halted reports that a wave crossed the failure threshold:
+	// Halted reports that a wave had a failed replica:
 	// its committed replicas were restored to pristine and all later
 	// waves were cancelled. HaltedWave is that wave's index.
 	Halted     bool
@@ -445,14 +433,14 @@ func (f *Fleet) waves() [][]int {
 // Rollout applies one rewrite across the fleet as a staged rollout:
 // the canary wave first, then the remaining replicas in waves, each
 // wave's steps leased to concurrent worker lanes by the rollout
-// controller. A wave whose failure rate crosses the threshold (any
-// failure, for the canary) halts the rollout: the failed wave's
-// committed replicas are restored to their pristine checkpoints from
-// the shared store, in-flight rewrites abort at the pre-commit gate,
-// and later waves never start. Replicas whose own rollback failed are
-// restored from the store even when the rollout is not halting — the
-// fleet's second-chance recovery. apply runs once per leased attempt
-// per replica and must touch only that replica's state.
+// controller. A wave with any failed replica halts the rollout: the
+// failed wave's committed replicas are restored to their pristine
+// checkpoints from the shared store, in-flight rewrites abort at the
+// pre-commit gate, and later waves never start. Replicas whose own
+// rollback failed are restored from the store even when the rollout
+// is not halting — the fleet's second-chance recovery. apply runs
+// once per leased attempt per replica and must touch only that
+// replica's state.
 //
 // Rollout is sugar for NewController(f, nil).Run(apply): every
 // rollout is journaled, and on an injected controller crash the
@@ -487,18 +475,14 @@ func (f *Fleet) restorePristine(out *ReplicaOutcome) {
 			out.RestoreErrs = append(out.RestoreErrs, err)
 			continue
 		}
-		// Tear down whatever tree is live (children before parents).
-		procs := r.Machine.Processes()
-		for i := len(procs) - 1; i >= 0; i-- {
-			r.Machine.Kill(procs[i].PID())
-			r.Machine.Remove(procs[i].PID())
+		set, err := f.store.Materialize(r.PristineID)
+		if err == nil {
+			err = r.Cust.RestoreImages(set)
 		}
-		restored, _, err := criu.RestoreFromStore(r.Machine, f.store, r.PristineID)
 		if err != nil {
 			out.RestoreErrs = append(out.RestoreErrs, err)
 			continue
 		}
-		r.Cust.Rebind(restored[0].PID()) // Restore returns the dump root first
 		out.Outcome = OutcomeRestored
 		out.Err = nil
 		f.obs.Point("fleet.rollback", int64(out.Index))
@@ -536,25 +520,6 @@ func (f *Fleet) AttachSupervisors(mk func(r *Replica) supervise.Config) error {
 // before AttachSupervisors).
 func (f *Fleet) Supervisors() []*supervise.Supervisor {
 	return append([]*supervise.Supervisor(nil), f.sups...)
-}
-
-// Status aggregates the per-replica supervisor snapshots into one
-// fleet-level status. Before AttachSupervisors it reports zero
-// instances.
-type Status struct {
-	Replicas  []supervise.Status
-	Aggregate supervise.AggregateStatus
-}
-
-// Status snapshots every attached supervisor and folds the snapshots
-// into a fleet-level aggregate.
-func (f *Fleet) Status() Status {
-	var st Status
-	for _, s := range f.sups {
-		st.Replicas = append(st.Replicas, s.Status())
-	}
-	st.Aggregate = supervise.Aggregate(st.Replicas...)
-	return st
 }
 
 // Timeline merges the fleet-level event stream with every replica's,

@@ -10,7 +10,6 @@ import (
 	"github.com/dynacut/dynacut/internal/core"
 	"github.com/dynacut/dynacut/internal/coverage"
 	"github.com/dynacut/dynacut/internal/kernel"
-	"github.com/dynacut/dynacut/internal/supervise"
 	"github.com/dynacut/dynacut/internal/trace"
 )
 
@@ -355,33 +354,6 @@ func TestFleetRolloutPooledSpeedup(t *testing.T) {
 	}
 	t.Logf("16 replicas: serial %d vticks, 8-lane makespan %d vticks (%.1fx)",
 		res.SerialTicks, res.FleetTicks, float64(res.SerialTicks)/float64(res.FleetTicks))
-}
-
-func TestFleetSupervisorsAggregate(t *testing.T) {
-	tpl := bootTemplate(t)
-	f, err := New(tpl.m, tpl.pid, Config{Replicas: 2, Workers: 2, Core: coreOpts(tpl)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = f.AttachSupervisors(func(r *Replica) supervise.Config {
-		rm := r.Machine
-		return supervise.Config{
-			Canary: func() error { return healthProbe(rm, 0) },
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := f.Status()
-	if st.Aggregate.Instances != 2 || st.Aggregate.Attached != 2 {
-		t.Fatalf("aggregate = %+v", st.Aggregate)
-	}
-	if !st.Aggregate.Healthy() {
-		t.Fatalf("fresh fleet unhealthy: %+v", st.Aggregate)
-	}
-	if len(f.Supervisors()) != 2 {
-		t.Fatalf("supervisors = %d", len(f.Supervisors()))
-	}
 }
 
 func TestFleetConfigValidation(t *testing.T) {

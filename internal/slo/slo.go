@@ -23,10 +23,10 @@
 // between dispatch and rewrite would be billed to the rewrite span.
 // The harness therefore sequences ownership in three moves:
 //
-//  1. Every driver runs its load until the HoldTicks arrival boundary
-//     and parks there: the goroutine blocks inside the driver's Hook,
-//     the virtual clock frozen at the hold point (wall-clock waiting
-//     is invisible on the vtick axis).
+//  1. Every driver runs its load until the hold arrival boundary
+//     (Horizon/3 on the bucket grid) and parks there: the goroutine
+//     blocks inside the driver's Hook, the virtual clock frozen at the
+//     hold point (wall-clock waiting is invisible on the vtick axis).
 //  2. Only when ALL replicas are parked does the controller run. Its
 //     workers own the machines exclusively: every rewrite, restore
 //     and checkpoint deposit happens while the drivers are provably
@@ -71,17 +71,11 @@ type Config struct {
 	Mix *loadgen.Mix
 	// Horizon is the load run length in vticks (required).
 	Horizon uint64
-	// HoldTicks is the arrival boundary where each driver pauses to
-	// serve its replica's rewrite, pinning the downtime gap to a known
-	// spot on the timeline (0 = Horizon/3 rounded down to the bucket
-	// grid).
-	HoldTicks uint64
-	// BucketTicks, RequestBudget, DrainTicks, MaxInFlight, PollTicks
-	// pass through to each replica's loadgen.OpenDriver (zeros =
-	// that driver's defaults).
+	// BucketTicks, RequestBudget, MaxInFlight, PollTicks pass through
+	// to each replica's loadgen.OpenDriver (zeros = that driver's
+	// defaults).
 	BucketTicks   uint64
 	RequestBudget uint64
-	DrainTicks    uint64
 	MaxInFlight   int
 	PollTicks     uint64
 }
@@ -164,15 +158,6 @@ func RolloutUnderLoad(template *kernel.Machine, rootPID int, fcfg fleet.Config, 
 	if cfg.Horizon == 0 {
 		return nil, nil, ErrNoHorizon
 	}
-	bucket := cfg.BucketTicks
-	if bucket == 0 {
-		bucket = 100_000
-	}
-	hold := cfg.HoldTicks
-	if hold == 0 {
-		hold = cfg.Horizon / 3 / bucket * bucket
-	}
-
 	n := fcfg.Replicas
 	h := &harness{
 		cfg:         cfg,
@@ -250,7 +235,7 @@ func RolloutUnderLoad(template *kernel.Machine, rootPID int, fcfg fleet.Config, 
 	rep.Rollout = rollout
 	rep.Journal = ctl.Journal().Records()
 	rep.JournalSpans = journalSpans(rep.Journal)
-	rep.ObservedSpans = observedSpans(results, bucket)
+	rep.ObservedSpans = observedSpans(results, cfg.bucket())
 	return rep, f, nil
 }
 
@@ -265,10 +250,6 @@ func SteadyState(f *fleet.Fleet, cfg Config) (*Report, error) {
 	if cfg.Horizon == 0 {
 		return nil, ErrNoHorizon
 	}
-	bucket := cfg.BucketTicks
-	if bucket == 0 {
-		bucket = 100_000
-	}
 	pool := &loadgen.OpenPool{}
 	for _, r := range f.Replicas() {
 		pool.Drivers = append(pool.Drivers, &loadgen.OpenDriver{
@@ -278,7 +259,6 @@ func SteadyState(f *fleet.Fleet, cfg Config) (*Report, error) {
 			Mix:           cloneMix(cfg.Mix),
 			BucketTicks:   cfg.BucketTicks,
 			RequestBudget: cfg.RequestBudget,
-			DrainTicks:    cfg.DrainTicks,
 			MaxInFlight:   cfg.MaxInFlight,
 			PollTicks:     cfg.PollTicks,
 		})
@@ -304,7 +284,6 @@ func (h *harness) driver(i int, r *fleet.Replica) *loadgen.OpenDriver {
 		Mix:           cloneMix(h.cfg.Mix),
 		BucketTicks:   h.cfg.BucketTicks,
 		RequestBudget: h.cfg.RequestBudget,
-		DrainTicks:    h.cfg.DrainTicks,
 		MaxInFlight:   h.cfg.MaxInFlight,
 		PollTicks:     h.cfg.PollTicks,
 		Observer:      r.Obs,
@@ -323,15 +302,24 @@ func (h *harness) driver(i int, r *fleet.Replica) *loadgen.OpenDriver {
 	}
 }
 
+// holdAt is the arrival boundary where each driver pauses to serve its
+// replica's rewrite, pinning the downtime gap to a known spot on the
+// timeline: Horizon/3 rounded down to the bucket grid.
 func (h *harness) holdAt() uint64 {
-	if h.cfg.HoldTicks != 0 {
-		return h.cfg.HoldTicks
-	}
-	bucket := h.cfg.BucketTicks
-	if bucket == 0 {
-		bucket = 100_000
-	}
+	bucket := h.cfg.bucket()
 	return h.cfg.Horizon / 3 / bucket * bucket
+}
+
+// defaultBucketTicks is the bucket width when Config.BucketTicks is
+// zero — the same default loadgen.OpenDriver applies.
+const defaultBucketTicks = 100_000
+
+// bucket is the configured bucket width or its default.
+func (c Config) bucket() uint64 {
+	if c.BucketTicks == 0 {
+		return defaultBucketTicks
+	}
+	return c.BucketTicks
 }
 
 // cloneMix gives each driver a private mix cursor so concurrent

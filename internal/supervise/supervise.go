@@ -45,7 +45,7 @@ var (
 	// has not expired yet.
 	ErrQuarantined = errors.New("supervise: feature quarantined by open circuit breaker")
 	// ErrGuestLost: the final rung — restoring the last-good images —
-	// failed RestoreAttempts times in a row; the guest is gone.
+	// failed restoreAttempts times in a row; the guest is gone.
 	ErrGuestLost = errors.New("supervise: guest lost (pristine restore failed)")
 	// ErrNotAttached: the supervisor has no last-good snapshot yet.
 	ErrNotAttached = errors.New("supervise: supervisor not attached")
@@ -105,9 +105,6 @@ type Config struct {
 	Canary func() error
 	// CanaryEvery is the probe cadence in virtual ticks.
 	CanaryEvery uint64
-	// CanaryDeadline bounds the virtual time one probe may consume;
-	// a slower probe counts as a failure even if it succeeds.
-	CanaryDeadline uint64
 	// CanaryBackoff is the first retry delay after a failed probe;
 	// it doubles per consecutive failure up to CanaryBackoffMax.
 	CanaryBackoff    uint64
@@ -126,11 +123,6 @@ type Config struct {
 	// degradation level decays back to normal and half-open breakers
 	// close. 0 = StormWindow.
 	CalmWindow uint64
-	// RestoreAttempts bounds the final rung's pristine-restore retries
-	// within one step. A failed restore leaves zero live processes, so
-	// the virtual clock freezes and no later watchdog tick would come:
-	// the retries must happen here or never.
-	RestoreAttempts int
 	// Observer receives supervise.* spans and points. nil = silent.
 	Observer *obs.Observer
 }
@@ -143,12 +135,22 @@ type Config struct {
 const (
 	DefaultPollEvery        = 64
 	DefaultCanaryEvery      = 512
-	DefaultCanaryDeadline   = 10_000
 	DefaultBreakerThreshold = 3
 	DefaultProbation        = 2_048
 	DefaultStormWindow      = 512
 	DefaultStormThreshold   = 8
-	DefaultRestoreAttempts  = 5
+)
+
+// Fixed supervisor bounds.
+const (
+	// canaryDeadline bounds the virtual time one probe may consume; a
+	// slower probe counts as a failure even if it succeeds.
+	canaryDeadline = 10_000
+	// restoreAttempts bounds the final rung's pristine-restore retries
+	// within one step. A failed restore leaves zero live processes, so
+	// the virtual clock freezes and no later watchdog tick would come:
+	// the retries must happen here or never.
+	restoreAttempts = 5
 )
 
 func (c *Config) fillDefaults() {
@@ -157,9 +159,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.CanaryEvery == 0 {
 		c.CanaryEvery = DefaultCanaryEvery
-	}
-	if c.CanaryDeadline == 0 {
-		c.CanaryDeadline = DefaultCanaryDeadline
 	}
 	if c.CanaryBackoff == 0 {
 		c.CanaryBackoff = c.CanaryEvery
@@ -184,9 +183,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.CalmWindow == 0 {
 		c.CalmWindow = c.StormWindow
-	}
-	if c.RestoreAttempts == 0 {
-		c.RestoreAttempts = DefaultRestoreAttempts
 	}
 }
 
@@ -461,9 +457,9 @@ func (s *Supervisor) runCanary(now uint64) {
 		before := s.m.Clock()
 		end := s.span("supervise.canary")
 		err = s.cfg.Canary()
-		if elapsed := s.m.Clock() - before; err == nil && elapsed > s.cfg.CanaryDeadline {
+		if elapsed := s.m.Clock() - before; err == nil && elapsed > canaryDeadline {
 			err = fmt.Errorf("supervise: canary exceeded deadline (%d > %d ticks)",
-				elapsed, s.cfg.CanaryDeadline)
+				elapsed, canaryDeadline)
 		}
 		end(err)
 	}
@@ -644,21 +640,15 @@ func (s *Supervisor) disarmAll(now uint64) bool {
 func (s *Supervisor) restorePristine(now uint64) bool {
 	end := s.span("supervise.restore")
 	var lastErr error
-	for attempt := 1; attempt <= s.cfg.RestoreAttempts; attempt++ {
+	for attempt := 1; attempt <= restoreAttempts; attempt++ {
 		if err := s.m.Fault(faultinject.SiteSuperviseRestore, attempt); err != nil {
 			lastErr = err
 			continue
 		}
-		for _, p := range s.m.Processes() {
-			s.m.Kill(p.PID())
-			s.m.Remove(p.PID())
-		}
-		procs, _, err := criu.Restore(s.m, s.lastGood)
-		if err != nil {
+		if err := s.cust.RestoreImages(s.lastGood); err != nil {
 			lastErr = err
 			continue
 		}
-		s.cust.Rebind(procs[0].PID()) // Restore returns the dump root first
 		s.restored = true
 		s.disarmed = true // pristine images predate all edits; stay off until Rearm
 		s.lastHits = 0
@@ -667,9 +657,9 @@ func (s *Supervisor) restorePristine(now uint64) bool {
 		s.point("supervise.degrade.restore", int64(attempt))
 		return true
 	}
-	s.fatal = fmt.Errorf("%w after %d attempts: %v", ErrGuestLost, s.cfg.RestoreAttempts, lastErr)
+	s.fatal = fmt.Errorf("%w after %d attempts: %v", ErrGuestLost, restoreAttempts, lastErr)
 	end(s.fatal)
-	s.point("supervise.degrade.lost", int64(s.cfg.RestoreAttempts))
+	s.point("supervise.degrade.lost", restoreAttempts)
 	return false
 }
 

@@ -15,15 +15,39 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
+// nonTest filters a package directory down to its non-test sources.
+func nonTest(fi os.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+
+// checkGolden compares a sorted name list with testdata/<file>, one
+// name a line, rewriting the file first under -update.
+func checkGolden(t *testing.T, file string, names []string) {
+	t.Helper()
+	got := strings.Join(names, "\n") + "\n"
+	golden := filepath.Join("testdata", file)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from golden.\n--- got ---\n%s--- want ---\n%s", file, got, want)
+	}
+}
+
 // publicSurface lists the package's exported package-level names and
 // the exported methods of its own types ("Session.Request"), sorted.
 // It reads the non-test sources, so a new file cannot add names
 // unnoticed.
 func publicSurface(t *testing.T) []string {
 	t.Helper()
-	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", nonTest, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,23 +98,7 @@ func publicSurface(t *testing.T) []string {
 // that every dynacut.X the docs cite is still exported.
 func TestPublicSurface(t *testing.T) {
 	names := publicSurface(t)
-	got := strings.Join(names, "\n") + "\n"
-	golden := filepath.Join("testdata", "public_api.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("public surface drifted from golden.\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	checkGolden(t, "public_api.golden", names)
 
 	exported := map[string]bool{}
 	for _, n := range names {
@@ -108,4 +116,54 @@ func TestPublicSurface(t *testing.T) {
 			}
 		}
 	}
+}
+
+// configStructs are the settings structs callers fill in, one per
+// layer that takes settings.
+var configStructs = []struct{ dir, pkg, typ string }{
+	{"internal/core", "core", "Options"},
+	{"internal/fleet", "fleet", "Config"},
+	{"internal/slo", "slo", "Config"},
+	{"internal/supervise", "supervise", "Config"},
+}
+
+// configFields lists the exported fields of every configStructs entry
+// as "pkg.Type.Field", sorted, read from the non-test sources.
+func configFields(t *testing.T) []string {
+	t.Helper()
+	var names []string
+	for _, cs := range configStructs {
+		pkgs, err := parser.ParseDir(token.NewFileSet(), cs.dir, nonTest, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st *ast.StructType
+		for _, f := range pkgs[cs.pkg].Files {
+			if obj := f.Scope.Lookup(cs.typ); obj != nil {
+				if ts, ok := obj.Decl.(*ast.TypeSpec); ok {
+					st, _ = ts.Type.(*ast.StructType)
+				}
+			}
+		}
+		if st == nil {
+			t.Fatalf("%s: no struct type %s", cs.dir, cs.typ)
+		}
+		for _, fld := range st.Fields.List {
+			for _, n := range fld.Names {
+				if n.IsExported() {
+					names = append(names, cs.pkg+"."+cs.typ+"."+n.Name)
+				}
+			}
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestConfigFields pins the settings surface — every exported field of
+// core.Options, fleet.Config, slo.Config and supervise.Config — to
+// testdata/config_fields.golden, so a knob is added or removed only on
+// purpose (run with -update after an intentional change).
+func TestConfigFields(t *testing.T) {
+	checkGolden(t, "config_fields.golden", configFields(t))
 }

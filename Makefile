@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race chaos fuzz check bench bench-mod bench-smoke cover loc supervise-demo fleet-demo load-demo
+.PHONY: all build test vet race chaos chaos-selectors fuzz check bench bench-mod bench-smoke cover loc supervise-demo fleet-demo load-demo
 
 all: check
 
@@ -22,12 +22,28 @@ race:
 # observability assertions that every injected fault lands in the
 # trace. Runs vet first and the coverage floor last: the chaos gate is
 # also the lint and coverage gate.
-chaos: vet
-	$(GO) test -race -run 'Chaos|Rollback|Rolls|Transient|Retried|Revalidated|Corrupt|BitFlip|Truncation|Observer|Overflow|Supervisor|Breaker|Storm|Fleet|Controller|Journal|Lease|MidWave|Pristine|PageStore|LivePatch|InstallHandler|Attest|Scrub|Quarantine|Repair|Lockstep|Translate|BlockCache|FlipBits|Clone' \
-		./internal/core/ ./internal/crit/ ./internal/criu/ ./internal/faultinject/ ./internal/fleet/ ./internal/kernel/ ./internal/obs/ ./internal/supervise/ .
-	$(GO) test -race -run 'Driver|Pool|Merge|Schedule|Ramp|Poisson|TraceCSV|Histogram|Mix|RolloutUnderLoad|SteadyState|HaltReleases|ConfigValidation|LivePatch|Scrub' \
-		./internal/loadgen/ ./internal/slo/
+CHAOS_RUN := Chaos|Rollback|Rolls|Transient|Retried|Revalidated|Corrupt|BitFlip|Truncation|Observer|Overflow|Supervisor|Breaker|Storm|Fleet|Controller|Journal|Lease|MidWave|Pristine|PageStore|LivePatch|InstallHandler|Attest|Scrub|Quarantine|Repair|Lockstep|Translate|BlockCache|FlipBits|Clone
+CHAOS_PKGS := ./internal/core/ ./internal/crit/ ./internal/criu/ ./internal/faultinject/ ./internal/fleet/ ./internal/kernel/ ./internal/obs/ ./internal/supervise/ .
+LOAD_CHAOS_RUN := Driver|Pool|Merge|Schedule|Ramp|Poisson|TraceCSV|Histogram|Mix|RolloutUnderLoad|SteadyState|HaltReleases|ConfigValidation|LivePatch|Scrub
+LOAD_CHAOS_PKGS := ./internal/loadgen/ ./internal/slo/
+
+chaos: vet chaos-selectors
+	$(GO) test -race -run '$(CHAOS_RUN)' $(CHAOS_PKGS)
+	$(GO) test -race -run '$(LOAD_CHAOS_RUN)' $(LOAD_CHAOS_PKGS)
 	$(MAKE) cover
+
+# Every |-separated token of a chaos -run selector must name at least
+# one test, fuzz target or example in its packages (as `go test -list`
+# reports them): a token left selecting nothing once its tests are
+# deleted or renamed would silently drop that suite from the gate.
+chaos-selectors:
+	@check() { \
+		names=$$($(GO) test -list . $$2 | grep -E '^(Test|Fuzz|Example)') || { echo "FAIL: no tests listed in $$2"; exit 1; }; \
+		for tok in $$(echo "$$1" | tr '|' ' '); do \
+			echo "$$names" | grep -qE "$$tok" || { echo "FAIL: chaos selector '$$tok' selects no test in $$2"; exit 1; }; \
+		done; \
+	}; \
+	check '$(CHAOS_RUN)' '$(CHAOS_PKGS)' && check '$(LOAD_CHAOS_RUN)' '$(LOAD_CHAOS_PKGS)' && echo "chaos selectors: every token selects a test"
 
 # Whole-suite statement coverage against the checked-in floor
 # (COVERAGE_FLOOR). Raise the floor when coverage rises; the gate

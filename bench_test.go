@@ -504,10 +504,10 @@ func BenchmarkMicro_BuildWebServer(b *testing.B) {
 
 // BenchmarkSupervisorOverhead measures the request-path cost of the
 // attached closed-loop supervisor. "bare" is the baseline; "attached"
-// adds the tick watchdog firing every DefaultPollEvery ticks with
-// nothing to heal (the pure poll cost); "canaried" adds the
-// end-to-end health probe on its DefaultCanaryEvery cadence — the
-// full steady-state configuration.
+// adds the tick watchdog firing at the supervisor's default poll
+// cadence (every 64 ticks) with nothing to heal (the pure poll cost);
+// "canaried" adds the end-to-end health probe at its default cadence
+// (every 512 ticks) — the full steady-state configuration.
 func BenchmarkSupervisorOverhead(b *testing.B) {
 	run := func(b *testing.B, attach bool, canary bool) {
 		app, err := dynacut.BuildWebServer(dynacut.WebServerConfig{Name: "lighttpd", Port: 8080})

@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -166,19 +167,11 @@ func (c *Customizer) resealOracle() error {
 	mem := p.Mem()
 	pns := mem.ExecPages()
 	live := mem.HashPages(pns)
-	store := c.attestStore()
 	next := make(map[uint64]*pageOracle, len(pns))
 	for _, pn := range pns {
-		po := c.oracle[pn]
-		if po == nil {
-			po = &pageOracle{}
-		} else if po.digest != live[pn] && !digestIn(po.history, po.digest) {
-			po.history = append(po.history, po.digest)
-		}
-		po.digest = live[pn]
-		po.overlay = c.overlayFor(mem, pn)
-		if _, err := store.DepositPage(mem.PageData(pn)); err != nil {
-			return fmt.Errorf("core: sealing oracle page %#x: %w", pn, err)
+		po, err := c.sealPage(c.oracle[pn], mem, pn, live[pn])
+		if err != nil {
+			return err
 		}
 		next[pn] = po
 	}
@@ -200,22 +193,33 @@ func (c *Customizer) updateOraclePages(pns []uint64) error {
 	}
 	mem := p.Mem()
 	live := mem.HashPages(pns)
-	store := c.attestStore()
 	for _, pn := range pns {
-		po := c.oracle[pn]
-		if po == nil {
-			po = &pageOracle{}
-			c.oracle[pn] = po
-		} else if po.digest != live[pn] && !digestIn(po.history, po.digest) {
-			po.history = append(po.history, po.digest)
+		po, err := c.sealPage(c.oracle[pn], mem, pn, live[pn])
+		if err != nil {
+			return err
 		}
-		po.digest = live[pn]
-		po.overlay = c.overlayFor(mem, pn)
-		if _, err := store.DepositPage(mem.PageData(pn)); err != nil {
-			return fmt.Errorf("core: sealing oracle page %#x: %w", pn, err)
-		}
+		c.oracle[pn] = po
 	}
 	return nil
+}
+
+// sealPage makes page pn's live content (digest) its expected state:
+// a changed digest pushes the old one onto po's version history (a
+// nil po starts a fresh record), the patched-byte overlay is
+// re-captured, and the content is deposited so a repair can
+// materialize it by key.
+func (c *Customizer) sealPage(po *pageOracle, mem *kernel.Memory, pn uint64, digest [sha256.Size]byte) (*pageOracle, error) {
+	if po == nil {
+		po = &pageOracle{}
+	} else if po.digest != digest && !digestIn(po.history, po.digest) {
+		po.history = append(po.history, po.digest)
+	}
+	po.digest = digest
+	po.overlay = c.overlayFor(mem, pn)
+	if _, err := c.attestStore().DepositPage(mem.PageData(pn)); err != nil {
+		return nil, fmt.Errorf("core: sealing oracle page %#x: %w", pn, err)
+	}
+	return po, nil
 }
 
 func digestIn(hs [][sha256.Size]byte, d [sha256.Size]byte) bool {
@@ -511,31 +515,14 @@ func (c *Customizer) Repair(rep *AttestReport, foreign bool) (RepairStats, error
 
 	// Quiesce: no target may be executing (or returning into) a byte
 	// run about to change — the live-patch discipline.
-	maxRounds := c.opts.LiveQuiesceRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultQuiesceRounds
-	}
-	for {
-		conflict := liveConflict(targets, spans)
-		if conflict == "" {
-			break
+	targets, rounds, err := c.quiesce(spans, "page under repair")
+	rs.Rounds = rounds
+	if err != nil {
+		if !errors.Is(err, ErrDead) {
+			err = fmt.Errorf("core: repair %w", err)
 		}
-		if rs.Rounds >= maxRounds {
-			err := fmt.Errorf("core: repair quiescence not reached in %d rounds: %s", maxRounds, conflict)
-			end(err)
-			return rs, err
-		}
-		if c.machine.RunRound() == 0 {
-			err := fmt.Errorf("core: guest parked inside page under repair: %s", conflict)
-			end(err)
-			return rs, err
-		}
-		rs.Rounds++
-		targets = c.liveTargets()
-		if len(targets) == 0 {
-			end(ErrDead)
-			return rs, ErrDead
-		}
+		end(err)
+		return rs, err
 	}
 
 	// Forks during quiesce can add processes; re-key the live set.
@@ -543,20 +530,10 @@ func (c *Customizer) Repair(rep *AttestReport, foreign bool) (RepairStats, error
 	for _, p := range targets {
 		byPID[p.PID()] = p
 	}
-	type writeRec struct {
-		mem  *kernel.Memory
-		addr uint64
-		orig []byte
-	}
-	var undo []writeRec
-	unwind := func() {
-		for i := len(undo) - 1; i >= 0; i-- {
-			_ = undo[i].mem.Write(undo[i].addr, undo[i].orig)
-		}
-		rs.Repaired = 0
-	}
+	var undo undoLog
 	fail := func(err error) (RepairStats, error) {
-		unwind()
+		undo.unwind()
+		rs.Repaired = 0
 		end(err)
 		return rs, err
 	}
@@ -568,17 +545,10 @@ func (c *Customizer) Repair(rep *AttestReport, foreign bool) (RepairStats, error
 		if ferr := c.machine.Fault(faultinject.SiteAttestRepair, mm.PID); ferr != nil {
 			return fail(fmt.Errorf("core: repairing page %#x: %w", mm.Page, ferr))
 		}
-		blob := blobs[i]
 		mem := p.Mem()
-		lo := mm.Page * kernel.PageSize
-		orig, err := mem.Read(lo, kernel.PageSize)
-		if err != nil {
-			return fail(fmt.Errorf("core: reading page %#x for repair: %w", mm.Page, err))
-		}
-		if err := mem.Write(lo, blob); err != nil {
+		if _, err := undo.write(mem, mm.Page*kernel.PageSize, blobs[i]); err != nil {
 			return fail(fmt.Errorf("core: repairing page %#x: %w", mm.Page, err))
 		}
-		undo = append(undo, writeRec{mem: mem, addr: lo, orig: orig})
 		if got := mem.HashPages([]uint64{mm.Page})[mm.Page]; got != mm.Want {
 			return fail(fmt.Errorf("core: page %#x still diverged after repair", mm.Page))
 		}

@@ -44,6 +44,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -130,60 +132,24 @@ func (c *Customizer) livePatch(name string, blocks []coverage.AbsBlock, policy P
 
 	spans := affectedSpans(blocks)
 
-	// Quiesce: step whole scheduler rounds until no target RIP or
-	// saved return address lies inside an affected block.
 	endQ := c.span("livepatch.quiesce", 0)
 	if ferr := c.machine.Fault(faultinject.SiteLivePatchQuiesce, c.pid); ferr != nil {
 		endQ(ferr)
 		return stats, fmt.Sprintf("quiesce fault: %v", ferr), nil
 	}
-	maxRounds := c.opts.LiveQuiesceRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultQuiesceRounds
-	}
-	for {
-		conflict := liveConflict(targets, spans)
-		if conflict == "" {
-			break
-		}
-		if stats.QuiesceRounds >= maxRounds {
-			endQ(nil)
-			return stats, fmt.Sprintf("quiescence not reached in %d rounds: %s", maxRounds, conflict), nil
-		}
-		n := c.machine.RunRound()
-		stats.QuiesceRounds++
-		if n == 0 {
-			// Every live process is blocked; more rounds cannot move
-			// the conflicting RIP or pop the conflicting frame.
-			endQ(nil)
-			return stats, fmt.Sprintf("guest parked inside affected block: %s", conflict), nil
-		}
-		// Fork during a round can add targets; recompute so a child
-		// parked inside a block is seen before we patch.
-		targets = c.liveTargets()
-		if len(targets) == 0 {
-			endQ(nil)
-			return stats, "", ErrDead
-		}
-	}
+	targets, stats.QuiesceRounds, err = c.quiesce(spans, "affected block")
 	endQ(nil)
+	if errors.Is(err, ErrDead) {
+		return stats, "", ErrDead
+	}
+	if err != nil {
+		return stats, err.Error(), nil
+	}
 
 	// Patch: write INT3 through Memory.Write (breaks CoW, marks the
 	// page dirty — the next incremental checkpoint carries the patch).
-	// Every write is recorded so any failure unwinds to pristine text.
-	type writeRec struct {
-		mem  *kernel.Memory
-		addr uint64
-		orig []byte
-	}
-	var undo []writeRec
-	unwind := func() {
-		for i := len(undo) - 1; i >= 0; i-- {
-			// Restoring bytes just written cannot fail: the pages are
-			// resident and private after the patch write.
-			_ = undo[i].mem.Write(undo[i].addr, undo[i].orig)
-		}
-	}
+	// Every write is logged so any failure unwinds to pristine text.
+	var undo undoLog
 	endP := c.span("livepatch.patch", 0)
 	savedNew := map[uint64][]byte{}
 	patched := 0
@@ -195,26 +161,16 @@ func (c *Customizer) livePatch(name string, blocks []coverage.AbsBlock, policy P
 				n = int(b.Size)
 			}
 			if ferr := c.machine.Fault(faultinject.SiteLivePatchPatch, p.PID()); ferr != nil {
-				unwind()
+				undo.unwind()
 				endP(ferr)
 				return stats, fmt.Sprintf("patch fault at %#x: %v", b.Addr, ferr), nil
 			}
-			orig, rerr := mem.Read(b.Addr, n)
-			if rerr != nil {
-				unwind()
-				endP(rerr)
-				return stats, fmt.Sprintf("reading %#x: %v", b.Addr, rerr), nil
-			}
-			fill := make([]byte, n)
-			for i := range fill {
-				fill[i] = 0xCC
-			}
-			if werr := mem.Write(b.Addr, fill); werr != nil {
-				unwind()
+			orig, werr := undo.write(mem, b.Addr, bytes.Repeat([]byte{0xCC}, n))
+			if werr != nil {
+				undo.unwind()
 				endP(werr)
 				return stats, fmt.Sprintf("patching %#x: %v", b.Addr, werr), nil
 			}
-			undo = append(undo, writeRec{mem: mem, addr: b.Addr, orig: orig})
 			if _, ok := c.saved[b.Addr]; !ok {
 				if _, ok := savedNew[b.Addr]; !ok {
 					savedNew[b.Addr] = orig
@@ -231,13 +187,13 @@ func (c *Customizer) livePatch(name string, blocks []coverage.AbsBlock, policy P
 	// transaction would abort at the same gate).
 	if c.opts.BeforeCommit != nil {
 		if aerr := c.opts.BeforeCommit(1); aerr != nil {
-			unwind()
+			undo.unwind()
 			c.point("rewrite.abort", 1)
 			return stats, "", fmt.Errorf("%w: %v", ErrAborted, aerr)
 		}
 	}
 	if ferr := c.machine.Fault(faultinject.SiteLivePatchCommit, len(blocks)); ferr != nil {
-		unwind()
+		undo.unwind()
 		return stats, fmt.Sprintf("commit fault: %v", ferr), nil
 	}
 	for addr, orig := range savedNew {
@@ -259,6 +215,76 @@ func (c *Customizer) livePatch(name string, blocks []coverage.AbsBlock, policy P
 	// resealed (their pre-patch digests join the version chain).
 	_ = c.updateOraclePages(spanPages(spans))
 	return stats, "", nil
+}
+
+// quiesce steps whole scheduler rounds until no live target's RIP or
+// saved return address lies inside spans: the safe point at which a
+// live write may land (DisableBlocksLive's patch, Repair's rewrite).
+// It returns the live targets — a fork during a round can add one, so
+// the set is recomputed after every round — and the rounds it ran. It
+// fails with ErrDead when no target is left, and otherwise names the
+// last conflict: the round budget (Options.LiveQuiesceRounds) ran out,
+// or every live process blocked with the guest parked inside what
+// inside describes, where more rounds cannot help.
+func (c *Customizer) quiesce(spans []blockSpan, inside string) ([]*kernel.Process, int, error) {
+	maxRounds := c.opts.LiveQuiesceRounds
+	if maxRounds <= 0 {
+		maxRounds = DefaultQuiesceRounds
+	}
+	targets := c.liveTargets()
+	for rounds := 0; ; {
+		if len(targets) == 0 {
+			return nil, rounds, ErrDead
+		}
+		conflict := liveConflict(targets, spans)
+		if conflict == "" {
+			return targets, rounds, nil
+		}
+		if rounds >= maxRounds {
+			return nil, rounds, fmt.Errorf("quiescence not reached in %d rounds: %s", maxRounds, conflict)
+		}
+		n := c.machine.RunRound()
+		rounds++
+		if n == 0 {
+			return nil, rounds, fmt.Errorf("guest parked inside %s: %s", inside, conflict)
+		}
+		targets = c.liveTargets()
+	}
+}
+
+// undoLog records the original bytes under every live write, so a
+// live edit that fails part-way puts the guest back exactly.
+type undoLog []liveWrite
+
+type liveWrite struct {
+	mem  *kernel.Memory
+	addr uint64
+	orig []byte
+}
+
+// write overwrites guest memory at addr with data, logging and
+// returning the bytes it replaced.
+func (u *undoLog) write(mem *kernel.Memory, addr uint64, data []byte) ([]byte, error) {
+	orig, err := mem.Read(addr, len(data))
+	if err != nil {
+		return nil, err
+	}
+	if err := mem.Write(addr, data); err != nil {
+		return nil, err
+	}
+	*u = append(*u, liveWrite{mem: mem, addr: addr, orig: orig})
+	return orig, nil
+}
+
+// unwind restores every logged write, newest first, and empties the
+// log. Restoring bytes just written cannot fail: the pages are
+// resident and private after the write.
+func (u *undoLog) unwind() {
+	for i := len(*u) - 1; i >= 0; i-- {
+		w := (*u)[i]
+		_ = w.mem.Write(w.addr, w.orig)
+	}
+	*u = nil
 }
 
 // spanPages returns the sorted, deduplicated page numbers covered by

@@ -37,7 +37,7 @@ func TestImageSetCloneIsolatesEdits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dpi.Delta || dpi.ParentImage() == nil {
+	if !dpi.Delta || delta.Parent == nil {
 		t.Fatal("second dump is not a bound delta")
 	}
 	for _, pn := range dpi.PageMap.PageNumbers {

@@ -28,11 +28,6 @@ type DumpOpts struct {
 	// absent from Parent, and any dump whose chain would exceed
 	// MaxParentDepth, fall back to a full dump.
 	Parent *ImageSet
-	// Store, when non-nil, deposits the finished set (ancestors
-	// included) into a content-addressed page store: pages identical
-	// across dumps — N fleet replicas cloned from one template — are
-	// stored once. The set itself is returned unchanged.
-	Store *PageStore
 }
 
 // Dump checkpoints a process (or its whole tree) into an ImageSet.
@@ -120,18 +115,6 @@ func Dump(m *kernel.Machine, pid int, opts DumpOpts) (*ImageSet, error) {
 		set.Parent = opts.Parent
 	}
 	sortPIDsParentFirst(set.PIDs, parent)
-	if opts.Store != nil {
-		before := opts.Store.Stats()
-		if _, err := opts.Store.Deposit(set); err != nil {
-			return nil, fmt.Errorf("dump: depositing into page store: %w", err)
-		}
-		if o := m.Observer(); o != nil {
-			after := opts.Store.Stats()
-			o.Add("criu.store.pages.new", int64(after.UniquePages-before.UniquePages))
-			o.Add("criu.store.dedup.hits", int64(after.DedupHits-before.DedupHits))
-			o.SetGauge("criu.store.bytes", int64(after.StoredBytes))
-		}
-	}
 	if o := m.Observer(); o != nil {
 		o.Add("criu.dumps", 1)
 		o.Add("criu.pages.dumped", int64(set.PagesDumped))

@@ -48,6 +48,8 @@ func FuzzUnmarshalImages(f *testing.F) {
 	f.Add(blob[:len(blob)-1])
 	f.Add([]byte{})
 	f.Add([]byte{0x0A, 0x00})
+	// The incremental wire form: a parent reference no blob may carry.
+	f.Add(handBlob(fuzzSeedSet(), true, nil))
 	mutated := append([]byte(nil), blob...)
 	mutated[len(mutated)/3] ^= 0x40
 	f.Add(mutated)

@@ -46,8 +46,7 @@ var (
 	// each other (pagemap not covered by pages, RIP unmapped, ...).
 	ErrInconsistentImage = errors.New("criu: inconsistent image set")
 	// ErrNoParent flags a delta image whose page lookups need a parent
-	// image set that is not bound (BindParent after Unmarshal) or whose
-	// chain exceeds MaxParentDepth.
+	// image set that is not bound or whose chain exceeds MaxParentDepth.
 	ErrNoParent = errors.New("criu: parent image not bound")
 )
 
@@ -129,9 +128,10 @@ type FilesImage struct {
 
 // ProcImage aggregates the images of one process. A Delta proc image
 // holds only the pages dirtied since its parent checkpoint; page
-// lookups fall through to the parent chain (bound via Dump or
-// BindParent), and Holes records pages the parent has but this image
-// explicitly lacks (unmapped since the parent was taken).
+// lookups fall through to the parent chain (bound by Dump), and Holes
+// records pages the parent has but this image explicitly lacks
+// (unmapped since the parent was taken). Delta images live only in
+// memory: Marshal flattens them, so a blob is always self-contained.
 type ProcImage struct {
 	Core    CoreImage
 	MM      MMImage
@@ -148,10 +148,6 @@ type ProcImage struct {
 	// parent is the same-PID image in the parent set (nil until bound).
 	parent *ProcImage
 }
-
-// ParentImage returns the bound parent proc image (nil for a full
-// image or an unbound delta).
-func (pi *ProcImage) ParentImage() *ProcImage { return pi.parent }
 
 // ownPage returns the page data held by this image itself, without
 // consulting the parent chain.
@@ -315,8 +311,7 @@ type ImageSet struct {
 	Procs map[int]*ProcImage
 
 	// Parent is the image set this one is a delta against (nil for a
-	// full dump). Serialization records Parent.Ident(); Unmarshal
-	// leaves the link detached until BindParent re-attaches it.
+	// full dump). It is never serialized: Marshal flattens the chain.
 	Parent *ImageSet
 
 	// PagesDumped/PagesSkipped report the incremental win of the Dump
@@ -326,8 +321,6 @@ type ImageSet struct {
 
 	ident     uint32    // cached Ident(); computed under identOnce
 	identOnce sync.Once // concurrent depositors may all ask for Ident
-	parentID  uint32    // parent identity recorded in the blob
-	hasPByRef bool      // blob carried a parent reference
 }
 
 // Delta reports whether any proc image in the set is incremental.
@@ -353,49 +346,15 @@ func (s *ImageSet) Depth() int {
 }
 
 // Ident returns the set's identity: the CRC-32C of its serialized
-// form. Children record it so BindParent can refuse to graft a delta
-// onto the wrong (or corrupted) ancestor. Computed once and cached
+// form, which keys the set in a PageStore. Computed once and cached
 // (safe for concurrent callers — fleet workers deposit the shared
 // pristine set from many goroutines) — do not mutate a set after
-// using it as a dump parent.
+// taking its identity.
 func (s *ImageSet) Ident() uint32 {
 	s.identOnce.Do(func() {
 		s.ident = crc32.Checksum(s.Marshal(), crcTable)
 	})
 	return s.ident
-}
-
-// ParentRef returns the parent identity recorded in the blob this set
-// was decoded from, if any.
-func (s *ImageSet) ParentRef() (uint32, bool) { return s.parentID, s.hasPByRef }
-
-// BindParent re-attaches a deserialized delta set to its parent: the
-// parent's identity must match the reference recorded in the blob,
-// and every delta proc must exist in the parent. Binding a
-// self-contained set is a no-op.
-func (s *ImageSet) BindParent(parent *ImageSet) error {
-	if !s.hasPByRef && !s.Delta() {
-		return nil
-	}
-	if parent == nil {
-		return fmt.Errorf("%w: delta set offered no parent", ErrNoParent)
-	}
-	if s.hasPByRef && parent.Ident() != s.parentID {
-		return fmt.Errorf("%w: parent identity %#x, delta expects %#x",
-			ErrCorruptImage, parent.Ident(), s.parentID)
-	}
-	for pid, pi := range s.Procs {
-		if !pi.Delta {
-			continue
-		}
-		pp, ok := parent.Procs[pid]
-		if !ok {
-			return fmt.Errorf("%w: delta pid %d missing from parent", ErrInconsistentImage, pid)
-		}
-		pi.parent = pp
-	}
-	s.Parent = parent
-	return nil
 }
 
 // Flatten materializes a self-contained copy of the set: every proc's
@@ -477,8 +436,6 @@ func (s *ImageSet) Clone() *ImageSet {
 		Parent:       s.Parent,
 		PagesDumped:  s.PagesDumped,
 		PagesSkipped: s.PagesSkipped,
-		parentID:     s.parentID,
-		hasPByRef:    s.hasPByRef,
 	}
 	for pid, pi := range s.Procs {
 		c := cloneProcShell(pi)
@@ -522,9 +479,15 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // entry's own body (every other field); it is always written last.
 const checksumField = 7
 
-// parentRefField is the top-level field carrying the parent set's
-// identity for incremental blobs.
-const parentRefField = 2
+// Wire fields an incremental image would need: a top-level parent
+// reference and the per-proc delta flag and holes. Marshal never
+// writes them, and Unmarshal rejects a blob that carries any, so a
+// decoded set never expects a parent it does not have.
+const (
+	refField   = 2
+	deltaField = 8
+	holesField = 9
+)
 
 // marshalProcBody encodes the checksummed portion of one proc entry.
 // It must stay deterministic: the parallel pipeline relies on
@@ -538,17 +501,11 @@ func marshalProcBody(pid int, pi *ProcImage) []byte {
 	e.Bytes(4, marshalPageMap(&pi.PageMap))
 	e.Bytes(5, pi.Pages)
 	e.Bytes(6, marshalFiles(&pi.Files))
-	if pi.Delta {
-		e.Bool(8, true)
-	}
-	for _, h := range pi.Holes {
-		e.Uint(9, h)
-	}
 	return e.Finish()
 }
 
-// Checksum returns the integrity checksum of one proc image as it
-// would be written by Marshal.
+// Checksum returns the integrity checksum of one proc image as Marshal
+// writes it for a full set.
 func (s *ImageSet) Checksum(pid int) (uint32, error) {
 	pi, err := s.Proc(pid)
 	if err != nil {
@@ -559,14 +516,23 @@ func (s *ImageSet) Checksum(pid int) (uint32, error) {
 
 // Marshal encodes the image set into a single blob (the "tmpfs
 // directory" of the paper's setup). Every proc entry carries a CRC32C
-// checksum of its content; Unmarshal refuses blobs that fail it.
-// Incremental sets additionally record the parent set's identity so
-// BindParent can refuse the wrong ancestor.
+// checksum of its content; Unmarshal refuses blobs that fail it. A
+// delta set is flattened first, so the blob is always a full,
+// self-contained set.
 //
 // Per-proc bodies are marshaled in parallel and assembled in PID
 // order, so the output is byte-identical run to run regardless of
 // goroutine scheduling.
 func (s *ImageSet) Marshal() []byte {
+	if s.Delta() {
+		flat, err := s.Flatten()
+		if err != nil {
+			// Dump binds every delta to a chain at most MaxParentDepth
+			// deep, so only a set broken by hand gets here.
+			panic(fmt.Sprintf("criu: marshal of an unresolvable delta set: %v", err))
+		}
+		s = flat
+	}
 	bodies := make([][]byte, len(s.PIDs))
 	var wg sync.WaitGroup
 	for i, pid := range s.PIDs {
@@ -579,17 +545,6 @@ func (s *ImageSet) Marshal() []byte {
 	wg.Wait()
 
 	var e pbuf.Encoder
-	if s.Delta() {
-		// The ref must precede the proc entries so a streaming decoder
-		// knows the set is incremental before it sees delta procs.
-		ref := s.parentID
-		if s.Parent != nil {
-			ref = s.Parent.Ident()
-		}
-		e.Msg(parentRefField, func(pe *pbuf.Encoder) {
-			pe.Uint(1, uint64(ref))
-		})
-	}
 	for _, body := range bodies {
 		body := body
 		e.Msg(1, func(pe *pbuf.Encoder) {
@@ -647,10 +602,8 @@ func unmarshalProcEntry(raw []byte) (int, *ProcImage, error) {
 		case checksumField:
 			wantCRC = pd.Uint()
 			hasCRC = true
-		case 8:
-			pi.Delta = pd.Bool()
-		case 9:
-			pi.Holes = append(pi.Holes, pd.Uint())
+		case deltaField, holesField:
+			decodeErr = fmt.Errorf("incremental field %d in proc entry", pd.Field())
 		default:
 			pd.Skip()
 		}
@@ -692,13 +645,13 @@ func unmarshalProcEntry(raw []byte) (int, *ProcImage, error) {
 // checksum. Corruption — truncation, bit flips, a missing checksum —
 // yields an error wrapping ErrCorruptImage or ErrBadImage; no partial
 // set is ever returned. Proc entries are decoded in parallel and
-// reassembled in blob order. A delta blob comes back detached: call
-// BindParent before restoring or editing it.
+// reassembled in blob order. A blob carrying any incremental field is
+// rejected with ErrBadImage: blobs come from outside the program and
+// must never decode to a delta with no parent.
 func Unmarshal(data []byte) (*ImageSet, error) {
 	s := &ImageSet{Procs: map[int]*ProcImage{}}
 
-	// Phase 1 (serial): split the blob into raw proc entries and pick
-	// up the parent reference.
+	// Phase 1 (serial): split the blob into raw proc entries.
 	var raws [][]byte
 	d := pbuf.NewDecoder(data)
 	for d.Next() {
@@ -709,18 +662,8 @@ func Unmarshal(data []byte) (*ImageSet, error) {
 				break
 			}
 			raws = append(raws, raw)
-		case parentRefField:
-			d.Msg(func(rd *pbuf.Decoder) error {
-				for rd.Next() {
-					if rd.Field() == 1 {
-						s.parentID = uint32(rd.Uint())
-						s.hasPByRef = true
-					} else {
-						rd.Skip()
-					}
-				}
-				return nil
-			})
+		case refField:
+			return nil, fmt.Errorf("%w: blob carries a parent reference", ErrBadImage)
 		default:
 			d.Skip()
 		}
@@ -760,9 +703,6 @@ func Unmarshal(data []byte) (*ImageSet, error) {
 	}
 	if len(s.PIDs) == 0 {
 		return nil, fmt.Errorf("%w: empty image set", ErrBadImage)
-	}
-	if s.Delta() && !s.hasPByRef {
-		return nil, fmt.Errorf("%w: delta proc entries without a parent reference", ErrBadImage)
 	}
 	return s, nil
 }

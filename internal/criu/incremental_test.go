@@ -3,9 +3,11 @@ package criu
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
+	"github.com/dynacut/dynacut/internal/criu/pbuf"
 	"github.com/dynacut/dynacut/internal/kernel"
 )
 
@@ -199,7 +201,7 @@ func TestParallelMarshalDeterministic(t *testing.T) {
 		t.Fatal("independent dumps of the same machine marshal differently")
 	}
 
-	// Delta blobs are deterministic too.
+	// A delta marshals as its flattened set, deterministically too.
 	m.Run(500)
 	d1, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Parent: a})
 	if err != nil {
@@ -220,65 +222,55 @@ func TestParallelMarshalDeterministic(t *testing.T) {
 	}
 }
 
-func TestDeltaBlobBindParent(t *testing.T) {
+// TestDeltaBlobSelfContained: a blob never carries a delta. Marshal
+// of an incremental set writes exactly the flattened set, the decoded
+// blob restores on a fresh machine with no parent in sight, and a blob
+// that does carry an incremental field is refused at decode.
+func TestDeltaBlobSelfContained(t *testing.T) {
 	m, p := loadCounter(t)
-	parent, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
+	full, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Run(500)
-	delta, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Parent: parent})
+	delta, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Parent: full})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	back, err := Unmarshal(delta.Marshal())
+	if !delta.Delta() {
+		t.Fatal("second dump with a parent is not a delta")
+	}
+	flat, err := delta.Flatten()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref, ok := back.ParentRef(); !ok || ref != parent.Ident() {
-		t.Fatalf("parent ref = %#x, %v; want %#x", ref, ok, parent.Ident())
+	blob := delta.Marshal()
+	if !bytes.Equal(blob, flat.Marshal()) {
+		t.Fatal("delta blob differs from the blob of its flattened set")
 	}
 
-	// Unbound: validation refuses, page lookups refuse.
-	if err := back.Validate(m); err == nil {
-		t.Fatal("unbound delta validated")
-	}
-	if _, err := back.Procs[p.PID()].Page(0); !errors.Is(err, ErrNoParent) && !errors.Is(err, ErrPageAbsent) {
-		if err == nil {
-			t.Fatal("unbound delta resolved a page")
-		}
-	}
-
-	// Binding to the wrong parent is corruption.
-	m2, p2 := loadCounter(t)
-	wrong, err := Dump(m2, p2.PID(), DumpOpts{})
+	back, err := Unmarshal(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := back.BindParent(wrong); !errors.Is(err, ErrCorruptImage) {
-		t.Fatalf("bind to wrong parent: %v", err)
+	if back.Delta() || back.Parent != nil {
+		t.Fatal("decoded blob is incremental")
 	}
-	if err := back.BindParent(nil); !errors.Is(err, ErrNoParent) {
-		t.Fatalf("bind to nil parent: %v", err)
-	}
-
-	// Bound to the right parent it validates and restores.
-	if err := back.BindParent(parent); err != nil {
+	dst := kernel.NewMachine()
+	bin, err := m.ReadFile("counter")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := back.Validate(m); err != nil {
-		t.Fatal(err)
+	dst.WriteFile("counter", bin)
+	if err := back.Validate(dst); err != nil {
+		t.Fatalf("decoded delta blob does not validate without a parent: %v", err)
 	}
 	counter := counterAddr(t)
 	want, err := p.Mem().ReadU64(counter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Kill(p.PID()); err != nil {
-		t.Fatal(err)
-	}
-	restored, _, err := Restore(m, back)
+	restored, _, err := Restore(dst, back)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,6 +281,46 @@ func TestDeltaBlobBindParent(t *testing.T) {
 	if got != want {
 		t.Fatalf("restored counter = %d, want %d", got, want)
 	}
+
+	for _, tc := range []struct {
+		name string
+		blob []byte
+	}{
+		{"parent-ref", handBlob(flat, true, nil)},
+		{"delta-field", handBlob(flat, false, func(e *pbuf.Encoder) { e.Bool(8, true) })},
+		{"holes-field", handBlob(flat, false, func(e *pbuf.Encoder) { e.Uint(9, 0x400) })},
+	} {
+		if _, err := Unmarshal(tc.blob); !errors.Is(err, ErrBadImage) {
+			t.Errorf("%s: Unmarshal = %v, want ErrBadImage", tc.name, err)
+		}
+	}
+	if _, err := Unmarshal(handBlob(flat, false, nil)); err != nil {
+		t.Fatalf("hand-encoded full blob does not decode: %v", err)
+	}
+}
+
+// handBlob encodes set the way Marshal frames it, optionally preceded
+// by a top-level parent reference (field 2) and with extra fields
+// appended to every proc body under a valid checksum — the incremental
+// wire form no blob may carry.
+func handBlob(set *ImageSet, parentRef bool, extra func(e *pbuf.Encoder)) []byte {
+	var e pbuf.Encoder
+	if parentRef {
+		e.Msg(2, func(re *pbuf.Encoder) { re.Uint(1, 0x1234) })
+	}
+	for _, pid := range set.PIDs {
+		var be pbuf.Encoder
+		be.Raw(marshalProcBody(pid, set.Procs[pid]))
+		if extra != nil {
+			extra(&be)
+		}
+		body := be.Finish()
+		e.Msg(1, func(pe *pbuf.Encoder) {
+			pe.Raw(body)
+			pe.Uint(checksumField, uint64(crc32.Checksum(body, crcTable)))
+		})
+	}
+	return e.Finish()
 }
 
 func counterAddr(t *testing.T) uint64 {

@@ -23,8 +23,8 @@ var ErrStoreCorrupt = errors.New("criu: page store blob corrupt")
 // template guest — are stored once however many image sets reference
 // them. It is the fleet layer's shared storage backend: depositing N
 // clone checkpoints costs ~1 guest of page blobs plus per-set
-// metadata, and any deposited set (delta chains included) can be
-// re-materialized for restore.
+// metadata, and any deposited set can be re-materialized for restore.
+// A stored set is always full: deltas stay in memory (Flatten first).
 //
 // All methods are safe for concurrent use. The page map is sharded by
 // hash prefix (the first key byte picks the bucket), so a rollout
@@ -56,14 +56,11 @@ type pageShard struct {
 const defaultPageShards = 64
 
 // storedSet is one deposited image set: per-proc metadata with the
-// page payload replaced by content keys, plus the parent identity for
-// delta chains.
+// page payload replaced by content keys.
 type storedSet struct {
-	pids      []int
-	shells    map[int]*ProcImage // Pages nil; everything else deep-copied
-	keys      map[int][][sha256.Size]byte
-	parentID  uint32
-	hasParent bool
+	pids   []int
+	shells map[int]*ProcImage // Pages nil; everything else deep-copied
+	keys   map[int][][sha256.Size]byte
 }
 
 // StoreStats is a snapshot of the store's dedup accounting.
@@ -200,20 +197,17 @@ func cloneProcShell(pi *ProcImage) *ProcImage {
 	return c
 }
 
-// Deposit interns an image set: every page is stored under its content
-// hash (duplicates shared, not copied) and the set's structure is
-// recorded under its Ident. A delta set's ancestors are deposited
-// first, so materializing the set later can rebuild the whole chain.
-// Depositing a set that is already present is a cheap no-op. Returns
-// the set's identity.
+// Deposit interns a full image set: every page is stored under its
+// content hash (duplicates shared, not copied) and the set's structure
+// is recorded under its Ident. A delta set is refused with ErrBadImage
+// — flatten it first. Depositing a set that is already present is a
+// cheap no-op. Returns the set's identity.
 func (s *PageStore) Deposit(set *ImageSet) (uint32, error) {
 	if set == nil {
 		return 0, fmt.Errorf("%w: nil image set", ErrBadImage)
 	}
-	if set.Parent != nil {
-		if _, err := s.Deposit(set.Parent); err != nil {
-			return 0, err
-		}
+	if set.Delta() {
+		return 0, fmt.Errorf("%w: a deposit must be a full set, not a delta", ErrBadImage)
 	}
 	ident := set.Ident()
 
@@ -236,15 +230,6 @@ func (s *PageStore) Deposit(set *ImageSet) (uint32, error) {
 		shells: make(map[int]*ProcImage, len(set.Procs)),
 		keys:   make(map[int][][sha256.Size]byte, len(set.Procs)),
 	}
-	if set.Parent != nil {
-		st.parentID = set.Parent.Ident()
-		st.hasParent = true
-	} else if pid, ok := set.ParentRef(); ok {
-		// Decoded-but-unbound delta: keep the recorded reference so a
-		// later materialize can still find the chain if it is deposited.
-		st.parentID = pid
-		st.hasParent = true
-	}
 	for pid, pi := range set.Procs {
 		keys := make([][sha256.Size]byte, len(pi.PageMap.PageNumbers))
 		for i := range pi.PageMap.PageNumbers {
@@ -262,17 +247,8 @@ func (s *PageStore) Deposit(set *ImageSet) (uint32, error) {
 	return ident, nil
 }
 
-// Contains reports whether the store holds a set with this identity.
-func (s *PageStore) Contains(ident uint32) bool {
-	s.setMu.RLock()
-	defer s.setMu.RUnlock()
-	_, ok := s.sets[ident]
-	return ok
-}
-
 // Materialize rebuilds a deposited image set, re-assembling page
-// payloads from the shared blobs and re-binding delta chains through
-// their deposited ancestors. The returned set is private to the
+// payloads from the shared blobs. The returned set is private to the
 // caller: mutating it (crit edits) does not touch the store.
 func (s *PageStore) Materialize(ident uint32) (*ImageSet, error) {
 	s.setMu.RLock()
@@ -301,17 +277,6 @@ func (s *PageStore) Materialize(ident uint32) (*ImageSet, error) {
 		}
 		set.Procs[pid] = pi
 	}
-	if st.hasParent {
-		parent, err := s.Materialize(st.parentID)
-		if err != nil {
-			return nil, fmt.Errorf("materializing parent of %#x: %w", ident, err)
-		}
-		set.parentID = st.parentID
-		set.hasPByRef = true
-		if err := set.BindParent(parent); err != nil {
-			return nil, err
-		}
-	}
 	return set, nil
 }
 
@@ -334,15 +299,4 @@ func (s *PageStore) Stats() StoreStats {
 	stats.Sets = len(s.sets)
 	s.setMu.RUnlock()
 	return stats
-}
-
-// RestoreFromStore materializes a deposited image set and restores it
-// into the machine: N replicas share one deposited pristine checkpoint
-// and each can be rebuilt from it independently.
-func RestoreFromStore(m *kernel.Machine, store *PageStore, ident uint32) ([]*kernel.Process, map[int]int, error) {
-	set, err := store.Materialize(ident)
-	if err != nil {
-		return nil, nil, err
-	}
-	return Restore(m, set)
 }

@@ -2,6 +2,7 @@ package criu
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 
@@ -13,18 +14,21 @@ func TestPageStoreDepositMaterializeRoundTrip(t *testing.T) {
 	m, p := loadCounter(t)
 	store := NewPageStore()
 
-	set, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Store: store})
+	set, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ident := set.Ident()
-	if !store.Contains(ident) {
-		t.Fatal("dump with Store did not deposit the set")
+	ident, err := store.Deposit(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ident != set.Ident() {
+		t.Fatalf("Deposit returned ident %#x, want %#x", ident, set.Ident())
 	}
 
 	got, err := store.Materialize(ident)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("deposited set does not materialize: %v", err)
 	}
 	if !bytes.Equal(got.Marshal(), set.Marshal()) {
 		t.Fatal("materialized set is not byte-identical to the deposited one")
@@ -52,7 +56,10 @@ func TestPageStoreDepositMaterializeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPageStoreDeltaChainRoundTrip(t *testing.T) {
+// TestPageStoreRejectsDelta: a stored set is always full. A delta is
+// refused and deposits nothing; its flattened set deposits and
+// materializes to the same blob Marshal writes for the delta.
+func TestPageStoreRejectsDelta(t *testing.T) {
 	m, p := loadCounter(t)
 	store := NewPageStore()
 
@@ -61,52 +68,30 @@ func TestPageStoreDeltaChainRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Run(500)
-	delta, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Parent: full, Store: store})
+	delta, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Parent: full})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !delta.Delta() {
-		t.Fatal("expected a delta dump")
+	if _, err := store.Deposit(delta); !errors.Is(err, ErrBadImage) {
+		t.Fatalf("Deposit of a delta: %v, want ErrBadImage", err)
 	}
-	// Depositing the delta must have pulled its ancestor in too.
-	if !store.Contains(full.Ident()) {
-		t.Fatal("delta deposit did not deposit the parent chain")
+	if st := store.Stats(); st.Sets != 0 || st.PagesInterned != 0 {
+		t.Fatalf("refused delta left state behind: %+v", st)
 	}
-
-	got, err := store.Materialize(delta.Ident())
+	flat, err := delta.Flatten()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEff, err := delta.Procs[p.PID()].EffectivePages()
+	ident, err := store.Deposit(flat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotEff, err := got.Procs[p.PID()].EffectivePages()
-	if err != nil {
-		t.Fatalf("materialized delta chain does not resolve: %v", err)
-	}
-	if len(gotEff) != len(wantEff) {
-		t.Fatalf("effective pages: got %d, want %d", len(gotEff), len(wantEff))
-	}
-	for pn, want := range wantEff {
-		if !bytes.Equal(gotEff[pn], want) {
-			t.Fatalf("page %d differs after materialize", pn)
-		}
-	}
-
-	// And the materialized chain restores into a live guest.
-	if err := m.Kill(p.PID()); err != nil {
-		t.Fatal(err)
-	}
-	procs, _, err := RestoreFromStore(m, store, delta.Ident())
+	got, err := store.Materialize(ident)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(procs) != 1 || procs[0].Exited() {
-		t.Fatalf("restore from store: procs=%v", procs)
-	}
-	if n := m.Run(500); n == 0 {
-		t.Fatal("restored guest does not execute")
+	if !bytes.Equal(got.Marshal(), delta.Marshal()) {
+		t.Fatal("materialized flattened delta differs from the delta's blob")
 	}
 }
 
@@ -153,7 +138,11 @@ func TestPageStoreDedupSubLinearGrowth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Dump(rm, rp.PID(), DumpOpts{ExecPages: true, Store: store}); err != nil {
+		set, err := Dump(rm, rp.PID(), DumpOpts{ExecPages: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.Deposit(set); err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
@@ -178,7 +167,7 @@ func TestPageStoreDedupSubLinearGrowth(t *testing.T) {
 // TestPageStoreConcurrentDepositMaterialize is the sharding race test:
 // depositors racing each other (including on the *same* set, so the
 // dedup fast path and the double-checked set insert both fire) while
-// readers Materialize, Contains and Stats concurrently. Run under
+// readers Materialize and Stats concurrently. Run under
 // -race this pins down the shard-lock discipline; the final checks pin
 // down that no deposit was lost or mangled by the races.
 func TestPageStoreConcurrentDepositMaterialize(t *testing.T) {
@@ -233,9 +222,6 @@ func TestPageStoreConcurrentDepositMaterialize(t *testing.T) {
 				}
 				if got.Ident() != ident0 {
 					t.Errorf("materialize under load: ident %#x, want %#x", got.Ident(), ident0)
-				}
-				if !store.Contains(ident0) {
-					t.Error("seeded set vanished from the store")
 				}
 				_ = store.Stats()
 			}

@@ -83,7 +83,7 @@ func validateProc(pid int, pi *ProcImage, store FileStore) error {
 	// bound and bounded.
 	if pi.Delta {
 		if pi.parent == nil {
-			return fail("delta image has no bound parent (call BindParent after Unmarshal)")
+			return fail("delta image has no bound parent")
 		}
 		if d := pi.Depth(); d > MaxParentDepth {
 			return fail("parent chain depth %d exceeds limit %d", d, MaxParentDepth)

@@ -133,12 +133,12 @@ type Config struct {
 // scheduler round, probes every few hundred ticks, and storms are
 // judged over windows a handful of requests wide.
 const (
-	DefaultPollEvery        = 64
-	DefaultCanaryEvery      = 512
-	DefaultBreakerThreshold = 3
-	DefaultProbation        = 2_048
-	DefaultStormWindow      = 512
-	DefaultStormThreshold   = 8
+	defaultPollEvery        = 64
+	defaultCanaryEvery      = 512
+	defaultBreakerThreshold = 3
+	defaultProbation        = 2_048
+	defaultStormWindow      = 512
+	defaultStormThreshold   = 8
 )
 
 // Fixed supervisor bounds.
@@ -155,10 +155,10 @@ const (
 
 func (c *Config) fillDefaults() {
 	if c.PollEvery == 0 {
-		c.PollEvery = DefaultPollEvery
+		c.PollEvery = defaultPollEvery
 	}
 	if c.CanaryEvery == 0 {
-		c.CanaryEvery = DefaultCanaryEvery
+		c.CanaryEvery = defaultCanaryEvery
 	}
 	if c.CanaryBackoff == 0 {
 		c.CanaryBackoff = c.CanaryEvery
@@ -167,19 +167,19 @@ func (c *Config) fillDefaults() {
 		c.CanaryBackoffMax = 8 * c.CanaryBackoff
 	}
 	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = DefaultBreakerThreshold
+		c.BreakerThreshold = defaultBreakerThreshold
 	}
 	if c.Probation == 0 {
-		c.Probation = DefaultProbation
+		c.Probation = defaultProbation
 	}
 	if c.ProbationMax == 0 {
 		c.ProbationMax = 8 * c.Probation
 	}
 	if c.StormWindow == 0 {
-		c.StormWindow = DefaultStormWindow
+		c.StormWindow = defaultStormWindow
 	}
 	if c.StormThreshold == 0 {
-		c.StormThreshold = DefaultStormThreshold
+		c.StormThreshold = defaultStormThreshold
 	}
 	if c.CalmWindow == 0 {
 		c.CalmWindow = c.StormWindow

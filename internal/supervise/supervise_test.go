@@ -542,7 +542,7 @@ func assertConverged(t *testing.T, b *bed, sup *Supervisor, cust *core.Customize
 		if br.State == BreakerOpen && br.Trips == 0 {
 			t.Errorf("breaker %q open without a recorded trip", name)
 		}
-		if br.Probation > 8*DefaultProbation && br.Probation > sup.cfg.ProbationMax {
+		if br.Probation > 8*defaultProbation && br.Probation > sup.cfg.ProbationMax {
 			t.Errorf("breaker %q probation %d exceeds cap", name, br.Probation)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"sort"
 
 	"github.com/dynacut/dynacut/internal/criu"
+	"github.com/dynacut/dynacut/internal/delf"
 	"github.com/dynacut/dynacut/internal/faultinject"
 	"github.com/dynacut/dynacut/internal/kernel"
 )
@@ -145,81 +147,107 @@ func (c *Customizer) attestStore() *criu.PageStore {
 	return c.attStore
 }
 
-// ensureSealed seals the oracle from the live guest on first use.
-func (c *Customizer) ensureSealed() error {
-	if c.attSealed {
-		return nil
+// sealText resets the oracle and seals every text page of the root
+// process: the expected state of a guest the customizer has not
+// edited (New, RestoreImages).
+func (c *Customizer) sealText() error {
+	p, err := c.machine.Process(c.pid)
+	if err != nil || p.Exited() {
+		return ErrDead
 	}
-	return c.resealOracle()
+	c.oracle = map[uint64]*pageOracle{}
+	return c.seal(p.Mem().ExecPages())
 }
 
-// resealOracle recomputes the expected digest of every text page from
-// the root process's live memory — the incremental commit step of the
-// oracle. A page whose digest changed pushes its old digest onto the
-// version history; every page's current content is deposited into the
-// store so a later repair can materialize the expected bytes by key.
-// Call only at commit points, when the live text IS the expected text.
-func (c *Customizer) resealOracle() error {
+// seal makes the root process's live content of pages pns their
+// expected state — the oracle's only seal path, called at every commit
+// point with just the pages that commit changed. A populated page in
+// an executable VMA is deposited into the store, whose content key is
+// its digest; a changed digest pushes the old one onto the page's
+// version history and the patched-byte overlay is re-captured. Any
+// other page (unmapped, unpopulated, no longer executable) leaves the
+// oracle.
+func (c *Customizer) seal(pns []uint64) error {
 	p, err := c.machine.Process(c.pid)
 	if err != nil || p.Exited() {
 		return ErrDead
 	}
 	mem := p.Mem()
-	pns := mem.ExecPages()
-	live := mem.HashPages(pns)
-	next := make(map[uint64]*pageOracle, len(pns))
 	for _, pn := range pns {
-		po, err := c.sealPage(c.oracle[pn], mem, pn, live[pn])
-		if err != nil {
-			return err
+		v, mapped := mem.VMAAt(pn * kernel.PageSize)
+		pg := mem.PageDataUnsafe(pn)
+		if !mapped || v.Perm&delf.PermX == 0 || pg == nil {
+			delete(c.oracle, pn)
+			continue
 		}
-		next[pn] = po
-	}
-	c.oracle = next
-	c.attSealed = true
-	return nil
-}
-
-// updateOraclePages incrementally reseals only the listed pages — the
-// live-patch commit path, which touches a handful of pages and should
-// not pay a full text hash.
-func (c *Customizer) updateOraclePages(pns []uint64) error {
-	if !c.attSealed {
-		return c.resealOracle()
-	}
-	p, err := c.machine.Process(c.pid)
-	if err != nil || p.Exited() {
-		return ErrDead
-	}
-	mem := p.Mem()
-	live := mem.HashPages(pns)
-	for _, pn := range pns {
-		po, err := c.sealPage(c.oracle[pn], mem, pn, live[pn])
+		digest, err := c.attestStore().DepositPage(pg)
 		if err != nil {
-			return err
+			return fmt.Errorf("core: sealing oracle page %#x: %w", pn, err)
 		}
-		c.oracle[pn] = po
+		po := c.oracle[pn]
+		if po == nil {
+			po = &pageOracle{}
+			c.oracle[pn] = po
+		} else if po.digest != digest && !digestIn(po.history, po.digest) {
+			po.history = append(po.history, po.digest)
+		}
+		po.digest = digest
+		po.overlay = c.overlayFor(mem, pn)
 	}
 	return nil
 }
 
-// sealPage makes page pn's live content (digest) its expected state:
-// a changed digest pushes the old one onto po's version history (a
-// nil po starts a fresh record), the patched-byte overlay is
-// re-captured, and the content is deposited so a repair can
-// materialize it by key.
-func (c *Customizer) sealPage(po *pageOracle, mem *kernel.Memory, pn uint64, digest [sha256.Size]byte) (*pageOracle, error) {
-	if po == nil {
-		po = &pageOracle{}
-	} else if po.digest != digest && !digestIn(po.history, po.digest) {
-		po.history = append(po.history, po.digest)
+// committedPages returns the root process's pages whose expected state
+// a commit of work (edited from the dumped set) moves: the pages the
+// edit changed and, in verifier mode, the pages of every byte the
+// in-guest verifier healed since the last adoption. The guest rewrote
+// those between commits and the dump carried them into this one.
+func (c *Customizer) committedPages(set, work *criu.ImageSet) ([]uint64, error) {
+	pns, err := editedPages(set, work)
+	if err != nil || !c.opts.Verifier || c.handler == nil {
+		return pns, err
 	}
-	po.digest = digest
-	po.overlay = c.overlayFor(mem, pn)
-	if _, err := c.attestStore().DepositPage(mem.PageData(pn)); err != nil {
-		return nil, fmt.Errorf("core: sealing oracle page %#x: %w", pn, err)
+	healed, err := c.FalseRemovals()
+	return append(pns, healedPages(healed)...), err
+}
+
+// healedPages returns the pages holding addrs, each the address of a
+// byte the in-guest verifier restored.
+func healedPages(addrs []uint64) []uint64 {
+	spans := make([]blockSpan, len(addrs))
+	for i, a := range addrs {
+		spans[i] = blockSpan{lo: a, hi: a + 1}
 	}
-	return po, nil
+	return spanPages(spans)
+}
+
+// editedPages returns the pages at which an edit changed the root
+// process's image: pages whose resolved contents differ between the
+// dumped set and the edited work set (compared byte for byte, not
+// hashed), and pages only one of the two has. These are the only
+// pages a committed rewrite changes in the root's live memory.
+func editedPages(set, work *criu.ImageSet) ([]uint64, error) {
+	pid := set.PIDs[0]
+	before, err := set.Procs[pid].EffectivePages()
+	if err != nil {
+		return nil, err
+	}
+	after, err := work.Procs[pid].EffectivePages()
+	if err != nil {
+		return nil, err
+	}
+	var pns []uint64
+	for pn, pg := range after {
+		if old, ok := before[pn]; !ok || !bytes.Equal(old, pg) {
+			pns = append(pns, pn)
+		}
+	}
+	for pn := range before {
+		if _, ok := after[pn]; !ok {
+			pns = append(pns, pn)
+		}
+	}
+	return pns, nil
 }
 
 func digestIn(hs [][sha256.Size]byte, d [sha256.Size]byte) bool {
@@ -305,9 +333,6 @@ func attRoot(pages map[uint64][sha256.Size]byte, features []string) [sha256.Size
 // digests, the applied-feature set, and the root committing to both.
 // It never reads live guest memory — this is what the state SHOULD be.
 func (c *Customizer) Attestation() (Attestation, error) {
-	if err := c.ensureSealed(); err != nil {
-		return Attestation{}, err
-	}
 	pages := make(map[uint64][sha256.Size]byte, len(c.oracle))
 	for pn, po := range c.oracle {
 		pages[pn] = po.digest
@@ -322,9 +347,6 @@ func (c *Customizer) Attestation() (Attestation, error) {
 // a full Attest. It consults the kernel.text.bitflip fault site first;
 // TextRoot is the same hash without it.
 func (c *Customizer) LiveRoot() ([sha256.Size]byte, error) {
-	if err := c.ensureSealed(); err != nil {
-		return [sha256.Size]byte{}, err
-	}
 	c.injectBitflip()
 	return c.TextRoot()
 }
@@ -336,9 +358,6 @@ func (c *Customizer) LiveRoot() ([sha256.Size]byte, error) {
 // itself — the check a resumed rollout controller classifies torn
 // steps by.
 func (c *Customizer) TextRoot() ([sha256.Size]byte, error) {
-	if err := c.ensureSealed(); err != nil {
-		return [sha256.Size]byte{}, err
-	}
 	p, err := c.machine.Process(c.pid)
 	if err != nil || p.Exited() {
 		return [sha256.Size]byte{}, ErrDead
@@ -380,9 +399,6 @@ func (c *Customizer) injectBitflip() {
 // live-patch quiesce machinery establishes — so a page is never hashed
 // mid-patch.
 func (c *Customizer) Attest() (*AttestReport, error) {
-	if err := c.ensureSealed(); err != nil {
-		return nil, err
-	}
 	end := c.span("attest", 0)
 	c.injectBitflip()
 	targets := c.liveTargets()
@@ -557,6 +573,30 @@ func (c *Customizer) Repair(rep *AttestReport, foreign bool) (RepairStats, error
 	}
 	end(nil)
 	return rs, nil
+}
+
+// Scrub attests the live text and, if any page diverged, repairs every
+// mismatch in place (foreign ones included) and attests again. It
+// returns the last report, clean on success, and the repair's stats:
+// Repaired is zero exactly when the first attestation was already
+// clean. A failed repair, or text still diverged after it, is an error.
+func (c *Customizer) Scrub() (*AttestReport, RepairStats, error) {
+	rep, err := c.Attest()
+	if err != nil || rep.Clean() {
+		return rep, RepairStats{}, err
+	}
+	rs, err := c.Repair(rep, true)
+	if err != nil {
+		return nil, rs, err
+	}
+	rep, err = c.Attest()
+	if err == nil && !rep.Clean() {
+		err = fmt.Errorf("core: text still diverged after repair (%d mismatches)", len(rep.Mismatches))
+	}
+	if err != nil {
+		return nil, rs, err
+	}
+	return rep, rs, nil
 }
 
 // expectedBlob sources the expected content of a page: first the store

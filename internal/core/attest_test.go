@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"github.com/dynacut/dynacut/internal/apps/webserv"
+	"github.com/dynacut/dynacut/internal/coverage"
 	"github.com/dynacut/dynacut/internal/faultinject"
 	"github.com/dynacut/dynacut/internal/kernel"
 	"github.com/dynacut/dynacut/internal/obs"
@@ -362,5 +364,247 @@ func TestAttestLiveRootMatchesOracleAndReport(t *testing.T) {
 	}
 	if PageClean.String() != "clean" || PageRepairable.String() != "repairable" {
 		t.Fatal("PageVerdict names wrong")
+	}
+}
+
+// untouchedTextPage returns a sealed text page that no span in spans
+// reaches: a page an edit of those spans leaves alone.
+func untouchedTextPage(t *testing.T, c *Customizer, spans []blockSpan) uint64 {
+	t.Helper()
+	touched := map[uint64]bool{}
+	for _, pn := range spanPages(spans) {
+		touched[pn] = true
+	}
+	for _, pn := range c.oraclePageNumbers() {
+		if !touched[pn] {
+			return pn
+		}
+	}
+	t.Fatal("every text page is touched by the edit")
+	return 0
+}
+
+// entrySpans is the one-byte span of every block entry: what
+// PolicyBlockEntry writes.
+func entrySpans(blocks []coverage.AbsBlock) []blockSpan {
+	spans := make([]blockSpan, len(blocks))
+	for i, b := range blocks {
+		spans[i] = blockSpan{lo: b.Addr, hi: b.Addr + 1}
+	}
+	return spans
+}
+
+// flipAndExpectForeign flips one bit of text page pn, runs rewrite, and
+// checks that the flip is still a foreign mismatch afterwards and that
+// Repair heals it: a rewrite reseals only what its edit changed, so a
+// silent flip its dump captured never becomes the expected state.
+func flipAndExpectForeign(t *testing.T, tb *testbed, c *Customizer, pn uint64, rewrite func() error) {
+	t.Helper()
+	p, err := tb.m.Process(c.PID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Mem().FlipBits(pn*kernel.PageSize+kernel.PageSize-1, 0x01) {
+		t.Fatal("FlipBits refused the text page")
+	}
+	if err := rewrite(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Attest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Mismatches) != 1 || rep.Mismatches[0].Page != pn || rep.Mismatches[0].Verdict != PageForeign {
+		t.Fatalf("mismatches = %+v, want page %#x foreign", rep.Mismatches, pn)
+	}
+	if rs, err := c.Repair(rep, true); err != nil || rs.Repaired != 1 {
+		t.Fatalf("repair: %+v, %v", rs, err)
+	}
+	if rep, err := c.Attest(); err != nil || !rep.Clean() {
+		t.Fatalf("post-repair attest: %v, %+v", err, rep.Mismatches)
+	}
+	if got := tb.request(t, "GET /\n"); !strings.Contains(got, "200") {
+		t.Fatalf("GET -> %q, want 200", got)
+	}
+}
+
+// TestAttestFlipSurvivesFullDumpRollback: a text page flipped before a
+// rewrite that rolls back stays foreign. The rollback restores the
+// full dump, flip included, and moves no expected digest.
+func TestAttestFlipSurvivesFullDumpRollback(t *testing.T) {
+	tb := newTestbed(t, webserv.Config{Name: "lighttpd", Port: 9328})
+	blocks := tb.profileFeatures(t, wantedReqs, undesiredReqs)
+	c, err := New(tb.m, tb.proc.PID(), Options{RedirectTo: tb.errPathAddr(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pn := untouchedTextPage(t, c, entrySpans(blocks))
+	flipAndExpectForeign(t, tb, c, pn, func() error {
+		inj := faultinject.New(1)
+		inj.FailRestoreAtStep(1)
+		tb.m.SetFaultHook(inj)
+		defer tb.m.SetFaultHook(nil)
+		stats, err := c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry)
+		if !errors.Is(err, ErrRolledBack) {
+			return fmt.Errorf("rewrite error = %v, want rolled back", err)
+		}
+		if stats.PagesSkipped != 0 {
+			return fmt.Errorf("dump skipped %d pages, want a full dump", stats.PagesSkipped)
+		}
+		return nil
+	})
+	tb.assertServing(t)
+}
+
+// TestAttestFlipSurvivesFullDumpCommit: a text page the edit does not
+// touch is flipped, then a rewrite whose dump is full (the first after
+// a rolled-back one) commits. The flip stays foreign.
+func TestAttestFlipSurvivesFullDumpCommit(t *testing.T) {
+	tb := newTestbed(t, webserv.Config{Name: "lighttpd", Port: 9329})
+	blocks := tb.profileFeatures(t, wantedReqs, undesiredReqs)
+	c, err := New(tb.m, tb.proc.PID(), Options{RedirectTo: tb.errPathAddr(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faultinject.New(1)
+	inj.FailRestoreAtStep(1)
+	tb.m.SetFaultHook(inj)
+	if _, err := c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry); !errors.Is(err, ErrRolledBack) {
+		t.Fatalf("rewrite error = %v, want rolled back", err)
+	}
+	tb.m.SetFaultHook(nil)
+
+	pn := untouchedTextPage(t, c, entrySpans(blocks))
+	flipAndExpectForeign(t, tb, c, pn, func() error {
+		stats, err := c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry)
+		if err != nil {
+			return err
+		}
+		if stats.PagesSkipped != 0 {
+			return fmt.Errorf("dump skipped %d pages, want a full dump", stats.PagesSkipped)
+		}
+		return nil
+	})
+	if got := tb.request(t, "PUT /f data\n"); !strings.Contains(got, "403") {
+		t.Fatalf("PUT after commit -> %q, want 403", got)
+	}
+}
+
+// TestAttestCommitSealsOnlyEditedPages: a committed rewrite moves the
+// expected digest of the pages its edit changed and of no other. The
+// first rewrite adds the handler library's text pages; PolicyUnmapPages
+// drops the pages it unmaps from the oracle.
+func TestAttestCommitSealsOnlyEditedPages(t *testing.T) {
+	tb := newTestbed(t, webserv.Config{Name: "lighttpd", Port: 9330, InitRoutines: 200})
+	for _, r := range wantedReqs {
+		tb.request(t, r)
+	}
+	serving := tb.snapshotPhase(t, "serving")
+	initBlocks := IdentifyInitBlocks(coverage.FromLog(tb.initLog), serving, "lighttpd")
+	c, err := New(tb.m, tb.proc.PID(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	att0, err := c.Attestation()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stats, err := c.DisableBlocks("init", initBlocks, PolicyUnmapPages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.PagesUnmapped == 0 || stats.BlocksPatched == 0 {
+		t.Fatalf("unmapped %d pages, patched %d blocks: want both", stats.PagesUnmapped, stats.BlocksPatched)
+	}
+	att1, err := c.Attestation()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	unmapped := map[uint64]bool{}
+	for _, pr := range c.unmapped {
+		for a := pr.start; a < pr.end; a += kernel.PageSize {
+			unmapped[a/kernel.PageSize] = true
+			if _, ok := att1.Pages[a/kernel.PageSize]; ok {
+				t.Errorf("unmapped page %#x still in the oracle", a/kernel.PageSize)
+			}
+		}
+	}
+	_, partial := splitPageCoverage(initBlocks)
+	wiped := map[uint64]bool{}
+	for _, b := range partial {
+		for _, pn := range spanPages([]blockSpan{{lo: b.Addr, hi: b.Addr + b.Size}}) {
+			wiped[pn] = true
+		}
+	}
+	for pn, d := range att0.Pages {
+		switch {
+		case unmapped[pn]:
+		case wiped[pn]:
+			if att1.Pages[pn] == d {
+				t.Errorf("wiped page %#x kept its pre-edit digest", pn)
+			}
+		case att1.Pages[pn] != d:
+			t.Errorf("page %#x outside the edit changed its expected digest", pn)
+		}
+	}
+
+	p, err := tb.m.Process(c.PID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, ok := p.Mem().VMAAt(c.Handler().HandlerAddr)
+	if !ok {
+		t.Fatal("handler library not mapped")
+	}
+	added := 0
+	for pn := range att1.Pages {
+		if _, ok := att0.Pages[pn]; ok {
+			continue
+		}
+		if a := pn * kernel.PageSize; a < lib.Start || a >= lib.End {
+			t.Errorf("page %#x joined the oracle outside the handler library", pn)
+		}
+		added++
+	}
+	if added == 0 {
+		t.Error("the handler library's text pages were not sealed")
+	}
+	if rep, err := c.Attest(); err != nil || !rep.Clean() {
+		t.Fatalf("attest after commit: %v, %+v", err, rep.Mismatches)
+	}
+}
+
+// TestAttestVerifierHealSealedAtCommit: bytes the in-guest verifier
+// healed between commits are carried by the next dump, so the next
+// commit seals their pages even when its edit leaves them unchanged.
+// Here every disabled block heals, then EnableBlocks writes the same
+// original bytes back: the pages are equal in the dumped and the
+// edited set, and the oracle must still expect them unpatched.
+func TestAttestVerifierHealSealedAtCommit(t *testing.T) {
+	tb := newTestbed(t, webserv.Config{Name: "lighttpd", Port: 9331})
+	blocks := tb.profileFeatures(t,
+		[]string{"GET /\n", "HEAD /\n", "PUT /f x\n"},
+		[]string{"POST /\n"})
+	c, err := New(tb.m, tb.proc.PID(), Options{RedirectTo: tb.errPathAddr(t), Verifier: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.DisableBlocks("post", blocks, PolicyBlockEntry); err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.request(t, "POST /\n"); !strings.Contains(got, "200") {
+		t.Fatalf("POST under verifier -> %q, want 200", got)
+	}
+	healed, err := c.FalseRemovals()
+	if err != nil || len(healed) != len(blocks) {
+		t.Fatalf("healed %d of %d blocks: %v", len(healed), len(blocks), err)
+	}
+	if _, err := c.EnableBlocks("post"); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := c.Attest(); err != nil || !rep.Clean() {
+		t.Fatalf("attest after enable: %v, %+v", err, rep.Mismatches)
 	}
 }

@@ -206,14 +206,10 @@ type Customizer struct {
 	opts    Options
 
 	handlerLib *delf.File
-	handler    *Handler
+	books
 
-	// saved[addr] = original bytes, for re-enabling features.
-	saved map[uint64][]byte
 	// disabled tracks currently-disabled block spans by feature name.
 	disabled map[string][]coverage.AbsBlock
-	// unmapped page ranges (cannot be re-enabled byte-wise).
-	unmapped []pageRange
 
 	// parent is the image set the live guest's memory is a delta
 	// against (the last committed images, PIDs remapped to the live
@@ -221,18 +217,38 @@ type Customizer struct {
 	// Invalidated on rollback — the next dump is then a full one.
 	parent *criu.ImageSet
 
-	verifierCount int
-
 	// Expected-state oracle (attest.go): per-text-page expected digests
-	// with version history, resealed at every commit point. attStore is
-	// the content-addressed repair source — shared with the fleet's
-	// store when Options.AttestStore is set.
-	oracle    map[uint64]*pageOracle
-	attStore  *criu.PageStore
-	attSealed bool
+	// with version history; every commit point seals the pages it
+	// changed. attStore is the content-addressed repair source — shared
+	// with the fleet's store when Options.AttestStore is set.
+	oracle   map[uint64]*pageOracle
+	attStore *criu.PageStore
 }
 
 type pageRange struct{ start, end uint64 }
+
+// books is the customizer bookkeeping an edit closure mutates; a
+// rewrite snapshots it so a failed transaction leaks nothing.
+type books struct {
+	handler *Handler
+	// saved[addr] = original bytes, for re-enabling features.
+	saved map[uint64][]byte
+	// unmapped page ranges (cannot be re-enabled byte-wise).
+	unmapped      []pageRange
+	verifierCount int
+}
+
+// clone deep-copies b, saved bytes included: edits may mutate them in
+// place.
+func (b books) clone() books {
+	saved := make(map[uint64][]byte, len(b.saved))
+	for k, v := range b.saved {
+		saved[k] = append([]byte(nil), v...)
+	}
+	b.saved = saved
+	b.unmapped = append([]pageRange(nil), b.unmapped...)
+	return b
+}
 
 // New creates a Customizer for the process rooted at pid.
 func New(m *kernel.Machine, pid int, opts Options) (*Customizer, error) {
@@ -248,14 +264,15 @@ func New(m *kernel.Machine, pid int, opts Options) (*Customizer, error) {
 		pid:        pid,
 		opts:       opts,
 		handlerLib: lib,
-		saved:      map[uint64][]byte{},
+		books:      books{saved: map[uint64][]byte{}},
 		disabled:   map[string][]coverage.AbsBlock{},
 		attStore:   opts.AttestStore,
 	}
 	// Seal the oracle on the pristine text so the first version in
-	// every page's chain is the unmodified binary. A guest that is not
-	// running yet seals lazily on first use instead.
-	_ = c.resealOracle()
+	// every page's chain is the unmodified binary.
+	if err := c.sealText(); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
@@ -319,17 +336,9 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 	restores := uint64(0)
 	defer func() { c.charge(restores, set) }()
 
-	// Edit closures mutate customizer bookkeeping (saved bytes,
-	// unmapped ranges, verifier table, handler). Snapshot it (deep,
-	// slices included — edits may mutate saved bytes in place) so every
+	// Edit closures mutate customizer bookkeeping; snapshot it so every
 	// attempt starts clean and a failed transaction leaks nothing.
-	savedSnap := make(map[uint64][]byte, len(c.saved))
-	for k, v := range c.saved {
-		savedSnap[k] = append([]byte(nil), v...)
-	}
-	unmappedSnap := append([]pageRange(nil), c.unmapped...)
-	verifierSnap := c.verifierCount
-	handlerSnap := c.handler
+	snap := c.books.clone()
 
 	maxAttempts := c.opts.MaxAttempts
 	if maxAttempts < 1 {
@@ -341,13 +350,7 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		stats.Attempts = attempt
-		c.saved = make(map[uint64][]byte, len(savedSnap))
-		for k, v := range savedSnap {
-			c.saved[k] = append([]byte(nil), v...)
-		}
-		c.unmapped = append([]pageRange(nil), unmappedSnap...)
-		c.verifierCount = verifierSnap
-		c.handler = handlerSnap
+		c.books = snap.clone()
 
 		work := set.Clone()
 		ed := crit.NewEditor(work, c.machine)
@@ -390,10 +393,7 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 		// since ensureHandler/edit already mutated it this attempt.
 		if c.opts.BeforeCommit != nil {
 			if err := c.opts.BeforeCommit(attempt); err != nil {
-				c.saved = savedSnap
-				c.unmapped = unmappedSnap
-				c.verifierCount = verifierSnap
-				c.handler = handlerSnap
+				c.books = snap
 				stats.RolledBack = rolledBack
 				c.point("rewrite.abort", int64(attempt))
 				return stats, fmt.Errorf("%w: %v", ErrAborted, err)
@@ -415,6 +415,24 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 			c.machine.Kill(pid)
 		}
 		endKill(nil)
+		// rollback restores the dumped set after a post-commit failure
+		// (cause); the guest has been down since down. On success the
+		// attempt is recorded as failed with lastErr = failed.
+		rollback := func(down time.Time, cause, failed error) error {
+			endRB := c.span("rollback", attempt)
+			pids, rbErr := c.rollbackOr(&stats, set, cause)
+			restores++
+			endRB(rbErr)
+			stats.Downtime += time.Since(down)
+			if rbErr != nil {
+				return rbErr
+			}
+			curPIDs = pids
+			c.reap(killed)
+			rolledBack = true
+			lastErr = failed
+			return nil
+		}
 
 		t3 := time.Now()
 		endRestore := c.span("restore", attempt)
@@ -423,20 +441,12 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 		endRestore(err)
 		stats.Restore += time.Since(t3)
 		if err != nil {
-			// Restore is atomic: its partial procs are already gone.
+			// Restore is atomic: its partial procs are already gone. The
+			// guest is down from the kill through the rollback restore.
 			restoreErr := fmt.Errorf("%w (attempt %d): %w", ErrRestoreFailed, attempt, err)
-			endRB := c.span("rollback", attempt)
-			var rbErr error
-			curPIDs, rbErr = c.rollbackOr(&stats, set, restoreErr)
-			restores++
-			endRB(rbErr)
-			stats.Downtime += time.Since(tKill) // down from kill through the rollback restore
-			if rbErr != nil {
+			if rbErr := rollback(tKill, restoreErr, restoreErr); rbErr != nil {
 				return stats, rbErr
 			}
-			c.reap(killed)
-			rolledBack = true
-			lastErr = restoreErr
 			continue
 		}
 		stats.Downtime += time.Since(tKill)
@@ -457,18 +467,10 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 				c.machine.Kill(procs[i].PID())
 				c.machine.Remove(procs[i].PID())
 			}
-			endRB := c.span("rollback", attempt)
-			var rbErr error
-			curPIDs, rbErr = c.rollbackOr(&stats, set, hcErr)
-			restores++
-			endRB(rbErr)
-			stats.Downtime += time.Since(tDown)
-			if rbErr != nil {
+			failed := fmt.Errorf("health check (attempt %d): %w", attempt, hcErr)
+			if rbErr := rollback(tDown, hcErr, failed); rbErr != nil {
 				return stats, rbErr
 			}
-			c.reap(killed)
-			rolledBack = true
-			lastErr = fmt.Errorf("health check (attempt %d): %w", attempt, hcErr)
 			continue
 		}
 
@@ -480,11 +482,16 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 		c.reap(killed)
 		stats.RolledBack = false
 		c.point("rewrite.commit", int64(attempt))
-		// The restored text is the new expected state: reseal the
-		// attestation oracle against it (pristine digests stay in each
-		// page's version chain).
+		// Seal just the pages this commit changed (their old digests
+		// join each page's version chain). Every other page was restored
+		// from the dump as it was and keeps its expected digest, so a
+		// silent flip the dump captured stays a mismatch.
 		endReseal := c.span("reseal", attempt)
-		endReseal(c.resealOracle())
+		pns, err := c.committedPages(set, work)
+		if err == nil {
+			err = c.seal(pns)
+		}
+		endReseal(err)
 		if o := c.opts.Observer; o != nil {
 			o.Add("core.commits", 1)
 		}
@@ -495,10 +502,7 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 	// point the guest is running the rolled-back pristine images;
 	// otherwise it was never touched. Either way the bookkeeping must
 	// match the pre-rewrite snapshot, not the dead attempt's edits.
-	c.saved = savedSnap
-	c.unmapped = unmappedSnap
-	c.verifierCount = verifierSnap
-	c.handler = handlerSnap
+	c.books = snap
 	stats.RolledBack = rolledBack
 	if rolledBack {
 		return stats, fmt.Errorf("%w (after %d attempts): %w", ErrRolledBack, stats.Attempts, lastErr)
@@ -513,7 +517,8 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 // transaction forces the next checkpoint to be a full dump. If the
 // rollback restore itself fails the guest is lost: it marks the
 // transaction dead and returns an ErrRollbackFailed error carrying
-// both failures.
+// both failures. It seals nothing: a failed attempt never moves the
+// oracle, and the restored set is the text it already expects.
 func (c *Customizer) rollbackOr(stats *Stats, set *criu.ImageSet, cause error) ([]int, error) {
 	if o := c.opts.Observer; o != nil {
 		o.Add("core.rollbacks", 1)
@@ -529,8 +534,6 @@ func (c *Customizer) rollbackOr(stats *Stats, set *criu.ImageSet, cause error) (
 		pids[i] = p.PID()
 	}
 	c.pid = pids[0]
-	// The rolled-back pristine text is the expected state now.
-	_ = c.resealOracle()
 	return pids, nil
 }
 
@@ -905,18 +908,12 @@ func (c *Customizer) RestoreImages(set *criu.ImageSet) error {
 		return err
 	}
 	c.pid = restored[0].PID() // Restore returns the dump root first
-	c.saved = map[uint64][]byte{}
+	c.books = books{saved: map[uint64][]byte{}}
 	c.disabled = map[string][]coverage.AbsBlock{}
-	c.unmapped = nil
-	c.verifierCount = 0
-	c.handler = nil
 	c.parent = nil
 	// The restored tree's text is a fresh expected state; the old
 	// oracle described a guest that no longer exists.
-	c.oracle = nil
-	c.attSealed = false
-	_ = c.resealOracle()
-	return nil
+	return c.sealText()
 }
 
 // Disabled reports the currently disabled block groups.
@@ -1070,9 +1067,10 @@ func (c *Customizer) AdoptFalseRemovals() ([]uint64, error) {
 			return healed, fmt.Errorf("core: adopt: %w", err)
 		}
 		c.point("verifier.adopted", int64(len(healed)))
-		// The verifier restored those blocks' bytes in live text: the
-		// expected state moved, so the oracle must move with it.
-		_ = c.resealOracle()
+		// The verifier restored the original byte at each healed
+		// address in live text: the expected state of those pages moved,
+		// so the oracle must move with it.
+		_ = c.seal(healedPages(healed))
 	}
 	return healed, nil
 }

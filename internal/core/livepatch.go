@@ -211,9 +211,9 @@ func (c *Customizer) livePatch(name string, blocks []coverage.AbsBlock, policy P
 	if o := c.opts.Observer; o != nil {
 		o.Add("core.livepatches", 1)
 	}
-	// Incremental oracle commit: only the pages the patch touched are
-	// resealed (their pre-patch digests join the version chain).
-	_ = c.updateOraclePages(spanPages(spans))
+	// Oracle commit: only the pages the patch touched are sealed
+	// (their pre-patch digests join the version chain).
+	_ = c.seal(spanPages(spans))
 	return stats, "", nil
 }
 

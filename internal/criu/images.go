@@ -504,16 +504,6 @@ func marshalProcBody(pid int, pi *ProcImage) []byte {
 	return e.Finish()
 }
 
-// Checksum returns the integrity checksum of one proc image as Marshal
-// writes it for a full set.
-func (s *ImageSet) Checksum(pid int) (uint32, error) {
-	pi, err := s.Proc(pid)
-	if err != nil {
-		return 0, err
-	}
-	return crc32.Checksum(marshalProcBody(pid, pi), crcTable), nil
-}
-
 // Marshal encodes the image set into a single blob (the "tmpfs
 // directory" of the paper's setup). Every proc entry carries a CRC32C
 // checksum of its content; Unmarshal refuses blobs that fail it. A

@@ -149,16 +149,12 @@ const (
 	SiteSuperviseScrub = "supervise.scrub"
 )
 
-// Step-prefix groups: FailDumpAtStep / FailRestoreAtStep count every
-// site sharing the prefix.
+// Step-prefix groups: a plan armed on a prefix (FailRestoreAtStep
+// arms PrefixRestore) counts every site sharing it.
 const (
 	PrefixDump      = "criu.dump."
 	PrefixRestore   = "criu.restore."
-	PrefixEdit      = "crit.edit."
-	PrefixSupervise = "supervise."
-	PrefixFleet     = "fleet."
 	PrefixLivePatch = "core.livepatch."
-	PrefixStore     = "criu.store."
 )
 
 // ErrInjected is the sentinel wrapped by every injected failure.
@@ -249,15 +245,9 @@ func (in *Injector) FailTransient(sitePrefix string, n, times int) {
 	in.plans = append(in.plans, &plan{prefix: sitePrefix, at: n, times: times})
 }
 
-// FailDumpAtStep arms the nth step of the whole dump phase.
-func (in *Injector) FailDumpAtStep(n int) { in.FailAt(PrefixDump, n) }
-
 // FailRestoreAtStep arms the nth step of the whole restore phase
 // (cumulative across processes and per-process sub-steps).
 func (in *Injector) FailRestoreAtStep(n int) { in.FailAt(PrefixRestore, n) }
-
-// FailEditAtStep arms the nth image-edit operation.
-func (in *Injector) FailEditAtStep(n int) { in.FailAt(PrefixEdit, n) }
 
 // FailPageMap arms the first pagemap dump to fail.
 func (in *Injector) FailPageMap() { in.FailOnce(SiteDumpPageMap) }

@@ -291,19 +291,9 @@ func (c *Controller) readmitQuarantined() {
 		if !r.Quarantined() || c.isCrashed() {
 			continue
 		}
-		rep, err := r.Cust.Attest()
+		rep, _, err := r.Cust.Scrub()
 		if err != nil {
 			continue // stays quarantined
-		}
-		if !rep.Clean() {
-			if _, rerr := r.Cust.Repair(rep, true); rerr != nil {
-				continue
-			}
-			rep2, aerr := r.Cust.Attest()
-			if aerr != nil || !rep2.Clean() {
-				continue
-			}
-			rep = rep2
 		}
 		r.quarantined.Store(false)
 		c.f.obs.Point("fleet.attest.readmit", int64(r.Index))

@@ -555,24 +555,11 @@ func (s *Supervisor) scrubText(now uint64) bool {
 		return false
 	}
 	end := s.span("supervise.scrub")
-	rep, err := s.cust.Attest()
-	if err != nil {
+	_, rs, err := s.cust.Scrub()
+	if err != nil || rs.Repaired == 0 {
+		// Clean text (nothing repaired) means the harsher rung must
+		// answer the storm.
 		end(err)
-		return false
-	}
-	if rep.Clean() {
-		// Nothing to heal here; the harsher rung must answer the storm.
-		end(nil)
-		return false
-	}
-	rs, err := s.cust.Repair(rep, true)
-	if err != nil {
-		end(err)
-		return false
-	}
-	rep2, err := s.cust.Attest()
-	if err != nil || !rep2.Clean() {
-		end(fmt.Errorf("supervise: text still diverged after scrub: %v", err))
 		return false
 	}
 	s.point("supervise.degrade.scrub.repaired", int64(rs.Repaired))

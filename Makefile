@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race chaos chaos-selectors fuzz check bench bench-mod bench-smoke cover loc supervise-demo fleet-demo load-demo
+.PHONY: all build test vet race lockstep chaos chaos-selectors fuzz check bench bench-mod bench-smoke cover loc supervise-demo fleet-demo load-demo
 
 all: check
 
@@ -17,6 +17,15 @@ vet:
 # their seeds are fixed in-source, so failures reproduce exactly.
 race:
 	$(GO) test -race ./...
+
+# The lockstep gate: the whole suite again, built with the
+# dynacut_lockstep tag. Every machine from NewMachine then runs
+# ModeLockstep, and a block-cache divergence panics instead of being
+# evicted and logged, so every test doubles as a differential test of
+# the translation cache. A machine whose test picks its engine with
+# SetExecMode is exempt.
+lockstep:
+	$(GO) test -tags dynacut_lockstep ./...
 
 # Just the fault-injection / transactional-rewrite suites, plus the
 # observability assertions that every injected fault lands in the
@@ -75,7 +84,7 @@ bench-mod:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
 # The tier-1 gate: everything that must pass before a commit.
-check: build vet test race bench-mod
+check: build vet test race lockstep bench-mod
 
 # Perf trajectory: run the headline figure benchmarks plus the
 # incremental-checkpoint benchmark and record the numbers as JSON so

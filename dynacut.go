@@ -186,7 +186,8 @@ const SIGSYS = kernel.SIGSYS
 const (
 	// ModeInterpret single-steps every instruction. The reference.
 	ModeInterpret = kernel.ModeInterpret
-	// ModeTranslate executes through the basic-block cache.
+	// ModeTranslate executes through the basic-block cache. The
+	// default.
 	ModeTranslate = kernel.ModeTranslate
 	// ModeLockstep is ModeTranslate with every cached block
 	// re-verified against live bytes at dispatch.

@@ -3,6 +3,8 @@ package dynacut
 import (
 	"strings"
 	"testing"
+
+	"github.com/dynacut/dynacut/internal/kernel"
 )
 
 func startWebSession(t *testing.T, cfg WebServerConfig) (*Session, *WebServerApp) {
@@ -189,8 +191,12 @@ func TestRequestErrors(t *testing.T) {
 func TestPublicExecModes(t *testing.T) {
 	sess, _ := startWebSession(t, WebServerConfig{Port: 8080})
 
-	if got := sess.Machine.ExecMode(); got != ModeInterpret {
-		t.Fatalf("default mode %v, want %v", got, ModeInterpret)
+	want := ModeTranslate
+	if kernel.LockstepGate {
+		want = ModeLockstep // -tags dynacut_lockstep: every machine self-checks its cache
+	}
+	if got := sess.Machine.ExecMode(); got != want {
+		t.Fatalf("default mode %v, want %v", got, want)
 	}
 	sess.Machine.SetExecMode(ModeTranslate)
 	for _, req := range []string{"GET /\n", "HEAD /\n", "GET /\n"} {

@@ -332,13 +332,13 @@ func attRoot(pages map[uint64][sha256.Size]byte, features []string) [sha256.Size
 // Attestation returns the expected-state oracle: the per-page expected
 // digests, the applied-feature set, and the root committing to both.
 // It never reads live guest memory — this is what the state SHOULD be.
-func (c *Customizer) Attestation() (Attestation, error) {
+func (c *Customizer) Attestation() Attestation {
 	pages := make(map[uint64][sha256.Size]byte, len(c.oracle))
 	for pn, po := range c.oracle {
 		pages[pn] = po.digest
 	}
 	fs := c.features()
-	return Attestation{Root: attRoot(pages, fs), Pages: pages, Features: fs}, nil
+	return Attestation{Root: attRoot(pages, fs), Pages: pages, Features: fs}
 }
 
 // LiveRoot hashes the root process's live text pages and returns the

@@ -20,10 +20,7 @@ import (
 func TestAttestCleanGuestAndRootEvolution(t *testing.T) {
 	_, blocks, c := liveTestbed(t, webserv.Config{Name: "lighttpd", Port: 9320}, Options{})
 
-	att0, err := c.Attestation()
-	if err != nil {
-		t.Fatal(err)
-	}
+	att0 := c.Attestation()
 	if len(att0.Pages) == 0 {
 		t.Fatal("oracle sealed with no text pages")
 	}
@@ -42,10 +39,7 @@ func TestAttestCleanGuestAndRootEvolution(t *testing.T) {
 	if err != nil || !stats.LivePatched {
 		t.Fatalf("live disable: %v (stats %+v)", err, stats)
 	}
-	att1, err := c.Attestation()
-	if err != nil {
-		t.Fatal(err)
-	}
+	att1 := c.Attestation()
 	if att1.Root == att0.Root {
 		t.Fatal("root did not move across a committed live patch")
 	}
@@ -313,10 +307,7 @@ func TestAttestObserverSpans(t *testing.T) {
 func TestAttestLiveRootMatchesOracleAndReport(t *testing.T) {
 	tb, _, c := liveTestbed(t, webserv.Config{Name: "lighttpd", Port: 9327}, Options{})
 
-	att, err := c.Attestation()
-	if err != nil {
-		t.Fatal(err)
-	}
+	att := c.Attestation()
 	lr, err := c.LiveRoot()
 	if err != nil {
 		t.Fatal(err)
@@ -505,10 +496,7 @@ func TestAttestCommitSealsOnlyEditedPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	att0, err := c.Attestation()
-	if err != nil {
-		t.Fatal(err)
-	}
+	att0 := c.Attestation()
 
 	stats, err := c.DisableBlocks("init", initBlocks, PolicyUnmapPages)
 	if err != nil {
@@ -517,10 +505,7 @@ func TestAttestCommitSealsOnlyEditedPages(t *testing.T) {
 	if stats.PagesUnmapped == 0 || stats.BlocksPatched == 0 {
 		t.Fatalf("unmapped %d pages, patched %d blocks: want both", stats.PagesUnmapped, stats.BlocksPatched)
 	}
-	att1, err := c.Attestation()
-	if err != nil {
-		t.Fatal(err)
-	}
+	att1 := c.Attestation()
 
 	unmapped := map[uint64]bool{}
 	for _, pr := range c.unmapped {

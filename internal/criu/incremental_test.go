@@ -170,7 +170,7 @@ func TestFullVsDeltaRestoreEquivalence(t *testing.T) {
 			if dPages[i] != pn {
 				t.Fatalf("seed %d: restored page sets diverge at %d", seed, i)
 			}
-			if !bytes.Equal(dm.PageData(pn), fm.PageData(pn)) {
+			if !bytes.Equal(dm.PageDataUnsafe(pn), fm.PageDataUnsafe(pn)) {
 				t.Fatalf("seed %d: restored page %d contents diverge", seed, pn)
 			}
 		}

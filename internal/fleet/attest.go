@@ -77,16 +77,13 @@ func rootIdent(root [sha256.Size]byte) uint32 {
 }
 
 // expectedIdent fingerprints the replica's expected text root for its
-// step intent. It reads the sealed oracle only and hashes no page. A
-// replica whose oracle cannot be read (its root process died) journals
-// zero; resume cannot read such a replica's text either and refuses
+// step intent: the root of the oracle its customizer last sealed. It
+// reads that oracle only and hashes no page, so a replica whose root
+// process has died still journals the root its text was last expected
+// to have; resume cannot read such a replica's live text and refuses
 // the step.
 func expectedIdent(r *Replica) uint32 {
-	att, err := r.Cust.Attestation()
-	if err != nil {
-		return 0
-	}
-	return rootIdent(att.Root)
+	return rootIdent(r.Cust.Attestation().Root)
 }
 
 // AttestSweep runs one fleet-wide attestation sweep: collect each
@@ -115,16 +112,8 @@ func (c *Controller) AttestSweep(wave int) *SweepResult {
 		if r.Quarantined() {
 			continue
 		}
-		col := collected{r: r}
-		if att, err := r.Cust.Attestation(); err != nil {
-			col.err = err
-		} else {
-			col.want = att.Root
-		}
-		if col.err == nil {
-			root, err := r.Cust.LiveRoot()
-			col.got, col.err = root, err
-		}
+		col := collected{r: r, want: r.Cust.Attestation().Root}
+		col.got, col.err = r.Cust.LiveRoot()
 		// The collection channel itself can lie: an injected
 		// fleet.attest.skew fault corrupts the collected root in
 		// flight, silently. The oracle comparison below flags it and

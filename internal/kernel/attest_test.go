@@ -27,7 +27,7 @@ func TestAttestHashPages(t *testing.T) {
 	pop := len(m.PopulatedPages())
 
 	got := m.HashPages([]uint64{1, 2})
-	want := sha256.Sum256(m.PageData(1))
+	want := sha256.Sum256(m.PageDataUnsafe(1))
 	if got[1] != want {
 		t.Error("populated page digest mismatch")
 	}
@@ -91,13 +91,13 @@ func TestAttestFlipBitsSilentAndPrivate(t *testing.T) {
 	if m.FlipBits(0x1008, 0x80) != true {
 		t.Fatal("FlipBits refused a populated page")
 	}
-	if got := m.PageData(1)[8]; got != 0x90 {
+	if got := m.PageDataUnsafe(1)[8]; got != 0x90 {
 		t.Fatalf("flipped byte = %#x, want 0x90", got)
 	}
 	if m.DirtyPageCount() != 0 {
 		t.Error("FlipBits marked the page dirty — the corruption must be silent")
 	}
-	if got := sib.PageData(1)[8]; got != 0x10 {
+	if got := sib.PageDataUnsafe(1)[8]; got != 0x10 {
 		t.Fatalf("flip leaked into a CoW sibling: %#x", got)
 	}
 	if m.FlipBits(0x9000, 0x01) {

@@ -1,12 +1,12 @@
 package kernel
 
-// The basic-block translation cache: the kernel's second execution
+// The basic-block translation cache: the kernel's default execution
 // engine. The interpreter (exec.go) fetches and decodes every
 // instruction on every execution; the translating engine decodes each
 // basic block once — on its first execution — and replays the
 // pre-decoded instruction vector afterwards, skipping the dominant
-// per-instruction fetch/decode cost (a permission check, a page-table
-// walk per byte, and an allocation, per instruction, per execution).
+// per-instruction fetch/decode cost (a permission check, a page
+// lookup, a copy and a decode, per instruction, per execution).
 //
 // Correctness is structural, not re-derived: translation IS the first
 // interpreted execution. The recorder runs the ordinary
@@ -56,6 +56,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/dynacut/dynacut/internal/isa"
@@ -71,7 +72,8 @@ const (
 	// is measured against.
 	ModeInterpret ExecMode = iota
 	// ModeTranslate executes through the basic-block translation
-	// cache: blocks are decoded once and replayed from the cache.
+	// cache: blocks are decoded once and replayed from the cache. The
+	// engine NewMachine gives a machine.
 	ModeTranslate
 	// ModeLockstep executes through the cache but re-fetches and
 	// re-decodes every cached instruction at each block dispatch,
@@ -79,7 +81,9 @@ const (
 	// bug: it is recorded (CacheDivergences), the block is evicted,
 	// and execution continues on the fresh decode — so the guest still
 	// behaves like the interpreter while the harness collects proof of
-	// the divergence. Interpreter-speed; built for the test oracle.
+	// the divergence. Interpreter-speed; built for the test oracle. In
+	// the lockstep gate build (LockstepGate) it is the default engine
+	// and a divergence panics instead.
 	ModeLockstep
 )
 
@@ -116,13 +120,18 @@ type block struct {
 	insts []cachedInst
 	// pages are the sorted page numbers the recorder's fetch windows
 	// touched (including over-fetch spill into a neighboring page);
-	// gens are the generation counters observed at first touch. A
-	// dispatch-time mismatch against the live counters means the
-	// bytes — or the fetch behavior — may have changed: re-translate.
+	// gens are the generation counters observed at first touch, in the
+	// same order. A dispatch-time mismatch against the live counters
+	// means the bytes — or the fetch behavior — may have changed:
+	// re-translate.
 	pages  []uint64
 	gens   []uint64
 	layout uint64 // Memory.layoutGen at recording time
 	valid  bool   // cleared by eviction; checked mid-replay
+
+	// Inline backing for pages and gens: a block touches one page or
+	// two, so only a superblock spanning more allocates.
+	pageBuf, genBuf [2]uint64
 }
 
 // fresh reports whether every page the block was decoded from is
@@ -168,6 +177,10 @@ type blockCache struct {
 	blocks map[uint64]*block
 	byPage map[uint64][]*block
 	stats  BlockCacheStats
+	// scratch is the recorder's reusable instruction buffer, taken
+	// (set to nil) while a recording uses it so that a recording
+	// nested through a callback that re-enters Run gets its own.
+	scratch []cachedInst
 }
 
 func newBlockCache() *blockCache {
@@ -209,18 +222,9 @@ func (bc *blockCache) lookup(mem *Memory, addr uint64) *block {
 
 // insert caches a freshly recorded block, replacing any previous
 // entry at the same address.
-func (bc *blockCache) insert(b *block, touched map[uint64]uint64) {
+func (bc *blockCache) insert(b *block) {
 	if old := bc.blocks[b.entry]; old != nil {
 		bc.evict(old)
-	}
-	b.pages = make([]uint64, 0, len(touched))
-	for pn := range touched {
-		b.pages = append(b.pages, pn)
-	}
-	sort.Slice(b.pages, func(i, j int) bool { return b.pages[i] < b.pages[j] })
-	b.gens = make([]uint64, len(b.pages))
-	for i, pn := range b.pages {
-		b.gens[i] = touched[pn]
 	}
 	bc.blocks[b.entry] = b
 	for _, pn := range b.pages {
@@ -260,7 +264,10 @@ func (bc *blockCache) invalidatePage(pn uint64) {
 	if len(list) == 0 {
 		return
 	}
-	for _, b := range append([]*block(nil), list...) {
+	// Every block on the list goes, so drop the list first: evict then
+	// finds nothing of pn's left to filter.
+	delete(bc.byPage, pn)
+	for _, b := range list {
 		bc.evict(b)
 		bc.stats.PageFlushes++
 	}
@@ -271,8 +278,8 @@ func (bc *blockCache) flushAll() {
 	for _, b := range bc.blocks {
 		b.valid = false
 	}
-	bc.blocks = map[uint64]*block{}
-	bc.byPage = map[uint64][]*block{}
+	clear(bc.blocks)
+	clear(bc.byPage)
 	bc.stats.LayoutFlush++
 }
 
@@ -363,9 +370,13 @@ func (m *Machine) CacheDivergences() []CacheDivergence {
 func (m *Machine) CacheDivergenceCount() uint64 { return m.cacheDivTotal }
 
 func (m *Machine) recordCacheDiv(pid int, addr uint64, detail string) {
+	d := CacheDivergence{PID: pid, Addr: addr, Detail: detail}
+	if m.divPanic {
+		panic("kernel: lockstep gate: block cache diverged: " + d.String())
+	}
 	m.cacheDivTotal++
 	if len(m.cacheDivs) < maxCacheDivs {
-		m.cacheDivs = append(m.cacheDivs, CacheDivergence{PID: pid, Addr: addr, Detail: detail})
+		m.cacheDivs = append(m.cacheDivs, d)
 	}
 }
 
@@ -375,12 +386,13 @@ func (m *Machine) recordCacheDiv(pid int, addr uint64, detail string) {
 // false returned so the caller re-records from live bytes — the guest
 // never executes the stale decode.
 func (m *Machine) verifyBlock(p *Process, b *block) bool {
+	var buf [maxInstLen]byte
 	for i := range b.insts {
 		ci := &b.insts[i]
 		var in isa.Inst
-		code, err := p.mem.FetchGuest(ci.addr, maxInstLen)
+		n, err := p.mem.fetch(ci.addr, buf[:])
 		if err == nil {
-			in, err = isa.Decode(code)
+			in, err = isa.Decode(buf[:n])
 		}
 		if err != nil || in != ci.in {
 			detail := fmt.Sprintf("cached %v, live decode %v", ci.in, in)
@@ -470,36 +482,26 @@ func (m *Machine) replay(p *Process, b *block, limit uint64) (charged uint64, bl
 
 // record is translation: one interpreted execution (the ordinary
 // fetch→decode→exec1 path, with identical side effects and charging)
-// that remembers its decodes and caches the resulting block. The
-// fetch windows' page touches are recorded with their generation at
-// first touch, so a block whose bytes changed under it — even during
-// its own recording — can never validate.
+// that remembers its decodes and caches the resulting block. Each
+// fetch window's pages are recorded with their generation at first
+// touch, so a block whose bytes changed under it — even during its own
+// recording — can never validate.
 func (m *Machine) record(p *Process, bc *blockCache, limit uint64) (charged uint64, blocked bool) {
-	entry := p.rip
-	insts := make([]cachedInst, 0, 16)
-	touched := map[uint64]uint64{}
-	var seen map[uint64]bool // lazily allocated; only superblocks need it
-	layout := p.mem.layoutGen
-	finalize := func() {
-		if len(insts) > 0 {
-			bc.insert(&block{entry: entry, insts: insts, layout: layout, valid: true}, touched)
-		}
-	}
-	for charged < limit && !p.exited && len(insts) < maxBlockInsts {
+	b := &block{entry: p.rip, layout: p.mem.layoutGen, valid: true}
+	b.pages, b.gens = b.pageBuf[:0], b.genBuf[:0]
+	b.insts, bc.scratch = bc.scratch[:0], nil
+	var buf [maxInstLen]byte
+	for charged < limit && !p.exited && len(b.insts) < maxBlockInsts {
 		addr := p.rip
-		code, err := p.mem.FetchGuest(addr, maxInstLen)
+		n, err := p.mem.fetch(addr, buf[:])
 		if err != nil {
 			m.fault(p, SIGSEGV, addr)
 			charged++
 			m.clock++
 			break
 		}
-		for pn := addr / PageSize; pn <= (addr+uint64(len(code))-1)/PageSize; pn++ {
-			if _, ok := touched[pn]; !ok {
-				touched[pn] = p.mem.gens[pn]
-			}
-		}
-		in, derr := isa.Decode(code)
+		b.touch(p.mem, addr, n)
+		in, derr := isa.Decode(buf[:n])
 		if derr != nil {
 			m.fault(p, SIGSEGV, addr)
 			charged++
@@ -510,32 +512,21 @@ func (m *Machine) record(p *Process, bc *blockCache, limit uint64) (charged uint
 			// Blocking syscall: uncharged and unrecorded. The block
 			// ends just before it; the syscall re-runs (and is
 			// re-translated) when the process is next scheduled.
-			finalize()
-			return charged, true
+			blocked = true
+			break
 		}
 		charged++
 		m.clock++
-		insts = append(insts, cachedInst{addr: addr, in: in})
+		b.insts = append(b.insts, cachedInst{addr: addr, in: in})
 		if in.Op == isa.OpJMP {
 			// Superblock chaining: follow the unconditional direct
 			// jump and keep recording — unless it loops back into
 			// this very block, which would unroll the loop.
-			if seen == nil {
-				seen = make(map[uint64]bool, len(insts)+1)
-				for i := range insts {
-					seen[insts[i].addr] = true
-				}
-			} else {
-				seen[addr] = true
-			}
-			if seen[p.rip] {
+			if b.has(p.rip) {
 				break
 			}
 			bc.stats.ChainedJumps++
 			continue
-		}
-		if seen != nil {
-			seen[addr] = true
 		}
 		if terminator(in.Op) {
 			break
@@ -546,6 +537,39 @@ func (m *Machine) record(p *Process, bc *blockCache, limit uint64) (charged uint
 			break
 		}
 	}
-	finalize()
-	return charged, false
+	// Cache an exact-size copy; the buffer goes back for the next
+	// recording.
+	scratch := b.insts
+	if len(scratch) > 0 {
+		b.insts = slices.Clone(scratch)
+		bc.insert(b)
+	}
+	bc.scratch = scratch
+	return charged, blocked
+}
+
+// touch records the pages of the fetch window [addr, addr+n) that the
+// block has not touched yet, each with its current generation, keeping
+// pages sorted. A window spans one page or two.
+func (b *block) touch(mem *Memory, addr uint64, n int) {
+	for pn := addr / PageSize; pn <= (addr+uint64(n)-1)/PageSize; pn++ {
+		if k := len(b.pages); k > 0 && b.pages[k-1] == pn {
+			continue // the common case: still on the last page
+		}
+		i, found := slices.BinarySearch(b.pages, pn)
+		if !found {
+			b.pages = slices.Insert(b.pages, i, pn)
+			b.gens = slices.Insert(b.gens, i, mem.gens[pn])
+		}
+	}
+}
+
+// has reports whether the block recorded an instruction at addr.
+func (b *block) has(addr uint64) bool {
+	for i := range b.insts {
+		if b.insts[i].addr == addr {
+			return true
+		}
+	}
+	return false
 }

@@ -1,7 +1,11 @@
 package kernel
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+
+	"github.com/dynacut/dynacut/internal/delf"
 )
 
 // runBoth runs the same program to completion on two fresh machines —
@@ -12,6 +16,7 @@ func runBoth(t *testing.T, src string, mode ExecMode, maxSteps uint64) (ref, tx 
 	exe := buildExe(t, "test", src)
 
 	mi := NewMachine()
+	mi.SetExecMode(ModeInterpret)
 	ref, err := mi.Load(exe)
 	if err != nil {
 		t.Fatalf("load: %v", err)
@@ -545,5 +550,187 @@ func TestExecModeString(t *testing.T) {
 		if got := mode.String(); got != want {
 			t.Fatalf("%d.String() = %q, want %q", int(mode), got, want)
 		}
+	}
+}
+
+// TestTranslateWarmLoopAllocatesNothing: once its blocks are cached and
+// its pages populated, a guest loop of word and byte loads and stores,
+// calls and returns runs on the default engine without a single heap
+// allocation.
+func TestTranslateWarmLoopAllocatesNothing(t *testing.T) {
+	exe := buildExe(t, "test", `
+.text
+.global _start
+_start:
+	mov r8, =buf
+loop:
+	call body
+	jmp loop
+body:
+	load r1, [r8]
+	add r1, 1
+	store [r8], r1
+	loadb r2, [r8+9]
+	add r2, 3
+	storeb [r8+9], r2
+	ret
+.bss
+buf: .space 64
+`)
+	m := NewMachine()
+	p, err := m.Load(exe)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	m.Run(10_000)
+	before := p.Mem().BlockCacheStats()
+	if allocs := testing.AllocsPerRun(50, func() { m.Run(1000) }); allocs != 0 {
+		t.Fatalf("warm loop allocated %.1f times per 1000-instruction Run", allocs)
+	}
+	st := p.Mem().BlockCacheStats()
+	if p.Exited() || st.Hits == before.Hits || st.Translations != before.Translations {
+		t.Fatalf("loop not served from the cache: exited=%v before %+v after %+v", p.Exited(), before, st)
+	}
+}
+
+// TestBlockCacheStraddlingFetchRecordsBothPages: a block whose first
+// instruction crosses a page boundary is recorded against both pages,
+// sorted, each with its generation; a store into either page while the
+// block records leaves it stale, so it never validates.
+func TestBlockCacheStraddlingFetchRecordsBothPages(t *testing.T) {
+	// entry sits 4 bytes before the end of the first text page, so its
+	// 10-byte MOVri spills into the second page. The block at entry
+	// stores r3 to r9's slot, then jumps back to entry.
+	build := func(t *testing.T, slot string) (*Machine, *Process, uint64) {
+		exe := buildExe(t, "test", `
+.text
+.global _start
+_start:
+	jmp entry
+low:
+	.space 4087
+entry:
+	mov r3, 7
+	mov r9, =`+slot+`
+	store [r9], r3
+	jmp entry
+high:
+	.quad 0
+.bss
+far: .space 8
+`)
+		m := NewMachine()
+		m.SetExecMode(ModeTranslate)
+		p, err := m.Load(exe)
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		sym, err := exe.Symbol("entry")
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry := sym.Value
+		if off := entry % PageSize; off+maxInstLen <= PageSize {
+			t.Fatalf("entry %#x does not straddle a page boundary", entry)
+		}
+		// Make the text writable so the guest can store into it.
+		start := entry / PageSize * PageSize
+		if err := p.Mem().Protect(start, start+2*PageSize, delf.PermR|delf.PermW|delf.PermX); err != nil {
+			t.Fatal(err)
+		}
+		return m, p, entry
+	}
+
+	t.Run("clean", func(t *testing.T) {
+		m, p, entry := build(t, "far")
+		m.Run(1000)
+		// A loud write to the second page evicts the block; it then
+		// re-records against that page's advanced generation.
+		pn := entry / PageSize
+		if err := p.Mem().Write((pn+1)*PageSize+PageSize/2, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		m.Run(1000)
+		b := p.mem.bc.blocks[entry]
+		if b == nil {
+			t.Fatalf("no block cached at %#x", entry)
+		}
+		if len(b.pages) != 2 || b.pages[0] != pn || b.pages[1] != pn+1 {
+			t.Fatalf("block pages %v, want [%#x %#x]", b.pages, pn, pn+1)
+		}
+		want := []uint64{p.mem.gens[pn], p.mem.gens[pn+1]}
+		if len(b.gens) != 2 || b.gens[0] != want[0] || b.gens[1] != want[1] || want[1] == 0 {
+			t.Fatalf("block gens %v, want %v (second nonzero)", b.gens, want)
+		}
+		if !b.fresh(p.mem) || p.Mem().BlockCacheStats().Hits == 0 {
+			t.Fatalf("clean straddling block never validated: %+v", p.Mem().BlockCacheStats())
+		}
+	})
+	for _, slot := range []string{"low", "high"} {
+		t.Run("store-"+slot, func(t *testing.T) {
+			m, p, entry := build(t, slot)
+			m.Run(1000)
+			if b := p.mem.bc.blocks[entry]; b == nil || b.fresh(p.mem) {
+				t.Fatalf("block at %#x validates after storing into its own page", entry)
+			}
+			st := p.Mem().BlockCacheStats()
+			if st.GenEvictions == 0 {
+				t.Fatalf("stale block never caught at dispatch: %+v", st)
+			}
+			if p.Reg(3) != 7 || p.Exited() {
+				t.Fatalf("guest misbehaved: r3=%d exited=%v", p.Reg(3), p.Exited())
+			}
+		})
+	}
+}
+
+// TestLockstepGatePanicsOnDivergence: with the gate armed (what
+// NewMachine does in the dynacut_lockstep build) a stale decode panics
+// with the divergence detail instead of being logged, and SetExecMode
+// disarms it.
+func TestLockstepGatePanicsOnDivergence(t *testing.T) {
+	build := func() (*Machine, *Process, uint64) {
+		exe := buildExe(t, "test", `
+.text
+.global _start
+_start:
+loop:
+	mov r3, 7
+	jmp loop
+`)
+		m := NewMachine()
+		m.SetExecMode(ModeLockstep)
+		p, err := m.Load(exe)
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		m.Run(1000)
+		sym, err := exe.Symbol("loop")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Corrupt the cached text below every invalidation hook.
+		p.mem.pages[sym.Value/PageSize][sym.Value%PageSize+2] ^= 0x02
+		return m, p, sym.Value
+	}
+
+	m, _, addr := build()
+	m.divPanic = true
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "lockstep gate") || !strings.Contains(msg, fmt.Sprintf("%#x", addr)) {
+				t.Fatalf("armed gate: recovered %q, want a divergence panic at %#x", msg, addr)
+			}
+		}()
+		m.Run(1000)
+	}()
+
+	m, p, _ := build()
+	m.divPanic = true
+	m.SetExecMode(ModeLockstep)
+	m.Run(1000)
+	if m.CacheDivergenceCount() == 0 || p.Reg(3) != 5 {
+		t.Fatalf("disarmed gate: %d divergences, r3=%d; want logged and live bytes run", m.CacheDivergenceCount(), p.Reg(3))
 	}
 }

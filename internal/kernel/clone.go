@@ -17,10 +17,11 @@ package kernel
 // tick watchdog are left nil on the clone.
 func (m *Machine) Clone() *Machine {
 	c := &Machine{
-		procs:    make(map[int]*Process, len(m.procs)),
+		procs:    make([]*Process, 0, len(m.procs)),
 		nextPID:  m.nextPID,
 		clock:    m.clock,
 		execMode: m.execMode,
+		divPanic: m.divPanic,
 		net: &network{
 			listeners: make(map[uint16]*listener, len(m.net.listeners)),
 			conns:     make(map[uint64]*conn, len(m.net.conns)),
@@ -81,7 +82,7 @@ func (m *Machine) Clone() *Machine {
 	// across fork), so identity must be preserved: closeFD/referenced
 	// compare fdesc pointers.
 	fdMap := make(map[*fdesc]*fdesc)
-	for pid, p := range m.procs {
+	for _, p := range m.procs {
 		np := &Process{
 			pid:        p.pid,
 			parent:     p.parent,
@@ -126,7 +127,7 @@ func (m *Machine) Clone() *Machine {
 			}
 			np.fds[fd] = nd
 		}
-		c.procs[pid] = np
+		c.procs = append(c.procs, np)
 	}
 	return c
 }

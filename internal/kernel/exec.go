@@ -22,12 +22,13 @@ func (m *Machine) step(p *Process) bool {
 // undecodable bytes always has: the step is charged to the clock but
 // does not retire (p.insts unchanged).
 func (m *Machine) fetchDecode(p *Process) (isa.Inst, bool) {
-	code, err := p.mem.FetchGuest(p.rip, maxInstLen)
+	var buf [maxInstLen]byte
+	n, err := p.mem.fetch(p.rip, buf[:])
 	if err != nil {
 		m.fault(p, SIGSEGV, p.rip)
 		return isa.Inst{}, false
 	}
-	in, err := isa.Decode(code)
+	in, err := isa.Decode(buf[:n])
 	if err != nil {
 		m.fault(p, SIGSEGV, p.rip)
 		return isa.Inst{}, false
@@ -69,15 +70,15 @@ func (m *Machine) exec1(p *Process, in isa.Inst, addr uint64) bool {
 		}
 		p.rip = next
 	case isa.OpLOADB:
-		b, err := p.mem.ReadGuest(p.regs[in.B]+uint64(in.Imm), 1)
+		b, err := p.mem.ReadU8(p.regs[in.B] + uint64(in.Imm))
 		if err != nil {
 			m.fault(p, SIGSEGV, p.regs[in.B]+uint64(in.Imm))
 			return true
 		}
-		p.regs[in.A] = uint64(b[0])
+		p.regs[in.A] = uint64(b)
 		p.rip = next
 	case isa.OpSTOREB:
-		if err := p.mem.WriteGuest(p.regs[in.B]+uint64(in.Imm), []byte{byte(p.regs[in.A])}); err != nil {
+		if err := p.mem.WriteU8(p.regs[in.B]+uint64(in.Imm), byte(p.regs[in.A])); err != nil {
 			m.fault(p, SIGSEGV, p.regs[in.B]+uint64(in.Imm))
 			return true
 		}

@@ -12,7 +12,6 @@ package kernel
 import (
 	"bytes"
 	"fmt"
-	"sort"
 )
 
 // Divergence is one observed disagreement between the reference
@@ -126,25 +125,18 @@ func (l *Lockstep) compare() {
 		l.report(-1, "cache decode divergences", "0", fmt.Sprint(n))
 	}
 
-	pids := map[int]bool{}
-	for pid := range a.procs {
-		pids[pid] = true
-	}
-	for pid := range b.procs {
-		pids[pid] = true
-	}
-	sorted := make([]int, 0, len(pids))
-	for pid := range pids {
-		sorted = append(sorted, pid)
-	}
-	sort.Ints(sorted)
-	for _, pid := range sorted {
-		pa, pb := a.procs[pid], b.procs[pid]
-		if (pa == nil) != (pb == nil) {
-			l.report(pid, "process table", fmt.Sprint(pa != nil), fmt.Sprint(pb != nil))
+	for _, pa := range a.procs {
+		i, ok := b.lookup(pa.pid)
+		if !ok {
+			l.report(pa.pid, "process table", "true", "false")
 			continue
 		}
-		l.compareProc(pid, pa, pb)
+		l.compareProc(pa.pid, pa, b.procs[i])
+	}
+	for _, pb := range b.procs {
+		if _, ok := a.lookup(pb.pid); !ok {
+			l.report(pb.pid, "process table", "false", "true")
+		}
 	}
 	l.compareNet()
 }

@@ -10,7 +10,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/dynacut/dynacut/internal/delf"
 	"github.com/dynacut/dynacut/internal/obs"
@@ -55,7 +55,9 @@ type FaultReporter interface {
 // Machine is the simulated computer: processes, network, virtual
 // clock, and the "disk" of loaded binaries.
 type Machine struct {
-	procs     map[int]*Process
+	// procs is the process table, sorted by PID. PIDs are allocated in
+	// increasing order, so a new process is appended.
+	procs     []*Process
 	nextPID   int
 	clock     uint64
 	net       *network
@@ -69,8 +71,11 @@ type Machine struct {
 	// Execution engine selection (see bcache.go). ModeInterpret is the
 	// reference interpreter; ModeTranslate runs through the basic-block
 	// translation cache; ModeLockstep runs the cache with per-dispatch
-	// re-decode verification, logging any divergence below.
+	// re-decode verification, logging any divergence below — or, when
+	// divPanic is set (the lockstep gate build, until SetExecMode),
+	// panicking on it.
 	execMode      ExecMode
+	divPanic      bool
 	cacheDivs     []CacheDivergence
 	cacheDivTotal uint64
 	// reapedCache keeps the block-cache counters of removed processes
@@ -88,13 +93,15 @@ type Machine struct {
 	wdBusy  bool
 }
 
-// NewMachine creates an empty machine.
+// NewMachine creates an empty machine running the translating engine
+// (ModeLockstep with divergences fatal in the lockstep gate build; see
+// LockstepGate).
 func NewMachine() *Machine {
 	return &Machine{
-		procs:   map[int]*Process{},
-		nextPID: 0,
-		net:     newNetwork(),
-		disk:    map[string]*diskFile{},
+		net:      newNetwork(),
+		disk:     map[string]*diskFile{},
+		execMode: defaultExecMode,
+		divPanic: LockstepGate,
 	}
 }
 
@@ -118,8 +125,12 @@ func (m *Machine) SetTracer(t Tracer) { m.tracer = t }
 
 // SetExecMode selects the execution engine for subsequent runs. Safe
 // to switch between scheduler rounds; cached blocks persist across
-// switches (they are revalidated on every dispatch anyway).
-func (m *Machine) SetExecMode(mode ExecMode) { m.execMode = mode }
+// switches (they are revalidated on every dispatch anyway). An explicit
+// choice also opts the machine out of the lockstep gate's panic.
+func (m *Machine) SetExecMode(mode ExecMode) {
+	m.execMode = mode
+	m.divPanic = false
+}
 
 // ExecMode returns the currently selected execution engine.
 func (m *Machine) ExecMode() ExecMode { return m.execMode }
@@ -258,13 +269,21 @@ func (m *Machine) Binary(name string) (*delf.File, error) {
 	return f.bin, f.err
 }
 
+// lookup returns the table index of pid, or where it would go.
+func (m *Machine) lookup(pid int) (int, bool) {
+	return slices.BinarySearchFunc(m.procs, pid, func(p *Process, pid int) int { return p.pid - pid })
+}
+
+// addProcess enters p, which holds the newest PID, into the table.
+func (m *Machine) addProcess(p *Process) { m.procs = append(m.procs, p) }
+
 // Process returns the process with the given PID.
 func (m *Machine) Process(pid int) (*Process, error) {
-	p, ok := m.procs[pid]
+	i, ok := m.lookup(pid)
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNoProcess, pid)
 	}
-	return p, nil
+	return m.procs[i], nil
 }
 
 // Processes returns all live (non-exited) processes sorted by PID.
@@ -275,7 +294,6 @@ func (m *Machine) Processes() []*Process {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].pid < out[j].pid })
 	return out
 }
 
@@ -287,7 +305,6 @@ func (m *Machine) Children(pid int) []*Process {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].pid < out[j].pid })
 	return out
 }
 
@@ -303,9 +320,9 @@ func (m *Machine) Kill(pid int) error {
 
 // Remove deletes an exited process table entry.
 func (m *Machine) Remove(pid int) {
-	if p, ok := m.procs[pid]; ok {
-		m.reapedCache.Add(p.mem.BlockCacheStats())
-		delete(m.procs, pid)
+	if i, ok := m.lookup(pid); ok {
+		m.reapedCache.Add(m.procs[i].mem.BlockCacheStats())
+		m.procs = slices.Delete(m.procs, i, i+1)
 	}
 }
 
@@ -314,7 +331,7 @@ func (m *Machine) Remove(pid int) {
 func (m *Machine) NewRawProcess(name string, parent int) *Process {
 	m.nextPID++
 	p := newProcess(m.nextPID, parent, name)
-	m.procs[p.pid] = p
+	m.addProcess(p)
 	return p
 }
 
@@ -461,36 +478,44 @@ func (m *Machine) Run(maxSteps uint64) uint64 {
 // by budget across the round). It returns how many instructions
 // retired and whether any live process existed to schedule at all.
 // The watchdog is NOT poked here — callers do that between rounds.
+//
+// The round walks the table in place. A slice may change the table
+// under it — fork, wait, or a nudge or syscall callback that re-enters
+// Run and restores or reaps processes — so each step resumes after the
+// PID it just ran, and a process created mid-round (its PID is above
+// the round's bound) waits for the next round.
 func (m *Machine) runRound(budget uint64) (executed uint64, ran bool) {
-	pids := make([]int, 0, len(m.procs))
-	for pid, p := range m.procs {
+	bound := m.nextPID
+	for i := 0; i < len(m.procs) && m.procs[i].pid <= bound; {
+		p := m.procs[i]
 		if !p.exited {
-			pids = append(pids, pid)
+			ran = true
+			executed += m.runSlice(p, minU64(64, budget-executed))
 		}
+		i, _ = m.lookup(p.pid + 1)
 	}
-	sort.Ints(pids)
-	if len(pids) == 0 {
-		return 0, false
+	return executed, ran
+}
+
+// runSlice runs one time slice of up to limit instructions of p and
+// returns how many it charged to the clock.
+func (m *Machine) runSlice(p *Process, limit uint64) uint64 {
+	if m.execMode != ModeInterpret {
+		// Translating engine: the slice runs through the block cache.
+		// It charges m.clock internally (per instruction, so mid-slice
+		// clock reads observe the same values the interpreter would
+		// produce) and returns the charge.
+		return m.runSliceTranslated(p, limit)
 	}
-	for _, pid := range pids {
-		p := m.procs[pid]
-		if m.execMode != ModeInterpret {
-			// Translating engine: the slice runs through the block
-			// cache. It charges m.clock internally (per instruction,
-			// so mid-slice clock reads observe the same values the
-			// interpreter would produce) and returns the charge.
-			executed += m.runSliceTranslated(p, minU64(64, budget-executed))
-			continue
+	var n uint64
+	for n < limit && !p.exited {
+		if !m.step(p) {
+			break // would block; move to next process
 		}
-		for i := 0; i < 64 && executed < budget && !p.exited; i++ {
-			if !m.step(p) {
-				break // would block; move to next process
-			}
-			executed++
-			m.clock++
-		}
+		n++
+		m.clock++
 	}
-	return executed, true
+	return n
 }
 
 // RunRound executes one scheduler round (each live process gets at

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -82,6 +83,14 @@ type Memory struct {
 	bc        *blockCache
 	gens      map[uint64]uint64
 	layoutGen uint64
+
+	// A one-entry lookaside in front of VMAAt: the bounds and
+	// permission of the VMA the last guest access resolved. It is valid
+	// while laGen == layoutGen+1, so every layout change invalidates it
+	// and a zero Memory starts with it empty.
+	laStart, laEnd uint64
+	laPerm         delf.Perm
+	laGen          uint64
 }
 
 func newMemory() *Memory {
@@ -208,6 +217,20 @@ func (m *Memory) VMAAt(addr uint64) (VMA, bool) {
 	return VMA{}, false
 }
 
+// vmaPerm returns the permission of the VMA containing addr, through
+// the lookaside; a miss refills it from VMAAt.
+func (m *Memory) vmaPerm(addr uint64) (delf.Perm, bool) {
+	if m.laGen == m.layoutGen+1 && addr >= m.laStart && addr < m.laEnd {
+		return m.laPerm, true
+	}
+	v, ok := m.VMAAt(addr)
+	if !ok {
+		return 0, false
+	}
+	m.laStart, m.laEnd, m.laPerm, m.laGen = v.Start, v.End, v.Perm, m.layoutGen+1
+	return v.Perm, true
+}
+
 func pageAligned(v uint64) bool { return v%PageSize == 0 }
 
 // Map installs a new VMA. Start and End must be page aligned and the
@@ -319,21 +342,37 @@ func min64(a, b uint64) uint64 {
 }
 
 // page returns the backing page, allocating it zero-filled if the
-// address is mapped. Freshly populated pages are marked dirty: they
-// did not exist at the previous checkpoint, so an incremental dump
-// must include them.
+// address is mapped.
 func (m *Memory) page(addr uint64) ([]byte, bool) {
-	if _, ok := m.VMAAt(addr); !ok {
+	if _, ok := m.vmaPerm(addr); !ok {
 		return nil, false
 	}
-	pn := addr / PageSize
+	return m.populate(addr / PageSize), true
+}
+
+// populate returns page pn's backing, allocating it zero-filled on
+// first touch. Freshly populated pages are marked dirty: they did not
+// exist at the previous checkpoint, so an incremental dump must
+// include them. The caller has checked that pn is mapped.
+func (m *Memory) populate(pn uint64) []byte {
 	pg, ok := m.pages[pn]
 	if !ok {
 		pg = make([]byte, PageSize)
 		m.pages[pn] = pg
 		m.dirty[pn] = struct{}{}
 	}
-	return pg, true
+	return pg
+}
+
+// writablePage readies mapped page pn for an in-place store:
+// populated, private (CoW broken), dirty, and the write noted for the
+// block cache. It returns the page's backing.
+func (m *Memory) writablePage(pn uint64) []byte {
+	m.populate(pn)
+	m.breakCoW(pn)
+	m.dirty[pn] = struct{}{}
+	m.noteWrite(pn)
+	return m.pages[pn]
 }
 
 // Read copies n bytes at addr without permission checks (the
@@ -362,16 +401,10 @@ func (m *Memory) read(addr uint64, out []byte) error {
 func (m *Memory) Write(addr uint64, b []byte) error {
 	for done := 0; done < len(b); {
 		a := addr + uint64(done)
-		if _, ok := m.page(a); !ok {
+		if _, ok := m.vmaPerm(a); !ok {
 			return fmt.Errorf("%w: %#x", ErrUnmapped, a)
 		}
-		pn := a / PageSize
-		m.breakCoW(pn)
-		pg := m.pages[pn]
-		m.dirty[pn] = struct{}{}
-		m.noteWrite(pn)
-		off := a % PageSize
-		done += copy(pg[off:], b[done:])
+		done += copy(m.writablePage(a / PageSize)[a%PageSize:], b[done:])
 	}
 	return nil
 }
@@ -409,44 +442,73 @@ func (m *Memory) WriteGuest(addr uint64, b []byte) error {
 	return m.Write(addr, b)
 }
 
-// FetchGuest reads up to n instruction bytes at addr, requiring
-// execute permission on the first byte (like a CPU fetch). Fewer
-// bytes may be returned at a mapping boundary.
-func (m *Memory) FetchGuest(addr uint64, n int) ([]byte, error) {
-	if err := m.checkPerm(addr, 1, delf.PermX); err != nil {
-		return nil, err
+// fetch reads up to len(buf) instruction bytes at addr into buf,
+// requiring execute permission on the first byte (like a CPU fetch),
+// and returns how many it read: fewer at a mapping boundary. Like any
+// guest access it populates the pages it reads.
+func (m *Memory) fetch(addr uint64, buf []byte) (int, error) {
+	if perm, ok := m.vmaPerm(addr); !ok || perm&delf.PermX == 0 {
+		return 0, m.checkPerm(addr, 1, delf.PermX)
 	}
-	out := make([]byte, 0, n)
-	for i := 0; i < n; i++ {
-		pg, ok := m.page(addr + uint64(i))
-		if !ok {
+	n := 0
+	for a := addr; n < len(buf); a = addr + uint64(n) {
+		if _, ok := m.vmaPerm(a); !ok {
 			break
 		}
-		out = append(out, pg[(addr+uint64(i))%PageSize])
+		n += copy(buf[n:], m.populate(a / PageSize)[a%PageSize:])
 	}
-	return out, nil
+	return n, nil
 }
 
-// ReadU64 reads a little-endian 64-bit word (guest semantics).
+// ReadU64 reads a little-endian 64-bit word (guest semantics). A word
+// inside one page takes one VMA check and no copy.
 func (m *Memory) ReadU64(addr uint64) (uint64, error) {
-	b, err := m.ReadGuest(addr, 8)
-	if err != nil {
+	if off := addr % PageSize; off <= PageSize-8 {
+		if perm, ok := m.vmaPerm(addr); ok && perm&delf.PermR != 0 {
+			return binary.LittleEndian.Uint64(m.populate(addr / PageSize)[off:]), nil
+		}
+		return 0, m.checkPerm(addr, 8, delf.PermR)
+	}
+	var b [8]byte
+	if err := m.checkPerm(addr, 8, delf.PermR); err != nil {
 		return 0, err
 	}
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
+	if err := m.read(addr, b[:]); err != nil {
+		return 0, err
 	}
-	return v, nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
-// WriteU64 writes a little-endian 64-bit word (guest semantics).
+// WriteU64 writes a little-endian 64-bit word (guest semantics), with
+// the same one-page fast path as ReadU64.
 func (m *Memory) WriteU64(addr uint64, v uint64) error {
-	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
+	if off := addr % PageSize; off <= PageSize-8 {
+		if perm, ok := m.vmaPerm(addr); ok && perm&delf.PermW != 0 {
+			binary.LittleEndian.PutUint64(m.writablePage(addr / PageSize)[off:], v)
+			return nil
+		}
+		return m.checkPerm(addr, 8, delf.PermW)
 	}
-	return m.WriteGuest(addr, b)
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	return m.WriteGuest(addr, b[:])
+}
+
+// ReadU8 reads one byte (guest semantics).
+func (m *Memory) ReadU8(addr uint64) (byte, error) {
+	if perm, ok := m.vmaPerm(addr); ok && perm&delf.PermR != 0 {
+		return m.populate(addr / PageSize)[addr%PageSize], nil
+	}
+	return 0, m.checkPerm(addr, 1, delf.PermR)
+}
+
+// WriteU8 writes one byte (guest semantics).
+func (m *Memory) WriteU8(addr uint64, v byte) error {
+	if perm, ok := m.vmaPerm(addr); ok && perm&delf.PermW != 0 {
+		m.writablePage(addr / PageSize)[addr%PageSize] = v
+		return nil
+	}
+	return m.checkPerm(addr, 1, delf.PermW)
 }
 
 // PopulatedPages returns the sorted page numbers that have backing
@@ -458,18 +520,6 @@ func (m *Memory) PopulatedPages() []uint64 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// PageData returns a copy of the contents of page pn (nil if
-// unpopulated). Returning a copy keeps "read" semantics honest: a
-// caller mutating the result cannot silently change live guest
-// memory. The checkpoint hot path uses PageDataUnsafe instead.
-func (m *Memory) PageData(pn uint64) []byte {
-	pg, ok := m.pages[pn]
-	if !ok {
-		return nil
-	}
-	return append([]byte(nil), pg...)
 }
 
 // PageDataUnsafe returns the internal page slice of pn by reference

@@ -98,10 +98,11 @@ func TestProtect(t *testing.T) {
 	if vmas[1].Perm != delf.PermR {
 		t.Errorf("middle perm = %v", vmas[1].Perm)
 	}
-	if _, err := m.FetchGuest(0x2000, 1); !errors.Is(err, ErrPerm) {
+	var buf [1]byte
+	if _, err := m.fetch(0x2000, buf[:]); !errors.Is(err, ErrPerm) {
 		t.Errorf("fetch from NX err = %v", err)
 	}
-	if _, err := m.FetchGuest(0x1000, 1); err != nil {
+	if _, err := m.fetch(0x1000, buf[:]); err != nil {
 		t.Errorf("fetch from X err = %v", err)
 	}
 	if err := m.Protect(0x3000, 0x6000, delf.PermR); !errors.Is(err, ErrNoVMA) {
@@ -181,8 +182,8 @@ func TestPopulatedPagesAndSetPage(t *testing.T) {
 	if len(got) != 2 || got[0] != 3 || got[1] != 5 {
 		t.Fatalf("PopulatedPages = %v", got)
 	}
-	if m.PageData(3) == nil || m.PageData(4) != nil {
-		t.Error("PageData wrong")
+	if m.PageDataUnsafe(3) == nil || m.PageDataUnsafe(4) != nil {
+		t.Error("PageDataUnsafe wrong")
 	}
 	if err := m.SetPage(7, make([]byte, PageSize)); err != nil {
 		t.Fatal(err)
@@ -192,10 +193,9 @@ func TestPopulatedPagesAndSetPage(t *testing.T) {
 	}
 }
 
-// TestPageDataReturnsCopy: mutating the slice PageData hands out must
-// not write through into live guest memory (that is what made a
-// "read" accessor silently dangerous).
-func TestPageDataReturnsCopy(t *testing.T) {
+// TestPageDataUnsafeAliases: the page accessor hands out live guest
+// memory by reference, so a caller that wants to mutate must copy.
+func TestPageDataUnsafeAliases(t *testing.T) {
 	m := newMemory()
 	if err := m.Map(rwVMA(0x1000, 0x4000)); err != nil {
 		t.Fatal(err)
@@ -203,18 +203,18 @@ func TestPageDataReturnsCopy(t *testing.T) {
 	if err := m.Write(0x1000, []byte{0xAA}); err != nil {
 		t.Fatal(err)
 	}
-	got := m.PageData(1)
-	if got == nil || got[0] != 0xAA {
-		t.Fatalf("PageData(1) = %v", got)
-	}
-	got[0] = 0x55
-	if live, _ := m.Read(0x1000, 1); live[0] != 0xAA {
-		t.Fatalf("PageData aliased live memory: %#x", live[0])
-	}
-	// The unsafe variant is the aliasing one, by contract.
 	raw := m.PageDataUnsafe(1)
 	if raw == nil || raw[0] != 0xAA {
 		t.Fatalf("PageDataUnsafe(1) = %v", raw)
+	}
+	cp := append([]byte(nil), raw...)
+	cp[0] = 0x55
+	if live, _ := m.Read(0x1000, 1); live[0] != 0xAA {
+		t.Fatalf("a copy aliased live memory: %#x", live[0])
+	}
+	raw[0] = 0x66
+	if live, _ := m.Read(0x1000, 1); live[0] != 0x66 {
+		t.Fatalf("PageDataUnsafe did not alias live memory: %#x", live[0])
 	}
 }
 

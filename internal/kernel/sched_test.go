@@ -205,3 +205,66 @@ func TestRunRoundMatchesRun(t *testing.T) {
 		t.Fatalf("RunRound on an empty machine = %d, want 0", n)
 	}
 }
+
+// TestRunRoundDefersMidRoundProcesses: a process created during a
+// round — here by a nudge callback, which also re-enters Run and reaps
+// an exited process — gets no slice of the round it was created in, and
+// the round still gives every other process its one slice in PID order.
+func TestRunRoundDefersMidRoundProcesses(t *testing.T) {
+	m := NewMachine()
+	nudger, err := m.Load(buildExe(t, "nudger", `
+.text
+.global _start
+_start:
+	mov r0, 15
+	mov r1, 1
+	syscall
+loop:
+	jmp loop
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doomed, err := m.Load(buildExe(t, "doomed", spinnerSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, err := m.Load(buildExe(t, "last", spinnerSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var late *Process
+	var nestedLast uint64
+	m.SetNudgeFunc(func(int, uint64) {
+		if late != nil {
+			return // the nested Run re-issues the nudge
+		}
+		if late, err = m.Load(buildExe(t, "late", spinnerSrc)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Kill(doomed.PID()); err != nil {
+			t.Fatal(err)
+		}
+		m.Remove(doomed.PID())
+		m.Run(200) // a nested round: the newcomer may run here
+		nestedLast = last.Insts()
+	})
+	m.RunRound()
+	if late == nil {
+		t.Fatal("nudge never fired")
+	}
+	if late.Insts() == 0 {
+		t.Fatal("the nested Run never scheduled the new process")
+	}
+	lateAfterNested := late.Insts()
+	if got := last.Insts(); got != nestedLast+64 {
+		t.Fatalf("the outer round gave pid %d %d instructions after the nested Run, want one 64-step slice", last.PID(), got-nestedLast)
+	}
+	if late.Insts() != lateAfterNested || nudger.Insts() == 0 {
+		t.Fatalf("outer round ran a process created mid-round: late=%d", late.Insts())
+	}
+	m.RunRound()
+	if late.Insts() != lateAfterNested+64 {
+		t.Fatalf("next round gave the new process %d instructions, want 64", late.Insts()-lateAfterNested)
+	}
+}

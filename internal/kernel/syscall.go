@@ -248,17 +248,18 @@ func (m *Machine) sysFork(p *Process, next uint64) uint64 {
 	}
 	child.regs[0] = 0
 	child.blockStart = next
-	m.procs[child.pid] = child
+	m.addProcess(child)
 	return uint64(child.pid)
 }
 
-// sysWait reaps any exited child: returns pid<<8 | (code&0xff), or -1
-// if no child has exited (non-blocking; respawn loops poll it).
+// sysWait reaps the lowest-PID exited child: returns pid<<8 |
+// (code&0xff), or -1 if no child has exited (non-blocking; respawn
+// loops poll it).
 func (m *Machine) sysWait(p *Process) uint64 {
-	for pid, c := range m.procs {
+	for _, c := range m.procs {
 		if c.parent == p.pid && c.exited {
-			m.Remove(pid)
-			return uint64(pid)<<8 | uint64(c.exitCode&0xff)
+			m.Remove(c.pid)
+			return uint64(c.pid)<<8 | uint64(c.exitCode&0xff)
 		}
 	}
 	return errRet

@@ -31,7 +31,7 @@ lockstep:
 # observability assertions that every injected fault lands in the
 # trace. Runs vet first and the coverage floor last: the chaos gate is
 # also the lint and coverage gate.
-CHAOS_RUN := Chaos|Rollback|Rolls|Transient|Retried|Revalidated|Corrupt|BitFlip|Truncation|Observer|Overflow|Supervisor|Breaker|Storm|Fleet|Controller|Journal|Lease|MidWave|Pristine|PageStore|LivePatch|InstallHandler|Attest|Scrub|Quarantine|Repair|Lockstep|Translate|BlockCache|FlipBits|Clone
+CHAOS_RUN := Chaos|Rollback|Rolls|Transient|Retried|Revalidated|Corrupt|BitFlip|Truncation|Observer|Overflow|Supervisor|Breaker|Storm|Fleet|Controller|Journal|Lease|MidWave|Pristine|PageStore|LivePatch|InstallHandler|Attest|Scrub|Quarantine|Repair|Lockstep|Translate|BlockCache|FlipBits|Clone|TLB
 CHAOS_PKGS := ./internal/core/ ./internal/crit/ ./internal/criu/ ./internal/faultinject/ ./internal/fleet/ ./internal/kernel/ ./internal/obs/ ./internal/supervise/ .
 LOAD_CHAOS_RUN := Driver|Pool|Merge|Schedule|Ramp|Poisson|TraceCSV|Histogram|Mix|RolloutUnderLoad|SteadyState|HaltReleases|ConfigValidation|LivePatch|Scrub
 LOAD_CHAOS_PKGS := ./internal/loadgen/ ./internal/slo/
@@ -71,12 +71,14 @@ loc:
 	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^benchmark/' | xargs cat | wc -l
 
 # Short fuzz smoke over the image decoder, the rollout-journal
-# decoder, and the basic-block translator (corpus seeds always run as
-# part of `test`; this adds a few seconds of mutation each).
+# decoder, the basic-block translator and the software TLB (corpus
+# seeds always run as part of `test`; this adds a few seconds of
+# mutation each).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalImages -fuzztime 10s ./internal/criu/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 10s ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz FuzzBlockCacheDecode -fuzztime 10s ./internal/kernel/
+	$(GO) test -run '^$$' -fuzz FuzzMemoryTLB -fuzztime 10s ./internal/kernel/
 
 # The benchmark is a module of its own, outside `./...`: vet and test
 # it here so a facade change that breaks it fails locally too.

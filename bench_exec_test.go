@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dynacut/dynacut"
 	"github.com/dynacut/dynacut/internal/apps/specgen"
 	"github.com/dynacut/dynacut/internal/apps/webserv"
 	"github.com/dynacut/dynacut/internal/kernel"
@@ -140,4 +141,35 @@ func BenchmarkExecEngineWebserv(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkExecEngineKVRequest: one warm kvstore request through
+// Session.Request on the default engine, with the coverage tracer
+// attached — the kv-cut workload's request path. Besides ns/op and
+// allocs/op it reports guest throughput: virtual-clock ticks retired
+// per wall second.
+func BenchmarkExecEngineKVRequest(b *testing.B) {
+	app, err := dynacut.BuildKVStore(dynacut.KVStoreConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess, err := dynacut.StartServer(app.Exe, []*dynacut.Binary{app.Libc}, app.Config.Port)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs := []string{"SET a 17\n", "GET a\n", "INCR a\n", "EXISTS a\n", "SET b hello\n", "GET b\n", "DEL b\n", "PING\n"}
+	for _, r := range reqs {
+		if _, err := sess.Request(r); err != nil {
+			b.Fatalf("warm-up %q: %v", r, err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	clock := sess.Machine.Clock()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.Request(reqs[i%len(reqs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(sess.Machine.Clock()-clock)/b.Elapsed().Seconds()/1e6, "guest-Minst/s")
 }

@@ -53,6 +53,29 @@ package kernel
 //     populate), not just on page contents.
 //  4. Nothing is cloned. Fork, CoW replica spawning and restore all
 //     build fresh address spaces whose caches start empty.
+//
+// Three shortcuts keep dispatch and guest memory off Go maps, each
+// with its own obligation:
+//
+//   - The software TLB (memory.go) serves guest loads, stores and
+//     fetches. Its entries are tagged with the layout generation, so
+//     step 3 empties it too, and breakCoW and SetPage drop the entry of
+//     the page whose backing they replace.
+//   - A TLB entry's write bit lets a store skip writablePage, and so
+//     noteWrite. Only a store's slow path sets it, after noteWrite ran.
+//     The obligation: no cached block covers a page whose write bit is
+//     set. block.touch and insert clear the bit for their pages, so a
+//     store into a cached block's page always takes the slow path and
+//     step 1 holds. A store during a recording may set the bit on a
+//     page the recording already touched; that store advanced the
+//     page's generation past the recorded one, so the block is stale
+//     from birth, and insert clears the bit anyway.
+//   - Memory.wgen advances with every generation bump (steps 1 and 2).
+//     A block remembers the wgen it last validated at (its recording
+//     start, until its first dispatch) and skips step 2's per-page
+//     compare while wgen is unchanged. The direct-mapped dispatch
+//     table in front of the blocks map holds only cached blocks:
+//     eviction and flushes clear their slots.
 
 import (
 	"fmt"
@@ -127,7 +150,12 @@ type block struct {
 	pages  []uint64
 	gens   []uint64
 	layout uint64 // Memory.layoutGen at recording time
-	valid  bool   // cleared by eviction; checked mid-replay
+	// wgen is the Memory.wgen the block last validated at: its
+	// recording start until its first dispatch. While wgen is
+	// unchanged no page has changed, and dispatch skips the
+	// generation compare.
+	wgen  uint64
+	valid bool // cleared by eviction; checked mid-replay
 
 	// Inline backing for pages and gens: a block touches one page or
 	// two, so only a superblock spanning more allocates.
@@ -171,12 +199,20 @@ func (s *BlockCacheStats) Add(o BlockCacheStats) {
 	s.LayoutFlush += o.LayoutFlush
 }
 
+// dispatchSlots is the size of the direct-mapped dispatch table: a
+// power of two, so the slot is the entry address's low bits.
+const dispatchSlots = 256
+
 // blockCache holds one address space's translated blocks, keyed by
 // entry address, with a per-page index for eviction.
 type blockCache struct {
 	blocks map[uint64]*block
 	byPage map[uint64][]*block
-	stats  BlockCacheStats
+	// table is a direct-mapped cache of blocks, in front of blocks: a
+	// dispatch whose slot holds its entry reads no map. Every block in
+	// it is in blocks; evict and flushAll clear their slots.
+	table [dispatchSlots]*block
+	stats BlockCacheStats
 	// scratch is the recorder's reusable instruction buffer, taken
 	// (set to nil) while a recording uses it so that a recording
 	// nested through a callback that re-enters Run gets its own.
@@ -205,30 +241,39 @@ func (m *Memory) blockCacheOf() *blockCache {
 // lookup returns the valid, fresh cached block entered at addr, or
 // nil after evicting whatever stale entry was found there.
 func (bc *blockCache) lookup(mem *Memory, addr uint64) *block {
-	b := bc.blocks[addr]
-	if b == nil {
-		bc.stats.Misses++
-		return nil
+	slot := &bc.table[addr%dispatchSlots]
+	b := *slot
+	if b == nil || b.entry != addr {
+		if b = bc.blocks[addr]; b == nil {
+			bc.stats.Misses++
+			return nil
+		}
+		*slot = b
 	}
-	if !b.valid || b.layout != mem.layoutGen || !b.fresh(mem) {
+	if !b.valid || b.layout != mem.layoutGen || (b.wgen != mem.wgen && !b.fresh(mem)) {
 		bc.evict(b)
 		bc.stats.GenEvictions++
 		bc.stats.Misses++
 		return nil
 	}
+	b.wgen = mem.wgen
 	bc.stats.Hits++
 	return b
 }
 
 // insert caches a freshly recorded block, replacing any previous
-// entry at the same address.
-func (bc *blockCache) insert(b *block) {
+// entry at the same address. A store during the recording may have put
+// one of the block's pages back on the TLB's store fast path; now that
+// the block is cached, it comes off.
+func (bc *blockCache) insert(mem *Memory, b *block) {
 	if old := bc.blocks[b.entry]; old != nil {
 		bc.evict(old)
 	}
 	bc.blocks[b.entry] = b
+	bc.table[b.entry%dispatchSlots] = b
 	for _, pn := range b.pages {
 		bc.byPage[pn] = append(bc.byPage[pn], b)
+		mem.tlbClearWrite(pn)
 	}
 	bc.stats.Translations++
 }
@@ -240,6 +285,9 @@ func (bc *blockCache) evict(b *block) {
 	b.valid = false
 	if bc.blocks[b.entry] == b {
 		delete(bc.blocks, b.entry)
+	}
+	if slot := &bc.table[b.entry%dispatchSlots]; *slot == b {
+		*slot = nil
 	}
 	for _, pn := range b.pages {
 		list := bc.byPage[pn]
@@ -280,6 +328,7 @@ func (bc *blockCache) flushAll() {
 	}
 	clear(bc.blocks)
 	clear(bc.byPage)
+	clear(bc.table[:])
 	bc.stats.LayoutFlush++
 }
 
@@ -487,7 +536,7 @@ func (m *Machine) replay(p *Process, b *block, limit uint64) (charged uint64, bl
 // touch, so a block whose bytes changed under it — even during its own
 // recording — can never validate.
 func (m *Machine) record(p *Process, bc *blockCache, limit uint64) (charged uint64, blocked bool) {
-	b := &block{entry: p.rip, layout: p.mem.layoutGen, valid: true}
+	b := &block{entry: p.rip, layout: p.mem.layoutGen, wgen: p.mem.wgen, valid: true}
 	b.pages, b.gens = b.pageBuf[:0], b.genBuf[:0]
 	b.insts, bc.scratch = bc.scratch[:0], nil
 	var buf [maxInstLen]byte
@@ -542,7 +591,7 @@ func (m *Machine) record(p *Process, bc *blockCache, limit uint64) (charged uint
 	scratch := b.insts
 	if len(scratch) > 0 {
 		b.insts = slices.Clone(scratch)
-		bc.insert(b)
+		bc.insert(p.mem, b)
 	}
 	bc.scratch = scratch
 	return charged, blocked
@@ -550,9 +599,11 @@ func (m *Machine) record(p *Process, bc *blockCache, limit uint64) (charged uint
 
 // touch records the pages of the fetch window [addr, addr+n) that the
 // block has not touched yet, each with its current generation, keeping
-// pages sorted. A window spans one page or two.
+// pages sorted. A window spans one page or two. Each page comes off the
+// TLB's store fast path, so the next store to it is noted.
 func (b *block) touch(mem *Memory, addr uint64, n int) {
 	for pn := addr / PageSize; pn <= (addr+uint64(n)-1)/PageSize; pn++ {
+		mem.tlbClearWrite(pn)
 		if k := len(b.pages); k > 0 && b.pages[k-1] == pn {
 			continue // the common case: still on the last page
 		}

@@ -734,3 +734,80 @@ loop:
 		t.Fatalf("disarmed gate: %d divergences, r3=%d; want logged and live bytes run", m.CacheDivergenceCount(), p.Reg(3))
 	}
 }
+
+// TestBlockCacheTLBStoreIntoCachedPage: a guest store into a page whose
+// TLB write bit was set, made while a block recorded from that page is
+// replaying, still evicts the block and stops the replay. The block's
+// recording took the page off the store fast path; were it still on,
+// the store would skip noteWrite and the replay would run on over the
+// INT3 it just wrote.
+func TestBlockCacheTLBStoreIntoCachedPage(t *testing.T) {
+	exe := buildExe(t, "test", `
+.text
+.global _start
+_start:
+	mov r8, =buf
+	mov r9, 204
+loop:
+	storeb [r8], r9
+victim:
+	mov r3, 7
+	jmp loop
+slot:
+	.quad 0
+.bss
+buf: .space 8
+`)
+	m := NewMachine()
+	m.SetExecMode(ModeTranslate)
+	p, err := m.Load(exe)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	sym := func(name string) uint64 {
+		s, err := exe.Symbol(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Value
+	}
+	loop, victim, slot := sym("loop"), sym("victim"), sym("slot")
+	pn := loop / PageSize
+	if victim/PageSize != pn || slot/PageSize != pn {
+		t.Fatalf("loop, victim and slot straddle pages: %#x %#x %#x", loop, victim, slot)
+	}
+	if err := p.Mem().Protect(pn*PageSize, (pn+1)*PageSize, delf.PermR|delf.PermW|delf.PermX); err != nil {
+		t.Fatal(err)
+	}
+
+	// A guest store into the text page: it evicts the page's blocks
+	// and sets the page's write bit.
+	m.Run(1000)
+	if err := p.Mem().WriteU64(slot, 1); err != nil {
+		t.Fatal(err)
+	}
+	if e := p.mem.tlbLookup(pn); e == nil || !e.write {
+		t.Fatalf("store into the text page left no write bit: %+v", e)
+	}
+	// The loop re-records from the page, which takes it off the fast
+	// path, and replays.
+	hits := p.Mem().BlockCacheStats().Hits
+	m.Run(1000)
+	st := p.Mem().BlockCacheStats()
+	if e := p.mem.tlbLookup(pn); e != nil && e.write {
+		t.Fatal("a block cached from the page, yet its write bit is set")
+	}
+	if st.Hits == hits || p.Exited() {
+		t.Fatalf("loop not replaying from the cache: exited=%v %+v", p.Exited(), st)
+	}
+
+	// Retarget the loop's store at its own next instruction.
+	p.SetReg(8, victim)
+	m.Run(1000)
+	if got := p.Mem().BlockCacheStats().PageFlushes; got == st.PageFlushes {
+		t.Fatalf("the store into the replaying block's page evicted nothing: %+v", p.Mem().BlockCacheStats())
+	}
+	if !p.Exited() || p.KilledBy() != SIGTRAP {
+		t.Fatalf("replay ran past the INT3 the guest stored: exited=%v killed=%v r3=%d", p.Exited(), p.KilledBy(), p.Reg(3))
+	}
+}

@@ -84,13 +84,43 @@ type Memory struct {
 	gens      map[uint64]uint64
 	layoutGen uint64
 
-	// A one-entry lookaside in front of VMAAt: the bounds and
-	// permission of the VMA the last guest access resolved. It is valid
-	// while laGen == layoutGen+1, so every layout change invalidates it
-	// and a zero Memory starts with it empty.
-	laStart, laEnd uint64
-	laPerm         delf.Perm
-	laGen          uint64
+	// tlb is the software TLB in front of the VMA table and the page
+	// map (see tlbEntry). Guest loads, stores and fetches inside one
+	// page go through it; host accesses and the guest's page-crossing
+	// and syscall-buffer accesses (ReadGuest, WriteGuest) do not. nil
+	// until the first guest access, so a fresh, cloned or restored
+	// address space pays nothing for it.
+	tlb *[tlbSize]tlbEntry
+
+	// wgen advances on every page mutation the block cache must see
+	// (noteWrite, noteSilentWrite). A cached block remembers the wgen
+	// it last validated at and skips its per-page generation compare
+	// while wgen is unchanged.
+	wgen uint64
+}
+
+// tlbSize is the number of software-TLB entries: a power of two, so
+// the slot is the page number's low bits.
+const tlbSize = 32
+
+// tlbEntry caches one page's translation for guest accesses: its
+// backing and its VMA's permission. It is valid while tag ==
+// layoutGen+1, so every Map/Unmap/Protect invalidates the whole TLB
+// and a zero entry is empty. Anything that replaces a page's backing
+// (breakCoW, SetPage) drops the page's entry.
+//
+// write is the store fast path: set only by a guest store's slow path
+// after writablePage ran, it promises the page is populated, private,
+// dirty and covered by no cached block, so a store may go straight into
+// the page. Whatever breaks one of those promises clears it: block.touch
+// and blockCache.insert for their pages, SnapshotDirty and ClearDirty
+// and CloneCoW for every entry (DESIGN.md §15).
+type tlbEntry struct {
+	pn    uint64
+	page  *[PageSize]byte
+	tag   uint64
+	perm  delf.Perm
+	write bool
 }
 
 func newMemory() *Memory {
@@ -139,6 +169,7 @@ func (m *Memory) CloneCoW() *Memory {
 	for pn := range m.dirty {
 		c.dirty[pn] = struct{}{}
 	}
+	m.tlbClearWrites() // m's pages are shared now
 	return c
 }
 
@@ -153,6 +184,7 @@ func (m *Memory) breakCoW(pn uint64) {
 	}
 	m.pages[pn] = append([]byte(nil), m.pages[pn]...)
 	delete(m.cow, pn)
+	m.tlbDrop(pn)
 }
 
 // SharedPageCount reports how many pages still share backing with a
@@ -167,6 +199,7 @@ func (m *Memory) SharedPageCount() int { return len(m.cow) }
 // library injection — so a patched page can never execute stale
 // cached code, not even later in the same scheduler round.
 func (m *Memory) noteWrite(pn uint64) {
+	m.wgen++
 	if m.gens != nil {
 		m.gens[pn]++
 	}
@@ -185,6 +218,7 @@ func (m *Memory) noteWrite(pn uint64) {
 // byte-identical across execution modes while staying invisible to
 // the dirty bitmap.
 func (m *Memory) noteSilentWrite(pn uint64) {
+	m.wgen++
 	if m.gens != nil {
 		m.gens[pn]++
 	}
@@ -215,20 +249,6 @@ func (m *Memory) VMAAt(addr uint64) (VMA, bool) {
 		return m.vmas[i], true
 	}
 	return VMA{}, false
-}
-
-// vmaPerm returns the permission of the VMA containing addr, through
-// the lookaside; a miss refills it from VMAAt.
-func (m *Memory) vmaPerm(addr uint64) (delf.Perm, bool) {
-	if m.laGen == m.layoutGen+1 && addr >= m.laStart && addr < m.laEnd {
-		return m.laPerm, true
-	}
-	v, ok := m.VMAAt(addr)
-	if !ok {
-		return 0, false
-	}
-	m.laStart, m.laEnd, m.laPerm, m.laGen = v.Start, v.End, v.Perm, m.layoutGen+1
-	return v.Perm, true
 }
 
 func pageAligned(v uint64) bool { return v%PageSize == 0 }
@@ -341,13 +361,87 @@ func min64(a, b uint64) uint64 {
 	return b
 }
 
-// page returns the backing page, allocating it zero-filled if the
-// address is mapped.
-func (m *Memory) page(addr uint64) ([]byte, bool) {
-	if _, ok := m.vmaPerm(addr); !ok {
-		return nil, false
+// tlbLookup returns page pn's valid TLB entry, or nil.
+func (m *Memory) tlbLookup(pn uint64) *tlbEntry {
+	if m.tlb == nil {
+		return nil
 	}
-	return m.populate(addr / PageSize), true
+	if e := &m.tlb[pn%tlbSize]; e.pn == pn && e.tag == m.layoutGen+1 {
+		return e
+	}
+	return nil
+}
+
+// access returns the TLB entry of addr's page if the page is mapped
+// with every permission in want, refilling the entry on a miss (which,
+// like any guest access, populates the page). nil means the access
+// faults.
+func (m *Memory) access(addr uint64, want delf.Perm) *tlbEntry {
+	pn := addr / PageSize
+	if e := m.tlbLookup(pn); e != nil {
+		if e.perm&want != want {
+			return nil
+		}
+		return e
+	}
+	v, ok := m.VMAAt(addr)
+	if !ok || v.Perm&want != want {
+		return nil
+	}
+	return m.tlbFill(pn, v.Perm, m.populate(pn))
+}
+
+// tlbFill installs page pn's entry, allocating the TLB on first use.
+func (m *Memory) tlbFill(pn uint64, perm delf.Perm, pg []byte) *tlbEntry {
+	if m.tlb == nil {
+		m.tlb = new([tlbSize]tlbEntry)
+	}
+	e := &m.tlb[pn%tlbSize]
+	*e = tlbEntry{pn: pn, page: (*[PageSize]byte)(pg), tag: m.layoutGen + 1, perm: perm}
+	return e
+}
+
+// tlbDrop forgets page pn's entry: its backing was replaced.
+func (m *Memory) tlbDrop(pn uint64) {
+	if e := m.tlbLookup(pn); e != nil {
+		*e = tlbEntry{}
+	}
+}
+
+// tlbClearWrite takes page pn off the store fast path.
+func (m *Memory) tlbClearWrite(pn uint64) {
+	if e := m.tlbLookup(pn); e != nil {
+		e.write = false
+	}
+}
+
+// tlbClearWrites takes every page off the store fast path.
+func (m *Memory) tlbClearWrites() {
+	if m.tlb != nil {
+		for i := range m.tlb {
+			m.tlb[i].write = false
+		}
+	}
+}
+
+// storePage returns addr's page ready for a guest store, or nil if the
+// page is not mapped writable. An entry with its write bit set is the
+// whole cost; otherwise writablePage does the store bookkeeping and the
+// entry gets the bit.
+func (m *Memory) storePage(addr uint64) *[PageSize]byte {
+	pn := addr / PageSize
+	if e := m.tlbLookup(pn); e != nil && e.write {
+		return e.page
+	}
+	e := m.access(addr, delf.PermW)
+	if e == nil {
+		return nil
+	}
+	perm := e.perm
+	pg := m.writablePage(pn) // breaking CoW drops e
+	e = m.tlbFill(pn, perm, pg)
+	e.write = true
+	return e.page
 }
 
 // populate returns page pn's backing, allocating it zero-filled on
@@ -387,12 +481,11 @@ func (m *Memory) Read(addr uint64, n int) ([]byte, error) {
 
 func (m *Memory) read(addr uint64, out []byte) error {
 	for done := 0; done < len(out); {
-		pg, ok := m.page(addr + uint64(done))
-		if !ok {
-			return fmt.Errorf("%w: %#x", ErrUnmapped, addr+uint64(done))
+		a := addr + uint64(done)
+		if _, ok := m.VMAAt(a); !ok {
+			return fmt.Errorf("%w: %#x", ErrUnmapped, a)
 		}
-		off := (addr + uint64(done)) % PageSize
-		done += copy(out[done:], pg[off:])
+		done += copy(out[done:], m.populate(a / PageSize)[a%PageSize:])
 	}
 	return nil
 }
@@ -401,7 +494,7 @@ func (m *Memory) read(addr uint64, out []byte) error {
 func (m *Memory) Write(addr uint64, b []byte) error {
 	for done := 0; done < len(b); {
 		a := addr + uint64(done)
-		if _, ok := m.vmaPerm(a); !ok {
+		if _, ok := m.VMAAt(a); !ok {
 			return fmt.Errorf("%w: %#x", ErrUnmapped, a)
 		}
 		done += copy(m.writablePage(a / PageSize)[a%PageSize:], b[done:])
@@ -447,25 +540,27 @@ func (m *Memory) WriteGuest(addr uint64, b []byte) error {
 // and returns how many it read: fewer at a mapping boundary. Like any
 // guest access it populates the pages it reads.
 func (m *Memory) fetch(addr uint64, buf []byte) (int, error) {
-	if perm, ok := m.vmaPerm(addr); !ok || perm&delf.PermX == 0 {
+	e := m.access(addr, delf.PermX)
+	if e == nil {
 		return 0, m.checkPerm(addr, 1, delf.PermX)
 	}
-	n := 0
-	for a := addr; n < len(buf); a = addr + uint64(n) {
-		if _, ok := m.vmaPerm(a); !ok {
-			break
+	n := copy(buf, e.page[addr%PageSize:])
+	if n < len(buf) {
+		// The window spills into the next page, whatever its
+		// permission, if it is mapped.
+		if e := m.access(addr+uint64(n), 0); e != nil {
+			n += copy(buf[n:], e.page[:])
 		}
-		n += copy(buf[n:], m.populate(a / PageSize)[a%PageSize:])
 	}
 	return n, nil
 }
 
 // ReadU64 reads a little-endian 64-bit word (guest semantics). A word
-// inside one page takes one VMA check and no copy.
+// inside one page is one TLB hit and no copy.
 func (m *Memory) ReadU64(addr uint64) (uint64, error) {
 	if off := addr % PageSize; off <= PageSize-8 {
-		if perm, ok := m.vmaPerm(addr); ok && perm&delf.PermR != 0 {
-			return binary.LittleEndian.Uint64(m.populate(addr / PageSize)[off:]), nil
+		if e := m.access(addr, delf.PermR); e != nil {
+			return binary.LittleEndian.Uint64(e.page[off:]), nil
 		}
 		return 0, m.checkPerm(addr, 8, delf.PermR)
 	}
@@ -483,8 +578,8 @@ func (m *Memory) ReadU64(addr uint64) (uint64, error) {
 // the same one-page fast path as ReadU64.
 func (m *Memory) WriteU64(addr uint64, v uint64) error {
 	if off := addr % PageSize; off <= PageSize-8 {
-		if perm, ok := m.vmaPerm(addr); ok && perm&delf.PermW != 0 {
-			binary.LittleEndian.PutUint64(m.writablePage(addr / PageSize)[off:], v)
+		if pg := m.storePage(addr); pg != nil {
+			binary.LittleEndian.PutUint64(pg[off:], v)
 			return nil
 		}
 		return m.checkPerm(addr, 8, delf.PermW)
@@ -496,16 +591,16 @@ func (m *Memory) WriteU64(addr uint64, v uint64) error {
 
 // ReadU8 reads one byte (guest semantics).
 func (m *Memory) ReadU8(addr uint64) (byte, error) {
-	if perm, ok := m.vmaPerm(addr); ok && perm&delf.PermR != 0 {
-		return m.populate(addr / PageSize)[addr%PageSize], nil
+	if e := m.access(addr, delf.PermR); e != nil {
+		return e.page[addr%PageSize], nil
 	}
 	return 0, m.checkPerm(addr, 1, delf.PermR)
 }
 
 // WriteU8 writes one byte (guest semantics).
 func (m *Memory) WriteU8(addr uint64, v byte) error {
-	if perm, ok := m.vmaPerm(addr); ok && perm&delf.PermW != 0 {
-		m.writablePage(addr / PageSize)[addr%PageSize] = v
+	if pg := m.storePage(addr); pg != nil {
+		pg[addr%PageSize] = v
 		return nil
 	}
 	return m.checkPerm(addr, 1, delf.PermW)
@@ -539,6 +634,7 @@ func (m *Memory) SetPage(pn uint64, data []byte) error {
 	m.pages[pn] = append([]byte(nil), data...)
 	m.dirty[pn] = struct{}{}
 	delete(m.cow, pn)
+	m.tlbDrop(pn)
 	m.noteWrite(pn)
 	return nil
 }
@@ -572,11 +668,14 @@ func (m *Memory) SnapshotDirty() []uint64 {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	m.dirty = map[uint64]struct{}{}
+	m.ClearDirty()
 	return out
 }
 
 // ClearDirty discards the dirty bitmap without reading it — used
 // after a restore, when memory is by construction identical to the
 // image set it was rebuilt from.
-func (m *Memory) ClearDirty() { m.dirty = map[uint64]struct{}{} }
+func (m *Memory) ClearDirty() {
+	m.dirty = map[uint64]struct{}{}
+	m.tlbClearWrites() // the next store must mark its page dirty again
+}

@@ -90,10 +90,15 @@ func (m *Machine) syscall(p *Process, next uint64) bool {
 	case SysYield:
 		p.regs[0] = 0
 	case SysNudge:
+		// Set the result and step past the SYS before the callback
+		// runs: a callback that re-enters Run resumes the process after
+		// its nudge instead of issuing it again.
+		p.regs[0] = 0
+		p.rip = next
 		if m.nudge != nil {
 			m.nudge(p.pid, p.regs[1])
 		}
-		p.regs[0] = 0
+		return true
 	case SysWait:
 		p.regs[0] = m.sysWait(p)
 	default:

@@ -51,8 +51,16 @@ var ErrBadLog = errors.New("trace: malformed coverage log")
 type Collector struct {
 	program string
 	blocks  map[RawBlock]struct{}
-	hits    uint64
+	// memo is a direct-mapped cache of tuples already in blocks, so a
+	// hot block's repeat executions skip the map insert. A slot is
+	// trusted only for a nonzero address, so the zero value is empty.
+	memo [memoSlots]RawBlock
+	hits uint64
 }
+
+// memoSlots is the size of the collector's memo: a power of two, so
+// the slot is the block address's low bits.
+const memoSlots = 256
 
 // NewCollector creates a collector for the named program.
 func NewCollector(program string) *Collector {
@@ -63,8 +71,14 @@ var _ kernel.Tracer = (*Collector)(nil)
 
 // OnBlock records one executed basic block.
 func (c *Collector) OnBlock(pid int, start, size uint64) {
-	c.blocks[RawBlock{Addr: start, Size: size}] = struct{}{}
 	c.hits++
+	b := RawBlock{Addr: start, Size: size}
+	slot := &c.memo[start%memoSlots]
+	if *slot == b && start != 0 {
+		return
+	}
+	c.blocks[b] = struct{}{}
+	*slot = b
 }
 
 // Hits returns the total (non-deduplicated) block executions seen.
@@ -76,6 +90,7 @@ func (c *Collector) Unique() int { return len(c.blocks) }
 // Reset clears the recorded coverage (the post-nudge cache clear).
 func (c *Collector) Reset() {
 	c.blocks = map[RawBlock]struct{}{}
+	c.memo = [memoSlots]RawBlock{}
 	c.hits = 0
 }
 

@@ -20,14 +20,17 @@ func TestCollectorDedup(t *testing.T) {
 	c.OnBlock(1, 0x400010, 15)
 	c.OnBlock(1, 0x400030, 5)
 	c.OnBlock(2, 0x10000100, 3) // another process, library block
-	if c.Unique() != 3 {
-		t.Fatalf("Unique = %d, want 3", c.Unique())
+	c.OnBlock(1, 0x400010, 7)   // the same entry, cut short by a trap
+	c.OnBlock(1, 0x400110, 4)   // shares 0x400010's memo slot
+	c.OnBlock(1, 0x400010, 15)
+	if c.Unique() != 5 {
+		t.Fatalf("Unique = %d, want 5", c.Unique())
 	}
-	if c.Hits() != 4 {
-		t.Fatalf("Hits = %d, want 4", c.Hits())
+	if c.Hits() != 7 {
+		t.Fatalf("Hits = %d, want 7", c.Hits())
 	}
 	l := c.Snapshot(sampleModules(), "full")
-	if len(l.Blocks) != 3 {
+	if len(l.Blocks) != 5 {
 		t.Fatalf("blocks = %d", len(l.Blocks))
 	}
 	// Sorted by address.
@@ -48,9 +51,10 @@ func TestNudgeSnapshotAndReset(t *testing.T) {
 	if c.Unique() != 0 {
 		t.Fatal("collector not reset")
 	}
+	c.OnBlock(1, 0x400000, 10) // seen before the reset: counts again
 	c.OnBlock(1, 0x400100, 5)
 	servingLog := c.Snapshot(sampleModules(), "serving")
-	if len(servingLog.Blocks) != 1 || servingLog.Blocks[0].Addr != 0x400100 {
+	if len(servingLog.Blocks) != 2 || servingLog.Blocks[0].Addr != 0x400000 || servingLog.Blocks[1].Addr != 0x400100 {
 		t.Fatalf("serving log = %+v", servingLog)
 	}
 }

@@ -70,12 +70,13 @@ cover:
 loc:
 	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^benchmark/' | xargs cat | wc -l
 
-# Short fuzz smoke over the image decoder, the rollout-journal
-# decoder, the basic-block translator and the software TLB (corpus
-# seeds always run as part of `test`; this adds a few seconds of
-# mutation each).
+# Short fuzz smoke over the image decoder, image-set edits against a
+# map model, the rollout-journal decoder, the basic-block translator
+# and the software TLB (corpus seeds always run as part of `test`;
+# this adds a few seconds of mutation each).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalImages -fuzztime 10s ./internal/criu/
+	$(GO) test -run '^$$' -fuzz FuzzImageEdits -fuzztime 10s ./internal/criu/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 10s ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz FuzzBlockCacheDecode -fuzztime 10s ./internal/kernel/
 	$(GO) test -run '^$$' -fuzz FuzzMemoryTLB -fuzztime 10s ./internal/kernel/

@@ -17,6 +17,7 @@ import (
 	"github.com/dynacut/dynacut"
 	"github.com/dynacut/dynacut/internal/crit"
 	"github.com/dynacut/dynacut/internal/experiments"
+	"github.com/dynacut/dynacut/internal/kernel"
 )
 
 // printOnce emits a figure's rendering on the first iteration only.
@@ -251,22 +252,16 @@ func BenchmarkMicro_CheckpointDump(b *testing.B) {
 
 // BenchmarkIncrementalDump measures the tentpole property of the
 // incremental pipeline: re-checkpointing an idle guest against the
-// previous images transfers a fraction of the page bytes of the first,
-// full dump (real CRIU's --track-mem parent images).
+// previous images copies a fraction of the page bytes of the first,
+// full dump (real CRIU's --track-mem parent images); the rest of its
+// table shares the parent's pages.
 func BenchmarkIncrementalDump(b *testing.B) {
 	sess := buildBenchSession(b)
-	pageBytes := func(set *dynacut.ImageSet) int {
-		n := 0
-		for _, pi := range set.Procs {
-			n += len(pi.Pages)
-		}
-		return n
-	}
 	parent, err := dynacut.Dump(sess.Machine, sess.PID(), dynacut.DumpOpts{ExecPages: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	fullBytes := pageBytes(parent)
+	fullBytes := parent.PagesDumped * kernel.PageSize
 	var deltaBytes, skipped int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -276,7 +271,7 @@ func BenchmarkIncrementalDump(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		deltaBytes = pageBytes(set)
+		deltaBytes = set.PagesDumped * kernel.PageSize
 		skipped = set.PagesSkipped
 	}
 	b.StopTimer()

@@ -203,9 +203,9 @@ func (c *Customizer) seal(pns []uint64) error {
 // in-guest verifier healed since the last adoption. The guest rewrote
 // those between commits and the dump carried them into this one.
 func (c *Customizer) committedPages(set, work *criu.ImageSet) ([]uint64, error) {
-	pns, err := editedPages(set, work)
-	if err != nil || !c.opts.Verifier || c.handler == nil {
-		return pns, err
+	pns := editedPages(set, work)
+	if !c.opts.Verifier || c.handler == nil {
+		return pns, nil
 	}
 	healed, err := c.FalseRemovals()
 	return append(pns, healedPages(healed)...), err
@@ -222,32 +222,36 @@ func healedPages(addrs []uint64) []uint64 {
 }
 
 // editedPages returns the pages at which an edit changed the root
-// process's image: pages whose resolved contents differ between the
-// dumped set and the edited work set (compared byte for byte, not
-// hashed), and pages only one of the two has. These are the only
-// pages a committed rewrite changes in the root's live memory.
-func editedPages(set, work *criu.ImageSet) ([]uint64, error) {
+// process's image: pages whose contents differ between the dumped set
+// and the edited work set (compared byte for byte, not hashed), and
+// pages only one of the two has. These are the only pages a committed
+// rewrite changes in the root's live memory. Both page tables are
+// sorted, so one merge walk compares them; a page the edit left alone
+// is still the dumped slice, which bytes.Equal settles without reading
+// it.
+func editedPages(set, work *criu.ImageSet) []uint64 {
 	pid := set.PIDs[0]
-	before, err := set.Procs[pid].EffectivePages()
-	if err != nil {
-		return nil, err
-	}
-	after, err := work.Procs[pid].EffectivePages()
-	if err != nil {
-		return nil, err
-	}
+	a, b := set.Procs[pid], work.Procs[pid]
+	apns, bpns := a.PageMap.PageNumbers, b.PageMap.PageNumbers
 	var pns []uint64
-	for pn, pg := range after {
-		if old, ok := before[pn]; !ok || !bytes.Equal(old, pg) {
-			pns = append(pns, pn)
+	i, j := 0, 0
+	for i < len(apns) || j < len(bpns) {
+		switch {
+		case j == len(bpns) || (i < len(apns) && apns[i] < bpns[j]):
+			pns = append(pns, apns[i])
+			i++
+		case i == len(apns) || bpns[j] < apns[i]:
+			pns = append(pns, bpns[j])
+			j++
+		default:
+			if !bytes.Equal(a.Pages[i], b.Pages[j]) {
+				pns = append(pns, apns[i])
+			}
+			i++
+			j++
 		}
 	}
-	for pn := range before {
-		if _, ok := after[pn]; !ok {
-			pns = append(pns, pn)
-		}
-	}
-	return pns, nil
+	return pns
 }
 
 func digestIn(hs [][sha256.Size]byte, d [sha256.Size]byte) bool {

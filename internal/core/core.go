@@ -131,14 +131,14 @@ type Stats struct {
 	// It is for reporting only: the virtual clock is charged from the
 	// work-count model instead (see charge).
 	Downtime time.Duration
-	// ImageBytes is the pre-edit checkpoint's size estimate,
-	// ImageSet.TotalBytes of the dumped set: for an incremental dump
-	// that is the delta set, not the flattened chain. It is not a
-	// marshalled length.
+	// ImageBytes estimates what the pre-edit checkpoint copied,
+	// ImageSet.DumpedBytes of the dumped set: for an incremental dump
+	// the dirty pages plus metadata, not the whole page table. It is
+	// not a marshalled length.
 	ImageBytes int
 	// PagesDumped / PagesSkipped report the incremental checkpoint's
-	// work: pages serialized into the image versus pages elided because
-	// the parent chain already carries them unchanged.
+	// work: pages copied from guest memory versus pages shared with the
+	// parent because they were clean.
 	PagesDumped   int
 	PagesSkipped  int
 	BlocksPatched int
@@ -328,7 +328,7 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 	if err != nil {
 		return stats, err
 	}
-	stats.ImageBytes = set.TotalBytes()
+	stats.ImageBytes = set.DumpedBytes()
 	stats.PagesDumped = set.PagesDumped
 	stats.PagesSkipped = set.PagesSkipped
 	// Every restore past the commit point, edited or rollback, brings
@@ -836,22 +836,16 @@ func (c *Customizer) enable(names []string) (Stats, error) {
 
 // Checkpoint snapshots the live guest for external keeping (e.g. the
 // supervisor's last-good images). The tree is dumped incrementally
-// against the customizer's parent chain and — because any dump resets
-// the kernel's dirty-page tracking — adopted as the new incremental
-// parent, so taking a snapshot here never invalidates the chain the
-// next Rewrite depends on. The returned set is flattened: fully
-// self-contained, restorable with no ancestry attached. Callers that
-// checkpoint outside this method corrupt the incremental pipeline.
+// against the customizer's parent and — because any dump resets the
+// kernel's dirty-page tracking — adopted as the new incremental
+// parent, so taking a snapshot here never invalidates the parent the
+// next Rewrite depends on. Like every set, the returned one is
+// complete and restorable on its own; callers must not mutate it.
+// Callers that checkpoint outside this method corrupt the incremental
+// pipeline.
 func (c *Customizer) Checkpoint() (*criu.ImageSet, error) {
 	set, _, err := c.dump()
-	if err != nil {
-		return nil, err
-	}
-	flat, err := set.Flatten()
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	return flat, nil
+	return set, err
 }
 
 // dump checkpoints the live tree incrementally against c.parent,

@@ -35,8 +35,8 @@
 //  4. Commit — one last Options.BeforeCommit gate (a halted fleet
 //     rollout aborts here, exactly like the transaction's pre-commit
 //     exit), then the saved bytes enter the customizer bookkeeping.
-//     The incremental parent chain stays valid: the patched pages are
-//     dirty, so the next delta dump includes them.
+//     The incremental parent stays valid: the patched pages are
+//     dirty, so the next incremental dump copies them.
 //
 // Anything the fast path cannot prove safe falls back to
 // DisableBlocks' full checkpoint transaction; Stats.FellBack and

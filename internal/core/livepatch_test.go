@@ -103,8 +103,8 @@ func TestLivePatchZeroDowntime(t *testing.T) {
 // TestLivePatchDirtyPagesSurviveDeltaDump is the dirty-bitmap
 // accounting regression test: an in-place text write must mark its
 // page dirty, so an incremental checkpoint taken after a live patch
-// carries the patched page. A restore of that delta chain into a fresh
-// machine must show INT3 at every patched entry — if the write skipped
+// copies the patched page. A restore of that incremental set into a
+// fresh machine must show INT3 at every patched entry — if the write skipped
 // the dirty bitmap, the restored guest would silently run the
 // unpatched feature.
 func TestLivePatchDirtyPagesSurviveDeltaDump(t *testing.T) {
@@ -121,7 +121,7 @@ func TestLivePatchDirtyPagesSurviveDeltaDump(t *testing.T) {
 	if c.parent == nil {
 		t.Fatal("no parent set adopted: the second checkpoint would not be a delta dump")
 	}
-	flat, err := c.Checkpoint()
+	set, err := c.Checkpoint()
 	if err != nil {
 		t.Fatalf("delta checkpoint: %v", err)
 	}
@@ -136,9 +136,9 @@ func TestLivePatchDirtyPagesSurviveDeltaDump(t *testing.T) {
 		}
 		m2.Remove(p.PID())
 	}
-	procs, _, err := criu.Restore(m2, flat)
+	procs, _, err := criu.Restore(m2, set)
 	if err != nil {
-		t.Fatalf("restore delta chain: %v", err)
+		t.Fatalf("restore incremental set: %v", err)
 	}
 	if len(procs) == 0 {
 		t.Fatal("restore produced no processes")

@@ -10,9 +10,10 @@ import (
 )
 
 // TestImageSetCloneIsolatesEdits applies every Editor mutator to a
-// Clone of a full set and of a delta set: the edits must land in the
-// clone while the source set and its parent stay byte-identical, since
-// the source is the rewrite transaction's rollback anchor.
+// Clone of a full set and of an incremental set: the edits must land
+// in the clone while the source set and the parent it shares pages
+// with stay byte-identical, since the source is the rewrite
+// transaction's rollback anchor.
 func TestImageSetCloneIsolatesEdits(t *testing.T) {
 	w := setup(t)
 	pid := w.p.PID()
@@ -24,8 +25,8 @@ func TestImageSetCloneIsolatesEdits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A delta against the full set: the data page is dirtied (its own
-	// page), the text page stays inherited from the parent.
+	// A delta against the full set: the data page is dirtied (copied),
+	// the text page stays shared with the parent.
 	if err := w.p.Mem().WriteU64(resultSym.Value, 7); err != nil {
 		t.Fatal(err)
 	}
@@ -37,26 +38,29 @@ func TestImageSetCloneIsolatesEdits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dpi.Delta || delta.Parent == nil {
-		t.Fatal("second dump is not a bound delta")
+	fpi, err := w.set.Proc(pid)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, pn := range dpi.PageMap.PageNumbers {
-		if pn == featA.Value/kernel.PageSize {
-			t.Fatal("text page is not inherited from the parent")
-		}
+	textPN := featA.Value / kernel.PageSize
+	if dpage, err := dpi.Page(textPN); err != nil {
+		t.Fatal(err)
+	} else if fpage, err := fpi.Page(textPN); err != nil || &dpage[0] != &fpage[0] {
+		t.Fatal("text page is not shared with the parent")
 	}
 	lib := buildLib(t, "sighandler.so", sighandlerLibSrc)
 	dataPage := resultSym.Value / kernel.PageSize * kernel.PageSize
 
 	for _, tc := range []struct {
-		name string
-		set  *criu.ImageSet
-	}{{"full", w.set}, {"delta", delta}} {
+		name   string
+		set    *criu.ImageSet
+		parent *criu.ImageSet
+	}{{"full", w.set, nil}, {"delta", delta, w.set}} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := tc.set.Marshal()
 			var parentBefore []byte
-			if tc.set.Parent != nil {
-				parentBefore = tc.set.Parent.Marshal()
+			if tc.parent != nil {
+				parentBefore = tc.parent.Marshal()
 			}
 			clone := tc.set.Clone()
 			ed := NewEditor(clone, w.m)
@@ -67,7 +71,7 @@ func TestImageSetCloneIsolatesEdits(t *testing.T) {
 				}
 			}
 			must("write own page", ed.WriteMem(pid, resultSym.Value, []byte{1, 2, 3}))
-			must("write parent-resolved page", ed.BlockEntry(pid, featA.Value))
+			must("write parent-shared page", ed.BlockEntry(pid, featA.Value))
 			v := criu.VMAEntry{Start: 0x6000_0000_0000, End: 0x6000_0000_0000 + kernel.PageSize, Perm: 3, Name: "extra", Anon: true}
 			must("add vma", ed.AddVMA(pid, v, []byte{9, 9}))
 			must("grow vma", ed.GrowVMA(pid, v.Start, v.End+kernel.PageSize))
@@ -102,7 +106,7 @@ func TestImageSetCloneIsolatesEdits(t *testing.T) {
 			if !bytes.Equal(tc.set.Marshal(), before) {
 				t.Error("editing the clone changed the source set")
 			}
-			if tc.set.Parent != nil && !bytes.Equal(tc.set.Parent.Marshal(), parentBefore) {
+			if tc.parent != nil && !bytes.Equal(tc.parent.Marshal(), parentBefore) {
 				t.Error("editing the clone changed the parent set")
 			}
 		})

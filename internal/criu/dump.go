@@ -22,11 +22,11 @@ type DumpOpts struct {
 	// master/worker applications).
 	Tree bool
 	// Parent, when non-nil, makes the dump incremental (CRIU's
-	// --track-mem): a process already present in Parent emits only its
-	// dirty pages plus holes for pages the guest has since unmapped,
-	// and the resulting set records Parent as its ancestor. Processes
-	// absent from Parent, and any dump whose chain would exceed
-	// MaxParentDepth, fall back to a full dump.
+	// --track-mem): a process already present in Parent copies only
+	// the pages dirtied since that dump, and its table shares Parent's
+	// page slices for the clean ones. The new set is still complete and
+	// keeps no link to Parent. Processes absent from Parent are dumped
+	// in full.
 	Parent *ImageSet
 }
 
@@ -34,10 +34,10 @@ type DumpOpts struct {
 // The process is left running; callers that want the
 // checkpoint-kill-rewrite-restore flow use Machine.Kill afterwards.
 //
-// All fault hooks and parent-chain resolution run in a serial prepass
-// before any per-process serialization starts — so a failed Dump never
-// clears dirty-page bitmaps, and the subsequent per-process fan-out is
-// infallible and free to run in parallel.
+// All fault hooks run in a serial prepass before any per-process
+// serialization starts — so a failed Dump never clears dirty-page
+// bitmaps, and the subsequent per-process fan-out is infallible and
+// free to run in parallel.
 func Dump(m *kernel.Machine, pid int, opts DumpOpts) (*ImageSet, error) {
 	root, err := m.Process(pid)
 	if err != nil {
@@ -48,13 +48,10 @@ func Dump(m *kernel.Machine, pid int, opts DumpOpts) (*ImageSet, error) {
 		procs = append(procs, descendants(m, pid)...)
 	}
 
-	parentOK := opts.Parent != nil && opts.Parent.Depth() < MaxParentDepth
-
 	// Serial prepass: fault hooks fire in deterministic order
-	// (proc, pagemap, [parent] per process) and every parent chain is
-	// resolved up front, before any SnapshotDirty can discard state.
+	// (proc, pagemap, [parent] per process), before any SnapshotDirty
+	// can discard state.
 	parentPis := make([]*ProcImage, len(procs))
-	parentEffs := make([]map[uint64][]byte, len(procs))
 	for i, p := range procs {
 		if err := m.Fault(faultinject.SiteDumpProc, p.PID()); err != nil {
 			return nil, fmt.Errorf("dump pid %d: %w", p.PID(), err)
@@ -62,7 +59,7 @@ func Dump(m *kernel.Machine, pid int, opts DumpOpts) (*ImageSet, error) {
 		if err := m.Fault(faultinject.SiteDumpPageMap, p.PID()); err != nil {
 			return nil, fmt.Errorf("dump pid %d: %w", p.PID(), err)
 		}
-		if !parentOK {
+		if opts.Parent == nil {
 			continue
 		}
 		ppi, ok := opts.Parent.Procs[p.PID()]
@@ -72,12 +69,7 @@ func Dump(m *kernel.Machine, pid int, opts DumpOpts) (*ImageSet, error) {
 		if err := m.Fault(faultinject.SiteDumpParent, p.PID()); err != nil {
 			return nil, fmt.Errorf("dump pid %d: %w", p.PID(), err)
 		}
-		eff, err := ppi.EffectivePages()
-		if err != nil {
-			return nil, fmt.Errorf("dump pid %d: resolving parent chain: %w", p.PID(), err)
-		}
 		parentPis[i] = ppi
-		parentEffs[i] = eff
 	}
 
 	// Parallel phase: pure per-process serialization, one goroutine
@@ -92,7 +84,7 @@ func Dump(m *kernel.Machine, pid int, opts DumpOpts) (*ImageSet, error) {
 		wg.Add(1)
 		go func(i int, p *kernel.Process) {
 			defer wg.Done()
-			pi, dumped, skipped := dumpOne(p, opts, parentPis[i], parentEffs[i])
+			pi, dumped, skipped := dumpOne(p, opts, parentPis[i])
 			outs[i] = out{pi: pi, dumped: dumped, skipped: skipped}
 		}(i, p)
 	}
@@ -100,26 +92,18 @@ func Dump(m *kernel.Machine, pid int, opts DumpOpts) (*ImageSet, error) {
 
 	set := &ImageSet{Procs: map[int]*ProcImage{}}
 	parent := map[int]int{}
-	delta := false
 	for i, p := range procs {
 		set.PIDs = append(set.PIDs, p.PID())
 		set.Procs[p.PID()] = outs[i].pi
 		set.PagesDumped += outs[i].dumped
 		set.PagesSkipped += outs[i].skipped
-		if outs[i].pi.Delta {
-			delta = true
-		}
 		parent[p.PID()] = p.Parent()
-	}
-	if delta {
-		set.Parent = opts.Parent
 	}
 	sortPIDsParentFirst(set.PIDs, parent)
 	if o := m.Observer(); o != nil {
 		o.Add("criu.dumps", 1)
 		o.Add("criu.pages.dumped", int64(set.PagesDumped))
 		o.Add("criu.pages.skipped", int64(set.PagesSkipped))
-		o.SetGauge("criu.parent.depth", int64(set.Depth()))
 		o.Observe("criu.dump.pages", int64(set.PagesDumped))
 	}
 	return set, nil
@@ -146,9 +130,10 @@ func dumpEligible(mem *kernel.Memory, pn uint64, opts DumpOpts) bool {
 }
 
 // dumpOne serializes one process. It is infallible by design: every
-// fault hook and parent lookup already ran in Dump's prepass, so this
-// can execute on a goroutine with nothing shared but its own process.
-func dumpOne(p *kernel.Process, opts DumpOpts, parentPi *ProcImage, parentEff map[uint64][]byte) (pi *ProcImage, dumped, skipped int) {
+// fault hook already ran in Dump's prepass, so this can execute on a
+// goroutine with nothing shared but its own process and the parent's
+// immutable table.
+func dumpOne(p *kernel.Process, opts DumpOpts, parentPi *ProcImage) (pi *ProcImage, dumped, skipped int) {
 	pi = &ProcImage{}
 
 	// core
@@ -187,51 +172,48 @@ func dumpOne(p *kernel.Process, opts DumpOpts, parentPi *ProcImage, parentEff ma
 		pi.MM.Modules = append(pi.MM.Modules, ModuleEntry{Name: mod.Name, Lo: mod.Lo, Hi: mod.Hi})
 	}
 
-	// pagemap + pages
-	if parentPi == nil {
-		// Full dump. Afterwards the image mirrors every eligible page
-		// exactly, so it can serve as a parent — restart dirty tracking.
+	// pagemap + pages: the complete table of eligible pages. A page
+	// clean since the parent dump shares the parent's slice; every other
+	// page (all of them without a parent) is copied below. Either way
+	// the table then mirrors memory, so dirty tracking restarts here.
+	var ppns, dirty []uint64
+	var ppages [][]byte
+	if parentPi != nil {
+		ppns, ppages = parentPi.PageMap.PageNumbers, parentPi.Pages
+		dirty = mem.SnapshotDirty()
+	} else {
 		mem.ClearDirty()
-		for _, pn := range mem.PopulatedPages() {
-			if !dumpEligible(mem, pn, opts) {
-				continue
-			}
-			pi.PageMap.PageNumbers = append(pi.PageMap.PageNumbers, pn)
-			pi.Pages = append(pi.Pages, mem.PageDataUnsafe(pn)...)
+	}
+	populated := mem.PopulatedPages()
+	pi.PageMap.PageNumbers = make([]uint64, 0, len(populated))
+	pi.Pages = make([][]byte, 0, len(populated))
+	for _, pn := range populated {
+		if !dumpEligible(mem, pn, opts) {
+			continue
+		}
+		for len(ppns) > 0 && ppns[0] < pn {
+			ppns, ppages = ppns[1:], ppages[1:]
+		}
+		for len(dirty) > 0 && dirty[0] < pn {
+			dirty = dirty[1:]
+		}
+		var page []byte // nil: copied from memory below
+		if len(ppns) > 0 && ppns[0] == pn && (len(dirty) == 0 || dirty[0] != pn) {
+			page = ppages[0]
+			skipped++
+		} else {
 			dumped++
 		}
-	} else {
-		// Incremental dump: emit pages that are dirty since the parent
-		// or missing from the parent chain entirely; punch holes for
-		// chain pages the guest no longer maps.
-		pi.Delta = true
-		pi.parent = parentPi
-		dirty := map[uint64]struct{}{}
-		for _, pn := range mem.SnapshotDirty() {
-			dirty[pn] = struct{}{}
+		pi.PageMap.PageNumbers = append(pi.PageMap.PageNumbers, pn)
+		pi.Pages = append(pi.Pages, page)
+	}
+	buf := make([]byte, dumped*kernel.PageSize)
+	for i, page := range pi.Pages {
+		if page == nil {
+			page, buf = buf[:kernel.PageSize:kernel.PageSize], buf[kernel.PageSize:]
+			copy(page, mem.PageDataUnsafe(pi.PageMap.PageNumbers[i]))
+			pi.Pages[i] = page
 		}
-		current := map[uint64]struct{}{}
-		for _, pn := range mem.PopulatedPages() {
-			if !dumpEligible(mem, pn, opts) {
-				continue
-			}
-			current[pn] = struct{}{}
-			_, dirtied := dirty[pn]
-			_, inParent := parentEff[pn]
-			if dirtied || !inParent {
-				pi.PageMap.PageNumbers = append(pi.PageMap.PageNumbers, pn)
-				pi.Pages = append(pi.Pages, mem.PageDataUnsafe(pn)...)
-				dumped++
-			} else {
-				skipped++
-			}
-		}
-		for pn := range parentEff {
-			if _, ok := current[pn]; !ok {
-				pi.Holes = append(pi.Holes, pn)
-			}
-		}
-		sort.Slice(pi.Holes, func(i, j int) bool { return pi.Holes[i] < pi.Holes[j] })
 	}
 
 	// files (including TCP state for repair)

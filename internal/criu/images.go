@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"sync"
 
@@ -45,16 +46,7 @@ var (
 	// ErrInconsistentImage flags an image set whose parts contradict
 	// each other (pagemap not covered by pages, RIP unmapped, ...).
 	ErrInconsistentImage = errors.New("criu: inconsistent image set")
-	// ErrNoParent flags a delta image whose page lookups need a parent
-	// image set that is not bound or whose chain exceeds MaxParentDepth.
-	ErrNoParent = errors.New("criu: parent image not bound")
 )
-
-// MaxParentDepth bounds the incremental-image ancestry: page lookups
-// resolve through at most this many parent links, and Dump falls back
-// to a full dump rather than growing a deeper chain (mirroring how
-// real CRIU bounds --track-mem parent directories before consolidating).
-const MaxParentDepth = 8
 
 // SigEntry is one registered signal handler in a core image.
 type SigEntry struct {
@@ -126,223 +118,96 @@ type FilesImage struct {
 	Files []FileEntry
 }
 
-// ProcImage aggregates the images of one process. A Delta proc image
-// holds only the pages dirtied since its parent checkpoint; page
-// lookups fall through to the parent chain (bound by Dump), and Holes
-// records pages the parent has but this image explicitly lacks
-// (unmapped since the parent was taken). Delta images live only in
-// memory: Marshal flattens them, so a blob is always self-contained.
+// ProcImage aggregates the images of one process. Its page table is
+// complete: PageMap.PageNumbers is sorted ascending without
+// duplicates, and Pages[i] holds the PageSize bytes of page
+// PageNumbers[i]. A set dumped against a parent holds every page too,
+// so a read never looks past its own table.
+//
+// Page slices are immutable once they are in a table, which lets
+// tables share them: an incremental dump shares the parent's slice for
+// each page clean since the parent, and Clone shares the source's.
+// SetPage stores a private copy, and nothing writes into a page slice.
+// The two table slices themselves belong to one image.
 type ProcImage struct {
 	Core    CoreImage
 	MM      MMImage
 	PageMap PageMapImage
-	Pages   []byte // concatenated page data, PageMap order
+	Pages   [][]byte // parallel to PageMap.PageNumbers
 	Files   FilesImage
-	// Delta marks an incremental image: absent pages resolve through
-	// the parent chain instead of being errors.
-	Delta bool
-	// Holes lists pages absent from this image even though an
-	// ancestor holds them (punched by UnmapRange edits).
-	Holes []uint64
-
-	// parent is the same-PID image in the parent set (nil until bound).
-	parent *ProcImage
 }
 
-// ownPage returns the page data held by this image itself, without
-// consulting the parent chain.
-func (pi *ProcImage) ownPage(pn uint64) ([]byte, bool, error) {
-	for i, n := range pi.PageMap.PageNumbers {
-		if n == pn {
-			off := i * kernel.PageSize
-			if off+kernel.PageSize > len(pi.Pages) {
-				return nil, false, fmt.Errorf("%w: pages image truncated", ErrBadImage)
-			}
-			return pi.Pages[off : off+kernel.PageSize], true, nil
-		}
-	}
-	return nil, false, nil
-}
-
-func (pi *ProcImage) hasHole(pn uint64) bool {
-	for _, h := range pi.Holes {
-		if h == pn {
-			return true
-		}
-	}
-	return false
-}
-
-// Page returns the dumped contents of page pn, resolving delta images
-// through the (bounded-depth) parent chain. The returned slice may
-// alias an ancestor image: callers must copy before mutating (SetPage
-// materializes a private copy automatically).
+// Page returns the dumped contents of page pn. The slice may be shared
+// with other images: callers must not write into it (SetPage copies).
 func (pi *ProcImage) Page(pn uint64) ([]byte, error) {
-	for cur, depth := pi, 0; ; {
-		data, ok, err := cur.ownPage(pn)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return data, nil
-		}
-		if cur.hasHole(pn) || !cur.Delta {
-			return nil, fmt.Errorf("%w: page %d", ErrPageAbsent, pn)
-		}
-		if cur.parent == nil {
-			return nil, fmt.Errorf("%w: page %d needs a parent image", ErrNoParent, pn)
-		}
-		depth++
-		if depth > MaxParentDepth {
-			return nil, fmt.Errorf("%w: parent chain deeper than %d", ErrNoParent, MaxParentDepth)
-		}
-		cur = cur.parent
+	i, ok := slices.BinarySearch(pi.PageMap.PageNumbers, pn)
+	if !ok {
+		return nil, fmt.Errorf("%w: page %d", ErrPageAbsent, pn)
 	}
+	return pi.Pages[i], nil
 }
 
-// SetPage overwrites the dumped contents of page pn, or appends the
-// page if this image does not hold it itself — which is also how a
-// parented page is materialized before mutation: the full new
-// contents land in this image, and the parent copy is shadowed.
+// SetPage stores a private copy of data as the contents of page pn,
+// replacing the page or inserting it in page-number order.
 func (pi *ProcImage) SetPage(pn uint64, data []byte) error {
 	if len(data) != kernel.PageSize {
 		return fmt.Errorf("%w: page data must be %d bytes", ErrBadImage, kernel.PageSize)
 	}
-	for i, n := range pi.PageMap.PageNumbers {
-		if n == pn {
-			copy(pi.Pages[i*kernel.PageSize:], data)
-			return nil
-		}
+	page := bytes.Clone(data)
+	i, ok := slices.BinarySearch(pi.PageMap.PageNumbers, pn)
+	if ok {
+		pi.Pages[i] = page
+		return nil
 	}
-	pi.PageMap.PageNumbers = append(pi.PageMap.PageNumbers, pn)
-	pi.Pages = append(pi.Pages, data...)
-	// The page exists again: un-punch any hole shadowing it.
-	if pi.hasHole(pn) {
-		keep := pi.Holes[:0]
-		for _, h := range pi.Holes {
-			if h != pn {
-				keep = append(keep, h)
-			}
-		}
-		pi.Holes = keep
-	}
+	pi.PageMap.PageNumbers = slices.Insert(pi.PageMap.PageNumbers, i, pn)
+	pi.Pages = slices.Insert(pi.Pages, i, page)
 	return nil
 }
 
-// DropPages removes the dumped pages in [startPN, endPN). On a delta
-// image the range is also punched as holes, so ancestor copies of
-// those pages cannot resurface through the chain.
+// DropPages removes the dumped pages in [startPN, endPN).
 func (pi *ProcImage) DropPages(startPN, endPN uint64) {
-	var keepNums []uint64
-	var keepData []byte
-	for i, n := range pi.PageMap.PageNumbers {
-		if n >= startPN && n < endPN {
-			continue
-		}
-		keepNums = append(keepNums, n)
-		keepData = append(keepData, pi.Pages[i*kernel.PageSize:(i+1)*kernel.PageSize]...)
-	}
-	pi.PageMap.PageNumbers = keepNums
-	pi.Pages = keepData
-	if pi.Delta {
-		for pn := startPN; pn < endPN; pn++ {
-			if !pi.hasHole(pn) {
-				pi.Holes = append(pi.Holes, pn)
-			}
-		}
-		sort.Slice(pi.Holes, func(i, j int) bool { return pi.Holes[i] < pi.Holes[j] })
+	lo, _ := slices.BinarySearch(pi.PageMap.PageNumbers, startPN)
+	hi, _ := slices.BinarySearch(pi.PageMap.PageNumbers, endPN)
+	if lo < hi {
+		pi.PageMap.PageNumbers = slices.Delete(pi.PageMap.PageNumbers, lo, hi)
+		pi.Pages = slices.Delete(pi.Pages, lo, hi)
 	}
 }
 
-// EffectivePages resolves the complete page view of this image
-// through its parent chain: page number → contents, with descendant
-// images shadowing ancestors and holes masking inherited pages. The
-// slices may alias the images; callers must not mutate them.
-func (pi *ProcImage) EffectivePages() (map[uint64][]byte, error) {
-	var chain []*ProcImage
-	for cur := pi; ; {
-		chain = append(chain, cur)
-		if !cur.Delta {
-			break
-		}
-		if cur.parent == nil {
-			return nil, fmt.Errorf("%w: delta image has no bound parent", ErrNoParent)
-		}
-		if len(chain) > MaxParentDepth+1 {
-			return nil, fmt.Errorf("%w: parent chain deeper than %d", ErrNoParent, MaxParentDepth)
-		}
-		cur = cur.parent
+// tableError describes what is wrong with the page table — the two
+// slices differ in length, a page is not PageSize bytes, or the page
+// numbers are not strictly ascending — or returns "" for a sound one.
+func (pi *ProcImage) tableError() string {
+	pns := pi.PageMap.PageNumbers
+	if len(pi.Pages) != len(pns) {
+		return fmt.Sprintf("%d pages for %d pagemap entries", len(pi.Pages), len(pns))
 	}
-	out := map[uint64][]byte{}
-	for i := len(chain) - 1; i >= 0; i-- {
-		lvl := chain[i]
-		for _, h := range lvl.Holes {
-			delete(out, h)
+	for i, pn := range pns {
+		if len(pi.Pages[i]) != kernel.PageSize {
+			return fmt.Sprintf("page %d is %d bytes", pn, len(pi.Pages[i]))
 		}
-		for j, pn := range lvl.PageMap.PageNumbers {
-			off := j * kernel.PageSize
-			if off+kernel.PageSize > len(lvl.Pages) {
-				return nil, fmt.Errorf("%w: pages image truncated", ErrBadImage)
-			}
-			out[pn] = lvl.Pages[off : off+kernel.PageSize]
+		if i > 0 && pn <= pns[i-1] {
+			return fmt.Sprintf("pagemap not strictly ascending at page %d", pn)
 		}
 	}
-	return out, nil
-}
-
-// Depth returns the length of the parent chain below this image (0
-// for a full image).
-func (pi *ProcImage) Depth() int {
-	d := 0
-	for cur := pi; cur.Delta && cur.parent != nil; cur = cur.parent {
-		d++
-		if d > MaxParentDepth+1 {
-			break // corrupt/cyclic chain; Validate reports it
-		}
-	}
-	return d
+	return ""
 }
 
 // ImageSet is a dumped process tree: one ProcImage per PID, plus the
-// inventory order (parents before children). An incremental set
-// additionally points at the checkpoint it was dumped against.
+// inventory order (parents before children).
 type ImageSet struct {
 	PIDs  []int
 	Procs map[int]*ProcImage
 
-	// Parent is the image set this one is a delta against (nil for a
-	// full dump). It is never serialized: Marshal flattens the chain.
-	Parent *ImageSet
-
 	// PagesDumped/PagesSkipped report the incremental win of the Dump
-	// that produced this set (transient; not serialized).
+	// that produced this set: pages copied from guest memory versus
+	// pages shared with the parent because they were clean
+	// (transient; not serialized).
 	PagesDumped  int
 	PagesSkipped int
 
 	ident     uint32    // cached Ident(); computed under identOnce
 	identOnce sync.Once // concurrent depositors may all ask for Ident
-}
-
-// Delta reports whether any proc image in the set is incremental.
-func (s *ImageSet) Delta() bool {
-	for _, pi := range s.Procs {
-		if pi.Delta {
-			return true
-		}
-	}
-	return false
-}
-
-// Depth returns the ancestry depth of the set (0 for a full dump).
-func (s *ImageSet) Depth() int {
-	d := 0
-	for cur := s.Parent; cur != nil; cur = cur.Parent {
-		d++
-		if d > MaxParentDepth+1 {
-			break
-		}
-	}
-	return d
 }
 
 // Ident returns the set's identity: the CRC-32C of its serialized
@@ -357,47 +222,10 @@ func (s *ImageSet) Ident() uint32 {
 	return s.ident
 }
 
-// Flatten materializes a self-contained copy of the set: every proc's
-// pages are resolved through the parent chain into a full image. The
-// originals are not modified.
-func (s *ImageSet) Flatten() (*ImageSet, error) {
-	out := &ImageSet{
-		PIDs:  append([]int(nil), s.PIDs...),
-		Procs: make(map[int]*ProcImage, len(s.Procs)),
-	}
-	for pid, pi := range s.Procs {
-		eff, err := pi.EffectivePages()
-		if err != nil {
-			return nil, fmt.Errorf("flatten pid %d: %w", pid, err)
-		}
-		pns := make([]uint64, 0, len(eff))
-		for pn := range eff {
-			pns = append(pns, pn)
-		}
-		sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-		flat := &ProcImage{
-			Core:  pi.Core,
-			Files: pi.Files,
-		}
-		flat.MM.VMAs = append([]VMAEntry(nil), pi.MM.VMAs...)
-		flat.MM.Modules = append([]ModuleEntry(nil), pi.MM.Modules...)
-		flat.Core.Sigs = append([]SigEntry(nil), pi.Core.Sigs...)
-		flat.Core.SysFilter = append([]uint64(nil), pi.Core.SysFilter...)
-		flat.PageMap.PageNumbers = pns
-		flat.Pages = make([]byte, 0, len(pns)*kernel.PageSize)
-		for _, pn := range pns {
-			flat.Pages = append(flat.Pages, eff[pn]...)
-		}
-		out.Procs[pid] = flat
-	}
-	return out, nil
-}
-
-// RemapPIDs re-keys the set onto new process IDs (oldPID → newPID, as
-// returned by Restore): the restored tree has fresh PIDs, and the set
-// must be addressed by them to serve as the parent of the next
-// incremental dump. Page data and parent links are shared with the
-// original; only identity and ancestry bookkeeping are rewritten.
+// RemapPIDs re-keys a copy of the set onto new process IDs (oldPID →
+// newPID, as returned by Restore): the restored tree has fresh PIDs,
+// and the set must be addressed by them to serve as the parent of the
+// next incremental dump.
 func (s *ImageSet) RemapPIDs(pidMap map[int]int) *ImageSet {
 	mapped := func(pid int) int {
 		if np, ok := pidMap[pid]; ok {
@@ -406,44 +234,44 @@ func (s *ImageSet) RemapPIDs(pidMap map[int]int) *ImageSet {
 		return pid
 	}
 	out := &ImageSet{
-		PIDs:   make([]int, len(s.PIDs)),
-		Procs:  make(map[int]*ProcImage, len(s.Procs)),
-		Parent: s.Parent,
+		PIDs:  make([]int, len(s.PIDs)),
+		Procs: make(map[int]*ProcImage, len(s.Procs)),
 	}
 	for i, pid := range s.PIDs {
 		np := mapped(pid)
 		out.PIDs[i] = np
-		pi := s.Procs[pid]
-		clone := *pi
-		clone.Core.PID = np
+		pi := s.Procs[pid].clone()
+		pi.Core.PID = np
 		if pi.Core.Parent != 0 {
-			clone.Core.Parent = mapped(pi.Core.Parent)
+			pi.Core.Parent = mapped(pi.Core.Parent)
 		}
-		out.Procs[np] = &clone
+		out.Procs[np] = pi
 	}
 	return out
 }
 
 // Clone returns a copy of the set that an editor may mutate freely:
-// every proc image's own slices (pages, pagemap, VMAs, modules, signal
-// dispositions, syscall filter, holes, descriptors) are copied, while
-// the parent chain is shared — a set is immutable once it has been
-// dumped against, and edits to a delta only ever shadow parent pages.
+// every proc image's metadata and page table are copied, while the
+// immutable page slices are shared.
 func (s *ImageSet) Clone() *ImageSet {
 	out := &ImageSet{
 		PIDs:         append([]int(nil), s.PIDs...),
 		Procs:        make(map[int]*ProcImage, len(s.Procs)),
-		Parent:       s.Parent,
 		PagesDumped:  s.PagesDumped,
 		PagesSkipped: s.PagesSkipped,
 	}
 	for pid, pi := range s.Procs {
-		c := cloneProcShell(pi)
-		c.Pages = append([]byte(nil), pi.Pages...)
-		c.parent = pi.parent
-		out.Procs[pid] = c
+		out.Procs[pid] = pi.clone()
 	}
 	return out
+}
+
+// clone copies the image's metadata and page table, sharing the page
+// slices.
+func (pi *ProcImage) clone() *ProcImage {
+	c := cloneProcShell(pi)
+	c.Pages = slices.Clone(pi.Pages)
+	return c
 }
 
 // Proc returns the image of one PID.
@@ -455,16 +283,25 @@ func (s *ImageSet) Proc(pid int) (*ProcImage, error) {
 	return pi, nil
 }
 
-// TotalBytes estimates the set's image size — the "image size" rows
-// of Figure 7: page bytes, plus 64 bytes per VMA and 8 per page
-// number. It counts this set's own images only (a delta set's parent
-// chain is excluded) and is not the length Marshal produces.
+// TotalBytes estimates the set's image size: page bytes, plus 64
+// bytes per VMA and 8 per page number, over the whole page table. It
+// is not the length Marshal produces.
 func (s *ImageSet) TotalBytes() int {
 	n := 0
 	for _, pi := range s.Procs {
-		n += len(pi.Pages)
+		n += 64*len(pi.MM.VMAs) + (kernel.PageSize+8)*len(pi.PageMap.PageNumbers)
+	}
+	return n
+}
+
+// DumpedBytes estimates what the Dump that produced the set copied —
+// the "image size" rows of Figure 7: TotalBytes' metadata, but page
+// bytes and page numbers for the PagesDumped pages only, not for the
+// pages shared with the parent. For a full dump it equals TotalBytes.
+func (s *ImageSet) DumpedBytes() int {
+	n := (kernel.PageSize + 8) * s.PagesDumped
+	for _, pi := range s.Procs {
 		n += 64 * len(pi.MM.VMAs)
-		n += 8 * len(pi.PageMap.PageNumbers)
 	}
 	return n
 }
@@ -479,10 +316,10 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // entry's own body (every other field); it is always written last.
 const checksumField = 7
 
-// Wire fields an incremental image would need: a top-level parent
+// Wire fields of the retired incremental format: a top-level parent
 // reference and the per-proc delta flag and holes. Marshal never
 // writes them, and Unmarshal rejects a blob that carries any, so a
-// decoded set never expects a parent it does not have.
+// blob never decodes as a set that expects a parent.
 const (
 	refField   = 2
 	deltaField = 8
@@ -499,30 +336,21 @@ func marshalProcBody(pid int, pi *ProcImage) []byte {
 	e.Bytes(2, marshalCore(&pi.Core))
 	e.Bytes(3, marshalMM(&pi.MM))
 	e.Bytes(4, marshalPageMap(&pi.PageMap))
-	e.Bytes(5, pi.Pages)
+	e.Chunks(5, pi.Pages)
 	e.Bytes(6, marshalFiles(&pi.Files))
 	return e.Finish()
 }
 
 // Marshal encodes the image set into a single blob (the "tmpfs
 // directory" of the paper's setup). Every proc entry carries a CRC32C
-// checksum of its content; Unmarshal refuses blobs that fail it. A
-// delta set is flattened first, so the blob is always a full,
+// checksum of its content; Unmarshal refuses blobs that fail it. Every
+// set holds its complete page table, so the blob is always a full,
 // self-contained set.
 //
 // Per-proc bodies are marshaled in parallel and assembled in PID
 // order, so the output is byte-identical run to run regardless of
 // goroutine scheduling.
 func (s *ImageSet) Marshal() []byte {
-	if s.Delta() {
-		flat, err := s.Flatten()
-		if err != nil {
-			// Dump binds every delta to a chain at most MaxParentDepth
-			// deep, so only a set broken by hand gets here.
-			panic(fmt.Sprintf("criu: marshal of an unresolvable delta set: %v", err))
-		}
-		s = flat
-	}
 	bodies := make([][]byte, len(s.PIDs))
 	var wg sync.WaitGroup
 	for i, pid := range s.PIDs {
@@ -550,6 +378,7 @@ func (s *ImageSet) Marshal() []byte {
 // entries out across goroutines.
 func unmarshalProcEntry(raw []byte) (int, *ProcImage, error) {
 	pi := &ProcImage{}
+	var pages []byte
 	pid := -1
 	wantCRC := uint64(0)
 	hasCRC := false
@@ -581,7 +410,7 @@ func unmarshalProcEntry(raw []byte) (int, *ProcImage, error) {
 			}
 			pi.PageMap = *pm
 		case 5:
-			pi.Pages = append([]byte(nil), pd.Bytes()...)
+			pages = append([]byte(nil), pd.Bytes()...)
 		case 6:
 			f, err := unmarshalFiles(pd.Bytes())
 			if err != nil {
@@ -625,19 +454,34 @@ func unmarshalProcEntry(raw []byte) (int, *ProcImage, error) {
 		return 0, nil, fmt.Errorf("%w: pid %d checksum %#x, image says %#x",
 			ErrCorruptImage, pid, got, wantCRC)
 	}
-	if len(pi.Pages) != kernel.PageSize*len(pi.PageMap.PageNumbers) {
+	if len(pages) != kernel.PageSize*len(pi.PageMap.PageNumbers) {
 		return 0, nil, fmt.Errorf("%w: pages/pagemap size mismatch for pid %d", ErrBadImage, pid)
 	}
+	pi.Pages = splitPages(pages)
+	if msg := pi.tableError(); msg != "" {
+		return 0, nil, fmt.Errorf("%w: pid %d: %s", ErrBadImage, pid, msg)
+	}
 	return pid, pi, nil
+}
+
+// splitPages cuts buf into PageSize slices, each capped at its own
+// end so no slice can grow into its neighbour.
+func splitPages(buf []byte) [][]byte {
+	pages := make([][]byte, len(buf)/kernel.PageSize)
+	for i := range pages {
+		pages[i] = buf[i*kernel.PageSize : (i+1)*kernel.PageSize : (i+1)*kernel.PageSize]
+	}
+	return pages
 }
 
 // Unmarshal decodes an image set blob, verifying every proc entry's
 // checksum. Corruption — truncation, bit flips, a missing checksum —
 // yields an error wrapping ErrCorruptImage or ErrBadImage; no partial
 // set is ever returned. Proc entries are decoded in parallel and
-// reassembled in blob order. A blob carrying any incremental field is
-// rejected with ErrBadImage: blobs come from outside the program and
-// must never decode to a delta with no parent.
+// reassembled in blob order. A blob carrying any field of the retired
+// incremental format, or a pagemap that is not strictly ascending, is
+// rejected with ErrBadImage: blobs come from outside the program, and
+// every decoded set must hold a complete, sorted page table.
 func Unmarshal(data []byte) (*ImageSet, error) {
 	s := &ImageSet{Procs: map[int]*ProcImage{}}
 

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/dynacut/dynacut/internal/criu/pbuf"
+	"github.com/dynacut/dynacut/internal/delf"
 	"github.com/dynacut/dynacut/internal/kernel"
 )
 
@@ -25,12 +27,59 @@ func loadCounter(t testing.TB) (*kernel.Machine, *kernel.Process) {
 	return m, p
 }
 
-func pageBytes(s *ImageSet) int {
+// sameTable reports whether two proc images hold the same page
+// numbers with the same page bytes.
+func sameTable(a, b *ProcImage) bool {
+	return slices.Equal(a.PageMap.PageNumbers, b.PageMap.PageNumbers) &&
+		slices.EqualFunc(a.Pages, b.Pages, bytes.Equal)
+}
+
+// sharedPages counts the pages of pi whose slice is the very slice
+// parent holds for that page number.
+func sharedPages(pi, parent *ProcImage) int {
 	n := 0
-	for _, pi := range s.Procs {
-		n += len(pi.Pages)
+	for i, pn := range pi.PageMap.PageNumbers {
+		j, ok := slices.BinarySearch(parent.PageMap.PageNumbers, pn)
+		if ok && &pi.Pages[i][0] == &parent.Pages[j][0] {
+			n++
+		}
 	}
 	return n
+}
+
+// assertSameMemory fails unless two processes have the same populated
+// pages with the same contents.
+func assertSameMemory(t *testing.T, got, want *kernel.Process) {
+	t.Helper()
+	gm, wm := got.Mem(), want.Mem()
+	gPages, wPages := gm.PopulatedPages(), wm.PopulatedPages()
+	if !slices.Equal(gPages, wPages) {
+		t.Fatalf("restored page sets differ: %d vs %d pages", len(gPages), len(wPages))
+	}
+	for _, pn := range wPages {
+		if !bytes.Equal(gm.PageDataUnsafe(pn), wm.PageDataUnsafe(pn)) {
+			t.Fatalf("restored page %d contents differ", pn)
+		}
+	}
+}
+
+// scribble writes a few random bytes at random places of p's VMAs
+// that keep passes, the way a guest dirties pages between two dumps.
+func scribble(t *testing.T, rng *rand.Rand, p *kernel.Process, n int, keep func(kernel.VMA) bool) {
+	t.Helper()
+	vmas := slices.DeleteFunc(p.Mem().VMAs(), func(v kernel.VMA) bool { return !keep(v) })
+	for i := 0; i < n; i++ {
+		v := vmas[rng.Intn(len(vmas))]
+		addr := v.Start + uint64(rng.Int63n(int64(v.End-v.Start)))
+		buf := make([]byte, 1+rng.Intn(32))
+		rng.Read(buf)
+		if addr+uint64(len(buf)) > v.End {
+			buf = buf[:v.End-addr]
+		}
+		if err := p.Mem().Write(addr, buf); err != nil {
+			t.Fatalf("write %#x: %v", addr, err)
+		}
+	}
 }
 
 func TestIncrementalDumpSkipsCleanPages(t *testing.T) {
@@ -39,9 +88,6 @@ func TestIncrementalDumpSkipsCleanPages(t *testing.T) {
 	full, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if full.Delta() {
-		t.Fatal("first dump is a delta")
 	}
 	if full.PagesDumped == 0 || full.PagesSkipped != 0 {
 		t.Fatalf("full dump: dumped=%d skipped=%d", full.PagesDumped, full.PagesSkipped)
@@ -54,17 +100,20 @@ func TestIncrementalDumpSkipsCleanPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !delta.Delta() {
-		t.Fatal("second dump with a parent is not a delta")
-	}
 	if delta.PagesSkipped == 0 {
 		t.Fatal("delta dump skipped no pages")
 	}
-	if delta.PagesDumped >= full.PagesDumped {
-		t.Fatalf("delta dumped %d pages, full dumped %d", delta.PagesDumped, full.PagesDumped)
+	if delta.PagesDumped*2 > full.PagesDumped {
+		t.Fatalf("delta dumped %d pages, full dumped %d — not incremental", delta.PagesDumped, full.PagesDumped)
 	}
-	if db, fb := pageBytes(delta), pageBytes(full); db*2 > fb {
-		t.Fatalf("delta carries %d page bytes of %d — not incremental", db, fb)
+	// The table is complete, and every skipped page is the parent's
+	// own slice, not a copy.
+	dpi, fpi := delta.Procs[p.PID()], full.Procs[p.PID()]
+	if got, want := len(dpi.PageMap.PageNumbers), delta.PagesDumped+delta.PagesSkipped; got != want {
+		t.Fatalf("delta table holds %d pages, want %d", got, want)
+	}
+	if got := sharedPages(dpi, fpi); got != delta.PagesSkipped {
+		t.Fatalf("delta shares %d parent pages, skipped %d", got, delta.PagesSkipped)
 	}
 
 	// An immediately repeated delta of the idle guest transfers nothing.
@@ -78,9 +127,9 @@ func TestIncrementalDumpSkipsCleanPages(t *testing.T) {
 }
 
 // TestFullVsDeltaRestoreEquivalence is the property test: after an
-// arbitrary mix of guest execution and direct memory writes, restoring
-// parent+delta must equal restoring a full dump — same registers, same
-// memory, same descriptors.
+// arbitrary mix of guest execution and direct memory writes, an
+// incremental dump holds the same table as a full dump, and restoring
+// either gives the same registers, memory and descriptors.
 func TestFullVsDeltaRestoreEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -90,24 +139,8 @@ func TestFullVsDeltaRestoreEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		// Randomized write pattern: guest execution plus direct writes
-		// scattered across the mapped address space.
 		m.Run(uint64(rng.Intn(3000)))
-		vmas := p.Mem().VMAs()
-		for i := 0; i < 1+rng.Intn(20); i++ {
-			v := vmas[rng.Intn(len(vmas))]
-			span := v.End - v.Start
-			addr := v.Start + uint64(rng.Int63n(int64(span)))
-			buf := make([]byte, 1+rng.Intn(32))
-			rng.Read(buf)
-			if addr+uint64(len(buf)) > v.End {
-				buf = buf[:v.End-addr]
-			}
-			if err := p.Mem().Write(addr, buf); err != nil {
-				t.Fatalf("seed %d: write %#x: %v", seed, addr, err)
-			}
-		}
+		scribble(t, rng, p, 1+rng.Intn(20), func(kernel.VMA) bool { return true })
 
 		delta, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Parent: parent})
 		if err != nil {
@@ -118,28 +151,13 @@ func TestFullVsDeltaRestoreEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// The flattened delta must be page-for-page the full dump.
-		flat, err := delta.Flatten()
-		if err != nil {
-			t.Fatalf("seed %d: flatten: %v", seed, err)
-		}
 		for _, pid := range fullNow.PIDs {
-			fp, dp := fullNow.Procs[pid], flat.Procs[pid]
+			fp, dp := fullNow.Procs[pid], delta.Procs[pid]
 			if dp == nil {
-				t.Fatalf("seed %d: pid %d missing from flattened delta", seed, pid)
+				t.Fatalf("seed %d: pid %d missing from the delta", seed, pid)
 			}
-			if len(fp.PageMap.PageNumbers) != len(dp.PageMap.PageNumbers) {
-				t.Fatalf("seed %d: pid %d pagemap %d vs %d pages", seed, pid,
-					len(dp.PageMap.PageNumbers), len(fp.PageMap.PageNumbers))
-			}
-			for i, pn := range fp.PageMap.PageNumbers {
-				if dp.PageMap.PageNumbers[i] != pn {
-					t.Fatalf("seed %d: pid %d pagemap[%d] = %d, want %d", seed, pid,
-						i, dp.PageMap.PageNumbers[i], pn)
-				}
-			}
-			if !bytes.Equal(fp.Pages, dp.Pages) {
-				t.Fatalf("seed %d: pid %d page contents diverge", seed, pid)
+			if !sameTable(fp, dp) {
+				t.Fatalf("seed %d: pid %d page tables diverge", seed, pid)
 			}
 			if fp.Core.Regs != dp.Core.Regs || fp.Core.RIP != dp.Core.RIP {
 				t.Fatalf("seed %d: pid %d register state diverges", seed, pid)
@@ -161,19 +179,7 @@ func TestFullVsDeltaRestoreEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: restore full: %v", seed, err)
 		}
-		dm, fm := fromDelta[0].Mem(), fromFull[0].Mem()
-		dPages, fPages := dm.PopulatedPages(), fm.PopulatedPages()
-		if len(dPages) != len(fPages) {
-			t.Fatalf("seed %d: restored page counts %d vs %d", seed, len(dPages), len(fPages))
-		}
-		for i, pn := range fPages {
-			if dPages[i] != pn {
-				t.Fatalf("seed %d: restored page sets diverge at %d", seed, i)
-			}
-			if !bytes.Equal(dm.PageDataUnsafe(pn), fm.PageDataUnsafe(pn)) {
-				t.Fatalf("seed %d: restored page %d contents diverge", seed, pn)
-			}
-		}
+		assertSameMemory(t, fromDelta[0], fromFull[0])
 		if fromDelta[0].RIP() != fromFull[0].RIP() {
 			t.Fatalf("seed %d: restored RIPs diverge", seed)
 		}
@@ -201,7 +207,7 @@ func TestParallelMarshalDeterministic(t *testing.T) {
 		t.Fatal("independent dumps of the same machine marshal differently")
 	}
 
-	// A delta marshals as its flattened set, deterministically too.
+	// An incremental set marshals deterministically too.
 	m.Run(500)
 	d1, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Parent: a})
 	if err != nil {
@@ -222,10 +228,10 @@ func TestParallelMarshalDeterministic(t *testing.T) {
 	}
 }
 
-// TestDeltaBlobSelfContained: a blob never carries a delta. Marshal
-// of an incremental set writes exactly the flattened set, the decoded
-// blob restores on a fresh machine with no parent in sight, and a blob
-// that does carry an incremental field is refused at decode.
+// TestDeltaBlobSelfContained: an incremental set's blob is exactly the
+// blob of a full dump of the same state, it restores on a fresh
+// machine with no parent in sight, and a blob that does carry a field
+// of the retired incremental format is refused at decode.
 func TestDeltaBlobSelfContained(t *testing.T) {
 	m, p := loadCounter(t)
 	full, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
@@ -237,24 +243,21 @@ func TestDeltaBlobSelfContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !delta.Delta() {
-		t.Fatal("second dump with a parent is not a delta")
+	if delta.PagesSkipped == 0 {
+		t.Fatal("second dump with a parent skipped no pages")
 	}
-	flat, err := delta.Flatten()
+	fullNow, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	blob := delta.Marshal()
-	if !bytes.Equal(blob, flat.Marshal()) {
-		t.Fatal("delta blob differs from the blob of its flattened set")
+	if !bytes.Equal(blob, fullNow.Marshal()) {
+		t.Fatal("incremental blob differs from the full dump's blob")
 	}
 
 	back, err := Unmarshal(blob)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if back.Delta() || back.Parent != nil {
-		t.Fatal("decoded blob is incremental")
 	}
 	dst := kernel.NewMachine()
 	bin, err := m.ReadFile("counter")
@@ -263,7 +266,7 @@ func TestDeltaBlobSelfContained(t *testing.T) {
 	}
 	dst.WriteFile("counter", bin)
 	if err := back.Validate(dst); err != nil {
-		t.Fatalf("decoded delta blob does not validate without a parent: %v", err)
+		t.Fatalf("decoded incremental blob does not validate: %v", err)
 	}
 	counter := counterAddr(t)
 	want, err := p.Mem().ReadU64(counter)
@@ -286,15 +289,15 @@ func TestDeltaBlobSelfContained(t *testing.T) {
 		name string
 		blob []byte
 	}{
-		{"parent-ref", handBlob(flat, true, nil)},
-		{"delta-field", handBlob(flat, false, func(e *pbuf.Encoder) { e.Bool(8, true) })},
-		{"holes-field", handBlob(flat, false, func(e *pbuf.Encoder) { e.Uint(9, 0x400) })},
+		{"parent-ref", handBlob(fullNow, true, nil)},
+		{"delta-field", handBlob(fullNow, false, func(e *pbuf.Encoder) { e.Bool(8, true) })},
+		{"holes-field", handBlob(fullNow, false, func(e *pbuf.Encoder) { e.Uint(9, 0x400) })},
 	} {
 		if _, err := Unmarshal(tc.blob); !errors.Is(err, ErrBadImage) {
 			t.Errorf("%s: Unmarshal = %v, want ErrBadImage", tc.name, err)
 		}
 	}
-	if _, err := Unmarshal(handBlob(flat, false, nil)); err != nil {
+	if _, err := Unmarshal(handBlob(fullNow, false, nil)); err != nil {
 		t.Fatalf("hand-encoded full blob does not decode: %v", err)
 	}
 }
@@ -333,43 +336,52 @@ func counterAddr(t *testing.T) uint64 {
 	return sym.Value
 }
 
-// TestParentDepthBound: once the chain reaches MaxParentDepth, the next
-// dump silently falls back to a full dump instead of growing it.
-func TestParentDepthBound(t *testing.T) {
+// TestLongIncrementalRunStaysIncremental: a running guest dumped 24
+// times in a row, each dump against the one before, never falls back
+// to a full dump, and restoring the last set leaves the same memory as
+// restoring a full dump of the same state.
+func TestLongIncrementalRunStaysIncremental(t *testing.T) {
+	const dumps = 24
+	rng := rand.New(rand.NewSource(1))
 	m, p := loadCounter(t)
 	set, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < MaxParentDepth; i++ {
+	for i := 1; i <= dumps; i++ {
 		m.Run(200)
+		// Text stays clean, so every dump has a page to share.
+		scribble(t, rng, p, 1+rng.Intn(4), func(v kernel.VMA) bool { return v.Perm&delf.PermX == 0 })
 		next, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Parent: set})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !next.Delta() {
-			t.Fatalf("dump %d with depth-%d parent is not a delta", i+1, set.Depth())
+		if next.PagesSkipped == 0 {
+			t.Fatalf("dump %d skipped no pages: a full dump", i)
 		}
 		set = next
 	}
-	if set.Depth() != MaxParentDepth {
-		t.Fatalf("chain depth = %d, want %d", set.Depth(), MaxParentDepth)
-	}
-	m.Run(200)
-	full, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Parent: set})
+	full, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Delta() {
-		t.Fatal("dump beyond MaxParentDepth still chained")
+	if err := m.Kill(p.PID()); err != nil {
+		t.Fatal(err)
 	}
-	if full.Depth() != 0 {
-		t.Fatalf("fallback full dump has depth %d", full.Depth())
+	fromDelta, _, err := Restore(m, set)
+	if err != nil {
+		t.Fatalf("restore dump %d: %v", dumps, err)
 	}
+	fromFull, _, err := Restore(m, full)
+	if err != nil {
+		t.Fatalf("restore full: %v", err)
+	}
+	assertSameMemory(t, fromDelta[0], fromFull[0])
 }
 
 // TestDeltaHolesDropUnmappedPages: pages the guest unmaps between
-// parent and delta must not resurrect through the chain on restore.
+// parent and incremental dump are absent from the new table, so they
+// never come back on restore.
 func TestDeltaHolesDropUnmappedPages(t *testing.T) {
 	m, p := loadCounter(t)
 	parent, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
@@ -383,6 +395,9 @@ func TestDeltaHolesDropUnmappedPages(t *testing.T) {
 	if !ok {
 		t.Fatal("counter not mapped")
 	}
+	if _, err := parent.Procs[p.PID()].Page(counter / kernel.PageSize); err != nil {
+		t.Fatalf("parent lacks the counter page: %v", err)
+	}
 	if err := p.Mem().Unmap(v.Start, v.End); err != nil {
 		t.Fatal(err)
 	}
@@ -392,17 +407,22 @@ func TestDeltaHolesDropUnmappedPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	pi := delta.Procs[p.PID()]
-	if len(pi.Holes) == 0 {
-		t.Fatal("unmapped pages punched no holes")
+	for pn := v.Start / kernel.PageSize; pn < v.End/kernel.PageSize; pn++ {
+		if _, err := pi.Page(pn); !errors.Is(err, ErrPageAbsent) {
+			t.Fatalf("unmapped page %d resolves: %v", pn, err)
+		}
 	}
-	if _, err := pi.Page(counter / kernel.PageSize); !errors.Is(err, ErrPageAbsent) {
-		t.Fatalf("holed page resolves: %v", err)
+
+	if err := m.Kill(p.PID()); err != nil {
+		t.Fatal(err)
 	}
-	eff, err := pi.EffectivePages()
+	restored, _, err := Restore(m, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, present := eff[counter/kernel.PageSize]; present {
-		t.Fatal("holed page present in effective view")
+	for pn := v.Start / kernel.PageSize; pn < v.End/kernel.PageSize; pn++ {
+		if restored[0].Mem().PageDataUnsafe(pn) != nil {
+			t.Fatalf("unmapped page %d came back on restore", pn)
+		}
 	}
 }

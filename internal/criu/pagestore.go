@@ -24,7 +24,6 @@ var ErrStoreCorrupt = errors.New("criu: page store blob corrupt")
 // them. It is the fleet layer's shared storage backend: depositing N
 // clone checkpoints costs ~1 guest of page blobs plus per-set
 // metadata, and any deposited set can be re-materialized for restore.
-// A stored set is always full: deltas stay in memory (Flatten first).
 //
 // All methods are safe for concurrent use. The page map is sharded by
 // hash prefix (the first key byte picks the bucket), so a rollout
@@ -186,8 +185,6 @@ func cloneProcShell(pi *ProcImage) *ProcImage {
 	c := &ProcImage{
 		Core:  pi.Core,
 		Files: FilesImage{Files: append([]FileEntry(nil), pi.Files.Files...)},
-		Delta: pi.Delta,
-		Holes: append([]uint64(nil), pi.Holes...),
 	}
 	c.Core.Sigs = append([]SigEntry(nil), pi.Core.Sigs...)
 	c.Core.SysFilter = append([]uint64(nil), pi.Core.SysFilter...)
@@ -197,17 +194,13 @@ func cloneProcShell(pi *ProcImage) *ProcImage {
 	return c
 }
 
-// Deposit interns a full image set: every page is stored under its
+// Deposit interns an image set: every page is stored under its
 // content hash (duplicates shared, not copied) and the set's structure
-// is recorded under its Ident. A delta set is refused with ErrBadImage
-// — flatten it first. Depositing a set that is already present is a
-// cheap no-op. Returns the set's identity.
+// is recorded under its Ident. Depositing a set that is already
+// present is a cheap no-op. Returns the set's identity.
 func (s *PageStore) Deposit(set *ImageSet) (uint32, error) {
 	if set == nil {
 		return 0, fmt.Errorf("%w: nil image set", ErrBadImage)
-	}
-	if set.Delta() {
-		return 0, fmt.Errorf("%w: a deposit must be a full set, not a delta", ErrBadImage)
 	}
 	ident := set.Ident()
 
@@ -220,8 +213,8 @@ func (s *PageStore) Deposit(set *ImageSet) (uint32, error) {
 
 	// Validate before interning so a bad set deposits nothing.
 	for pid, pi := range set.Procs {
-		if len(pi.Pages) != len(pi.PageMap.PageNumbers)*kernel.PageSize {
-			return 0, fmt.Errorf("%w: pid %d pages/pagemap mismatch", ErrBadImage, pid)
+		if msg := pi.tableError(); msg != "" {
+			return 0, fmt.Errorf("%w: pid %d: %s", ErrBadImage, pid, msg)
 		}
 	}
 
@@ -232,8 +225,8 @@ func (s *PageStore) Deposit(set *ImageSet) (uint32, error) {
 	}
 	for pid, pi := range set.Procs {
 		keys := make([][sha256.Size]byte, len(pi.PageMap.PageNumbers))
-		for i := range pi.PageMap.PageNumbers {
-			keys[i] = s.internPage(pi.Pages[i*kernel.PageSize : (i+1)*kernel.PageSize])
+		for i, pg := range pi.Pages {
+			keys[i] = s.internPage(pg)
 		}
 		st.shells[pid] = cloneProcShell(pi)
 		st.keys[pid] = keys
@@ -264,7 +257,7 @@ func (s *PageStore) Materialize(ident uint32) (*ImageSet, error) {
 	for pid, shell := range st.shells {
 		pi := cloneProcShell(shell)
 		keys := st.keys[pid]
-		pi.Pages = make([]byte, 0, len(keys)*kernel.PageSize)
+		buf := make([]byte, 0, len(keys)*kernel.PageSize)
 		for _, key := range keys {
 			pg, err := s.readBlob(key)
 			switch {
@@ -273,8 +266,9 @@ func (s *PageStore) Materialize(ident uint32) (*ImageSet, error) {
 			case err != nil:
 				return nil, fmt.Errorf("%w: page blob missing for set %#x pid %d", ErrCorruptImage, ident, pid)
 			}
-			pi.Pages = append(pi.Pages, pg...)
+			buf = append(buf, pg...)
 		}
+		pi.Pages = splitPages(buf)
 		set.Procs[pid] = pi
 	}
 	return set, nil

@@ -67,8 +67,8 @@ func hotShardFrac(sets []*ImageSet, shards int) float64 {
 	total := 0
 	for _, s := range sets {
 		for _, pi := range s.Procs {
-			for i := range pi.PageMap.PageNumbers {
-				key := sha256.Sum256(pi.Pages[i*kernel.PageSize : (i+1)*kernel.PageSize])
+			for _, pg := range pi.Pages {
+				key := sha256.Sum256(pg)
 				counts[int(key[0])&(shards-1)]++
 				total++
 			}

@@ -85,7 +85,7 @@ func TestPageStoreCorruptRotFaultSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(clean.Procs[p.PID()].Pages, set.Procs[p.PID()].Pages) {
+	if !sameTable(clean.Procs[p.PID()], set.Procs[p.PID()]) {
 		t.Fatal("clean materialize diverged from the deposited set")
 	}
 

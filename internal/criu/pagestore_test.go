@@ -2,7 +2,6 @@ package criu
 
 import (
 	"bytes"
-	"errors"
 	"sync"
 	"testing"
 
@@ -56,10 +55,11 @@ func TestPageStoreDepositMaterializeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPageStoreRejectsDelta: a stored set is always full. A delta is
-// refused and deposits nothing; its flattened set deposits and
-// materializes to the same blob Marshal writes for the delta.
-func TestPageStoreRejectsDelta(t *testing.T) {
+// TestPageStoreDepositsIncrementalSet: an incremental set is complete,
+// so it deposits like any other. It materializes to the blob Marshal
+// writes for it, and a full dump of the same state deposits as the
+// same stored set.
+func TestPageStoreDepositsIncrementalSet(t *testing.T) {
 	m, p := loadCounter(t)
 	store := NewPageStore()
 
@@ -72,17 +72,7 @@ func TestPageStoreRejectsDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Deposit(delta); !errors.Is(err, ErrBadImage) {
-		t.Fatalf("Deposit of a delta: %v, want ErrBadImage", err)
-	}
-	if st := store.Stats(); st.Sets != 0 || st.PagesInterned != 0 {
-		t.Fatalf("refused delta left state behind: %+v", st)
-	}
-	flat, err := delta.Flatten()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ident, err := store.Deposit(flat)
+	ident, err := store.Deposit(delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +81,19 @@ func TestPageStoreRejectsDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Marshal(), delta.Marshal()) {
-		t.Fatal("materialized flattened delta differs from the delta's blob")
+		t.Fatal("materialized incremental set differs from its blob")
+	}
+	fullNow, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := store.Deposit(fullNow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != ident || store.Stats().Sets != 1 {
+		t.Fatalf("full dump of the same state deposited as %#x (%d sets), want %#x",
+			again, store.Stats().Sets, ident)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // WireType tags the encoding of a field.
@@ -79,6 +80,21 @@ func (e *Encoder) Bytes(field int, b []byte) {
 	e.tag(field, WireBytes)
 	e.varint(uint64(len(b)))
 	e.buf = append(e.buf, b...)
+}
+
+// Chunks emits a length-delimited field whose value is the
+// concatenation of parts, without joining them first.
+func (e *Encoder) Chunks(field int, parts [][]byte) {
+	n := 0
+	for _, b := range parts {
+		n += len(b)
+	}
+	e.tag(field, WireBytes)
+	e.varint(uint64(n))
+	e.buf = slices.Grow(e.buf, n)
+	for _, b := range parts {
+		e.buf = append(e.buf, b...)
+	}
 }
 
 // String emits a length-delimited string field.

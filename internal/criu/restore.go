@@ -2,7 +2,6 @@ package criu
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/dynacut/dynacut/internal/delf"
 	"github.com/dynacut/dynacut/internal/faultinject"
@@ -111,49 +110,12 @@ func restoreOne(m *kernel.Machine, p *kernel.Process, pi *ProcImage, boundHere m
 			}
 		}
 	}
-	if pi.Delta {
-		if err := m.Fault(faultinject.SiteRestoreParent, p.PID()); err != nil {
-			return err
-		}
-	}
 	if err := m.Fault(faultinject.SiteRestorePages, p.PID()); err != nil {
 		return err
 	}
-	if pi.Delta {
-		// Resolve the page view through the parent chain: holes drop
-		// ancestor pages, own pages win. Own pages are written
-		// unconditionally (same as a full image); inherited pages only
-		// where the restored VMA layout still covers them — the delta's
-		// MM is authoritative about what the guest currently maps.
-		eff, err := pi.EffectivePages()
-		if err != nil {
+	for i, pn := range pi.PageMap.PageNumbers {
+		if err := p.Mem().SetPage(pn, pi.Pages[i]); err != nil {
 			return err
-		}
-		own := map[uint64]struct{}{}
-		for _, pn := range pi.PageMap.PageNumbers {
-			own[pn] = struct{}{}
-		}
-		pns := make([]uint64, 0, len(eff))
-		for pn := range eff {
-			pns = append(pns, pn)
-		}
-		sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-		for _, pn := range pns {
-			if _, mine := own[pn]; !mine {
-				if _, ok := p.Mem().VMAAt(pn * kernel.PageSize); !ok {
-					continue
-				}
-			}
-			if err := p.Mem().SetPage(pn, eff[pn]); err != nil {
-				return err
-			}
-		}
-	} else {
-		for i, pn := range pi.PageMap.PageNumbers {
-			page := pi.Pages[i*kernel.PageSize : (i+1)*kernel.PageSize]
-			if err := p.Mem().SetPage(pn, page); err != nil {
-				return err
-			}
 		}
 	}
 

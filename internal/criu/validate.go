@@ -3,6 +3,7 @@ package criu
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/dynacut/dynacut/internal/delf"
@@ -26,8 +27,9 @@ type FileStore interface {
 //   - every PID has core/mm/pagemap/files images, exactly once;
 //   - VMAs are page-aligned, well-formed (Start < End, perms within
 //     R|W|X) and non-overlapping;
-//   - the pages blob covers the pagemap exactly, with no duplicate
-//     page numbers, and every dumped page lies inside a VMA;
+//   - the page table is sound (one PageSize page per pagemap entry,
+//     page numbers strictly ascending) and every dumped page lies
+//     inside a VMA;
 //   - the saved RIP is mapped executable, and its page is either in
 //     the image or re-materializable from a backing file;
 //   - signal handlers point into executable memory;
@@ -79,19 +81,6 @@ func validateProc(pid int, pi *ProcImage, store FileStore) error {
 		return fail("core image has no process name")
 	}
 
-	// Parent chain: a delta image is only restorable with its ancestry
-	// bound and bounded.
-	if pi.Delta {
-		if pi.parent == nil {
-			return fail("delta image has no bound parent")
-		}
-		if d := pi.Depth(); d > MaxParentDepth {
-			return fail("parent chain depth %d exceeds limit %d", d, MaxParentDepth)
-		}
-	} else if len(pi.Holes) > 0 {
-		return fail("holes punched in a non-delta image")
-	}
-
 	// VMA table: well-formed, aligned, non-overlapping.
 	vmas := append([]VMAEntry(nil), pi.MM.VMAs...)
 	sort.Slice(vmas, func(i, j int) bool { return vmas[i].Start < vmas[j].Start })
@@ -110,27 +99,19 @@ func validateProc(pid int, pi *ProcImage, store FileStore) error {
 		}
 	}
 
-	// Pagemap vs pages blob vs VMA coverage.
-	if len(pi.Pages) != kernel.PageSize*len(pi.PageMap.PageNumbers) {
-		return fail("pages blob is %d bytes for %d pagemap entries",
-			len(pi.Pages), len(pi.PageMap.PageNumbers))
+	// Page table: sound, and every dumped page inside a VMA. Both the
+	// page numbers and the VMAs are sorted, so one merge walk checks it.
+	if msg := pi.tableError(); msg != "" {
+		return fail("%s", msg)
 	}
-	pageSeen := make(map[uint64]bool, len(pi.PageMap.PageNumbers))
+	vi := 0
 	for _, pn := range pi.PageMap.PageNumbers {
-		if pageSeen[pn] {
-			return fail("page %d dumped twice", pn)
+		addr := pn * kernel.PageSize
+		for vi < len(vmas) && vmas[vi].End <= addr {
+			vi++
 		}
-		pageSeen[pn] = true
-		if _, ok := vmaAt(vmas, pn*kernel.PageSize); !ok {
+		if vi == len(vmas) || addr < vmas[vi].Start {
 			return fail("dumped page %d lies outside every VMA", pn)
-		}
-	}
-
-	// A hole says "the parent's page is gone"; carrying the same page
-	// in this image too would contradict it.
-	for _, h := range pi.Holes {
-		if pageSeen[h] {
-			return fail("page %d is both dumped and punched as a hole", h)
 		}
 	}
 
@@ -144,14 +125,7 @@ func validateProc(pid int, pi *ProcImage, store FileStore) error {
 		if delf.Perm(v.Perm)&delf.PermX == 0 {
 			return fail("RIP %#x lies in non-executable VMA %s", pi.Core.RIP, v.Name)
 		}
-		ripPn := pi.Core.RIP / kernel.PageSize
-		ripPresent := pageSeen[ripPn]
-		if !ripPresent && pi.Delta {
-			// The page may live anywhere up the parent chain.
-			if _, err := pi.Page(ripPn); err == nil {
-				ripPresent = true
-			}
-		}
+		_, ripPresent := slices.BinarySearch(pi.PageMap.PageNumbers, pi.Core.RIP/kernel.PageSize)
 		if !ripPresent && (v.Anon || v.Backing == "" || v.BackSection == "") {
 			return fail("RIP %#x page is neither dumped nor file-backed", pi.Core.RIP)
 		}

@@ -191,8 +191,8 @@ func TestValidateCatchesInconsistencies(t *testing.T) {
 			pm.PageNumbers[1] = pm.PageNumbers[0]
 		}},
 		{"dumped page outside vmas", func(t *testing.T, set *ImageSet, pid int) {
-			pi := set.Procs[pid]
-			pi.PageMap.PageNumbers[0] = 0xdead_beef
+			pns := set.Procs[pid].PageMap.PageNumbers
+			pns[len(pns)-1] = 0xdead_beef // past every VMA, still ascending
 		}},
 		{"pid mismatch", func(t *testing.T, set *ImageSet, pid int) {
 			set.Procs[pid].Core.PID = pid + 99

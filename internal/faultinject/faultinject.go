@@ -33,9 +33,6 @@ const (
 	SiteRestoreProc = "criu.restore.proc"
 	// SiteRestoreVMA fires before a restored process's VMAs are mapped.
 	SiteRestoreVMA = "criu.restore.vma"
-	// SiteRestoreParent fires before a delta image's pages are
-	// resolved through its parent chain.
-	SiteRestoreParent = "criu.restore.parent"
 	// SiteRestorePages fires before dumped pages are written back.
 	SiteRestorePages = "criu.restore.pages"
 	// SiteRestoreFiles fires before descriptors are re-attached.

@@ -200,7 +200,7 @@ type Supervisor struct {
 	attached bool
 	busy     bool // a step is running; suppress reentrant steps
 
-	// lastGood is the self-contained (flattened) pristine image set
+	// lastGood is the self-contained pristine image set
 	// taken at Attach (or the last Rearm) — the degradation ladder's
 	// final anchor. Restore only reads it, so it serves every try.
 	lastGood *criu.ImageSet
@@ -254,7 +254,7 @@ func New(m *kernel.Machine, cust *core.Customizer, cfg Config) *Supervisor {
 // Attach snapshots the guest's current state as the last-good images
 // and installs the supervisor on the machine's tick watchdog. The
 // snapshot goes through Customizer.Checkpoint, so the customizer's
-// incremental-dump parent chain stays coherent. Attach before the
+// incremental-dump parent stays coherent. Attach before the
 // first DisableFeature: the last-good anchor should be the full,
 // known-healthy service.
 func (s *Supervisor) Attach() error {

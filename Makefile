@@ -73,13 +73,16 @@ loc:
 # Short fuzz smoke over the image decoder, image-set edits against a
 # map model, the rollout-journal decoder, the basic-block translator
 # and the software TLB (corpus seeds always run as part of `test`;
-# this adds a few seconds of mutation each).
+# this adds a few seconds of mutation each). Minimising a new input is
+# bounded to a second: unbounded, it can take the rest of the run, and
+# the coordinator then reports 0 execs/sec until the time is up.
+FUZZ := -run '^$$' -fuzztime 10s -fuzzminimizetime 1s
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzUnmarshalImages -fuzztime 10s ./internal/criu/
-	$(GO) test -run '^$$' -fuzz FuzzImageEdits -fuzztime 10s ./internal/criu/
-	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 10s ./internal/fleet/
-	$(GO) test -run '^$$' -fuzz FuzzBlockCacheDecode -fuzztime 10s ./internal/kernel/
-	$(GO) test -run '^$$' -fuzz FuzzMemoryTLB -fuzztime 10s ./internal/kernel/
+	$(GO) test $(FUZZ) -fuzz FuzzUnmarshalImages ./internal/criu/
+	$(GO) test $(FUZZ) -fuzz FuzzImageEdits ./internal/criu/
+	$(GO) test $(FUZZ) -fuzz FuzzDecodeJournal ./internal/fleet/
+	$(GO) test $(FUZZ) -fuzz FuzzBlockCacheDecode ./internal/kernel/
+	$(GO) test $(FUZZ) -fuzz FuzzMemoryTLB ./internal/kernel/
 
 # The benchmark is a module of its own, outside `./...`: vet and test
 # it here so a facade change that breaks it fails locally too.

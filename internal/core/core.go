@@ -720,11 +720,7 @@ func (c *Customizer) saveAndPatch(ed *crit.Editor, pid int, addr uint64, n int) 
 	if _, ok := c.saved[addr]; !ok {
 		c.saved[addr] = orig
 	}
-	fill := make([]byte, n)
-	for i := range fill {
-		fill[i] = 0xCC
-	}
-	if err := ed.WriteMem(pid, addr, fill); err != nil {
+	if err := ed.WipeRange(pid, addr, uint64(n)); err != nil {
 		return err
 	}
 	if c.opts.Verifier && c.handler != nil {

@@ -112,3 +112,48 @@ func TestImageSetCloneIsolatesEdits(t *testing.T) {
 		})
 	}
 }
+
+// TestEditorCopiesPageOnce: an editor copies a shared page the first
+// time it patches it and patches its own copy in place after that,
+// while the set it cloned from keeps the original bytes.
+func TestEditorCopiesPageOnce(t *testing.T) {
+	w := setup(t)
+	pid := w.p.PID()
+	featA, err := w.exe.Symbol("feature_a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pn := featA.Value / kernel.PageSize
+	if (featA.Value+1)/kernel.PageSize != pn {
+		t.Fatal("feature_a ends its page")
+	}
+	orig, err := w.set.Procs[pid].Page(pn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(orig)
+	clone := w.set.Clone()
+	ed := NewEditor(clone, w.m)
+
+	if err := ed.BlockEntry(pid, featA.Value); err != nil {
+		t.Fatal(err)
+	}
+	first, _ := clone.Procs[pid].Page(pn)
+	if &first[0] == &orig[0] {
+		t.Fatal("the first patch wrote into the shared page")
+	}
+	if err := ed.BlockEntry(pid, featA.Value+1); err != nil {
+		t.Fatal(err)
+	}
+	second, _ := clone.Procs[pid].Page(pn)
+	if &second[0] != &first[0] {
+		t.Fatal("the second patch copied the editor's own page again")
+	}
+	off := featA.Value % kernel.PageSize
+	if second[off] != 0xCC || second[off+1] != 0xCC {
+		t.Fatalf("patched bytes %#x %#x, want INT3 INT3", second[off], second[off+1])
+	}
+	if !bytes.Equal(orig, want) {
+		t.Fatal("patching the clone changed the original set's page")
+	}
+}

@@ -9,6 +9,7 @@
 package crit
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,16 +34,20 @@ var (
 	ErrAlignment = errors.New("crit: range not page aligned")
 )
 
-// Editor rewrites one ImageSet in place.
+// Editor rewrites one ImageSet in place. Page slices are shared and
+// immutable, so the editor copies a page the first time it writes it
+// and patches that copy in place after. Finish editing before the set
+// is cloned, restored or deposited.
 type Editor struct {
 	set   *criu.ImageSet
 	store FileStore
+	owned map[*byte]bool // first bytes of the pages this editor made
 }
 
 // NewEditor wraps an image set for rewriting. store may be nil if no
 // library injection or symbol resolution is needed.
 func NewEditor(set *criu.ImageSet, store FileStore) *Editor {
-	return &Editor{set: set, store: store}
+	return &Editor{set: set, store: store, owned: map[*byte]bool{}}
 }
 
 // Set returns the underlying image set.
@@ -50,10 +55,6 @@ func (e *Editor) Set() *criu.ImageSet { return e.set }
 
 // PIDs returns the dumped process IDs in restore order.
 func (e *Editor) PIDs() []int { return append([]int(nil), e.set.PIDs...) }
-
-func (e *Editor) proc(pid int) (*criu.ProcImage, error) {
-	return e.set.Proc(pid)
-}
 
 // faulter matches kernel.Machine's fault-injection hook; the editor
 // consults it through its FileStore so image edits are chaos-testable
@@ -89,7 +90,7 @@ func vmaAt(pi *criu.ProcImage, addr uint64) (criu.VMAEntry, bool) {
 
 // ReadMem reads n bytes at addr from the dumped pages.
 func (e *Editor) ReadMem(pid int, addr uint64, n int) ([]byte, error) {
-	pi, err := e.proc(pid)
+	pi, err := e.set.Proc(pid)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +114,7 @@ func (e *Editor) WriteMem(pid int, addr uint64, b []byte) error {
 	if err := e.fault(faultinject.SiteEditWrite, pid); err != nil {
 		return err
 	}
-	pi, err := e.proc(pid)
+	pi, err := e.set.Proc(pid)
 	if err != nil {
 		return err
 	}
@@ -127,11 +128,14 @@ func (e *Editor) WriteMem(pid int, addr uint64, b []byte) error {
 		if err != nil {
 			return fmt.Errorf("write %#x: %w", a, err)
 		}
-		patched := append([]byte(nil), page...)
-		done += copy(patched[a%kernel.PageSize:], b[done:])
-		if err := pi.SetPage(pn, patched); err != nil {
-			return err
+		if !e.owned[&page[0]] {
+			page = bytes.Clone(page)
+			if err := pi.SetPage(pn, page); err != nil {
+				return err
+			}
+			e.owned[&page[0]] = true
 		}
+		done += copy(page[a%kernel.PageSize:], b[done:])
 	}
 	return nil
 }
@@ -146,11 +150,7 @@ func (e *Editor) BlockEntry(pid int, addr uint64) error {
 // instruction of a block so mid-block jumps (ROP) trap too — the
 // aggressive policy of §3.2.2.
 func (e *Editor) WipeRange(pid int, addr, size uint64) error {
-	fill := make([]byte, size)
-	for i := range fill {
-		fill[i] = 0xCC
-	}
-	return e.WriteMem(pid, addr, fill)
+	return e.WriteMem(pid, addr, bytes.Repeat([]byte{0xCC}, int(size)))
 }
 
 // UnmapRange removes the page-aligned range from the VMA table and
@@ -163,7 +163,7 @@ func (e *Editor) UnmapRange(pid int, start, end uint64) error {
 	if start%kernel.PageSize != 0 || end%kernel.PageSize != 0 || end <= start {
 		return fmt.Errorf("%w: %#x-%#x", ErrAlignment, start, end)
 	}
-	pi, err := e.proc(pid)
+	pi, err := e.set.Proc(pid)
 	if err != nil {
 		return err
 	}
@@ -201,7 +201,7 @@ func (e *Editor) GrowVMA(pid int, start, newEnd uint64) error {
 	if newEnd%kernel.PageSize != 0 {
 		return fmt.Errorf("%w: new end %#x", ErrAlignment, newEnd)
 	}
-	pi, err := e.proc(pid)
+	pi, err := e.set.Proc(pid)
 	if err != nil {
 		return err
 	}
@@ -236,7 +236,7 @@ func (e *Editor) AddVMA(pid int, v criu.VMAEntry, data []byte) error {
 	if v.Start%kernel.PageSize != 0 || v.End%kernel.PageSize != 0 || v.End <= v.Start {
 		return fmt.Errorf("%w: %#x-%#x", ErrAlignment, v.Start, v.End)
 	}
-	pi, err := e.proc(pid)
+	pi, err := e.set.Proc(pid)
 	if err != nil {
 		return err
 	}
@@ -257,6 +257,7 @@ func (e *Editor) AddVMA(pid int, v criu.VMAEntry, data []byte) error {
 		if err := pi.SetPage(pn, buf[off:off+kernel.PageSize]); err != nil {
 			return err
 		}
+		e.owned[&buf[off]] = true
 	}
 	return nil
 }
@@ -264,7 +265,7 @@ func (e *Editor) AddVMA(pid int, v criu.VMAEntry, data []byte) error {
 // SetSigaction updates (or adds) a signal disposition in the core
 // image — how DynaCut arms its injected SIGTRAP handler.
 func (e *Editor) SetSigaction(pid, signo int, handler, restorer uint64) error {
-	pi, err := e.proc(pid)
+	pi, err := e.set.Proc(pid)
 	if err != nil {
 		return err
 	}
@@ -285,7 +286,7 @@ func (e *Editor) SetSigaction(pid, signo int, handler, restorer uint64) error {
 // image (§5: dynamically enabling/disabling seccomp filtering via
 // process rewriting). nil removes the filter.
 func (e *Editor) SetSyscallFilter(pid int, allowed []uint64) error {
-	pi, err := e.proc(pid)
+	pi, err := e.set.Proc(pid)
 	if err != nil {
 		return err
 	}
@@ -302,7 +303,7 @@ func (e *Editor) SetSyscallFilter(pid int, allowed []uint64) error {
 // SyscallFilter reads the allow list from the core image (nil when no
 // filter is installed).
 func (e *Editor) SyscallFilter(pid int) ([]uint64, error) {
-	pi, err := e.proc(pid)
+	pi, err := e.set.Proc(pid)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +315,7 @@ func (e *Editor) SyscallFilter(pid int) ([]uint64, error) {
 
 // Sigaction reads a signal disposition from the core image.
 func (e *Editor) Sigaction(pid, signo int) (handler, restorer uint64, ok bool) {
-	pi, err := e.proc(pid)
+	pi, err := e.set.Proc(pid)
 	if err != nil {
 		return 0, 0, false
 	}
@@ -328,7 +329,7 @@ func (e *Editor) Sigaction(pid, signo int) (handler, restorer uint64, ok bool) {
 
 // Modules lists the mapped binaries recorded in the mm image.
 func (e *Editor) Modules(pid int) ([]criu.ModuleEntry, error) {
-	pi, err := e.proc(pid)
+	pi, err := e.set.Proc(pid)
 	if err != nil {
 		return nil, err
 	}
@@ -337,7 +338,7 @@ func (e *Editor) Modules(pid int) ([]criu.ModuleEntry, error) {
 
 // VMAs lists the VMA entries of the mm image.
 func (e *Editor) VMAs(pid int) ([]criu.VMAEntry, error) {
-	pi, err := e.proc(pid)
+	pi, err := e.set.Proc(pid)
 	if err != nil {
 		return nil, err
 	}
@@ -395,7 +396,7 @@ func (e *Editor) InsertLibrary(pid int, lib *delf.File, base uint64) (map[string
 	if lib.Type != delf.TypeDyn {
 		return nil, fmt.Errorf("crit: %s is not a shared library", lib.Name)
 	}
-	pi, err := e.proc(pid)
+	pi, err := e.set.Proc(pid)
 	if err != nil {
 		return nil, err
 	}
@@ -458,7 +459,7 @@ func (e *Editor) InsertLibrary(pid int, lib *delf.File, base uint64) (map[string
 // free of fault-hook sites, so an unwind cannot itself be chaos-killed
 // into leaking the mapping it exists to reclaim.
 func (e *Editor) RemoveLibrary(pid int, name string) error {
-	pi, err := e.proc(pid)
+	pi, err := e.set.Proc(pid)
 	if err != nil {
 		return err
 	}
@@ -516,7 +517,7 @@ func (e *Editor) findFreeRange(pi *criu.ProcImage, span uint64) uint64 {
 
 // CoreJSON renders the core image as JSON.
 func (e *Editor) CoreJSON(pid int) ([]byte, error) {
-	pi, err := e.proc(pid)
+	pi, err := e.set.Proc(pid)
 	if err != nil {
 		return nil, err
 	}
@@ -525,7 +526,7 @@ func (e *Editor) CoreJSON(pid int) ([]byte, error) {
 
 // SetCoreJSON replaces the core image from JSON.
 func (e *Editor) SetCoreJSON(pid int, data []byte) error {
-	pi, err := e.proc(pid)
+	pi, err := e.set.Proc(pid)
 	if err != nil {
 		return err
 	}
@@ -539,7 +540,7 @@ func (e *Editor) SetCoreJSON(pid int, data []byte) error {
 
 // MMJSON renders the mm image as JSON.
 func (e *Editor) MMJSON(pid int) ([]byte, error) {
-	pi, err := e.proc(pid)
+	pi, err := e.set.Proc(pid)
 	if err != nil {
 		return nil, err
 	}
@@ -548,7 +549,7 @@ func (e *Editor) MMJSON(pid int) ([]byte, error) {
 
 // SetMMJSON replaces the mm image from JSON.
 func (e *Editor) SetMMJSON(pid int, data []byte) error {
-	pi, err := e.proc(pid)
+	pi, err := e.set.Proc(pid)
 	if err != nil {
 		return err
 	}

@@ -174,8 +174,9 @@ func dumpOne(p *kernel.Process, opts DumpOpts, parentPi *ProcImage) (pi *ProcIma
 
 	// pagemap + pages: the complete table of eligible pages. A page
 	// clean since the parent dump shares the parent's slice; every other
-	// page (all of them without a parent) is copied below. Either way
-	// the table then mirrors memory, so dirty tracking restarts here.
+	// page (all of them without a parent) takes the live page's slice,
+	// which memory marks copy-on-write, so no page is copied here. Either
+	// way the table then mirrors memory, so dirty tracking restarts here.
 	var ppns, dirty []uint64
 	var ppages [][]byte
 	if parentPi != nil {
@@ -197,23 +198,16 @@ func dumpOne(p *kernel.Process, opts DumpOpts, parentPi *ProcImage) (pi *ProcIma
 		for len(dirty) > 0 && dirty[0] < pn {
 			dirty = dirty[1:]
 		}
-		var page []byte // nil: copied from memory below
+		var page []byte
 		if len(ppns) > 0 && ppns[0] == pn && (len(dirty) == 0 || dirty[0] != pn) {
 			page = ppages[0]
 			skipped++
 		} else {
+			page = mem.SharePage(pn)
 			dumped++
 		}
 		pi.PageMap.PageNumbers = append(pi.PageMap.PageNumbers, pn)
 		pi.Pages = append(pi.Pages, page)
-	}
-	buf := make([]byte, dumped*kernel.PageSize)
-	for i, page := range pi.Pages {
-		if page == nil {
-			page, buf = buf[:kernel.PageSize:kernel.PageSize], buf[kernel.PageSize:]
-			copy(page, mem.PageDataUnsafe(pi.PageMap.PageNumbers[i]))
-			pi.Pages[i] = page
-		}
 	}
 
 	// files (including TCP state for repair)

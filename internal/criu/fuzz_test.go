@@ -157,8 +157,10 @@ func FuzzImageEdits(f *testing.F) {
 				if err := pi.SetPage(pn, page); err != nil {
 					t.Fatal(err)
 				}
-				page[0] ^= 0xff // SetPage must have kept its own copy
-				model[pn] = bytes.Repeat([]byte{arg}, kernel.PageSize)
+				if got, _ := pi.Page(pn); &got[0] != &page[0] {
+					t.Fatalf("op %d: SetPage copied the page it was handed", i/3)
+				}
+				model[pn] = bytes.Clone(page)
 			case 1:
 				end := pn + uint64(arg%4)
 				pi.DropPages(pn, end)

@@ -124,11 +124,13 @@ type FilesImage struct {
 // PageNumbers[i]. A set dumped against a parent holds every page too,
 // so a read never looks past its own table.
 //
-// Page slices are immutable once they are in a table, which lets
-// tables share them: an incremental dump shares the parent's slice for
-// each page clean since the parent, and Clone shares the source's.
-// SetPage stores a private copy, and nothing writes into a page slice.
-// The two table slices themselves belong to one image.
+// Page slices are immutable once they are in a table, so tables and
+// guest memory share them: Dump takes live pages copy-on-write, an
+// incremental dump shares the parent's clean pages, Clone the source's,
+// and Restore installs read-only pages by reference. SetPage takes
+// ownership of its slice; the only writer is a crit.Editor patching the
+// copies it made, before the set is shared. The two table slices
+// themselves belong to one image.
 type ProcImage struct {
 	Core    CoreImage
 	MM      MMImage
@@ -138,7 +140,7 @@ type ProcImage struct {
 }
 
 // Page returns the dumped contents of page pn. The slice may be shared
-// with other images: callers must not write into it (SetPage copies).
+// with other images and guest memory: callers must not write into it.
 func (pi *ProcImage) Page(pn uint64) ([]byte, error) {
 	i, ok := slices.BinarySearch(pi.PageMap.PageNumbers, pn)
 	if !ok {
@@ -147,13 +149,13 @@ func (pi *ProcImage) Page(pn uint64) ([]byte, error) {
 	return pi.Pages[i], nil
 }
 
-// SetPage stores a private copy of data as the contents of page pn,
-// replacing the page or inserting it in page-number order.
+// SetPage makes data, a fresh slice the image now owns, the contents
+// of page pn, replacing the page or inserting it in page-number order.
 func (pi *ProcImage) SetPage(pn uint64, data []byte) error {
 	if len(data) != kernel.PageSize {
 		return fmt.Errorf("%w: page data must be %d bytes", ErrBadImage, kernel.PageSize)
 	}
-	page := bytes.Clone(data)
+	page := data[:kernel.PageSize:kernel.PageSize]
 	i, ok := slices.BinarySearch(pi.PageMap.PageNumbers, pn)
 	if ok {
 		pi.Pages[i] = page
@@ -200,7 +202,7 @@ type ImageSet struct {
 	Procs map[int]*ProcImage
 
 	// PagesDumped/PagesSkipped report the incremental win of the Dump
-	// that produced this set: pages copied from guest memory versus
+	// that produced this set: pages taken from guest memory versus
 	// pages shared with the parent because they were clean
 	// (transient; not serialized).
 	PagesDumped  int
@@ -294,10 +296,11 @@ func (s *ImageSet) TotalBytes() int {
 	return n
 }
 
-// DumpedBytes estimates what the Dump that produced the set copied —
-// the "image size" rows of Figure 7: TotalBytes' metadata, but page
-// bytes and page numbers for the PagesDumped pages only, not for the
-// pages shared with the parent. For a full dump it equals TotalBytes.
+// DumpedBytes estimates what the Dump that produced the set took from
+// memory — the "image size" rows of Figure 7: TotalBytes' metadata,
+// but page bytes and page numbers for the PagesDumped pages only, not
+// for the pages shared with the parent. For a full dump it equals
+// TotalBytes.
 func (s *ImageSet) DumpedBytes() int {
 	n := (kernel.PageSize + 8) * s.PagesDumped
 	for _, pi := range s.Procs {

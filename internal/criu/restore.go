@@ -2,6 +2,7 @@ package criu
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/dynacut/dynacut/internal/delf"
 	"github.com/dynacut/dynacut/internal/faultinject"
@@ -19,6 +20,10 @@ import (
 // machine's disk, faithfully reproducing vanilla CRIU's page-fault
 // reconstruction — and therefore reverting any code patches unless
 // the dump used ExecPages.
+//
+// Pages of VMAs that are not writable are shared with the set
+// copy-on-write (kernel.Memory.SetPage), writable ones copied; the set
+// stays intact for a rollback or the next dump either way.
 //
 // Restore is atomic with respect to the machine's process table: if
 // restoring any process fails, every process this call created is
@@ -76,10 +81,10 @@ func restoreOne(m *kernel.Machine, p *kernel.Process, pi *ProcImage, boundHere m
 		}
 	}
 
-	// File-backed contents from disk first (vanilla CRIU page-fault
-	// reconstruction), then dumped pages on top (they take priority).
-	// A VMA may be a fragment of its section (the rewriter unmaps
-	// pages), so only the slice the VMA still covers is written.
+	// File-backed contents from disk (vanilla CRIU page-fault
+	// reconstruction), only for pages the image does not carry. A VMA
+	// may be a fragment of its section (the rewriter unmaps pages), so
+	// only the slice the VMA still covers is written.
 	for _, v := range pi.MM.VMAs {
 		if v.Anon || v.Backing == "" || v.BackSection == "" {
 			continue
@@ -96,16 +101,12 @@ func restoreOne(m *kernel.Machine, p *kernel.Process, pi *ProcImage, boundHere m
 		if !ok || v.Start < secStart {
 			continue
 		}
-		off := v.Start - secStart
-		if off >= uint64(len(sec.Data)) {
-			continue
-		}
-		slice := sec.Data[off:]
-		if max := v.End - v.Start; uint64(len(slice)) > max {
-			slice = slice[:max]
-		}
-		if len(slice) > 0 {
-			if err := p.Mem().Write(v.Start, slice); err != nil {
+		for a := v.Start; a < v.End && a-secStart < uint64(len(sec.Data)); a += kernel.PageSize {
+			if _, dumped := slices.BinarySearch(pi.PageMap.PageNumbers, a/kernel.PageSize); dumped {
+				continue
+			}
+			off := a - secStart
+			if err := p.Mem().Write(a, sec.Data[off:min(off+kernel.PageSize, uint64(len(sec.Data)))]); err != nil {
 				return fmt.Errorf("rematerialize %s: %w", v.Name, err)
 			}
 		}

@@ -34,7 +34,7 @@ func TestAttestHashPages(t *testing.T) {
 	if got[2] != zeroPageDigest {
 		t.Error("unpopulated page should hash as a zero page")
 	}
-	if m.DirtyPageCount() != 0 || len(m.PopulatedPages()) != pop {
+	if len(m.DirtyPages()) != 0 || len(m.PopulatedPages()) != pop {
 		t.Error("HashPages perturbed dirty/populated state")
 	}
 }
@@ -94,7 +94,7 @@ func TestAttestFlipBitsSilentAndPrivate(t *testing.T) {
 	if got := m.PageDataUnsafe(1)[8]; got != 0x90 {
 		t.Fatalf("flipped byte = %#x, want 0x90", got)
 	}
-	if m.DirtyPageCount() != 0 {
+	if len(m.DirtyPages()) != 0 {
 		t.Error("FlipBits marked the page dirty — the corruption must be silent")
 	}
 	if got := sib.PageDataUnsafe(1)[8]; got != 0x10 {

@@ -358,13 +358,13 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirtyBefore := p.Mem().DirtyPageCount()
+	dirtyBefore := len(p.Mem().DirtyPages())
 	// MOVri encodes [op][reg][imm64le]: flip bit 1 of the immediate's
 	// low byte, turning `mov r3, 7` into `mov r3, 5`.
 	if !p.Mem().FlipBits(victim.Value+2, 0x02) {
 		t.Fatal("FlipBits refused")
 	}
-	if got := p.Mem().DirtyPageCount(); got != dirtyBefore {
+	if got := len(p.Mem().DirtyPages()); got != dirtyBefore {
 		t.Fatalf("silent flip touched the dirty bitmap: %d -> %d", dirtyBefore, got)
 	}
 	m.Run(1000)

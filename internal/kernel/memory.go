@@ -63,11 +63,11 @@ type Memory struct {
 	dirty map[uint64]struct{} // pages written since the last snapshot
 	vmas  []VMA               // sorted by Start, non-overlapping
 
-	// cow marks pages whose backing slice is shared with another
-	// address space (CloneCoW). A shared page is copied privately the
-	// first time it is written, so N cloned guests cost one copy of
-	// their common pristine pages until they diverge. nil when nothing
-	// is shared.
+	// cow marks pages whose backing slice is shared with a clone
+	// (CloneCoW) or an image set (SharePage, SetPage). A shared page is
+	// copied privately the first time it is written, so clones, dumps
+	// and restores copy no page until someone writes it. nil when
+	// nothing is shared.
 	cow map[uint64]struct{}
 
 	// Block-cache state (bcache.go). bc is the per-address-space
@@ -114,7 +114,7 @@ const tlbSize = 32
 // dirty and covered by no cached block, so a store may go straight into
 // the page. Whatever breaks one of those promises clears it: block.touch
 // and blockCache.insert for their pages, SnapshotDirty and ClearDirty
-// and CloneCoW for every entry (DESIGN.md §15).
+// and CloneCoW for every entry, SharePage for its page (DESIGN.md §15).
 type tlbEntry struct {
 	pn    uint64
 	page  *[PageSize]byte
@@ -125,25 +125,6 @@ type tlbEntry struct {
 
 func newMemory() *Memory {
 	return &Memory{pages: map[uint64][]byte{}, dirty: map[uint64]struct{}{}}
-}
-
-// Clone deep-copies the address space (fork). The dirty bitmap is
-// copied too: the child has never been checkpointed, so a dump of it
-// falls back to a full dump anyway, but cheap writes-since-fork info
-// must not be lost either way.
-func (m *Memory) Clone() *Memory {
-	c := &Memory{
-		pages: make(map[uint64][]byte, len(m.pages)),
-		dirty: make(map[uint64]struct{}, len(m.dirty)),
-		vmas:  append([]VMA(nil), m.vmas...),
-	}
-	for pn, pg := range m.pages {
-		c.pages[pn] = append([]byte(nil), pg...)
-	}
-	for pn := range m.dirty {
-		c.dirty[pn] = struct{}{}
-	}
-	return c
 }
 
 // CloneCoW returns a copy-on-write copy of the address space: both
@@ -158,13 +139,10 @@ func (m *Memory) CloneCoW() *Memory {
 		vmas:  append([]VMA(nil), m.vmas...),
 		cow:   make(map[uint64]struct{}, len(m.pages)),
 	}
-	if m.cow == nil {
-		m.cow = make(map[uint64]struct{}, len(m.pages))
-	}
 	for pn, pg := range m.pages {
 		c.pages[pn] = pg
 		c.cow[pn] = struct{}{}
-		m.cow[pn] = struct{}{}
+		m.markShared(pn)
 	}
 	for pn := range m.dirty {
 		c.dirty[pn] = struct{}{}
@@ -187,8 +165,29 @@ func (m *Memory) breakCoW(pn uint64) {
 	m.tlbDrop(pn)
 }
 
+// markShared marks page pn copy-on-write.
+func (m *Memory) markShared(pn uint64) {
+	if m.cow == nil {
+		m.cow = make(map[uint64]struct{}, len(m.pages))
+	}
+	m.cow[pn] = struct{}{}
+}
+
+// SharePage returns page pn's backing (nil if unpopulated) for the
+// caller to keep as an immutable snapshot, marking the page
+// copy-on-write: the dump path takes pages this way, without a copy.
+func (m *Memory) SharePage(pn uint64) []byte {
+	pg, ok := m.pages[pn]
+	if !ok {
+		return nil
+	}
+	m.markShared(pn)
+	m.tlbClearWrite(pn)
+	return pg
+}
+
 // SharedPageCount reports how many pages still share backing with a
-// clone (diagnostics; the fleet dedup experiments read it).
+// clone or an image set (diagnostics).
 func (m *Memory) SharedPageCount() int { return len(m.cow) }
 
 // noteWrite records a loud mutation of page pn: the page's generation
@@ -618,29 +617,32 @@ func (m *Memory) PopulatedPages() []uint64 {
 }
 
 // PageDataUnsafe returns the internal page slice of pn by reference
-// (nil if unpopulated). The caller must treat it as read-only; it
-// exists so the dump path can serialize guest memory without copying
-// every page twice.
+// (nil if unpopulated) for a read at once, without marking the page
+// shared: the caller must not write it or keep it (SharePage does).
 func (m *Memory) PageDataUnsafe(pn uint64) []byte {
 	return m.pages[pn]
 }
 
-// SetPage installs raw page contents (restore path) and marks the
-// page dirty.
+// SetPage installs page contents (the restore path) and marks the page
+// dirty. A page in a VMA that is not writable keeps data, an image
+// set's immutable page, by reference and copy-on-write; any other page
+// is copied, so a guest's first store does not pay for the copy.
 func (m *Memory) SetPage(pn uint64, data []byte) error {
 	if len(data) != PageSize {
 		return fmt.Errorf("kernel: page data must be %d bytes, got %d", PageSize, len(data))
 	}
-	m.pages[pn] = append([]byte(nil), data...)
+	if v, ok := m.VMAAt(pn * PageSize); ok && v.Perm&delf.PermW == 0 {
+		m.pages[pn] = data[:PageSize:PageSize]
+		m.markShared(pn)
+	} else {
+		m.pages[pn] = append([]byte(nil), data...)
+		delete(m.cow, pn)
+	}
 	m.dirty[pn] = struct{}{}
-	delete(m.cow, pn)
 	m.tlbDrop(pn)
 	m.noteWrite(pn)
 	return nil
 }
-
-// DirtyPageCount reports how many pages are currently marked dirty.
-func (m *Memory) DirtyPageCount() int { return len(m.dirty) }
 
 // DirtyPages returns the sorted page numbers currently marked dirty
 // WITHOUT clearing the bitmap — the observation the lockstep oracle

@@ -6,10 +6,12 @@ package kernel
 // memory A through the guest accessors (ReadU64, WriteU64, ReadU8,
 // WriteU8, fetch), memory B through the slow path (ReadGuest,
 // WriteGuest), and both through the same host operations (SnapshotDirty,
-// ClearDirty, CloneCoW, SetPage, FlipBits, Write, Protect, Unmap, Map)
-// and block-cache recordings. After every operation the two must agree
-// on results and error classes, every page's bytes, the dirty set, the
-// shared page count, the cached blocks and the CoW sibling's bytes.
+// ClearDirty, CloneCoW, SetPage, FlipBits, Write, Protect, Unmap, Map,
+// SharePage) and block-cache recordings. After every operation the two
+// must agree on results and error classes, every page's bytes, the
+// dirty set, the shared page count, the cached blocks and the CoW
+// sibling's bytes, and every page slice handed out by SharePage or
+// SetPage must still hold the bytes it had then.
 
 import (
 	"bytes"
@@ -48,6 +50,7 @@ const (
 	tlbOpRecord   // start a block recording at addr, or extend the open one
 	tlbOpInsert   // cache the open recording
 	tlbOpDispatch // look up every cached block
+	tlbOpShare    // take a page by reference, as a dump does
 	tlbOps
 )
 
@@ -104,11 +107,27 @@ func refFetch(m *Memory, addr uint64, buf []byte) (int, error) {
 	return n, nil
 }
 
-// tlbFuzzSide is one memory under test, its CoW sibling and its open
-// block recording.
+// tlbFuzzSide is one memory under test, its CoW sibling, its open
+// block recording and the page slices it shares with an image.
 type tlbFuzzSide struct {
 	mem, sib *Memory
 	rec      *block
+	held     []heldPage
+}
+
+// heldPage is a page slice shared with the memory and the bytes it must
+// keep.
+type heldPage struct{ page, want []byte }
+
+// hold keeps the newest 16 shared pages for the checks.
+func (s *tlbFuzzSide) hold(page []byte) {
+	if page == nil {
+		return
+	}
+	if len(s.held) == 16 {
+		s.held = s.held[1:]
+	}
+	s.held = append(s.held, heldPage{page, bytes.Clone(page)})
 }
 
 func (s *tlbFuzzSide) record(addr uint64) {
@@ -220,6 +239,21 @@ func FuzzMemoryTLB(f *testing.F) {
 		tlbFuzzOp(tlbOpMap, 0, 0, byte(delf.PermR|delf.PermW)),
 		tlbFuzzOp(tlbOpStore8, 0, 3, 12),
 		tlbFuzzOp(tlbOpLoad64, 0, 0, 0)))
+	f.Add(seq( // stores, writes and flips after a dump shared the pages
+		tlbFuzzOp(tlbOpStore64, 0, 0, 1),
+		tlbFuzzOp(tlbOpStore64, 3, 0, 1),
+		tlbFuzzOp(tlbOpShare, 0, 0, 0),
+		tlbFuzzOp(tlbOpShare, 3, 0, 0),
+		tlbFuzzOp(tlbOpStore64, 0, 0, 2),
+		tlbFuzzOp(tlbOpStore8, 0, 9, 3),
+		tlbFuzzOp(tlbOpShare, 0, 0, 0),
+		tlbFuzzOp(tlbOpWrite, 0, 5, 4),
+		tlbFuzzOp(tlbOpShare, 0, 0, 0),
+		tlbFuzzOp(tlbOpFlipBits, 0, 7, 5),
+		tlbFuzzOp(tlbOpSetPage, 3, 0, 6),
+		tlbFuzzOp(tlbOpFlipBits, 3, 7, 7),
+		tlbFuzzOp(tlbOpProtect, 3, 0, byte(delf.PermR|delf.PermW)),
+		tlbFuzzOp(tlbOpStore8, 3, 1, 8)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a := &tlbFuzzSide{mem: tlbFuzzMemory(t)}
 		b := &tlbFuzzSide{mem: tlbFuzzMemory(t)}
@@ -271,8 +305,15 @@ func FuzzMemoryTLB(f *testing.F) {
 					got, want = errClass(a.sib.WriteU64(addr, word)), errClass(b.sib.WriteGuest(addr, le[:]))
 				}
 			case tlbOpSetPage:
-				pg := bytes.Repeat([]byte{val}, PageSize)
-				got, want = errClass(a.mem.SetPage(pn, pg)), errClass(b.mem.SetPage(pn, pg))
+				pa, pb := bytes.Repeat([]byte{val}, PageSize), bytes.Repeat([]byte{val}, PageSize)
+				got, want = errClass(a.mem.SetPage(pn, pa)), errClass(b.mem.SetPage(pn, pb))
+				a.hold(pa)
+				b.hold(pb)
+			case tlbOpShare:
+				pa, pb := a.mem.SharePage(pn), b.mem.SharePage(pn)
+				got, want = pa != nil, pb != nil
+				a.hold(pa)
+				b.hold(pb)
 			case tlbOpFlipBits:
 				got, want = a.mem.FlipBits(addr, val|1), b.mem.FlipBits(addr, val|1)
 			case tlbOpWrite:
@@ -328,6 +369,13 @@ func FuzzMemoryTLB(f *testing.F) {
 			}
 			if a.sib != nil {
 				samePages(t, "CoW sibling", a.sib, b.sib)
+			}
+			for _, s := range []*tlbFuzzSide{a, b} {
+				for k, h := range s.held {
+					if !bytes.Equal(h.page, h.want) {
+						t.Fatalf("op %d (%d at %#x): shared page slice %d was written in place", i/5, op, addr, k)
+					}
+				}
 			}
 		}
 	})

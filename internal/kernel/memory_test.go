@@ -135,7 +135,7 @@ func TestCloneIsDeep(t *testing.T) {
 	if err := m.Write(0x1000, []byte{42}); err != nil {
 		t.Fatal(err)
 	}
-	c := m.Clone()
+	c := m.CloneCoW()
 	if err := c.Write(0x1000, []byte{7}); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestDirtyPageTracking(t *testing.T) {
 	if len(dirty) != 3 || dirty[0] != 3 || dirty[1] != 5 || dirty[2] != 6 {
 		t.Fatalf("SnapshotDirty = %v, want [3 5 6]", dirty)
 	}
-	if n := m.DirtyPageCount(); n != 0 {
+	if n := len(m.DirtyPages()); n != 0 {
 		t.Fatalf("bitmap not cleared: %d", n)
 	}
 	// No writes since the snapshot: an idle memory reports nothing.
@@ -247,7 +247,7 @@ func TestDirtyPageTracking(t *testing.T) {
 	if _, err := m.Read(0x3000, 8); err != nil {
 		t.Fatal(err)
 	}
-	if n := m.DirtyPageCount(); n != 0 {
+	if n := len(m.DirtyPages()); n != 0 {
 		t.Fatalf("read dirtied pages: %d", n)
 	}
 	if err := m.SetPage(9, make([]byte, PageSize)); err != nil {
@@ -270,11 +270,11 @@ func TestDirtyPageTracking(t *testing.T) {
 	if err := m.Write(0x3000, []byte{2}); err != nil {
 		t.Fatal(err)
 	}
-	c := m.Clone()
+	c := m.CloneCoW()
 	if dirty := c.SnapshotDirty(); len(dirty) != 1 || dirty[0] != 3 {
 		t.Fatalf("clone dirty = %v, want [3]", dirty)
 	}
-	if n := m.DirtyPageCount(); n != 1 {
+	if n := len(m.DirtyPages()); n != 1 {
 		t.Fatalf("clone snapshot leaked into original: %d", n)
 	}
 }

@@ -229,7 +229,7 @@ func (m *Machine) sysFork(p *Process, next uint64) uint64 {
 		rip:     next,
 		zf:      p.zf,
 		lf:      p.lf,
-		mem:     p.mem.Clone(),
+		mem:     p.mem.CloneCoW(),
 		sig:     map[Signal]Sigaction{},
 		fds:     map[int]*fdesc{},
 		nextFD:  p.nextFD,

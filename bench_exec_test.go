@@ -22,6 +22,8 @@ import (
 	"github.com/dynacut/dynacut"
 	"github.com/dynacut/dynacut/internal/apps/specgen"
 	"github.com/dynacut/dynacut/internal/apps/webserv"
+	"github.com/dynacut/dynacut/internal/crit"
+	"github.com/dynacut/dynacut/internal/criu"
 	"github.com/dynacut/dynacut/internal/kernel"
 )
 
@@ -172,4 +174,80 @@ func BenchmarkExecEngineKVRequest(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(sess.Machine.Clock()-clock)/b.Elapsed().Seconds()/1e6, "guest-Minst/s")
+}
+
+// BenchmarkBlockCacheSuccessionKV: one translation-cache handoff of the
+// kvstore guest, shaped like a kv-cut rewrite. Before each handoff the
+// guest serves wanted requests (and, while STRALGO is intact, a STRALGO
+// probe), is dumped, and its images get an INT3 at every STRALGO block
+// entry or the original bytes back, alternately; then it is killed and
+// restored. handoff-ns/op times Process.Succeed alone; ns/op is the
+// whole cycle.
+func BenchmarkBlockCacheSuccessionKV(b *testing.B) {
+	app, err := dynacut.BuildKVStore(dynacut.KVStoreConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess, err := dynacut.StartServer(app.Exe, []*dynacut.Binary{app.Libc}, app.Config.Port)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wanted := []string{"PING\n", "GET a\n", "SET a v\n", "EXISTS a\n", "INCR a\n", "DEL a\n", "WHAT\n"}
+	blocks, err := sess.ProfileFeatures(wanted, []string{"STRALGO LCS ab\n"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, pid := sess.Machine, sess.PID()
+	pred, err := m.Process(pid)
+	if err != nil {
+		b.Fatal(err)
+	}
+	orig := make([]byte, len(blocks))
+	for i, bl := range blocks {
+		v, err := pred.Mem().Read(bl.Addr, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		orig[i] = v[0]
+	}
+	kept := 0
+	var took time.Duration
+	for i := 0; i < b.N; i++ {
+		cut := i%2 == 0
+		reqs := []string{"SET a v\n", "GET a\n"}
+		if cut {
+			reqs = append(reqs, "STRALGO LCS ab\n")
+		}
+		for _, r := range reqs {
+			if _, err := sess.Request(r); err != nil {
+				b.Fatalf("%q: %v", r, err)
+			}
+		}
+		set, err := criu.Dump(m, pid, criu.DumpOpts{ExecPages: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ed := crit.NewEditor(set, m)
+		for j, bl := range blocks {
+			v := orig[j]
+			if cut {
+				v = 0xCC
+			}
+			if err := ed.WriteMem(pid, bl.Addr, []byte{v}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		m.Kill(pid)
+		procs, _, err := criu.Restore(m, set)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t0 := time.Now()
+		kept += procs[0].Succeed(pred)
+		took += time.Since(t0)
+		m.Remove(pid)
+		pred, pid = procs[0], procs[0].PID()
+	}
+	b.ReportMetric(float64(took.Nanoseconds())/float64(b.N), "handoff-ns/op")
+	b.ReportMetric(float64(kept)/float64(b.N), "blocks-kept/op")
 }

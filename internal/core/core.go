@@ -420,7 +420,7 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 		// attempt is recorded as failed with lastErr = failed.
 		rollback := func(down time.Time, cause, failed error) error {
 			endRB := c.span("rollback", attempt)
-			pids, rbErr := c.rollbackOr(&stats, set, cause)
+			pids, rbErr := c.rollbackOr(&stats, set, killed, cause)
 			restores++
 			endRB(rbErr)
 			stats.Downtime += time.Since(down)
@@ -450,6 +450,7 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 			continue
 		}
 		stats.Downtime += time.Since(tKill)
+		c.succeed(killed, procs)
 
 		newRoot := procs[0].PID() // Restore returns the dump root first
 
@@ -511,15 +512,16 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 }
 
 // rollbackOr restores the pristine pre-edit images (the dumped set,
-// which no attempt edits) after a post-commit failure (cause). On
-// success it returns the new live PIDs and updates c.pid; the
-// incremental-dump parent is invalidated either way — a rolled-back
+// which no attempt edits) in place of the killed processes after a
+// post-commit failure (cause). On success it returns the new live PIDs
+// and updates c.pid; the incremental-dump parent is invalidated either
+// way — a rolled-back
 // transaction forces the next checkpoint to be a full dump. If the
 // rollback restore itself fails the guest is lost: it marks the
 // transaction dead and returns an ErrRollbackFailed error carrying
 // both failures. It seals nothing: a failed attempt never moves the
 // oracle, and the restored set is the text it already expects.
-func (c *Customizer) rollbackOr(stats *Stats, set *criu.ImageSet, cause error) ([]int, error) {
+func (c *Customizer) rollbackOr(stats *Stats, set *criu.ImageSet, killed []int, cause error) ([]int, error) {
 	if o := c.opts.Observer; o != nil {
 		o.Add("core.rollbacks", 1)
 	}
@@ -529,6 +531,7 @@ func (c *Customizer) rollbackOr(stats *Stats, set *criu.ImageSet, cause error) (
 		stats.RolledBack = false
 		return nil, fmt.Errorf("%w: %v (while recovering from: %v)", ErrRollbackFailed, err, cause)
 	}
+	c.succeed(killed, procs)
 	pids := make([]int, len(procs))
 	for i, p := range procs {
 		pids[i] = p.PID()
@@ -588,6 +591,20 @@ func (c *Customizer) charge(restores uint64, set *criu.ImageSet) {
 	hi, lo := bits.Mul64(ns, c.opts.TicksPerSecond)
 	ticks, _ := bits.Div64(hi, lo, uint64(time.Second))
 	c.machine.AdvanceClock(ticks)
+}
+
+// succeed hands each killed process's translation cache to the
+// process a restore built in its place, so the restored guest does not
+// record again the blocks its predecessor already ran. procs[i]
+// replaces killed[i]: in Rewrite both follow the image's process order.
+// Any pairing is sound, since Succeed keeps only what the successor's
+// layout and pages still validate.
+func (c *Customizer) succeed(killed []int, procs []*kernel.Process) {
+	for i, pid := range killed[:min(len(killed), len(procs))] {
+		if pred, err := c.machine.Process(pid); err == nil {
+			procs[i].Succeed(pred)
+		}
+	}
 }
 
 // reap removes processes the transaction killed from the process
@@ -661,7 +678,7 @@ func (c *Customizer) filterProtected(blocks []coverage.AbsBlock) []coverage.AbsB
 	if c.opts.RedirectTo == 0 {
 		return blocks
 	}
-	out := blocks[:0:0]
+	out := make([]coverage.AbsBlock, 0, len(blocks))
 	for _, b := range blocks {
 		if c.opts.RedirectTo >= b.Addr && c.opts.RedirectTo < b.Addr+b.Size {
 			continue
@@ -880,20 +897,28 @@ func (c *Customizer) dump() (*criu.ImageSet, time.Duration, error) {
 // RestoreImages replaces the guest with a checkpoint taken outside
 // the rewrite cycle — the supervisor's last-good images after its
 // degradation ladder bottoms out, or a fleet replica's pristine
-// checkpoint. Every process on the machine is killed and removed
-// (children before parents), set is restored, and the customizer is
-// re-pointed at the restored root. All customization bookkeeping is
-// reset to "nothing disabled": the restored images predate every edit
-// this instance applied. If the images do carry an injected handler,
-// the next rewrite re-derives its state from the module table instead
-// of re-injecting.
+// checkpoint. Every process on the machine is killed (children before
+// parents), set is restored, the restored processes inherit the killed
+// ones' translation caches, root first, the killed ones are removed,
+// and the customizer is re-pointed at the restored root. All
+// customization bookkeeping is reset to "nothing disabled": the
+// restored images predate every edit this instance applied. If the
+// images do carry an injected handler, the next rewrite re-derives its
+// state from the module table instead of re-injecting.
 func (c *Customizer) RestoreImages(set *criu.ImageSet) error {
 	procs := c.machine.Processes()
+	killed := make([]int, len(procs))
 	for i := len(procs) - 1; i >= 0; i-- {
-		c.machine.Kill(procs[i].PID())
-		c.machine.Remove(procs[i].PID())
+		killed[i] = procs[i].PID()
+		c.machine.Kill(killed[i])
 	}
 	restored, _, err := criu.Restore(c.machine, set)
+	if err == nil {
+		c.succeed(killed, restored)
+	}
+	// Removed only now: Remove counts a process's cache counters once
+	// more, and an inherited cache carries them on.
+	c.reap(killed)
 	if err != nil {
 		return err
 	}

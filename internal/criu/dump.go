@@ -147,7 +147,9 @@ func dumpOne(p *kernel.Process, opts DumpOpts, parentPi *ProcImage) (pi *ProcIma
 	for i := 0; i < isa.NumRegisters; i++ {
 		pi.Core.Regs[i] = p.Reg(isa.Register(i))
 	}
-	for signo, act := range p.Sigactions() {
+	sigs := p.Sigactions()
+	pi.Core.Sigs = make([]SigEntry, 0, len(sigs))
+	for signo, act := range sigs {
 		pi.Core.Sigs = append(pi.Core.Sigs, SigEntry{
 			Signo: int(signo), Handler: act.Handler, Restorer: act.Restorer,
 		})
@@ -161,6 +163,7 @@ func dumpOne(p *kernel.Process, opts DumpOpts, parentPi *ProcImage) (pi *ProcIma
 	// mm
 	mem := p.Mem()
 	vmas := mem.VMAs()
+	pi.MM.VMAs = make([]VMAEntry, 0, len(vmas))
 	for _, v := range vmas {
 		pi.MM.VMAs = append(pi.MM.VMAs, VMAEntry{
 			Start: v.Start, End: v.End, Perm: uint8(v.Perm),
@@ -168,7 +171,9 @@ func dumpOne(p *kernel.Process, opts DumpOpts, parentPi *ProcImage) (pi *ProcIma
 			Anon: v.Anon,
 		})
 	}
-	for _, mod := range p.Modules() {
+	mods := p.Modules()
+	pi.MM.Modules = make([]ModuleEntry, 0, len(mods))
+	for _, mod := range mods {
 		pi.MM.Modules = append(pi.MM.Modules, ModuleEntry{Name: mod.Name, Lo: mod.Lo, Hi: mod.Hi})
 	}
 
@@ -211,7 +216,9 @@ func dumpOne(p *kernel.Process, opts DumpOpts, parentPi *ProcImage) (pi *ProcIma
 	}
 
 	// files (including TCP state for repair)
-	for _, fd := range p.FDs() {
+	fds := p.FDs()
+	pi.Files.Files = make([]FileEntry, 0, len(fds))
+	for _, fd := range fds {
 		pi.Files.Files = append(pi.Files.Files, FileEntry{
 			FD: fd.FD, Kind: uint8(fd.Kind), StdNo: fd.StdNo,
 			Port: fd.Port, ConnID: fd.ConnID, SideA: fd.SideA,

@@ -15,6 +15,12 @@ package kernel
 //     interpretation: final registers, RIP, flags, retired counts,
 //     clock and exit state must match instruction-for-instruction,
 //     and lockstep mode must find zero stale decodes.
+//
+// Half the budget in, shape's upper bits may restore the guest in
+// place (restoreAfter: dump, patch, kill, restore), handing the cache
+// to the successor: unpatched, with an INT3, or with a seed byte, at a
+// seed-chosen text offset. The successor runs the other half and is
+// the process compared.
 
 import (
 	"testing"
@@ -78,6 +84,9 @@ func FuzzBlockCacheDecode(f *testing.F) {
 	f.Add([]byte{3, 3, 3, 0, 1, 2, 250, 251, 252}, uint8(2))   // generated + int3 splice
 	f.Add([]byte{0xFF, 0xFE, 0x00, 0x41, 0x99}, uint8(1))      // junk opcodes
 	f.Add([]byte{17, 42, 0, 0, 13, 13, 200, 100, 3}, uint8(3)) // generated + byte smash
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, uint8(4))     // generated, restored unpatched
+	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, uint8(8))      // generated, restored with an INT3
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3}, uint8(12))     // generated, restored with a byte patch
 
 	f.Fuzz(func(t *testing.T, seed []byte, shape uint8) {
 		if len(seed) == 0 || len(seed) > 512 {
@@ -100,12 +109,33 @@ func FuzzBlockCacheDecode(f *testing.F) {
 		}
 
 		const budget = 4096
-		ref, refP := loadRaw(t, code, ModeInterpret)
-		ref.Run(budget)
+		run := func(mode ExecMode) (*Machine, *Process) {
+			m, p := loadRaw(t, code, mode)
+			op := shape / 4 % 4
+			if op == 0 {
+				m.Run(budget)
+				return m, p
+			}
+			m.Run(budget / 2)
+			if p.Exited() {
+				return m, p
+			}
+			var edit func(uint64, []byte) []byte
+			if op > 1 {
+				b := byte(0xCC)
+				if op == 3 {
+					b = seed[len(seed)/2]
+				}
+				edit = patchAt(fuzzBase+uint64(seed[0])*uint64(len(seed)+1)%uint64(len(code)), b)
+			}
+			p = restoreAfter(t, m, p, nil, edit)
+			m.Run(budget / 2)
+			return m, p
+		}
+		ref, refP := run(ModeInterpret)
 
 		for _, mode := range []ExecMode{ModeTranslate, ModeLockstep} {
-			tx, txP := loadRaw(t, code, mode)
-			tx.Run(budget)
+			tx, txP := run(mode)
 
 			if refP.Exited() != txP.Exited() || refP.ExitCode() != txP.ExitCode() || refP.KilledBy() != txP.KilledBy() {
 				t.Fatalf("%v: exit diverged: interp %v/%d/%v, engine %v/%d/%v",

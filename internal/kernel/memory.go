@@ -77,9 +77,11 @@ type Memory struct {
 	// (allocated with bc, so pure-interpreter runs pay nothing); and
 	// layoutGen counts VMA-layout changes (Map/Unmap/Protect), any of
 	// which flushes the whole cache — instruction-fetch side effects
-	// depend on the mapping, not just the bytes. None of these fields
-	// are cloned: a clone starts with an empty cache and a zeroed
-	// generation space, which is trivially consistent.
+	// depend on the mapping, not just the bytes. A clone starts with an
+	// empty cache and a zeroed generation space, which is trivially
+	// consistent. A restored successor takes bc and gens from the dead
+	// process it replaces (inherit), which then keeps neither; the
+	// cache carries its own flush count, so layoutGen is not moved.
 	bc        *blockCache
 	gens      map[uint64]uint64
 	layoutGen uint64

@@ -132,7 +132,7 @@ func (s *tlbFuzzSide) hold(page []byte) {
 
 func (s *tlbFuzzSide) record(addr uint64) {
 	if s.rec == nil {
-		s.rec = &block{entry: addr, layout: s.mem.layoutGen, wgen: s.mem.wgen, valid: true}
+		s.rec = &block{entry: addr, layout: s.mem.blockCacheOf().layout, wgen: s.mem.wgen, valid: true}
 		s.rec.pages, s.rec.gens = s.rec.pageBuf[:0], s.rec.genBuf[:0]
 	}
 	s.rec.touch(s.mem, addr, maxInstLen)

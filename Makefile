@@ -98,7 +98,7 @@ check: build vet test race lockstep bench-mod
 BENCH_JSON ?= BENCH_pr10.json
 
 bench:
-	$(GO) test -run '^$$' -bench 'Figure6_|Figure7_|Figure8_|IncrementalDump|Observer_|SupervisorOverhead|FleetRollout|FleetControllerScale|PageStoreParallel|RewriteUnderLoad|ExecEngine' -benchmem -benchtime 1x . ./internal/criu/ \
+	$(GO) test -run '^$$' -bench 'Figure6_|Figure7_|Figure8_|IncrementalDump|Observer_|SupervisorOverhead|FleetRollout|FleetSpawn|FleetControllerScale|PageStoreParallel|RewriteUnderLoad|ExecEngine' -benchmem -benchtime 1x . ./internal/criu/ \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
 
 # End-to-end smoke of the benchmark (benchmark/run.sh): one 1-second

@@ -11,6 +11,7 @@ package dynacut_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -610,6 +611,48 @@ func BenchmarkFleetRollout(b *testing.B) {
 		b.Run(fmt.Sprintf("replicas=%d/serial", replicas), func(b *testing.B) { run(b, replicas, 1) })
 		b.Run(fmt.Sprintf("replicas=%d/pooled", replicas), func(b *testing.B) { run(b, replicas, 8) })
 	}
+}
+
+// BenchmarkFleetSpawn is the spawn profile: a booted lighttpd template
+// cloned into a 16-replica fleet, each replica with its customizer and
+// its pristine checkpoint deposited in the shared page store. It
+// reports what one replica costs to spawn, in time and in heap
+// allocations.
+func BenchmarkFleetSpawn(b *testing.B) {
+	const replicas = 16
+	app, err := dynacut.BuildWebServer(dynacut.WebServerConfig{Name: "lighttpd", Port: 8080})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess, err := dynacut.StartServer(app.Exe, []*dynacut.Binary{app.Libc}, app.Config.Port)
+	if err != nil {
+		b.Fatal(err)
+	}
+	errAddr, err := sess.SymbolAddr("resp_403")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := dynacut.FleetConfig{
+		Replicas: replicas,
+		WaveSize: replicas,
+		Core: dynacut.CustomizerOptions{
+			RedirectTo:  errAddr,
+			HealthCheck: dynacut.HealthProbe(app.Config.Port, "GET /\n", "200"),
+		},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dynacut.NewFleetFromSession(sess, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N * replicas)
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/n, "us/replica")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/replica")
 }
 
 // BenchmarkFleetControllerScale pushes the event-driven rollout

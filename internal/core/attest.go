@@ -2,11 +2,12 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/dynacut/dynacut/internal/criu"
 	"github.com/dynacut/dynacut/internal/delf"
@@ -280,28 +281,24 @@ func (c *Customizer) overlayFor(mem *kernel.Memory, pn uint64) []overlayRun {
 		}
 		runs = append(runs, overlayRun{addr: addr, bytes: cur})
 	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].addr < runs[j].addr })
+	slices.SortFunc(runs, func(a, b overlayRun) int { return cmp.Compare(a.addr, b.addr) })
 	return runs
 }
 
 // oraclePageNumbers returns the oracle's page set, sorted.
-func (c *Customizer) oraclePageNumbers() []uint64 {
-	pns := make([]uint64, 0, len(c.oracle))
-	for pn := range c.oracle {
-		pns = append(pns, pn)
-	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	return pns
-}
+func (c *Customizer) oraclePageNumbers() []uint64 { return sortedKeys(c.oracle) }
 
 // features returns the sorted applied-feature set.
-func (c *Customizer) features() []string {
-	fs := make([]string, 0, len(c.disabled))
-	for name := range c.disabled {
-		fs = append(fs, name)
+func (c *Customizer) features() []string { return sortedKeys(c.disabled) }
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(fs)
-	return fs
+	slices.Sort(keys)
+	return keys
 }
 
 // attRoot folds per-page digests and the feature set into one
@@ -309,14 +306,9 @@ func (c *Customizer) features() []string {
 // the leaves are folded in page order, and the feature-set hash is the
 // final leaf. Page order is canonical, so equal state ⇒ equal root.
 func attRoot(pages map[uint64][sha256.Size]byte, features []string) [sha256.Size]byte {
-	pns := make([]uint64, 0, len(pages))
-	for pn := range pages {
-		pns = append(pns, pn)
-	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
 	h := sha256.New()
 	var buf [8]byte
-	for _, pn := range pns {
+	for _, pn := range sortedKeys(pages) {
 		d := pages[pn]
 		binary.LittleEndian.PutUint64(buf[:], pn)
 		leaf := sha256.Sum256(append(buf[:], d[:]...))

@@ -11,10 +11,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/dynacut/dynacut/internal/coverage"
@@ -415,12 +416,13 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 			c.machine.Kill(pid)
 		}
 		endKill(nil)
-		// rollback restores the dumped set after a post-commit failure
-		// (cause); the guest has been down since down. On success the
-		// attempt is recorded as failed with lastErr = failed.
-		rollback := func(down time.Time, cause, failed error) error {
+		// rollback restores the dumped set in place of the dead preds
+		// after a post-commit failure (cause); the guest has been down
+		// since down. On success the attempt is recorded as failed with
+		// lastErr = failed.
+		rollback := func(down time.Time, preds []int, cause, failed error) error {
 			endRB := c.span("rollback", attempt)
-			pids, rbErr := c.rollbackOr(&stats, set, killed, cause)
+			pids, rbErr := c.rollbackOr(&stats, set, preds, cause)
 			restores++
 			endRB(rbErr)
 			stats.Downtime += time.Since(down)
@@ -444,7 +446,7 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 			// Restore is atomic: its partial procs are already gone. The
 			// guest is down from the kill through the rollback restore.
 			restoreErr := fmt.Errorf("%w (attempt %d): %w", ErrRestoreFailed, attempt, err)
-			if rbErr := rollback(tKill, restoreErr, restoreErr); rbErr != nil {
+			if rbErr := rollback(tKill, killed, restoreErr, restoreErr); rbErr != nil {
 				return stats, rbErr
 			}
 			continue
@@ -460,16 +462,19 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 		endHealth(hcErr)
 		stats.HealthCheck += time.Since(t4)
 		if hcErr != nil {
-			// Tear down the unhealthy restored tree, then roll back. The
-			// guest is down again from the teardown until the rollback
-			// restore completes.
+			// Kill the unhealthy tree (which holds the originals' caches)
+			// and roll back in its place; the guest is down again until
+			// the rollback restore completes. Remove it only then.
 			tDown := time.Now()
+			unhealthy := make([]int, len(procs))
 			for i := len(procs) - 1; i >= 0; i-- {
-				c.machine.Kill(procs[i].PID())
-				c.machine.Remove(procs[i].PID())
+				unhealthy[i] = procs[i].PID()
+				c.machine.Kill(unhealthy[i])
 			}
 			failed := fmt.Errorf("health check (attempt %d): %w", attempt, hcErr)
-			if rbErr := rollback(tDown, hcErr, failed); rbErr != nil {
+			rbErr := rollback(tDown, unhealthy, hcErr, failed)
+			c.reap(unhealthy)
+			if rbErr != nil {
 				return stats, rbErr
 			}
 			continue
@@ -804,12 +809,7 @@ func (c *Customizer) EnableAll() (Stats, error) {
 	if len(c.disabled) == 0 {
 		return Stats{}, nil
 	}
-	names := make([]string, 0, len(c.disabled))
-	for name := range c.disabled {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return c.enable(names)
+	return c.enable(c.features())
 }
 
 // enable writes the saved original bytes of the named disabled
@@ -1179,7 +1179,7 @@ func splitPageCoverage(blocks []coverage.AbsBlock) ([]pageRange, []coverage.AbsB
 	var full []pageRange
 	fullSet := map[uint64]bool{}
 	for pn, spans := range spansOn {
-		sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+		slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
 		var union, hi uint64
 		lo := spans[0].lo
 		hi = spans[0].hi
@@ -1199,11 +1199,7 @@ func splitPageCoverage(blocks []coverage.AbsBlock) ([]pageRange, []coverage.AbsB
 		}
 	}
 	// Coalesce adjacent full pages.
-	pns := make([]uint64, 0, len(fullSet))
-	for pn := range fullSet {
-		pns = append(pns, pn)
-	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
+	pns := sortedKeys(fullSet)
 	for i := 0; i < len(pns); {
 		j := i
 		for j+1 < len(pns) && pns[j+1] == pns[j]+1 {

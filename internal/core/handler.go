@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/dynacut/dynacut/internal/asm"
 	"github.com/dynacut/dynacut/internal/crit"
@@ -110,8 +111,13 @@ const HandlerLibName = "dynacut-handler.so"
 // maxVerifierEntries bounds the in-guest verifier table.
 const maxVerifierEntries = 256
 
-// BuildHandlerLib assembles and links the signal-handler library.
-func BuildHandlerLib() (*delf.File, error) {
+// BuildHandlerLib returns the signal-handler library, assembled and
+// linked once per process and shared by every customizer: callers must
+// not mutate it. Injection maps copies of its sections.
+var BuildHandlerLib = sync.OnceValues(buildHandlerLib)
+
+// buildHandlerLib assembles and links the signal-handler library.
+func buildHandlerLib() (*delf.File, error) {
 	obj, err := asm.Assemble(handlerLibSrc)
 	if err != nil {
 		return nil, fmt.Errorf("assemble handler lib: %w", err)

@@ -47,7 +47,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/dynacut/dynacut/internal/coverage"
 	"github.com/dynacut/dynacut/internal/crit"
@@ -291,17 +290,12 @@ func (u *undoLog) unwind() {
 // the spans.
 func spanPages(spans []blockSpan) []uint64 {
 	seen := map[uint64]struct{}{}
-	var pns []uint64
 	for _, s := range spans {
 		for pn := s.lo / kernel.PageSize; pn <= (s.hi-1)/kernel.PageSize; pn++ {
-			if _, ok := seen[pn]; !ok {
-				seen[pn] = struct{}{}
-				pns = append(pns, pn)
-			}
+			seen[pn] = struct{}{}
 		}
 	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	return pns
+	return sortedKeys(seen)
 }
 
 // liveTargets returns the live processes the patch applies to: the

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"github.com/dynacut/dynacut/internal/apps/webserv"
 	"github.com/dynacut/dynacut/internal/coverage"
+	"github.com/dynacut/dynacut/internal/faultinject"
 	"github.com/dynacut/dynacut/internal/kernel"
 )
 
@@ -83,5 +85,48 @@ func TestBlockCacheRestoreImagesCountsOnce(t *testing.T) {
 	}
 	if got := tb.request(t, "GET /\n"); !strings.Contains(got, "200") {
 		t.Fatalf("GET after RestoreImages -> %q", got)
+	}
+}
+
+// TestBlockCacheHealthRollbackInherits: when the health check fails, the
+// originals' cache has already moved to the unhealthy restored tree;
+// the rollback's restored guest takes it over from there, so a wanted
+// request afterwards runs entirely on inherited blocks.
+func TestBlockCacheHealthRollbackInherits(t *testing.T) {
+	tb := newTestbedExec(t, webserv.Config{Name: "lighttpd", Port: 8096}, kernel.ModeTranslate)
+	blocks := tb.profileFeatures(t, wantedReqs, undesiredReqs)
+	c, err := New(tb.m, tb.proc.PID(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first rewrite injects the handler library, so the guest the
+	// faulty one replaces has the layout every later restore keeps.
+	if _, err := c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range wantedReqs {
+		tb.request(t, r)
+	}
+	in := faultinject.New(1)
+	in.FailOnce(faultinject.SiteHealth)
+	tb.m.SetFaultHook(in)
+	_, err = c.EnableBlocks("webdav-write")
+	tb.m.SetFaultHook(nil)
+	if !errors.Is(err, ErrRolledBack) {
+		t.Fatalf("health fault: %v, want ErrRolledBack", err)
+	}
+	root, err := tb.m.Process(c.PID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := root.Mem().BlockCacheStats()
+	if before.Inherited == 0 {
+		t.Fatalf("the rolled-back guest inherited nothing: %+v", before)
+	}
+	if got := tb.request(t, wantedReqs[0]); !strings.Contains(got, "200") {
+		t.Fatalf("%q after rollback -> %q", wantedReqs[0], got)
+	}
+	if after := root.Mem().BlockCacheStats(); after.Translations != before.Translations {
+		t.Fatalf("a wanted request after rollback recorded %d blocks", after.Translations-before.Translations)
 	}
 }

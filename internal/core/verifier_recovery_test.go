@@ -191,6 +191,8 @@ func TestInjectHandlerUnwindsOnArmFailure(t *testing.T) {
 	if err := set.Validate(tb.m); err != nil {
 		t.Fatalf("image set invalid after unwind+retry: %v", err)
 	}
+	// lib is the shared library: neither injection nor unwind wrote it.
+	CheckHandlerLibIntact(t)
 }
 
 // TestDisableRetriesThroughArmFault: end-to-end, a transient arm

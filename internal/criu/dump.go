@@ -1,8 +1,9 @@
 package criu
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/dynacut/dynacut/internal/faultinject"
@@ -154,7 +155,7 @@ func dumpOne(p *kernel.Process, opts DumpOpts, parentPi *ProcImage) (pi *ProcIma
 			Signo: int(signo), Handler: act.Handler, Restorer: act.Restorer,
 		})
 	}
-	sortSigs(pi.Core.Sigs)
+	slices.SortFunc(pi.Core.Sigs, func(a, b SigEntry) int { return cmp.Compare(a.Signo, b.Signo) })
 	if filter := p.SyscallFilter(); filter != nil {
 		pi.Core.HasFilter = true
 		pi.Core.SysFilter = filter
@@ -225,8 +226,4 @@ func dumpOne(p *kernel.Process, opts DumpOpts, parentPi *ProcImage) (pi *ProcIma
 		})
 	}
 	return pi, dumped, skipped
-}
-
-func sortSigs(sigs []SigEntry) {
-	sort.Slice(sigs, func(i, j int) bool { return sigs[i].Signo < sigs[j].Signo })
 }

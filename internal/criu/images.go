@@ -14,11 +14,12 @@ package criu
 
 import (
 	"bytes"
+	"cmp"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sort"
 	"sync"
 
 	"github.com/dynacut/dynacut/internal/criu/pbuf"
@@ -207,21 +208,46 @@ type ImageSet struct {
 	// (transient; not serialized).
 	PagesDumped  int
 	PagesSkipped int
-
-	ident     uint32    // cached Ident(); computed under identOnce
-	identOnce sync.Once // concurrent depositors may all ask for Ident
 }
 
-// Ident returns the set's identity: the CRC-32C of its serialized
-// form, which keys the set in a PageStore. Computed once and cached
-// (safe for concurrent callers — fleet workers deposit the shared
-// pristine set from many goroutines) — do not mutate a set after
-// taking its identity.
-func (s *ImageSet) Ident() uint32 {
-	s.identOnce.Do(func() {
-		s.ident = crc32.Checksum(s.Marshal(), crcTable)
-	})
-	return s.ident
+// Ident returns the set's identity, which keys the set in a PageStore:
+// a SHA-256 over each process's metadata encoding and the SHA-256 of
+// each of its pages, in PIDs order. Two sets with different Marshal
+// bytes get different idents. It marshals nothing and copies no page.
+func (s *ImageSet) Ident() [sha256.Size]byte {
+	ident, _ := s.digest()
+	return ident
+}
+
+// digest computes the set's Ident and, for each entry of PIDs, the
+// SHA-256 of each of its pages in page-table order — the page keys a
+// PageStore files them under.
+func (s *ImageSet) digest() ([sha256.Size]byte, [][][sha256.Size]byte) {
+	h := sha256.New()
+	keys := make([][][sha256.Size]byte, len(s.PIDs))
+	for i, pid := range s.PIDs {
+		// A length-delimited metadata entry that counts the pages, then
+		// one fixed-size digest per page.
+		pi := s.Procs[pid]
+		var e pbuf.Encoder
+		e.Msg(1, func(pe *pbuf.Encoder) {
+			pe.Uint(1, uint64(pid))
+			pe.Bytes(2, marshalCore(&pi.Core))
+			pe.Bytes(3, marshalMM(&pi.MM))
+			pe.Bytes(4, marshalPageMap(&pi.PageMap))
+			pe.Uint(5, uint64(len(pi.Pages)))
+			pe.Bytes(6, marshalFiles(&pi.Files))
+		})
+		h.Write(e.Finish())
+		keys[i] = make([][sha256.Size]byte, len(pi.Pages))
+		for j, pg := range pi.Pages {
+			keys[i][j] = sha256.Sum256(pg)
+			h.Write(keys[i][j][:])
+		}
+	}
+	var ident [sha256.Size]byte
+	h.Sum(ident[:0])
+	return ident, keys
 }
 
 // RemapPIDs re-keys a copy of the set onto new process IDs (oldPID →
@@ -787,22 +813,17 @@ func unmarshalFiles(data []byte) (*FilesImage, error) {
 // sortPIDsParentFirst orders pids so that parents restore before
 // children.
 func sortPIDsParentFirst(pids []int, parent map[int]int) {
-	sort.Slice(pids, func(i, j int) bool {
-		// Walk ancestry depth.
-		depth := func(pid int) int {
-			d := 0
-			for p := parent[pid]; p != 0; p = parent[p] {
-				d++
-				if d > len(pids) {
-					break
-				}
+	depth := func(pid int) int {
+		d := 0
+		for p := parent[pid]; p != 0; p = parent[p] {
+			d++
+			if d > len(pids) {
+				break
 			}
-			return d
 		}
-		di, dj := depth(pids[i]), depth(pids[j])
-		if di != dj {
-			return di < dj
-		}
-		return pids[i] < pids[j]
+		return d
+	}
+	slices.SortFunc(pids, func(a, b int) int {
+		return cmp.Or(cmp.Compare(depth(a), depth(b)), cmp.Compare(a, b))
 	})
 }

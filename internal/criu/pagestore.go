@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -34,7 +35,7 @@ type PageStore struct {
 	shards []pageShard
 
 	setMu sync.RWMutex
-	sets  map[uint32]*storedSet
+	sets  map[[sha256.Size]byte]*storedSet
 
 	hookMu sync.Mutex
 	hook   kernel.FaultHook // consulted at SiteStoreRot on blob reads
@@ -54,12 +55,12 @@ type pageShard struct {
 // lock collisions low while costing ~nothing for small stores.
 const defaultPageShards = 64
 
-// storedSet is one deposited image set: per-proc metadata with the
-// page payload replaced by content keys.
+// storedSet is one deposited image set: a deep copy of its metadata
+// with every Pages nil, and for each entry of its PIDs the content keys
+// of that process's pages.
 type storedSet struct {
-	pids   []int
-	shells map[int]*ProcImage // Pages nil; everything else deep-copied
-	keys   map[int][][sha256.Size]byte
+	shell *ImageSet
+	keys  [][][sha256.Size]byte
 }
 
 // StoreStats is a snapshot of the store's dedup accounting.
@@ -88,7 +89,7 @@ func newPageStoreShards(n int) *PageStore {
 	}
 	s := &PageStore{
 		shards: make([]pageShard, shards),
-		sets:   map[uint32]*storedSet{},
+		sets:   map[[sha256.Size]byte]*storedSet{},
 	}
 	for i := range s.shards {
 		s.shards[i].pages = map[[sha256.Size]byte][]byte{}
@@ -160,13 +161,14 @@ func (s *PageStore) DepositPage(pg []byte) ([sha256.Size]byte, error) {
 	if len(pg) != kernel.PageSize {
 		return [sha256.Size]byte{}, fmt.Errorf("%w: page blob is %d bytes, want %d", ErrBadImage, len(pg), kernel.PageSize)
 	}
-	return s.internPage(pg), nil
+	key := sha256.Sum256(pg)
+	s.intern(key, pg)
+	return key, nil
 }
 
-// internPage stores one page under its content key (or finds it
-// already present) and returns the key.
-func (s *PageStore) internPage(pg []byte) [sha256.Size]byte {
-	key := sha256.Sum256(pg)
+// intern stores one page under its content key, the SHA-256 of pg,
+// unless it is already present.
+func (s *PageStore) intern(key [sha256.Size]byte, pg []byte) {
 	s.interned.Add(1)
 	sh := s.shard(key)
 	sh.mu.Lock()
@@ -176,7 +178,6 @@ func (s *PageStore) internPage(pg []byte) [sha256.Size]byte {
 		sh.pages[key] = append([]byte(nil), pg...)
 	}
 	sh.mu.Unlock()
-	return key
 }
 
 // cloneProcShell deep-copies a proc image's metadata, leaving Pages
@@ -197,12 +198,18 @@ func cloneProcShell(pi *ProcImage) *ProcImage {
 // Deposit interns an image set: every page is stored under its
 // content hash (duplicates shared, not copied) and the set's structure
 // is recorded under its Ident. Depositing a set that is already
-// present is a cheap no-op. Returns the set's identity.
-func (s *PageStore) Deposit(set *ImageSet) (uint32, error) {
+// present stores nothing. Returns the set's identity.
+func (s *PageStore) Deposit(set *ImageSet) ([sha256.Size]byte, error) {
 	if set == nil {
-		return 0, fmt.Errorf("%w: nil image set", ErrBadImage)
+		return [sha256.Size]byte{}, fmt.Errorf("%w: nil image set", ErrBadImage)
 	}
-	ident := set.Ident()
+	// Validate before interning so a bad set deposits nothing.
+	for pid, pi := range set.Procs {
+		if msg := pi.tableError(); msg != "" {
+			return [sha256.Size]byte{}, fmt.Errorf("%w: pid %d: %s", ErrBadImage, pid, msg)
+		}
+	}
+	ident, pageKeys := set.digest()
 
 	s.setMu.RLock()
 	_, ok := s.sets[ident]
@@ -211,30 +218,17 @@ func (s *PageStore) Deposit(set *ImageSet) (uint32, error) {
 		return ident, nil
 	}
 
-	// Validate before interning so a bad set deposits nothing.
-	for pid, pi := range set.Procs {
-		if msg := pi.tableError(); msg != "" {
-			return 0, fmt.Errorf("%w: pid %d: %s", ErrBadImage, pid, msg)
+	shell := &ImageSet{PIDs: slices.Clone(set.PIDs), Procs: make(map[int]*ProcImage, len(set.PIDs))}
+	for i, pid := range set.PIDs {
+		for j, pg := range set.Procs[pid].Pages {
+			s.intern(pageKeys[i][j], pg)
 		}
-	}
-
-	st := &storedSet{
-		pids:   append([]int(nil), set.PIDs...),
-		shells: make(map[int]*ProcImage, len(set.Procs)),
-		keys:   make(map[int][][sha256.Size]byte, len(set.Procs)),
-	}
-	for pid, pi := range set.Procs {
-		keys := make([][sha256.Size]byte, len(pi.PageMap.PageNumbers))
-		for i, pg := range pi.Pages {
-			keys[i] = s.internPage(pg)
-		}
-		st.shells[pid] = cloneProcShell(pi)
-		st.keys[pid] = keys
+		shell.Procs[pid] = cloneProcShell(set.Procs[pid])
 	}
 
 	s.setMu.Lock()
 	if _, ok := s.sets[ident]; !ok {
-		s.sets[ident] = st
+		s.sets[ident] = &storedSet{shell: shell, keys: pageKeys}
 	}
 	s.setMu.Unlock()
 	return ident, nil
@@ -243,22 +237,17 @@ func (s *PageStore) Deposit(set *ImageSet) (uint32, error) {
 // Materialize rebuilds a deposited image set, re-assembling page
 // payloads from the shared blobs. The returned set is private to the
 // caller: mutating it (crit edits) does not touch the store.
-func (s *PageStore) Materialize(ident uint32) (*ImageSet, error) {
+func (s *PageStore) Materialize(ident [sha256.Size]byte) (*ImageSet, error) {
 	s.setMu.RLock()
 	st, ok := s.sets[ident]
 	s.setMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: set %#x not in page store", ErrNoImage, ident)
 	}
-	set := &ImageSet{
-		PIDs:  append([]int(nil), st.pids...),
-		Procs: make(map[int]*ProcImage, len(st.shells)),
-	}
-	for pid, shell := range st.shells {
-		pi := cloneProcShell(shell)
-		keys := st.keys[pid]
-		buf := make([]byte, 0, len(keys)*kernel.PageSize)
-		for _, key := range keys {
+	set := st.shell.Clone()
+	for i, pid := range set.PIDs {
+		buf := make([]byte, 0, len(st.keys[i])*kernel.PageSize)
+		for _, key := range st.keys[i] {
 			pg, err := s.readBlob(key)
 			switch {
 			case errors.Is(err, ErrStoreCorrupt):
@@ -268,8 +257,7 @@ func (s *PageStore) Materialize(ident uint32) (*ImageSet, error) {
 			}
 			buf = append(buf, pg...)
 		}
-		pi.Pages = splitPages(buf)
-		set.Procs[pid] = pi
+		set.Procs[pid].Pages = splitPages(buf)
 	}
 	return set, nil
 }

@@ -48,7 +48,6 @@ func benchCloneSets(b *testing.B, n int) []*ImageSet {
 		if err != nil {
 			b.Fatal(err)
 		}
-		set.Ident() // pre-compute outside the timed region
 		sets[i] = set
 	}
 	return sets
@@ -129,7 +128,7 @@ func BenchmarkPageStoreParallelMaterialize(b *testing.B) {
 	for _, shards := range []int{1, 64} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			store := newPageStoreShards(shards)
-			idents := make([]uint32, len(sets))
+			idents := make([][sha256.Size]byte, len(sets))
 			for i, set := range sets {
 				id, err := store.Deposit(set)
 				if err != nil {

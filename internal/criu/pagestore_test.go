@@ -2,6 +2,7 @@ package criu
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"sync"
 	"testing"
 
@@ -94,6 +95,59 @@ func TestPageStoreDepositsIncrementalSet(t *testing.T) {
 	if again != ident || store.Stats().Sets != 1 {
 		t.Fatalf("full dump of the same state deposited as %#x (%d sets), want %#x",
 			again, store.Stats().Sets, ident)
+	}
+}
+
+// TestPageStoreKeysSetsDifferingInOnePageByte: two sets that differ
+// in a single byte of a single page are two stored sets. Each gets its
+// own key, and each materializes back to its own bytes, never to the
+// other's.
+func TestPageStoreKeysSetsDifferingInOnePageByte(t *testing.T) {
+	m, p := loadCounter(t)
+	store := NewPageStore()
+
+	a, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := a.Clone()
+	pi := b.Procs[b.PIDs[0]]
+	pn := pi.PageMap.PageNumbers[len(pi.PageMap.PageNumbers)/2]
+	pg, err := pi.Page(pn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), pg...)
+	flipped[kernel.PageSize/3] ^= 1
+	if err := pi.SetPage(pn, flipped); err != nil {
+		t.Fatal(err)
+	}
+
+	idA, err := store.Deposit(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idB, err := store.Deposit(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idA == idB {
+		t.Fatalf("sets differing in one page byte share the key %#x", idA)
+	}
+	if n := store.Stats().Sets; n != 2 {
+		t.Fatalf("store holds %d sets, want 2", n)
+	}
+	for _, c := range []struct {
+		id  [sha256.Size]byte
+		set *ImageSet
+	}{{idA, a}, {idB, b}} {
+		got, err := store.Materialize(c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Marshal(), c.set.Marshal()) {
+			t.Fatalf("set %#x materialized to other bytes than were deposited", c.id)
+		}
 	}
 }
 

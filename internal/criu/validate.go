@@ -1,10 +1,10 @@
 package criu
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/dynacut/dynacut/internal/delf"
 	"github.com/dynacut/dynacut/internal/kernel"
@@ -83,7 +83,7 @@ func validateProc(pid int, pi *ProcImage, store FileStore) error {
 
 	// VMA table: well-formed, aligned, non-overlapping.
 	vmas := append([]VMAEntry(nil), pi.MM.VMAs...)
-	sort.Slice(vmas, func(i, j int) bool { return vmas[i].Start < vmas[j].Start })
+	slices.SortFunc(vmas, func(a, b VMAEntry) int { return cmp.Compare(a.Start, b.Start) })
 	for i, v := range vmas {
 		if v.End <= v.Start {
 			return fail("VMA %s has bounds %#x-%#x", v.Name, v.Start, v.End)

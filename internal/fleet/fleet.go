@@ -15,6 +15,7 @@
 package fleet
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -130,7 +131,7 @@ type Replica struct {
 	Obs     *obs.Observer
 	// PristineID is the replica's pristine checkpoint in the fleet's
 	// shared page store — the rollback anchor of the staged rollout.
-	PristineID uint32
+	PristineID [sha256.Size]byte
 
 	// quarantined drains the replica from waves and sweeps after its
 	// repair budget was exhausted; set and cleared only through the

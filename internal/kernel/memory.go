@@ -1,9 +1,11 @@
 package kernel
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/dynacut/dynacut/internal/delf"
@@ -255,18 +257,21 @@ func (m *Memory) VMAAt(addr uint64) (VMA, bool) {
 func pageAligned(v uint64) bool { return v%PageSize == 0 }
 
 // Map installs a new VMA. Start and End must be page aligned and the
-// range must not overlap an existing VMA.
+// range must not overlap an existing VMA. The table stays sorted by
+// Start, so only the VMAs either side of v's position can overlap it.
 func (m *Memory) Map(v VMA) error {
 	if !pageAligned(v.Start) || !pageAligned(v.End) || v.End <= v.Start {
 		return fmt.Errorf("kernel: bad VMA bounds %#x-%#x", v.Start, v.End)
 	}
-	for _, old := range m.vmas {
+	i, _ := slices.BinarySearchFunc(m.vmas, v.Start, func(old VMA, start uint64) int {
+		return cmp.Compare(old.Start, start)
+	})
+	for _, old := range m.vmas[max(i-1, 0):min(i+1, len(m.vmas))] {
 		if v.Start < old.End && old.Start < v.End {
 			return fmt.Errorf("%w: %s vs %s", ErrVMAOverlap, v, old)
 		}
 	}
-	m.vmas = append(m.vmas, v)
-	sort.Slice(m.vmas, func(i, j int) bool { return m.vmas[i].Start < m.vmas[j].Start })
+	m.vmas = slices.Insert(m.vmas, i, v)
 	m.noteLayoutChange()
 	return nil
 }
@@ -342,8 +347,7 @@ func (m *Memory) Protect(start, end uint64, perm delf.Perm) error {
 	if covered != end-start {
 		return fmt.Errorf("%w: protect %#x-%#x not fully mapped", ErrNoVMA, start, end)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	m.vmas = out
+	m.vmas = out // split in place, so still sorted
 	m.noteLayoutChange()
 	return nil
 }
@@ -614,7 +618,7 @@ func (m *Memory) PopulatedPages() []uint64 {
 	for pn := range m.pages {
 		out = append(out, pn)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -655,7 +659,7 @@ func (m *Memory) DirtyPages() []uint64 {
 	for pn := range m.dirty {
 		out = append(out, pn)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -671,7 +675,7 @@ func (m *Memory) SnapshotDirty() []uint64 {
 			out = append(out, pn)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	m.ClearDirty()
 	return out
 }

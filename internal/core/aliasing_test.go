@@ -90,7 +90,7 @@ func TestRestoredPagesSurviveWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := set.Marshal()
-	if err := c.RestoreImages(set); err != nil {
+	if _, err := c.RestoreImages(set); err != nil {
 		t.Fatal(err)
 	}
 	root, err := tb.m.Process(c.PID())
@@ -150,7 +150,7 @@ func TestRestoredPagesSurviveWrites(t *testing.T) {
 	}
 
 	// The rollback: the set restores to its original bytes.
-	if err := c.RestoreImages(set); err != nil {
+	if _, err := c.RestoreImages(set); err != nil {
 		t.Fatal(err)
 	}
 	root, err = tb.m.Process(c.PID())

@@ -73,7 +73,7 @@ func TestBlockCacheRestoreImagesCountsOnce(t *testing.T) {
 	}
 	tb.request(t, "GET /\n")
 	before := tb.m.BlockCacheStats()
-	if err := c.RestoreImages(set); err != nil {
+	if _, err := c.RestoreImages(set); err != nil {
 		t.Fatal(err)
 	}
 	after := tb.m.BlockCacheStats()
@@ -128,5 +128,120 @@ func TestBlockCacheHealthRollbackInherits(t *testing.T) {
 	}
 	if after := root.Mem().BlockCacheStats(); after.Translations != before.Translations {
 		t.Fatalf("a wanted request after rollback recorded %d blocks", after.Translations-before.Translations)
+	}
+}
+
+// TestBlockCacheRollbackFailedRestoreInherits: a cut whose restore and
+// rollback restore both fail loses the guest but leaves its dead tree
+// in the process table; the pristine RestoreImages that recovers it
+// takes that tree's cache over and removes it.
+func TestBlockCacheRollbackFailedRestoreInherits(t *testing.T) {
+	tb := newTestbedExec(t, webserv.Config{Name: "lighttpd", Port: 8106}, kernel.ModeTranslate)
+	blocks := tb.profileFeatures(t, wantedReqs, undesiredReqs)
+	c, err := New(tb.m, tb.proc.PID(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine, err := c.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range wantedReqs {
+		tb.request(t, r)
+	}
+	oldRoot := c.PID()
+	in := faultinject.New(1)
+	in.FailTransient(faultinject.PrefixRestore, 1, 2)
+	tb.m.SetFaultHook(in)
+	if _, err := c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry); !errors.Is(err, ErrRollbackFailed) {
+		t.Fatalf("restore and rollback faults: %v, want ErrRollbackFailed", err)
+	}
+	before := tb.m.BlockCacheStats().Inherited
+	if failed, err := c.RestoreImages(pristine); err != nil || len(failed) != 0 {
+		t.Fatalf("RestoreImages: %v (failed tries %v)", err, failed)
+	}
+	if _, err := tb.m.Process(oldRoot); err == nil {
+		t.Fatalf("the lost guest's root %d is still in the process table", oldRoot)
+	}
+	if got := tb.m.BlockCacheStats().Inherited; got <= before {
+		t.Fatalf("the restored guest inherited nothing from the lost one (%d -> %d)", before, got)
+	}
+	if got := tb.request(t, "GET /\n"); !strings.Contains(got, "200") {
+		t.Fatalf("GET after RestoreImages -> %q", got)
+	}
+}
+
+// TestBlockCacheRestoreImagesRetryInherits: a RestoreImages try that
+// fails mid-restore leaves the killed guest in the table, so the retry
+// that succeeds still inherits its cache, and the failed try is
+// reported.
+func TestBlockCacheRestoreImagesRetryInherits(t *testing.T) {
+	tb := newTestbedExec(t, webserv.Config{Name: "lighttpd", Port: 8107}, kernel.ModeTranslate)
+	c, err := New(tb.m, tb.proc.PID(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := c.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.request(t, "GET /\n")
+	before := tb.m.BlockCacheStats().Inherited
+	in := faultinject.New(1)
+	in.FailOnce(faultinject.SiteRestorePages)
+	tb.m.SetFaultHook(in)
+	failed, err := c.RestoreImages(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(failed) != 1 || !errors.Is(failed[0], faultinject.ErrInjected) {
+		t.Fatalf("failed tries = %v, want the one injected fault", failed)
+	}
+	if got := tb.m.BlockCacheStats().Inherited; got <= before {
+		t.Fatalf("the retried restore inherited nothing (%d -> %d)", before, got)
+	}
+	if got := tb.request(t, "GET /\n"); !strings.Contains(got, "200") {
+		t.Fatalf("GET after RestoreImages -> %q", got)
+	}
+}
+
+// TestBlockCacheRestoreImagesLostThenRecovered: when every try fails,
+// RestoreImages reports each one and the guest is gone; a later call
+// still finds the dead tree, inherits its cache and reaps it.
+func TestBlockCacheRestoreImagesLostThenRecovered(t *testing.T) {
+	tb := newTestbedExec(t, webserv.Config{Name: "lighttpd", Port: 8108}, kernel.ModeTranslate)
+	c, err := New(tb.m, tb.proc.PID(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := c.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.request(t, "GET /\n")
+	oldRoot := c.PID()
+	in := faultinject.New(1)
+	in.FailTransient(faultinject.PrefixRestore, 1, -1)
+	tb.m.SetFaultHook(in)
+	failed, err := c.RestoreImages(set)
+	if err == nil || len(failed) != restoreTries {
+		t.Fatalf("RestoreImages under hard faults: %v after %d failed tries, want an error after %d", err, len(failed), restoreTries)
+	}
+	if n := len(tb.m.Processes()); n != 0 {
+		t.Fatalf("%d live processes after every restore failed", n)
+	}
+	tb.m.SetFaultHook(nil)
+	before := tb.m.BlockCacheStats().Inherited
+	if failed, err := c.RestoreImages(set); err != nil || len(failed) != 0 {
+		t.Fatalf("RestoreImages: %v (failed tries %v)", err, failed)
+	}
+	if _, err := tb.m.Process(oldRoot); err == nil {
+		t.Fatalf("the lost guest's root %d is still in the process table", oldRoot)
+	}
+	if got := tb.m.BlockCacheStats().Inherited; got <= before {
+		t.Fatalf("the recovered guest inherited nothing (%d -> %d)", before, got)
+	}
+	if got := tb.request(t, "GET /\n"); !strings.Contains(got, "200") {
+		t.Fatalf("GET after recovery -> %q", got)
 	}
 }

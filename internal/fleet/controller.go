@@ -693,13 +693,29 @@ func (c *Controller) execute(l *lease, apply func(r *Replica) (core.Stats, error
 	}
 }
 
-// restoreJournaled restores a replica to pristine and journals the
-// result, so a crash between restores is resumable.
+// restoreJournaled rebuilds a replica from its pristine checkpoint in
+// the shared store and journals the result, so a crash between
+// restores is resumable. The set is materialized once: store rot is
+// persistent, so a second Materialize could only fail the same way.
+// On success the replica's customizer is rebound to the restored root
+// and Err is cleared (a restored replica is healthy); RestoreImages'
+// failed tries are kept in RestoreErrs.
 func (c *Controller) restoreJournaled(out *ReplicaOutcome, wave int) {
-	c.f.restorePristine(out)
+	r := c.f.replicas[out.Index]
+	set, err := c.f.store.Materialize(r.PristineID)
+	out.RestoreErrs = nil
+	if err == nil {
+		out.RestoreErrs, err = r.Cust.RestoreImages(set)
+	}
 	note := ""
-	if out.Err != nil {
+	if err != nil {
+		out.Outcome = OutcomeLost
+		out.Err = fmt.Errorf("fleet: replica %d pristine restore failed: %w", out.Index, err)
 		note = out.Err.Error()
+	} else {
+		out.Outcome = OutcomeRestored
+		out.Err = nil
+		c.f.obs.Point("fleet.rollback", int64(out.Index))
 	}
 	c.append(Record{Kind: RecOutcome, Replica: int32(out.Index), Wave: int32(wave),
 		Outcome: out.Outcome, Ticks: out.Ticks, VClock: c.laneMax(), Note: note})

@@ -37,10 +37,6 @@ var (
 	ErrNoReplicas = errors.New("fleet: config needs at least one replica")
 )
 
-// rollbackTries bounds how often the halt path retries a pristine
-// restore per replica before declaring the replica lost.
-const rollbackTries = 3
-
 // Config sizes and tunes a fleet.
 type Config struct {
 	// Replicas is the fleet size (required, >= 1).
@@ -461,41 +457,6 @@ func (f *Fleet) ResumeRollout(journal []byte, apply func(r *Replica) (core.Stats
 		return nil, err
 	}
 	return c.Run(apply)
-}
-
-// restorePristine rebuilds a replica from its pristine checkpoint in
-// the shared store, with bounded retries against injected faults. On
-// success the replica's customizer is rebound to the restored root,
-// Err is cleared (a restored replica is healthy), and the failed
-// tries' errors are kept in RestoreErrs.
-func (f *Fleet) restorePristine(out *ReplicaOutcome) {
-	r := f.replicas[out.Index]
-	out.RestoreErrs = nil
-	for try := 1; try <= rollbackTries; try++ {
-		if err := r.Machine.Fault(faultinject.SiteFleetRollback, r.Index); err != nil {
-			out.RestoreErrs = append(out.RestoreErrs, err)
-			continue
-		}
-		set, err := f.store.Materialize(r.PristineID)
-		if err == nil {
-			err = r.Cust.RestoreImages(set)
-		}
-		if err != nil {
-			out.RestoreErrs = append(out.RestoreErrs, err)
-			continue
-		}
-		out.Outcome = OutcomeRestored
-		out.Err = nil
-		f.obs.Point("fleet.rollback", int64(out.Index))
-		return
-	}
-	out.Outcome = OutcomeLost
-	var lastErr error
-	if n := len(out.RestoreErrs); n > 0 {
-		lastErr = out.RestoreErrs[n-1]
-	}
-	out.Err = fmt.Errorf("fleet: replica %d pristine restore failed after %d tries: %w",
-		out.Index, rollbackTries, lastErr)
 }
 
 // AttachSupervisors puts one supervisor on every replica. mk builds

@@ -45,7 +45,7 @@ var (
 	// has not expired yet.
 	ErrQuarantined = errors.New("supervise: feature quarantined by open circuit breaker")
 	// ErrGuestLost: the final rung — restoring the last-good images —
-	// failed restoreAttempts times in a row; the guest is gone.
+	// failed every try of Customizer.RestoreImages; the guest is gone.
 	ErrGuestLost = errors.New("supervise: guest lost (pristine restore failed)")
 	// ErrNotAttached: the supervisor has no last-good snapshot yet.
 	ErrNotAttached = errors.New("supervise: supervisor not attached")
@@ -141,17 +141,9 @@ const (
 	defaultStormThreshold   = 8
 )
 
-// Fixed supervisor bounds.
-const (
-	// canaryDeadline bounds the virtual time one probe may consume; a
-	// slower probe counts as a failure even if it succeeds.
-	canaryDeadline = 10_000
-	// restoreAttempts bounds the final rung's pristine-restore retries
-	// within one step. A failed restore leaves zero live processes, so
-	// the virtual clock freezes and no later watchdog tick would come:
-	// the retries must happen here or never.
-	restoreAttempts = 5
-)
+// canaryDeadline bounds the virtual time one probe may consume; a
+// slower probe counts as a failure even if it succeeds.
+const canaryDeadline = 10_000
 
 func (c *Config) fillDefaults() {
 	if c.PollEvery == 0 {
@@ -619,35 +611,26 @@ func (s *Supervisor) disarmAll(now uint64) bool {
 }
 
 // restorePristine is the final rung: kill whatever is left of the
-// guest and materialize the last-good images. Retries are bounded and
-// must happen within this step — a failed restore leaves no live
-// process, so the virtual clock freezes and no later watchdog tick
-// would arrive. Exhausting the attempts is the one unrecoverable
-// outcome (ErrGuestLost).
+// guest and restore the last-good images. RestoreImages retries within
+// this step, since a failed restore leaves no live process, so the
+// virtual clock freezes and no later watchdog tick would arrive.
+// Running out of tries is the one unrecoverable outcome (ErrGuestLost).
 func (s *Supervisor) restorePristine(now uint64) bool {
 	end := s.span("supervise.restore")
-	var lastErr error
-	for attempt := 1; attempt <= restoreAttempts; attempt++ {
-		if err := s.m.Fault(faultinject.SiteSuperviseRestore, attempt); err != nil {
-			lastErr = err
-			continue
-		}
-		if err := s.cust.RestoreImages(s.lastGood); err != nil {
-			lastErr = err
-			continue
-		}
-		s.restored = true
-		s.disarmed = true // pristine images predate all edits; stay off until Rearm
-		s.lastHits = 0
-		s.samples = nil
-		end(nil)
-		s.point("supervise.degrade.restore", int64(attempt))
-		return true
+	failed, err := s.cust.RestoreImages(s.lastGood)
+	if err != nil {
+		s.fatal = fmt.Errorf("%w: %v", ErrGuestLost, err)
+		end(s.fatal)
+		s.point("supervise.degrade.lost", int64(len(failed)))
+		return false
 	}
-	s.fatal = fmt.Errorf("%w after %d attempts: %v", ErrGuestLost, restoreAttempts, lastErr)
-	end(s.fatal)
-	s.point("supervise.degrade.lost", restoreAttempts)
-	return false
+	s.restored = true
+	s.disarmed = true // pristine images predate all edits; stay off until Rearm
+	s.lastHits = 0
+	s.samples = nil
+	end(nil)
+	s.point("supervise.degrade.restore", int64(len(failed)+1))
+	return true
 }
 
 // DisableFeature applies a feature removal through the supervisor's

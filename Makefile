@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race lockstep chaos chaos-selectors fuzz check bench bench-mod bench-smoke cover loc supervise-demo fleet-demo load-demo
+.PHONY: all build test vet race lockstep chaos chaos-selectors bench-selectors fuzz check bench bench-mod bench-smoke cover loc supervise-demo fleet-demo load-demo
 
 all: check
 
@@ -36,23 +36,36 @@ CHAOS_PKGS := ./internal/core/ ./internal/crit/ ./internal/criu/ ./internal/faul
 LOAD_CHAOS_RUN := Driver|Pool|Merge|Schedule|Ramp|Poisson|TraceCSV|Histogram|Mix|RolloutUnderLoad|SteadyState|HaltReleases|ConfigValidation|LivePatch|Scrub
 LOAD_CHAOS_PKGS := ./internal/loadgen/ ./internal/slo/
 
-chaos: vet chaos-selectors
+chaos: vet chaos-selectors bench-selectors
 	$(GO) test -race -run '$(CHAOS_RUN)' $(CHAOS_PKGS)
 	$(GO) test -race -run '$(LOAD_CHAOS_RUN)' $(LOAD_CHAOS_PKGS)
 	$(MAKE) cover
 
-# Every |-separated token of a chaos -run selector must name at least
-# one test, fuzz target or example in its packages (as `go test -list`
-# reports them): a token left selecting nothing once its tests are
-# deleted or renamed would silently drop that suite from the gate.
-chaos-selectors:
-	@check() { \
-		names=$$($(GO) test -list . $$2 | grep -E '^(Test|Fuzz|Example)') || { echo "FAIL: no tests listed in $$2"; exit 1; }; \
+# `check SELECTOR PKGS KINDS` fails unless every |-separated token of
+# SELECTOR names at least one function of KINDS (a regex of name
+# prefixes) in PKGS, as `go test -list` reports them: a token left
+# selecting nothing once its functions are deleted or renamed would
+# silently drop them from the gate or the record.
+SELECTOR_CHECK = check() { \
+		names=$$($(GO) test -list . $$2 | grep -E "^($$3)") || { echo "FAIL: no $$3 listed in $$2"; exit 1; }; \
 		for tok in $$(echo "$$1" | tr '|' ' '); do \
-			echo "$$names" | grep -qE "$$tok" || { echo "FAIL: chaos selector '$$tok' selects no test in $$2"; exit 1; }; \
+			echo "$$names" | grep -qE "$$tok" || { echo "FAIL: selector '$$tok' selects no $$3 in $$2"; exit 1; }; \
 		done; \
-	}; \
-	check '$(CHAOS_RUN)' '$(CHAOS_PKGS)' && check '$(LOAD_CHAOS_RUN)' '$(LOAD_CHAOS_PKGS)' && echo "chaos selectors: every token selects a test"
+	}
+
+# Every token of the chaos -run selectors must select a test, fuzz
+# target or example.
+chaos-selectors:
+	@$(SELECTOR_CHECK); \
+	check '$(CHAOS_RUN)' '$(CHAOS_PKGS)' 'Test|Fuzz|Example' && \
+	check '$(LOAD_CHAOS_RUN)' '$(LOAD_CHAOS_PKGS)' 'Test|Fuzz|Example' && \
+	echo "chaos selectors: every token selects a test"
+
+# Every token of the `make bench` selector must select a benchmark.
+bench-selectors:
+	@$(SELECTOR_CHECK); \
+	check '$(BENCH_RUN)' '$(BENCH_PKGS)' 'Benchmark' && \
+	echo "bench selectors: every token selects a benchmark"
 
 # Whole-suite statement coverage against the checked-in floor
 # (COVERAGE_FLOOR). Raise the floor when coverage rises; the gate
@@ -93,12 +106,14 @@ bench-mod:
 check: build vet test race lockstep bench-mod
 
 # Perf trajectory: run the headline figure benchmarks plus the
-# incremental-checkpoint benchmark and record the numbers as JSON so
-# each PR's results are comparable to the last (BENCH_pr2.json here on).
+# checkpoint-dump benchmark and record the numbers as JSON so each
+# PR's results are comparable to the last (BENCH_pr2.json here on).
 BENCH_JSON ?= BENCH_pr10.json
+BENCH_RUN := Figure6_|Figure7_|Figure8_|CheckpointDump|Observer_|SupervisorOverhead|FleetRollout|FleetSpawn|FleetControllerScale|PageStoreParallel|RewriteUnderLoad|ExecEngine
+BENCH_PKGS := . ./internal/criu/
 
 bench:
-	$(GO) test -run '^$$' -bench 'Figure6_|Figure7_|Figure8_|IncrementalDump|Observer_|SupervisorOverhead|FleetRollout|FleetSpawn|FleetControllerScale|PageStoreParallel|RewriteUnderLoad|ExecEngine' -benchmem -benchtime 1x . ./internal/criu/ \
+	$(GO) test -run '^$$' -bench '$(BENCH_RUN)' -benchmem -benchtime 1x $(BENCH_PKGS) \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
 
 # End-to-end smoke of the benchmark (benchmark/run.sh): one 1-second

@@ -18,7 +18,6 @@ import (
 	"github.com/dynacut/dynacut"
 	"github.com/dynacut/dynacut/internal/crit"
 	"github.com/dynacut/dynacut/internal/experiments"
-	"github.com/dynacut/dynacut/internal/kernel"
 )
 
 // printOnce emits a figure's rendering on the first iteration only.
@@ -251,45 +250,8 @@ func BenchmarkMicro_CheckpointDump(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalDump measures the tentpole property of the
-// incremental pipeline: re-checkpointing an idle guest against the
-// previous images copies a fraction of the page bytes of the first,
-// full dump (real CRIU's --track-mem parent images); the rest of its
-// table shares the parent's pages.
-func BenchmarkIncrementalDump(b *testing.B) {
-	sess := buildBenchSession(b)
-	parent, err := dynacut.Dump(sess.Machine, sess.PID(), dynacut.DumpOpts{ExecPages: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fullBytes := parent.PagesDumped * kernel.PageSize
-	var deltaBytes, skipped int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		set, err := dynacut.Dump(sess.Machine, sess.PID(), dynacut.DumpOpts{
-			ExecPages: true, Parent: parent,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		deltaBytes = set.PagesDumped * kernel.PageSize
-		skipped = set.PagesSkipped
-	}
-	b.StopTimer()
-	if skipped == 0 {
-		b.Fatal("incremental dump skipped no pages")
-	}
-	if deltaBytes*10 > fullBytes {
-		b.Fatalf("incremental dump carries %d page bytes, full dump %d — want >=10x reduction",
-			deltaBytes, fullBytes)
-	}
-	b.ReportMetric(float64(fullBytes), "full-page-bytes")
-	b.ReportMetric(float64(deltaBytes), "delta-page-bytes")
-	b.ReportMetric(float64(skipped), "pages-skipped")
-}
-
 // ---------------------------------------------------------------------------
-// Observer overhead: the same rewrite and incremental-dump loops with
+// Observer overhead: the same rewrite and dump loops with
 // the observability layer detached (nil — the zero-overhead contract)
 // and attached, so BENCH json records both sides of the comparison.
 
@@ -318,28 +280,22 @@ func BenchmarkObserver_RewriteAttached(b *testing.B) {
 	benchmarkObserverRewrite(b, dynacut.NewObserver(0))
 }
 
-func benchmarkObserverIncrementalDump(b *testing.B, o *dynacut.Observer) {
+func benchmarkObserverDump(b *testing.B, o *dynacut.Observer) {
 	sess := buildBenchSession(b)
 	if o != nil {
 		sess.Machine.SetObserver(o)
 	}
-	parent, err := dynacut.Dump(sess.Machine, sess.PID(), dynacut.DumpOpts{ExecPages: true})
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dynacut.Dump(sess.Machine, sess.PID(), dynacut.DumpOpts{
-			ExecPages: true, Parent: parent,
-		}); err != nil {
+		if _, err := dynacut.Dump(sess.Machine, sess.PID(), dynacut.DumpOpts{ExecPages: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkObserver_IncrementalDumpNil(b *testing.B) { benchmarkObserverIncrementalDump(b, nil) }
-func BenchmarkObserver_IncrementalDumpAttached(b *testing.B) {
-	benchmarkObserverIncrementalDump(b, dynacut.NewObserver(0))
+func BenchmarkObserver_DumpNil(b *testing.B) { benchmarkObserverDump(b, nil) }
+func BenchmarkObserver_DumpAttached(b *testing.B) {
+	benchmarkObserverDump(b, dynacut.NewObserver(0))
 }
 
 func BenchmarkMicro_DumpRestoreCycle(b *testing.B) {

@@ -223,8 +223,8 @@ func NewMachine() *Machine { return kernel.NewMachine() }
 
 // NewLockstep builds the differential-execution oracle: two clones of
 // m, one interpreting and one running the given engine, advanced
-// round-for-round and diffed after each (registers, memory, dirty
-// bitmaps, tick counts, net buffers). Divergences are collected, not
+// round-for-round and diffed after each (registers, memory, tick
+// counts, net buffers). Divergences are collected, not
 // fatal — inspect with Lockstep.Divergences.
 func NewLockstep(m *Machine, mode ExecMode) *Lockstep { return kernel.NewLockstep(m, mode) }
 

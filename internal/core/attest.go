@@ -362,8 +362,8 @@ func (c *Customizer) TextRoot() ([sha256.Size]byte, error) {
 }
 
 // injectBitflip consults the silent text-corruption fault site. When
-// armed, one bit of one live text page is flipped — no error, no trap,
-// no dirty bit; the flip is observable only by hashing — and the sweep
+// armed, one bit of one live text page is flipped — no error, no trap;
+// the flip is observable only by hashing — and the sweep
 // continues as if nothing happened. The page and offset derive from
 // the virtual clock, so a given (seed, schedule) corrupts the same
 // byte every run.

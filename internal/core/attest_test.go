@@ -421,7 +421,7 @@ func flipAndExpectForeign(t *testing.T, tb *testbed, c *Customizer, pn uint64, r
 
 // TestAttestFlipSurvivesFullDumpRollback: a text page flipped before a
 // rewrite that rolls back stays foreign. The rollback restores the
-// full dump, flip included, and moves no expected digest.
+// dump, flip included, and moves no expected digest.
 func TestAttestFlipSurvivesFullDumpRollback(t *testing.T) {
 	tb := newTestbed(t, webserv.Config{Name: "lighttpd", Port: 9328})
 	blocks := tb.profileFeatures(t, wantedReqs, undesiredReqs)
@@ -435,12 +435,8 @@ func TestAttestFlipSurvivesFullDumpRollback(t *testing.T) {
 		inj.FailRestoreAtStep(1)
 		tb.m.SetFaultHook(inj)
 		defer tb.m.SetFaultHook(nil)
-		stats, err := c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry)
-		if !errors.Is(err, ErrRolledBack) {
+		if _, err := c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry); !errors.Is(err, ErrRolledBack) {
 			return fmt.Errorf("rewrite error = %v, want rolled back", err)
-		}
-		if stats.PagesSkipped != 0 {
-			return fmt.Errorf("dump skipped %d pages, want a full dump", stats.PagesSkipped)
 		}
 		return nil
 	})
@@ -448,8 +444,9 @@ func TestAttestFlipSurvivesFullDumpRollback(t *testing.T) {
 }
 
 // TestAttestFlipSurvivesFullDumpCommit: a text page the edit does not
-// touch is flipped, then a rewrite whose dump is full (the first after
-// a rolled-back one) commits. The flip stays foreign.
+// touch is flipped, then a rewrite that follows a rolled-back one
+// commits. Its dump takes the live, flipped page, so the flip stays
+// foreign.
 func TestAttestFlipSurvivesFullDumpCommit(t *testing.T) {
 	tb := newTestbed(t, webserv.Config{Name: "lighttpd", Port: 9329})
 	blocks := tb.profileFeatures(t, wantedReqs, undesiredReqs)
@@ -467,17 +464,35 @@ func TestAttestFlipSurvivesFullDumpCommit(t *testing.T) {
 
 	pn := untouchedTextPage(t, c, entrySpans(blocks))
 	flipAndExpectForeign(t, tb, c, pn, func() error {
-		stats, err := c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry)
-		if err != nil {
-			return err
-		}
-		if stats.PagesSkipped != 0 {
-			return fmt.Errorf("dump skipped %d pages, want a full dump", stats.PagesSkipped)
-		}
-		return nil
+		_, err := c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry)
+		return err
 	})
 	if got := tb.request(t, "PUT /f data\n"); !strings.Contains(got, "403") {
 		t.Fatalf("PUT after commit -> %q, want 403", got)
+	}
+}
+
+// TestAttestFlipSurvivesCommitAfterCommit: a text page the edit does
+// not touch is flipped after a committed rewrite, then the next rewrite
+// commits too. Its dump takes the live, flipped page, not the clean one
+// the previous commit restored, so the flip stays foreign.
+func TestAttestFlipSurvivesCommitAfterCommit(t *testing.T) {
+	tb := newTestbed(t, webserv.Config{Name: "lighttpd", Port: 9338})
+	blocks := tb.profileFeatures(t, wantedReqs, undesiredReqs)
+	c, err := New(tb.m, tb.proc.PID(), Options{RedirectTo: tb.errPathAddr(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry); err != nil {
+		t.Fatal(err)
+	}
+	pn := untouchedTextPage(t, c, entrySpans(blocks))
+	flipAndExpectForeign(t, tb, c, pn, func() error {
+		_, err := c.EnableBlocks("webdav-write")
+		return err
+	})
+	if got := tb.request(t, "PUT /f data\n"); !strings.Contains(got, "201") {
+		t.Fatalf("PUT after re-enable -> %q, want 201", got)
 	}
 }
 

@@ -134,15 +134,15 @@ type Stats struct {
 	// the guest still serves. It is for reporting only: the virtual
 	// clock is charged from the work-count model instead (see charge).
 	Downtime time.Duration
-	// ImageBytes estimates what the pre-edit checkpoint copied,
-	// ImageSet.DumpedBytes of the dumped set: for an incremental dump
-	// the dirty pages plus metadata, not the whole page table. It is
-	// not a marshalled length.
+	// ImageBytes estimates the pre-edit checkpoint's size,
+	// ImageSet.TotalBytes of the dumped set: the whole page table plus
+	// metadata. It is not a marshalled length.
 	ImageBytes int
-	// PagesDumped / PagesSkipped report the incremental checkpoint's
-	// work: pages copied from guest memory versus pages shared with the
-	// parent because they were clean.
-	PagesDumped   int
+	// PagesDumped is the size of the pre-edit checkpoint's page table.
+	// Every dump takes each page copy-on-write, so none is copied.
+	PagesDumped int
+	// PagesSkipped is always 0: no dump skips a page. It stays for
+	// readers of the earlier per-layer counters.
 	PagesSkipped  int
 	BlocksPatched int
 	PagesUnmapped int
@@ -213,12 +213,6 @@ type Customizer struct {
 
 	// disabled tracks currently-disabled block spans by feature name.
 	disabled map[string][]coverage.AbsBlock
-
-	// parent is the image set the live guest's memory is a delta
-	// against (the last committed images, PIDs remapped to the live
-	// tree): the next checkpoint dumps only pages dirtied since it.
-	// Invalidated on rollback — the next dump is then a full one.
-	parent *criu.ImageSet
 
 	// Expected-state oracle (attest.go): per-text-page expected digests
 	// with version history; every commit point seals the pages it
@@ -336,9 +330,8 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 	if err != nil {
 		return stats, err
 	}
-	stats.ImageBytes = set.DumpedBytes()
+	stats.ImageBytes = set.TotalBytes()
 	stats.PagesDumped = set.PagesDumped
-	stats.PagesSkipped = set.PagesSkipped
 	// Every restore past the commit point, edited or rollback, brings
 	// back this one dump; each is charged its modelled cost.
 	restores := uint64(0)
@@ -358,17 +351,14 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 	// rollback restores the pristine pre-edit images (the dumped set,
 	// which no attempt edits) in place of preds after a post-commit
 	// failure (cause); on success the attempt is recorded as failed
-	// with lastErr = failed. The incremental-dump parent is invalidated
-	// either way: a rolled-back transaction forces the next checkpoint
-	// to be a full dump. It seals nothing: a failed attempt never moves
-	// the oracle, and the restored set is the text it already expects.
-	// If the rollback restore fails too, the guest is lost.
+	// with lastErr = failed. It seals nothing: a failed attempt never
+	// moves the oracle, and the restored set is the text it already
+	// expects. If the rollback restore fails too, the guest is lost.
 	rollback := func(attempt int, preds []int, cause, failed error) error {
 		if o := c.opts.Observer; o != nil {
 			o.Add("core.rollbacks", 1)
 		}
-		c.parent = nil
-		procs, _, err := c.replace(&stats, preds, set, "rollback", "", attempt)
+		procs, err := c.replace(&stats, preds, set, "rollback", "", attempt)
 		restores++
 		if err != nil {
 			return fmt.Errorf("%w: %v (while recovering from: %v)", ErrRollbackFailed, err, cause)
@@ -437,7 +427,7 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 		// guest is down until a restore (of the edited images or, on
 		// rollback, the pristine ones) completes — that window is the
 		// measured Downtime.
-		procs, pidMap, err := c.replace(&stats, curPIDs, work, "restore", "", attempt)
+		procs, err := c.replace(&stats, curPIDs, work, "restore", "", attempt)
 		restores++
 		if err != nil {
 			// Restore is atomic: its partial procs are already gone.
@@ -465,11 +455,8 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 			continue
 		}
 
-		// Committed. The restored memory mirrors the edited images
-		// exactly (restore resets dirty tracking), so they — re-keyed to
-		// the live PIDs — are the parent for the next checkpoint.
+		// Committed.
 		c.pid = newRoot
-		c.parent = work.RemapPIDs(pidMap)
 		stats.RolledBack = false
 		c.point("rewrite.commit", int64(attempt))
 		// Seal just the pages this commit changed (their old digests
@@ -513,7 +500,7 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 // and leaves preds dead in the table as c.orphans, so the next replace
 // can still hand their caches on. The spans are attempt's kill and
 // phase.
-func (c *Customizer) replace(st *Stats, preds []int, set *criu.ImageSet, phase, site string, attempt int) ([]*kernel.Process, map[int]int, error) {
+func (c *Customizer) replace(st *Stats, preds []int, set *criu.ImageSet, phase, site string, attempt int) ([]*kernel.Process, error) {
 	tKill := time.Now()
 	endKill := c.span("kill", attempt)
 	for i := len(preds) - 1; i >= 0; i-- {
@@ -523,20 +510,19 @@ func (c *Customizer) replace(st *Stats, preds []int, set *criu.ImageSet, phase, 
 	t := time.Now()
 	endRestore := c.span(phase, attempt)
 	var procs []*kernel.Process
-	var pidMap map[int]int
 	var err error
 	if site != "" {
 		err = c.machine.Fault(site, attempt)
 	}
 	if err == nil {
-		procs, pidMap, err = criu.Restore(c.machine, set)
+		procs, _, err = criu.Restore(c.machine, set)
 	}
 	endRestore(err)
 	st.Restore += time.Since(t)
 	st.Downtime += time.Since(tKill)
 	if err != nil {
 		c.orphans = preds
-		return nil, nil, err
+		return nil, err
 	}
 	for i, pid := range preds[:min(len(preds), len(procs))] {
 		if pred, err := c.machine.Process(pid); err == nil {
@@ -549,7 +535,7 @@ func (c *Customizer) replace(st *Stats, preds []int, set *criu.ImageSet, phase, 
 		c.machine.Remove(pid)
 	}
 	c.orphans = nil
-	return procs, pidMap, nil
+	return procs, nil
 }
 
 // pidsOf returns the PIDs of procs, in order.
@@ -589,11 +575,10 @@ func (c *Customizer) healthCheck(root int, procs []*kernel.Process) error {
 // and restored plus downtimeNsPerPage per page restored. Calibrated
 // from the per-layer medians of `bash benchmark/run.sh --workload
 // kv-cut --seed 1 --trace 1` on a 2-vCPU x86-64 host (interpreter):
-// one process with 3+11 pages (criu.pages_dumped + pages_skipped) took
-// criu.restore_us 147.4 plus a 6.0 µs kill span. A Memory.SetPage loop
-// there cost 3–5 µs a page; 5 µs is the per-page share, and the other
-// 83 µs (page tables, backing files, registers, descriptors) is per
-// process.
+// one process with 14 pages (criu.pages_dumped) took criu.restore_us
+// 147.4 plus a 6.0 µs kill span. A Memory.SetPage loop there cost 3–5
+// µs a page; 5 µs is the per-page share, and the other 83 µs (page
+// tables, backing files, registers, descriptors) is per process.
 const (
 	downtimeNsPerProc = 83_000
 	downtimeNsPerPage = 5_000
@@ -608,7 +593,7 @@ func (c *Customizer) charge(restores uint64, set *criu.ImageSet) {
 		return
 	}
 	ns := restores * (uint64(len(set.PIDs))*downtimeNsPerProc +
-		uint64(set.PagesDumped+set.PagesSkipped)*downtimeNsPerPage)
+		uint64(set.PagesDumped)*downtimeNsPerPage)
 	hi, lo := bits.Mul64(ns, c.opts.TicksPerSecond)
 	ticks, _ := bits.Div64(hi, lo, uint64(time.Second))
 	c.machine.AdvanceClock(ticks)
@@ -841,26 +826,16 @@ func (c *Customizer) enable(names []string) (Stats, error) {
 }
 
 // Checkpoint snapshots the live guest for external keeping (e.g. the
-// supervisor's last-good images). The tree is dumped incrementally
-// against the customizer's parent and — because any dump resets the
-// kernel's dirty-page tracking — adopted as the new incremental
-// parent, so taking a snapshot here never invalidates the parent the
-// next Rewrite depends on. Like every set, the returned one is
-// complete and restorable on its own; callers must not mutate it.
-// Callers that checkpoint outside this method corrupt the incremental
-// pipeline.
+// supervisor's last-good images): a complete set, restorable on its
+// own and validated against the machine. Callers must not mutate it.
 func (c *Customizer) Checkpoint() (*criu.ImageSet, error) {
 	set, _, err := c.dump()
 	return set, err
 }
 
-// dump checkpoints the live tree incrementally against c.parent,
-// times the dump alone (Stats.Checkpoint), and validates the set while
-// the guest still runs. A valid set becomes the next dump's parent —
-// the guest's memory is exactly what it describes, since the dump
-// restarted dirty tracking. Dump's fault prepass guarantees a failed
-// dump clears no dirty bitmap, so c.parent stays valid then; a set
-// that fails validation forces the next checkpoint to be a full dump.
+// dump checkpoints the live tree, times the dump alone
+// (Stats.Checkpoint), and validates the set while the guest still
+// runs.
 func (c *Customizer) dump() (*criu.ImageSet, time.Duration, error) {
 	p, err := c.machine.Process(c.pid)
 	if err != nil || p.Exited() {
@@ -869,7 +844,7 @@ func (c *Customizer) dump() (*criu.ImageSet, time.Duration, error) {
 	t0 := time.Now()
 	endCkpt := c.span("checkpoint", 0)
 	set, err := criu.Dump(c.machine, c.pid, criu.DumpOpts{
-		ExecPages: true, Tree: c.opts.Tree, Parent: c.parent,
+		ExecPages: true, Tree: c.opts.Tree,
 	})
 	endCkpt(err)
 	if err != nil {
@@ -880,10 +855,8 @@ func (c *Customizer) dump() (*criu.ImageSet, time.Duration, error) {
 	err = set.Validate(c.machine)
 	endVal(err)
 	if err != nil {
-		c.parent = nil
 		return nil, took, fmt.Errorf("checkpoint: %w", err)
 	}
-	c.parent = set
 	return set, took, nil
 }
 
@@ -916,7 +889,7 @@ func (c *Customizer) RestoreImages(set *criu.ImageSet) (failed []error, err erro
 			preds = append(preds, p.PID())
 		}
 		var procs []*kernel.Process
-		procs, _, err = c.replace(&Stats{}, preds, set, "restore", faultinject.SiteRestoreImages, try)
+		procs, err = c.replace(&Stats{}, preds, set, "restore", faultinject.SiteRestoreImages, try)
 		if err != nil {
 			failed = append(failed, err)
 			continue
@@ -924,7 +897,6 @@ func (c *Customizer) RestoreImages(set *criu.ImageSet) (failed []error, err erro
 		c.pid = procs[0].PID() // Restore returns the dump root first
 		c.books = books{saved: map[uint64][]byte{}}
 		c.disabled = map[string][]coverage.AbsBlock{}
-		c.parent = nil
 		// The restored tree's text is a fresh expected state; the old
 		// oracle described a guest that no longer exists.
 		return failed, c.sealText()

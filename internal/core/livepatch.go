@@ -8,10 +8,9 @@
 // guest must not be executing" — and since this kernel's scheduler is
 // ours, we can establish that safety directly instead of freezing the
 // world: between scheduler rounds no process is mid-instruction, the
-// process table is stable, and host-side Memory.Write both breaks CoW
-// sharing and marks the page dirty (so the next incremental checkpoint
-// carries the patch — the dirty-bitmap invariant the regression tests
-// pin).
+// process table is stable, and host-side Memory.Write breaks CoW
+// sharing (so an earlier checkpoint keeps the pristine page and the
+// next one carries the patch).
 //
 // Protocol:
 //
@@ -35,8 +34,6 @@
 //  4. Commit — one last Options.BeforeCommit gate (a halted fleet
 //     rollout aborts here, exactly like the transaction's pre-commit
 //     exit), then the saved bytes enter the customizer bookkeeping.
-//     The incremental parent stays valid: the patched pages are
-//     dirty, so the next incremental dump copies them.
 //
 // Anything the fast path cannot prove safe falls back to
 // DisableBlocks' full checkpoint transaction; Stats.FellBack and
@@ -145,8 +142,8 @@ func (c *Customizer) livePatch(name string, blocks []coverage.AbsBlock, policy P
 		return stats, err.Error(), nil
 	}
 
-	// Patch: write INT3 through Memory.Write (breaks CoW, marks the
-	// page dirty — the next incremental checkpoint carries the patch).
+	// Patch: write INT3 through Memory.Write (breaks CoW, so the next
+	// checkpoint carries the patch and no earlier one does).
 	// Every write is logged so any failure unwinds to pristine text.
 	var undo undoLog
 	endP := c.span("livepatch.patch", 0)

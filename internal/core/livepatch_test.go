@@ -100,30 +100,28 @@ func TestLivePatchZeroDowntime(t *testing.T) {
 	}
 }
 
-// TestLivePatchDirtyPagesSurviveDeltaDump is the dirty-bitmap
-// accounting regression test: an in-place text write must mark its
-// page dirty, so an incremental checkpoint taken after a live patch
-// copies the patched page. A restore of that incremental set into a
-// fresh machine must show INT3 at every patched entry — if the write skipped
-// the dirty bitmap, the restored guest would silently run the
-// unpatched feature.
+// TestLivePatchDirtyPagesSurviveDeltaDump: an in-place text write
+// must break the copy-on-write share an earlier checkpoint took, so a
+// checkpoint taken after a live patch carries the patched page while
+// the earlier one keeps the pristine bytes. A restore of the later set
+// into a fresh machine must show INT3 at every patched entry — had the
+// write gone into the shared page, or been missed by the dump, the
+// restored guest would silently run the unpatched feature.
 func TestLivePatchDirtyPagesSurviveDeltaDump(t *testing.T) {
 	tb, blocks, c := liveTestbed(t, webserv.Config{Name: "lighttpd", Port: 9301}, Options{})
 
-	// Full checkpoint first: the delta parent predates the patch.
-	if _, err := c.Checkpoint(); err != nil {
+	// A checkpoint first: it shares the text pages the patch writes.
+	before, err := c.Checkpoint()
+	if err != nil {
 		t.Fatalf("baseline checkpoint: %v", err)
 	}
 	stats, err := c.DisableBlocksLive("webdav-write", blocks, PolicyBlockEntry)
 	if err != nil || !stats.LivePatched {
 		t.Fatalf("live disable: %v (stats %+v)", err, stats)
 	}
-	if c.parent == nil {
-		t.Fatal("no parent set adopted: the second checkpoint would not be a delta dump")
-	}
 	set, err := c.Checkpoint()
 	if err != nil {
-		t.Fatalf("delta checkpoint: %v", err)
+		t.Fatalf("checkpoint after the patch: %v", err)
 	}
 
 	// Restore into a second machine (cloned for its on-disk binaries,
@@ -138,7 +136,7 @@ func TestLivePatchDirtyPagesSurviveDeltaDump(t *testing.T) {
 	}
 	procs, _, err := criu.Restore(m2, set)
 	if err != nil {
-		t.Fatalf("restore incremental set: %v", err)
+		t.Fatalf("restore the checkpoint after the patch: %v", err)
 	}
 	if len(procs) == 0 {
 		t.Fatal("restore produced no processes")
@@ -150,7 +148,14 @@ func TestLivePatchDirtyPagesSurviveDeltaDump(t *testing.T) {
 			t.Fatalf("reading restored entry %#x: %v", b.Addr, err)
 		}
 		if got[0] != 0xCC {
-			t.Fatalf("restored entry %#x = %#x, want INT3: the live patch's page missed the delta dump", b.Addr, got[0])
+			t.Fatalf("restored entry %#x = %#x, want INT3: the live patch's page missed the dump", b.Addr, got[0])
+		}
+		pg, err := before.Procs[before.PIDs[0]].Page(b.Addr / kernel.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pg[b.Addr%kernel.PageSize] == 0xCC {
+			t.Fatalf("entry %#x: the live patch wrote into the earlier checkpoint's page", b.Addr)
 		}
 	}
 }

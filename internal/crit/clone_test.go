@@ -10,10 +10,10 @@ import (
 )
 
 // TestImageSetCloneIsolatesEdits applies every Editor mutator to a
-// Clone of a full set and of an incremental set: the edits must land
-// in the clone while the source set and the parent it shares pages
-// with stay byte-identical, since the source is the rewrite
-// transaction's rollback anchor.
+// Clone of a dump and of a re-dump: the edits must land in the clone
+// while the source set and the earlier dump it shares pages with stay
+// byte-identical, since the source is the rewrite transaction's
+// rollback anchor.
 func TestImageSetCloneIsolatesEdits(t *testing.T) {
 	w := setup(t)
 	pid := w.p.PID()
@@ -25,12 +25,12 @@ func TestImageSetCloneIsolatesEdits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A delta against the full set: the data page is dirtied (copied),
-	// the text page stays shared with the parent.
+	// A re-dump after the full set: the written data page has new
+	// backing, the text page is still the full set's slice.
 	if err := w.p.Mem().WriteU64(resultSym.Value, 7); err != nil {
 		t.Fatal(err)
 	}
-	delta, err := criu.Dump(w.m, pid, criu.DumpOpts{ExecPages: true, Parent: w.set})
+	delta, err := criu.Dump(w.m, pid, criu.DumpOpts{ExecPages: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,21 +46,21 @@ func TestImageSetCloneIsolatesEdits(t *testing.T) {
 	if dpage, err := dpi.Page(textPN); err != nil {
 		t.Fatal(err)
 	} else if fpage, err := fpi.Page(textPN); err != nil || &dpage[0] != &fpage[0] {
-		t.Fatal("text page is not shared with the parent")
+		t.Fatal("text page is not shared with the earlier dump")
 	}
 	lib := buildLib(t, "sighandler.so", sighandlerLibSrc)
 	dataPage := resultSym.Value / kernel.PageSize * kernel.PageSize
 
 	for _, tc := range []struct {
-		name   string
-		set    *criu.ImageSet
-		parent *criu.ImageSet
+		name    string
+		set     *criu.ImageSet
+		earlier *criu.ImageSet
 	}{{"full", w.set, nil}, {"delta", delta, w.set}} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := tc.set.Marshal()
-			var parentBefore []byte
-			if tc.parent != nil {
-				parentBefore = tc.parent.Marshal()
+			var earlierBefore []byte
+			if tc.earlier != nil {
+				earlierBefore = tc.earlier.Marshal()
 			}
 			clone := tc.set.Clone()
 			ed := NewEditor(clone, w.m)
@@ -71,7 +71,7 @@ func TestImageSetCloneIsolatesEdits(t *testing.T) {
 				}
 			}
 			must("write own page", ed.WriteMem(pid, resultSym.Value, []byte{1, 2, 3}))
-			must("write parent-shared page", ed.BlockEntry(pid, featA.Value))
+			must("write shared page", ed.BlockEntry(pid, featA.Value))
 			v := criu.VMAEntry{Start: 0x6000_0000_0000, End: 0x6000_0000_0000 + kernel.PageSize, Perm: 3, Name: "extra", Anon: true}
 			must("add vma", ed.AddVMA(pid, v, []byte{9, 9}))
 			must("grow vma", ed.GrowVMA(pid, v.Start, v.End+kernel.PageSize))
@@ -106,8 +106,8 @@ func TestImageSetCloneIsolatesEdits(t *testing.T) {
 			if !bytes.Equal(tc.set.Marshal(), before) {
 				t.Error("editing the clone changed the source set")
 			}
-			if tc.parent != nil && !bytes.Equal(tc.parent.Marshal(), parentBefore) {
-				t.Error("editing the clone changed the parent set")
+			if tc.earlier != nil && !bytes.Equal(tc.earlier.Marshal(), earlierBefore) {
+				t.Error("editing the clone changed the earlier dump")
 			}
 		})
 	}

@@ -22,13 +22,6 @@ type DumpOpts struct {
 	// Tree also dumps all live descendants of the target (Nginx-style
 	// master/worker applications).
 	Tree bool
-	// Parent, when non-nil, makes the dump incremental (CRIU's
-	// --track-mem): a process already present in Parent copies only
-	// the pages dirtied since that dump, and its table shares Parent's
-	// page slices for the clean ones. The new set is still complete and
-	// keeps no link to Parent. Processes absent from Parent are dumped
-	// in full.
-	Parent *ImageSet
 }
 
 // Dump checkpoints a process (or its whole tree) into an ImageSet.
@@ -36,9 +29,9 @@ type DumpOpts struct {
 // checkpoint-kill-rewrite-restore flow use Machine.Kill afterwards.
 //
 // All fault hooks run in a serial prepass before any per-process
-// serialization starts — so a failed Dump never clears dirty-page
-// bitmaps, and the subsequent per-process fan-out is infallible and
-// free to run in parallel.
+// serialization starts — so a failed Dump shares no page, and the
+// subsequent per-process fan-out is infallible and free to run in
+// parallel.
 func Dump(m *kernel.Machine, pid int, opts DumpOpts) (*ImageSet, error) {
 	root, err := m.Process(pid)
 	if err != nil {
@@ -50,43 +43,25 @@ func Dump(m *kernel.Machine, pid int, opts DumpOpts) (*ImageSet, error) {
 	}
 
 	// Serial prepass: fault hooks fire in deterministic order
-	// (proc, pagemap, [parent] per process), before any SnapshotDirty
-	// can discard state.
-	parentPis := make([]*ProcImage, len(procs))
-	for i, p := range procs {
+	// (proc, pagemap per process), before any page is shared.
+	for _, p := range procs {
 		if err := m.Fault(faultinject.SiteDumpProc, p.PID()); err != nil {
 			return nil, fmt.Errorf("dump pid %d: %w", p.PID(), err)
 		}
 		if err := m.Fault(faultinject.SiteDumpPageMap, p.PID()); err != nil {
 			return nil, fmt.Errorf("dump pid %d: %w", p.PID(), err)
 		}
-		if opts.Parent == nil {
-			continue
-		}
-		ppi, ok := opts.Parent.Procs[p.PID()]
-		if !ok {
-			continue // process born since the parent dump: full dump
-		}
-		if err := m.Fault(faultinject.SiteDumpParent, p.PID()); err != nil {
-			return nil, fmt.Errorf("dump pid %d: %w", p.PID(), err)
-		}
-		parentPis[i] = ppi
 	}
 
 	// Parallel phase: pure per-process serialization, one goroutine
 	// per process, results assembled back in traversal order.
-	type out struct {
-		pi              *ProcImage
-		dumped, skipped int
-	}
-	outs := make([]out, len(procs))
+	pis := make([]*ProcImage, len(procs))
 	var wg sync.WaitGroup
 	for i, p := range procs {
 		wg.Add(1)
 		go func(i int, p *kernel.Process) {
 			defer wg.Done()
-			pi, dumped, skipped := dumpOne(p, opts, parentPis[i])
-			outs[i] = out{pi: pi, dumped: dumped, skipped: skipped}
+			pis[i] = dumpOne(p, opts)
 		}(i, p)
 	}
 	wg.Wait()
@@ -95,16 +70,14 @@ func Dump(m *kernel.Machine, pid int, opts DumpOpts) (*ImageSet, error) {
 	parent := map[int]int{}
 	for i, p := range procs {
 		set.PIDs = append(set.PIDs, p.PID())
-		set.Procs[p.PID()] = outs[i].pi
-		set.PagesDumped += outs[i].dumped
-		set.PagesSkipped += outs[i].skipped
+		set.Procs[p.PID()] = pis[i]
+		set.PagesDumped += len(pis[i].Pages)
 		parent[p.PID()] = p.Parent()
 	}
 	sortPIDsParentFirst(set.PIDs, parent)
 	if o := m.Observer(); o != nil {
 		o.Add("criu.dumps", 1)
 		o.Add("criu.pages.dumped", int64(set.PagesDumped))
-		o.Add("criu.pages.skipped", int64(set.PagesSkipped))
 		o.Observe("criu.dump.pages", int64(set.PagesDumped))
 	}
 	return set, nil
@@ -132,10 +105,9 @@ func dumpEligible(mem *kernel.Memory, pn uint64, opts DumpOpts) bool {
 
 // dumpOne serializes one process. It is infallible by design: every
 // fault hook already ran in Dump's prepass, so this can execute on a
-// goroutine with nothing shared but its own process and the parent's
-// immutable table.
-func dumpOne(p *kernel.Process, opts DumpOpts, parentPi *ProcImage) (pi *ProcImage, dumped, skipped int) {
-	pi = &ProcImage{}
+// goroutine with nothing shared but its own process.
+func dumpOne(p *kernel.Process, opts DumpOpts) *ProcImage {
+	pi := &ProcImage{}
 
 	// core
 	pi.Core = CoreImage{
@@ -178,42 +150,18 @@ func dumpOne(p *kernel.Process, opts DumpOpts, parentPi *ProcImage) (pi *ProcIma
 		pi.MM.Modules = append(pi.MM.Modules, ModuleEntry{Name: mod.Name, Lo: mod.Lo, Hi: mod.Hi})
 	}
 
-	// pagemap + pages: the complete table of eligible pages. A page
-	// clean since the parent dump shares the parent's slice; every other
-	// page (all of them without a parent) takes the live page's slice,
-	// which memory marks copy-on-write, so no page is copied here. Either
-	// way the table then mirrors memory, so dirty tracking restarts here.
-	var ppns, dirty []uint64
-	var ppages [][]byte
-	if parentPi != nil {
-		ppns, ppages = parentPi.PageMap.PageNumbers, parentPi.Pages
-		dirty = mem.SnapshotDirty()
-	} else {
-		mem.ClearDirty()
-	}
+	// pagemap + pages: the complete table of eligible pages. Each takes
+	// the live page's slice, which memory marks copy-on-write, so no
+	// page is copied here; a page the guest has not written since the
+	// previous dump is still that dump's slice.
 	populated := mem.PopulatedPages()
 	pi.PageMap.PageNumbers = make([]uint64, 0, len(populated))
 	pi.Pages = make([][]byte, 0, len(populated))
 	for _, pn := range populated {
-		if !dumpEligible(mem, pn, opts) {
-			continue
+		if dumpEligible(mem, pn, opts) {
+			pi.PageMap.PageNumbers = append(pi.PageMap.PageNumbers, pn)
+			pi.Pages = append(pi.Pages, mem.SharePage(pn))
 		}
-		for len(ppns) > 0 && ppns[0] < pn {
-			ppns, ppages = ppns[1:], ppages[1:]
-		}
-		for len(dirty) > 0 && dirty[0] < pn {
-			dirty = dirty[1:]
-		}
-		var page []byte
-		if len(ppns) > 0 && ppns[0] == pn && (len(dirty) == 0 || dirty[0] != pn) {
-			page = ppages[0]
-			skipped++
-		} else {
-			page = mem.SharePage(pn)
-			dumped++
-		}
-		pi.PageMap.PageNumbers = append(pi.PageMap.PageNumbers, pn)
-		pi.Pages = append(pi.Pages, page)
 	}
 
 	// files (including TCP state for repair)
@@ -225,5 +173,5 @@ func dumpOne(p *kernel.Process, opts DumpOpts, parentPi *ProcImage) (pi *ProcIma
 			Port: fd.Port, ConnID: fd.ConnID, SideA: fd.SideA,
 		})
 	}
-	return pi, dumped, skipped
+	return pi
 }

@@ -73,31 +73,32 @@ func FuzzUnmarshalImages(f *testing.F) {
 }
 
 // FuzzImageEdits runs random sequences of SetPage, DropPages, Page,
-// Clone and a Marshal→Unmarshal round trip over an incremental set,
+// Clone and a Marshal→Unmarshal round trip over a re-dumped set,
 // checked against a plain map model. After every operation the set
 // must read exactly as the model, and no edit may change the bytes of
 // the sets it shares page slices with: the set it was cloned from, the
-// dumped set and that set's parent. That sharing is safe only because
-// nothing writes into a page slice.
+// dumped set and the earlier dump that set shares its clean pages
+// with. That sharing is safe only because nothing writes into a page
+// slice.
 //
 // Each operation is three input bytes: the operation, a page selector
 // and a fill byte (or, for DropPages, the range length); past 64
 // operations the input is ignored.
 func FuzzImageEdits(f *testing.F) {
 	m, p := loadCounter(f)
-	parent, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
+	prev, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
 	if err != nil {
 		f.Fatal(err)
 	}
 	m.Run(500)
-	dumped, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Parent: parent})
+	dumped, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
 	if err != nil {
 		f.Fatal(err)
 	}
-	if dumped.PagesSkipped == 0 {
-		f.Fatal("incremental dump shares no page with its parent")
-	}
 	pid := p.PID()
+	if sharedPages(dumped.Procs[pid], prev.Procs[pid]) == 0 {
+		f.Fatal("re-dump shares no page with the earlier dump")
+	}
 	pns := dumped.Procs[pid].PageMap.PageNumbers
 
 	f.Add([]byte{0, 0x80, 0xcc, 2, 0x80, 0})
@@ -138,7 +139,7 @@ func FuzzImageEdits(f *testing.F) {
 		if len(ops) > 3*maxOps {
 			ops = ops[:3*maxOps]
 		}
-		sources := []frozen{{parent, content(parent)}, {dumped, content(dumped)}}
+		sources := []frozen{{prev, content(prev)}, {dumped, content(dumped)}}
 		work := dumped.Clone()
 		model := content(work)
 

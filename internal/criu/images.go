@@ -122,15 +122,13 @@ type FilesImage struct {
 // ProcImage aggregates the images of one process. Its page table is
 // complete: PageMap.PageNumbers is sorted ascending without
 // duplicates, and Pages[i] holds the PageSize bytes of page
-// PageNumbers[i]. A set dumped against a parent holds every page too,
-// so a read never looks past its own table.
+// PageNumbers[i], so a read never looks past its own table.
 //
 // Page slices are immutable once they are in a table, so tables and
-// guest memory share them: Dump takes live pages copy-on-write, an
-// incremental dump shares the parent's clean pages, Clone the source's,
-// and Restore installs read-only pages by reference. SetPage takes
-// ownership of its slice; the only writer is a crit.Editor patching the
-// copies it made, before the set is shared. The two table slices
+// guest memory share them: Dump takes live pages copy-on-write, Clone
+// shares the source's, and Restore installs read-only pages by
+// reference. SetPage takes ownership of its slice; the only writer is
+// a crit.Editor patching the copies it made, before the set is shared. The two table slices
 // themselves belong to one image.
 type ProcImage struct {
 	Core    CoreImage
@@ -202,12 +200,10 @@ type ImageSet struct {
 	PIDs  []int
 	Procs map[int]*ProcImage
 
-	// PagesDumped/PagesSkipped report the incremental win of the Dump
-	// that produced this set: pages taken from guest memory versus
-	// pages shared with the parent because they were clean
-	// (transient; not serialized).
-	PagesDumped  int
-	PagesSkipped int
+	// PagesDumped is the size of the page table the Dump that produced
+	// this set took, summed over its processes (transient; not
+	// serialized).
+	PagesDumped int
 }
 
 // Ident returns the set's identity, which keys the set in a PageStore:
@@ -250,43 +246,14 @@ func (s *ImageSet) digest() ([sha256.Size]byte, [][][sha256.Size]byte) {
 	return ident, keys
 }
 
-// RemapPIDs re-keys a copy of the set onto new process IDs (oldPID →
-// newPID, as returned by Restore): the restored tree has fresh PIDs,
-// and the set must be addressed by them to serve as the parent of the
-// next incremental dump.
-func (s *ImageSet) RemapPIDs(pidMap map[int]int) *ImageSet {
-	mapped := func(pid int) int {
-		if np, ok := pidMap[pid]; ok {
-			return np
-		}
-		return pid
-	}
-	out := &ImageSet{
-		PIDs:  make([]int, len(s.PIDs)),
-		Procs: make(map[int]*ProcImage, len(s.Procs)),
-	}
-	for i, pid := range s.PIDs {
-		np := mapped(pid)
-		out.PIDs[i] = np
-		pi := s.Procs[pid].clone()
-		pi.Core.PID = np
-		if pi.Core.Parent != 0 {
-			pi.Core.Parent = mapped(pi.Core.Parent)
-		}
-		out.Procs[np] = pi
-	}
-	return out
-}
-
 // Clone returns a copy of the set that an editor may mutate freely:
 // every proc image's metadata and page table are copied, while the
 // immutable page slices are shared.
 func (s *ImageSet) Clone() *ImageSet {
 	out := &ImageSet{
-		PIDs:         append([]int(nil), s.PIDs...),
-		Procs:        make(map[int]*ProcImage, len(s.Procs)),
-		PagesDumped:  s.PagesDumped,
-		PagesSkipped: s.PagesSkipped,
+		PIDs:        append([]int(nil), s.PIDs...),
+		Procs:       make(map[int]*ProcImage, len(s.Procs)),
+		PagesDumped: s.PagesDumped,
 	}
 	for pid, pi := range s.Procs {
 		out.Procs[pid] = pi.clone()
@@ -318,19 +285,6 @@ func (s *ImageSet) TotalBytes() int {
 	n := 0
 	for _, pi := range s.Procs {
 		n += 64*len(pi.MM.VMAs) + (kernel.PageSize+8)*len(pi.PageMap.PageNumbers)
-	}
-	return n
-}
-
-// DumpedBytes estimates what the Dump that produced the set took from
-// memory — the "image size" rows of Figure 7: TotalBytes' metadata,
-// but page bytes and page numbers for the PagesDumped pages only, not
-// for the pages shared with the parent. For a full dump it equals
-// TotalBytes.
-func (s *ImageSet) DumpedBytes() int {
-	n := (kernel.PageSize + 8) * s.PagesDumped
-	for _, pi := range s.Procs {
-		n += 64 * len(pi.MM.VMAs)
 	}
 	return n
 }

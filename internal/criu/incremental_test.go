@@ -35,12 +35,12 @@ func sameTable(a, b *ProcImage) bool {
 }
 
 // sharedPages counts the pages of pi whose slice is the very slice
-// parent holds for that page number.
-func sharedPages(pi, parent *ProcImage) int {
+// prev holds for that page number.
+func sharedPages(pi, prev *ProcImage) int {
 	n := 0
 	for i, pn := range pi.PageMap.PageNumbers {
-		j, ok := slices.BinarySearch(parent.PageMap.PageNumbers, pn)
-		if ok && &pi.Pages[i][0] == &parent.Pages[j][0] {
+		j, ok := slices.BinarySearch(prev.PageMap.PageNumbers, pn)
+		if ok && &pi.Pages[i][0] == &prev.Pages[j][0] {
 			n++
 		}
 	}
@@ -82,87 +82,104 @@ func scribble(t *testing.T, rng *rand.Rand, p *kernel.Process, n int, keep func(
 	}
 }
 
+// TestIncrementalDumpSkipsCleanPages: a dump copies no page — every
+// slice in its table is the live page's own backing — and a re-dump
+// shares, pointer-identical, every slice of a page the guest has not
+// written since the previous dump.
 func TestIncrementalDumpSkipsCleanPages(t *testing.T) {
 	m, p := loadCounter(t)
+	mem := p.Mem()
 
-	full, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
+	first, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.PagesDumped == 0 || full.PagesSkipped != 0 {
-		t.Fatalf("full dump: dumped=%d skipped=%d", full.PagesDumped, full.PagesSkipped)
+	fpi := first.Procs[p.PID()]
+	if first.PagesDumped == 0 || first.PagesDumped != len(fpi.Pages) {
+		t.Fatalf("dump took %d pages for a table of %d", first.PagesDumped, len(fpi.Pages))
 	}
 
-	// Run briefly: the guest only touches its counter page.
+	// Run briefly: the guest writes its counter page; its text stays
+	// clean.
 	m.Run(500)
 
-	delta, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Parent: full})
+	next, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delta.PagesSkipped == 0 {
-		t.Fatal("delta dump skipped no pages")
+	npi := next.Procs[p.PID()]
+	if !slices.Equal(npi.PageMap.PageNumbers, fpi.PageMap.PageNumbers) {
+		t.Fatal("the re-dump's page table covers other pages")
 	}
-	if delta.PagesDumped*2 > full.PagesDumped {
-		t.Fatalf("delta dumped %d pages, full dumped %d — not incremental", delta.PagesDumped, full.PagesDumped)
+	text := 0
+	for i, pn := range npi.PageMap.PageNumbers {
+		if &npi.Pages[i][0] != &mem.PageDataUnsafe(pn)[0] {
+			t.Fatalf("page %d was copied, not shared with live memory", pn)
+		}
+		if v, _ := mem.VMAAt(pn * kernel.PageSize); v.Perm&delf.PermW == 0 {
+			text++
+			if &npi.Pages[i][0] != &fpi.Pages[i][0] {
+				t.Fatalf("unwritten page %d is not the previous dump's slice", pn)
+			}
+		}
 	}
-	// The table is complete, and every skipped page is the parent's
-	// own slice, not a copy.
-	dpi, fpi := delta.Procs[p.PID()], full.Procs[p.PID()]
-	if got, want := len(dpi.PageMap.PageNumbers), delta.PagesDumped+delta.PagesSkipped; got != want {
-		t.Fatalf("delta table holds %d pages, want %d", got, want)
+	counter := counterAddr(t) / kernel.PageSize
+	was, _ := fpi.Page(counter)
+	now, _ := npi.Page(counter)
+	if &was[0] == &now[0] || bytes.Equal(was, now) {
+		t.Fatal("the written counter page still holds the previous dump's bytes")
 	}
-	if got := sharedPages(dpi, fpi); got != delta.PagesSkipped {
-		t.Fatalf("delta shares %d parent pages, skipped %d", got, delta.PagesSkipped)
+	if got := sharedPages(npi, fpi); text == 0 || got < text || got == len(npi.Pages) {
+		t.Fatalf("re-dump shares %d of %d pages with the previous dump (%d unwritten text pages)", got, len(npi.Pages), text)
 	}
 
-	// An immediately repeated delta of the idle guest transfers nothing.
-	idle, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Parent: delta})
+	// An immediately repeated dump of the idle guest shares every page.
+	idle, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idle.PagesDumped != 0 {
-		t.Fatalf("idle delta dumped %d pages", idle.PagesDumped)
+	if got := sharedPages(idle.Procs[p.PID()], npi); got != len(npi.Pages) {
+		t.Fatalf("idle re-dump shares %d of %d pages", got, len(npi.Pages))
 	}
 }
 
 // TestFullVsDeltaRestoreEquivalence is the property test: after an
-// arbitrary mix of guest execution and direct memory writes, an
-// incremental dump holds the same table as a full dump, and restoring
-// either gives the same registers, memory and descriptors.
+// arbitrary mix of guest execution and direct memory writes since an
+// earlier dump, two consecutive dumps hold the same table, the later
+// one sharing every page slice of the earlier, and restoring either
+// gives the same registers and memory.
 func TestFullVsDeltaRestoreEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m, p := loadCounter(t)
 
-		parent, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
-		if err != nil {
+		if _, err := Dump(m, p.PID(), DumpOpts{ExecPages: true}); err != nil {
 			t.Fatal(err)
 		}
 		m.Run(uint64(rng.Intn(3000)))
 		scribble(t, rng, p, 1+rng.Intn(20), func(kernel.VMA) bool { return true })
 
-		delta, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Parent: parent})
+		a, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fullNow, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
+		b, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		for _, pid := range fullNow.PIDs {
-			fp, dp := fullNow.Procs[pid], delta.Procs[pid]
-			if dp == nil {
-				t.Fatalf("seed %d: pid %d missing from the delta", seed, pid)
+		for _, pid := range b.PIDs {
+			bp, ap := b.Procs[pid], a.Procs[pid]
+			if ap == nil {
+				t.Fatalf("seed %d: pid %d missing from the earlier dump", seed, pid)
 			}
-			if !sameTable(fp, dp) {
+			if !sameTable(bp, ap) || sharedPages(bp, ap) != len(bp.Pages) {
 				t.Fatalf("seed %d: pid %d page tables diverge", seed, pid)
 			}
-			if fp.Core.Regs != dp.Core.Regs || fp.Core.RIP != dp.Core.RIP {
+			if bp.Core.Regs != ap.Core.Regs || bp.Core.RIP != ap.Core.RIP {
 				t.Fatalf("seed %d: pid %d register state diverges", seed, pid)
 			}
-			if len(fp.Files.Files) != len(dp.Files.Files) {
+			if len(bp.Files.Files) != len(ap.Files.Files) {
 				t.Fatalf("seed %d: pid %d descriptors diverge", seed, pid)
 			}
 		}
@@ -171,16 +188,16 @@ func TestFullVsDeltaRestoreEquivalence(t *testing.T) {
 		if err := m.Kill(p.PID()); err != nil {
 			t.Fatal(err)
 		}
-		fromDelta, _, err := Restore(m, delta)
+		fromA, _, err := Restore(m, a)
 		if err != nil {
-			t.Fatalf("seed %d: restore delta: %v", seed, err)
+			t.Fatalf("seed %d: restore earlier dump: %v", seed, err)
 		}
-		fromFull, _, err := Restore(m, fullNow)
+		fromB, _, err := Restore(m, b)
 		if err != nil {
-			t.Fatalf("seed %d: restore full: %v", seed, err)
+			t.Fatalf("seed %d: restore later dump: %v", seed, err)
 		}
-		assertSameMemory(t, fromDelta[0], fromFull[0])
-		if fromDelta[0].RIP() != fromFull[0].RIP() {
+		assertSameMemory(t, fromA[0], fromB[0])
+		if fromA[0].RIP() != fromB[0].RIP() {
 			t.Fatalf("seed %d: restored RIPs diverge", seed)
 		}
 	}
@@ -207,14 +224,15 @@ func TestParallelMarshalDeterministic(t *testing.T) {
 		t.Fatal("independent dumps of the same machine marshal differently")
 	}
 
-	// An incremental set marshals deterministically too.
+	// A re-dump, sharing the clean pages of a, marshals
+	// deterministically too.
 	m.Run(500)
-	d1, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Parent: a})
+	d1, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(d1.Marshal(), d1.Marshal()) {
-		t.Fatal("repeated Marshal of a delta set differs")
+		t.Fatal("repeated Marshal of a re-dump differs")
 	}
 
 	// Round trip: the re-decoded set re-marshals to the same bytes.
@@ -228,10 +246,11 @@ func TestParallelMarshalDeterministic(t *testing.T) {
 	}
 }
 
-// TestDeltaBlobSelfContained: an incremental set's blob is exactly the
-// blob of a full dump of the same state, it restores on a fresh
-// machine with no parent in sight, and a blob that does carry a field
-// of the retired incremental format is refused at decode.
+// TestDeltaBlobSelfContained: a re-dump's blob, though its table
+// shares pages with an earlier set, is exactly the blob of another
+// dump of the same state, it restores on a fresh machine with no
+// earlier set in sight, and a blob that carries a field of the retired
+// incremental format is refused at decode.
 func TestDeltaBlobSelfContained(t *testing.T) {
 	m, p := loadCounter(t)
 	full, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
@@ -239,12 +258,12 @@ func TestDeltaBlobSelfContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Run(500)
-	delta, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Parent: full})
+	delta, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delta.PagesSkipped == 0 {
-		t.Fatal("second dump with a parent skipped no pages")
+	if sharedPages(delta.Procs[p.PID()], full.Procs[p.PID()]) == 0 {
+		t.Fatal("re-dump shares no page with the earlier dump")
 	}
 	fullNow, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
 	if err != nil {
@@ -252,7 +271,7 @@ func TestDeltaBlobSelfContained(t *testing.T) {
 	}
 	blob := delta.Marshal()
 	if !bytes.Equal(blob, fullNow.Marshal()) {
-		t.Fatal("incremental blob differs from the full dump's blob")
+		t.Fatal("re-dump's blob differs from another dump's blob")
 	}
 
 	back, err := Unmarshal(blob)
@@ -266,7 +285,7 @@ func TestDeltaBlobSelfContained(t *testing.T) {
 	}
 	dst.WriteFile("counter", bin)
 	if err := back.Validate(dst); err != nil {
-		t.Fatalf("decoded incremental blob does not validate: %v", err)
+		t.Fatalf("decoded re-dump blob does not validate: %v", err)
 	}
 	counter := counterAddr(t)
 	want, err := p.Mem().ReadU64(counter)
@@ -337,9 +356,9 @@ func counterAddr(t *testing.T) uint64 {
 }
 
 // TestLongIncrementalRunStaysIncremental: a running guest dumped 24
-// times in a row, each dump against the one before, never falls back
-// to a full dump, and restoring the last set leaves the same memory as
-// restoring a full dump of the same state.
+// times in a row shares its clean text with the dump before every
+// time, and restoring the last set leaves the same memory as restoring
+// another dump of the same state.
 func TestLongIncrementalRunStaysIncremental(t *testing.T) {
 	const dumps = 24
 	rng := rand.New(rand.NewSource(1))
@@ -352,12 +371,12 @@ func TestLongIncrementalRunStaysIncremental(t *testing.T) {
 		m.Run(200)
 		// Text stays clean, so every dump has a page to share.
 		scribble(t, rng, p, 1+rng.Intn(4), func(v kernel.VMA) bool { return v.Perm&delf.PermX == 0 })
-		next, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Parent: set})
+		next, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if next.PagesSkipped == 0 {
-			t.Fatalf("dump %d skipped no pages: a full dump", i)
+		if sharedPages(next.Procs[p.PID()], set.Procs[p.PID()]) == 0 {
+			t.Fatalf("dump %d shares no page with the dump before", i)
 		}
 		set = next
 	}
@@ -379,9 +398,9 @@ func TestLongIncrementalRunStaysIncremental(t *testing.T) {
 	assertSameMemory(t, fromDelta[0], fromFull[0])
 }
 
-// TestDeltaHolesDropUnmappedPages: pages the guest unmaps between
-// parent and incremental dump are absent from the new table, so they
-// never come back on restore.
+// TestDeltaHolesDropUnmappedPages: pages the guest unmaps between two
+// dumps are absent from the later table, so they never come back on
+// restore.
 func TestDeltaHolesDropUnmappedPages(t *testing.T) {
 	m, p := loadCounter(t)
 	parent, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
@@ -396,13 +415,13 @@ func TestDeltaHolesDropUnmappedPages(t *testing.T) {
 		t.Fatal("counter not mapped")
 	}
 	if _, err := parent.Procs[p.PID()].Page(counter / kernel.PageSize); err != nil {
-		t.Fatalf("parent lacks the counter page: %v", err)
+		t.Fatalf("the earlier dump lacks the counter page: %v", err)
 	}
 	if err := p.Mem().Unmap(v.Start, v.End); err != nil {
 		t.Fatal(err)
 	}
 
-	delta, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Parent: parent})
+	delta, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
 	if err != nil {
 		t.Fatal(err)
 	}

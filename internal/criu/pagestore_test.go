@@ -56,10 +56,10 @@ func TestPageStoreDepositMaterializeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPageStoreDepositsIncrementalSet: an incremental set is complete,
-// so it deposits like any other. It materializes to the blob Marshal
-// writes for it, and a full dump of the same state deposits as the
-// same stored set.
+// TestPageStoreDepositsIncrementalSet: a re-dump, whose table shares
+// pages with an earlier set, deposits like any other. It materializes
+// to the blob Marshal writes for it, and another dump of the same
+// state deposits as the same stored set.
 func TestPageStoreDepositsIncrementalSet(t *testing.T) {
 	m, p := loadCounter(t)
 	store := NewPageStore()
@@ -69,9 +69,12 @@ func TestPageStoreDepositsIncrementalSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Run(500)
-	delta, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Parent: full})
+	delta, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if sharedPages(delta.Procs[p.PID()], full.Procs[p.PID()]) == 0 {
+		t.Fatal("re-dump shares no page with the earlier dump")
 	}
 	ident, err := store.Deposit(delta)
 	if err != nil {
@@ -82,7 +85,7 @@ func TestPageStoreDepositsIncrementalSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Marshal(), delta.Marshal()) {
-		t.Fatal("materialized incremental set differs from its blob")
+		t.Fatal("materialized re-dump differs from its blob")
 	}
 	fullNow, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
 	if err != nil {
@@ -93,7 +96,7 @@ func TestPageStoreDepositsIncrementalSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	if again != ident || store.Stats().Sets != 1 {
-		t.Fatalf("full dump of the same state deposited as %#x (%d sets), want %#x",
+		t.Fatalf("another dump of the same state deposited as %#x (%d sets), want %#x",
 			again, store.Stats().Sets, ident)
 	}
 }

@@ -173,11 +173,6 @@ func restoreOne(m *kernel.Machine, p *kernel.Process, pi *ProcImage, boundHere m
 			return fmt.Errorf("%w: fd %d has unknown kind %d", ErrBadImage, fe.FD, fe.Kind)
 		}
 	}
-
-	// The restored memory now mirrors the image set exactly, so that
-	// set is a valid incremental-dump parent: start dirty tracking from
-	// this point, not from the restore's own writes.
-	p.Mem().ClearDirty()
 	return nil
 }
 

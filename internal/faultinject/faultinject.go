@@ -26,9 +26,6 @@ const (
 	SiteDumpProc = "criu.dump.proc"
 	// SiteDumpPageMap fires before a process's pagemap/pages are dumped.
 	SiteDumpPageMap = "criu.dump.pagemap"
-	// SiteDumpParent fires before a process is dumped incrementally
-	// against a parent image (dirty pages only).
-	SiteDumpParent = "criu.dump.parent"
 	// SiteRestoreProc fires before each process is restored.
 	SiteRestoreProc = "criu.restore.proc"
 	// SiteRestoreVMA fires before a restored process's VMAs are mapped.

@@ -14,7 +14,7 @@ var zeroPageDigest = sha256.Sum256(make([]byte, PageSize))
 // HashPages returns the SHA-256 digest of each requested page. A page
 // that is mapped but never populated hashes as a zero page; the caller
 // is expected to pass page numbers it knows are mapped (ExecPages).
-// Hashing never allocates backing or perturbs dirty/CoW state — it is
+// Hashing never allocates backing or perturbs CoW state — it is
 // a pure observation, safe to run at a scheduler-round boundary.
 func (m *Memory) HashPages(pns []uint64) map[uint64][sha256.Size]byte {
 	out := make(map[uint64][sha256.Size]byte, len(pns))
@@ -51,11 +51,11 @@ func (m *Memory) ExecPages() []uint64 {
 // FlipBits silently XORs one byte of a populated page: the
 // fault-injection primitive for modeling a cosmic-ray bit flip or a
 // rogue DMA write. It deliberately bypasses every bookkeeping channel
-// a loud write would touch — the page is NOT marked dirty (so an
-// incremental checkpoint will not carry the corruption and no trap
-// fires), making the flip invisible to everything except a hash of
-// the live bytes. CoW backing IS broken first: physical corruption is
-// per-replica, it must never leak into siblings sharing the page.
+// a loud write would touch — no trap fires and no cached block is
+// flushed — making the flip invisible to everything except a hash of
+// the live bytes (a dump carries it, as it carries every live page).
+// CoW backing IS broken first: physical corruption is per-replica, it
+// must never leak into siblings or dumps sharing the page.
 // Returns false if the page is unpopulated (nothing to corrupt).
 func (m *Memory) FlipBits(addr uint64, mask byte) bool {
 	pn := addr / PageSize
@@ -68,7 +68,7 @@ func (m *Memory) FlipBits(addr uint64, mask byte) bool {
 	// generation counter. Without it the block cache would keep
 	// replaying the pre-flip decode — executing code that no longer
 	// exists in memory — while the interpreter fetches the corrupted
-	// bytes. The dirty bitmap stays untouched (see noteSilentWrite).
+	// bytes (see noteSilentWrite).
 	m.noteSilentWrite(pn)
 	return true
 }

@@ -13,8 +13,8 @@ func xVMA(start, end uint64) VMA {
 }
 
 // TestAttestHashPages: populated pages hash as their bytes, mapped but
-// never-populated pages hash as zero pages, and hashing neither dirties
-// nor populates anything — it is a pure observation.
+// never-populated pages hash as zero pages, and hashing neither
+// populates nor shares anything — it is a pure observation.
 func TestAttestHashPages(t *testing.T) {
 	m := newMemory()
 	if err := m.Map(rwVMA(0x1000, 0x3000)); err != nil {
@@ -23,7 +23,6 @@ func TestAttestHashPages(t *testing.T) {
 	if err := m.Write(0x1000, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	m.ClearDirty()
 	pop := len(m.PopulatedPages())
 
 	got := m.HashPages([]uint64{1, 2})
@@ -34,8 +33,8 @@ func TestAttestHashPages(t *testing.T) {
 	if got[2] != zeroPageDigest {
 		t.Error("unpopulated page should hash as a zero page")
 	}
-	if len(m.DirtyPages()) != 0 || len(m.PopulatedPages()) != pop {
-		t.Error("HashPages perturbed dirty/populated state")
+	if len(m.PopulatedPages()) != pop || m.SharedPageCount() != 0 {
+		t.Error("HashPages perturbed populated/CoW state")
 	}
 }
 
@@ -72,8 +71,9 @@ func TestAttestExecPages(t *testing.T) {
 }
 
 // TestAttestFlipBitsSilentAndPrivate: FlipBits corrupts the live bytes
-// without marking the page dirty (silent by construction) and breaks
-// CoW first so a sibling sharing the page never sees the flip.
+// without flushing a cached block (silent by construction) and breaks
+// CoW first so neither a sibling nor a dump sharing the page ever sees
+// the flip.
 func TestAttestFlipBitsSilentAndPrivate(t *testing.T) {
 	m := newMemory()
 	if err := m.Map(xVMA(0x1000, 0x2000)); err != nil {
@@ -85,8 +85,7 @@ func TestAttestFlipBitsSilentAndPrivate(t *testing.T) {
 		t.Fatal(err)
 	}
 	sib := m.CloneCoW()
-	m.ClearDirty()
-	sib.ClearDirty()
+	snap := m.SharePage(1)
 
 	if m.FlipBits(0x1008, 0x80) != true {
 		t.Fatal("FlipBits refused a populated page")
@@ -94,11 +93,11 @@ func TestAttestFlipBitsSilentAndPrivate(t *testing.T) {
 	if got := m.PageDataUnsafe(1)[8]; got != 0x90 {
 		t.Fatalf("flipped byte = %#x, want 0x90", got)
 	}
-	if len(m.DirtyPages()) != 0 {
-		t.Error("FlipBits marked the page dirty — the corruption must be silent")
-	}
 	if got := sib.PageDataUnsafe(1)[8]; got != 0x10 {
 		t.Fatalf("flip leaked into a CoW sibling: %#x", got)
+	}
+	if snap[8] != 0x10 {
+		t.Fatalf("flip leaked into a dumped page: %#x", snap[8])
 	}
 	if m.FlipBits(0x9000, 0x01) {
 		t.Error("FlipBits claimed to corrupt an unpopulated page")

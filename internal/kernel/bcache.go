@@ -12,7 +12,7 @@ package kernel
 // interpreted execution. The recorder runs the ordinary
 // fetch→decode→exec1 path and merely remembers what it decoded, so
 // every side effect of a first execution — pages populated by the
-// fetch window, dirty bits, tick charging, trap ordering — is
+// fetch window, tick charging, trap ordering — is
 // byte-identical to the interpreter by construction. Replay runs the
 // same exec1 semantic core on the remembered decodes. The only new
 // failure class the cache introduces is staleness — executing a
@@ -43,7 +43,7 @@ package kernel
 //     stale instruction, and a superblock chained through a flushed
 //     page is severed mid-flight.
 //  2. Silent writes — Memory.FlipBits, the bit-rot fault channel —
-//     advance the generation only (no eviction, no dirty bit). Every
+//     advance the generation only (no eviction). Every
 //     dispatch validates the block's recorded generations against the
 //     live counters, so the next entry to the page re-translates and
 //     executes the flipped bytes exactly as the interpreter would.

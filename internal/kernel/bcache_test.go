@@ -322,8 +322,8 @@ func TestSuperblockSeveredOnFlush(t *testing.T) {
 }
 
 // TestFlipBitsRetranslates is the PR's regression test for the
-// FlipBits interplay: a silent bit flip bypasses the dirty bitmap and
-// the eager flush, so only the per-page generation counter can stop
+// FlipBits interplay: a silent bit flip bypasses the eager flush, so
+// only the per-page generation counter can stop
 // the cache from replaying the pre-flip decode. Flip, observe the
 // flipped semantics; repair (loud write, the attestation channel),
 // observe the original semantics again.
@@ -358,14 +358,14 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirtyBefore := len(p.Mem().DirtyPages())
+	flushesBefore := p.Mem().BlockCacheStats().PageFlushes
 	// MOVri encodes [op][reg][imm64le]: flip bit 1 of the immediate's
 	// low byte, turning `mov r3, 7` into `mov r3, 5`.
 	if !p.Mem().FlipBits(victim.Value+2, 0x02) {
 		t.Fatal("FlipBits refused")
 	}
-	if got := len(p.Mem().DirtyPages()); got != dirtyBefore {
-		t.Fatalf("silent flip touched the dirty bitmap: %d -> %d", dirtyBefore, got)
+	if got := p.Mem().BlockCacheStats().PageFlushes; got != flushesBefore {
+		t.Fatalf("silent flip flushed the block cache: %d -> %d", flushesBefore, got)
 	}
 	m.Run(1000)
 	if got := p.Reg(3); got != 5 {

@@ -40,7 +40,7 @@ func (m *Machine) fetchDecode(p *Process) (isa.Inst, bool) {
 // (== p.rip). It is the single semantic core shared by the
 // interpreter (which fetches and decodes every time) and the
 // block-cache engine (which replays pre-decoded instructions), so the
-// two execution modes cannot drift: ticks, dirty bits, trap ordering
+// two execution modes cannot drift: ticks, page writes, trap ordering
 // and tracer callbacks all happen here. It returns false when the
 // process would block on a syscall (RIP unchanged, no clock charge).
 func (m *Machine) exec1(p *Process, in isa.Inst, addr uint64) bool {

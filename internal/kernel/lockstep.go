@@ -5,7 +5,7 @@ package kernel
 // two clones of the same machine, drive them with identical host
 // actions, and diff every piece of guest-visible state after every
 // scheduler round. Any disagreement — a register, a tick count, a page
-// byte, a dirty bit, a byte of socket traffic — is a translation bug,
+// byte, a byte of socket traffic — is a translation bug,
 // caught at the round where it first appears rather than megaticks
 // later when a workload assertion finally trips.
 
@@ -113,8 +113,8 @@ func (l *Lockstep) report(pid int, field, ref, tx string) {
 // compare diffs every piece of guest-visible state between the two
 // machines: the virtual clock, the process table, per-process
 // registers/RIP/flags/retired-instruction counts/exit state/stdio,
-// address-space layout, populated page bytes, dirty bitmaps, and the
-// virtual network's buffers — plus the Tx machine's own lockstep
+// address-space layout, populated page bytes, and the virtual
+// network's buffers — plus the Tx machine's own lockstep
 // decode-verification log when it runs in ModeLockstep.
 func (l *Lockstep) compare() {
 	a, b := l.Ref, l.Tx
@@ -186,10 +186,6 @@ func (l *Lockstep) compareMem(pid int, ma, mb *Memory) {
 			l.report(pid, fmt.Sprintf("page %#x bytes", pn), "-", "differs")
 			break
 		}
-	}
-	da, db := ma.DirtyPages(), mb.DirtyPages()
-	if !equalU64(da, db) {
-		l.report(pid, "dirty pages", fmt.Sprint(da), fmt.Sprint(db))
 	}
 }
 

@@ -54,16 +54,9 @@ func (v VMA) String() string {
 
 // Memory is a paged address space with a VMA map, owned by one
 // process. The zero value is not usable; use newMemory.
-//
-// Every page carries a dirty bit, set whenever the page is written
-// (or first populated) and cleared by SnapshotDirty/ClearDirty. The
-// bitmap is what makes incremental checkpointing possible: a dump
-// that holds the previous checkpoint as a parent only needs the
-// pages dirtied since.
 type Memory struct {
-	pages map[uint64][]byte   // page number -> PageSize bytes
-	dirty map[uint64]struct{} // pages written since the last snapshot
-	vmas  []VMA               // sorted by Start, non-overlapping
+	pages map[uint64][]byte // page number -> PageSize bytes
+	vmas  []VMA             // sorted by Start, non-overlapping
 
 	// cow marks pages whose backing slice is shared with a clone
 	// (CloneCoW) or an image set (SharePage, SetPage). A shared page is
@@ -114,11 +107,11 @@ const tlbSize = 32
 // (breakCoW, SetPage) drops the page's entry.
 //
 // write is the store fast path: set only by a guest store's slow path
-// after writablePage ran, it promises the page is populated, private,
-// dirty and covered by no cached block, so a store may go straight into
-// the page. Whatever breaks one of those promises clears it: block.touch
-// and blockCache.insert for their pages, SnapshotDirty and ClearDirty
-// and CloneCoW for every entry, SharePage for its page (DESIGN.md §15).
+// after writablePage ran, it promises the page is populated, private
+// and covered by no cached block, so a store may go straight into the
+// page. Whatever breaks one of those promises clears it: block.touch
+// and blockCache.insert for their pages, CloneCoW for every entry,
+// SharePage for its page (DESIGN.md §15).
 type tlbEntry struct {
 	pn    uint64
 	page  *[PageSize]byte
@@ -128,7 +121,7 @@ type tlbEntry struct {
 }
 
 func newMemory() *Memory {
-	return &Memory{pages: map[uint64][]byte{}, dirty: map[uint64]struct{}{}}
+	return &Memory{pages: map[uint64][]byte{}}
 }
 
 // CloneCoW returns a copy-on-write copy of the address space: both
@@ -139,7 +132,6 @@ func newMemory() *Memory {
 func (m *Memory) CloneCoW() *Memory {
 	c := &Memory{
 		pages: make(map[uint64][]byte, len(m.pages)),
-		dirty: make(map[uint64]struct{}, len(m.dirty)),
 		vmas:  append([]VMA(nil), m.vmas...),
 		cow:   make(map[uint64]struct{}, len(m.pages)),
 	}
@@ -147,9 +139,6 @@ func (m *Memory) CloneCoW() *Memory {
 		c.pages[pn] = pg
 		c.cow[pn] = struct{}{}
 		m.markShared(pn)
-	}
-	for pn := range m.dirty {
-		c.dirty[pn] = struct{}{}
 	}
 	m.tlbClearWrites() // m's pages are shared now
 	return c
@@ -213,13 +202,12 @@ func (m *Memory) noteWrite(pn uint64) {
 
 // noteSilentWrite advances pn's generation without flushing the cache:
 // the FlipBits channel. A silent bit flip bypasses every loud
-// bookkeeping path by design (no dirty bit, no trap), but the
+// bookkeeping path by design (no CoW break, no trap), but the
 // translation cache would otherwise keep executing the pre-flip
 // decode — diverging from the interpreter, which fetches live bytes.
 // The generation bump makes the next dispatch of any block on the
 // page revalidate and re-translate, keeping flip semantics
-// byte-identical across execution modes while staying invisible to
-// the dirty bitmap.
+// byte-identical across execution modes.
 func (m *Memory) noteSilentWrite(pn uint64) {
 	m.wgen++
 	if m.gens != nil {
@@ -307,7 +295,6 @@ func (m *Memory) Unmap(start, end uint64) error {
 	m.vmas = out
 	for pn := start / PageSize; pn < end/PageSize; pn++ {
 		delete(m.pages, pn)
-		delete(m.dirty, pn)
 		delete(m.cow, pn)
 		m.noteSilentWrite(pn) // generation keeps advancing across unmap/remap
 	}
@@ -450,26 +437,22 @@ func (m *Memory) storePage(addr uint64) *[PageSize]byte {
 }
 
 // populate returns page pn's backing, allocating it zero-filled on
-// first touch. Freshly populated pages are marked dirty: they did not
-// exist at the previous checkpoint, so an incremental dump must
-// include them. The caller has checked that pn is mapped.
+// first touch. The caller has checked that pn is mapped.
 func (m *Memory) populate(pn uint64) []byte {
 	pg, ok := m.pages[pn]
 	if !ok {
 		pg = make([]byte, PageSize)
 		m.pages[pn] = pg
-		m.dirty[pn] = struct{}{}
 	}
 	return pg
 }
 
 // writablePage readies mapped page pn for an in-place store:
-// populated, private (CoW broken), dirty, and the write noted for the
-// block cache. It returns the page's backing.
+// populated, private (CoW broken), and the write noted for the block
+// cache. It returns the page's backing.
 func (m *Memory) writablePage(pn uint64) []byte {
 	m.populate(pn)
 	m.breakCoW(pn)
-	m.dirty[pn] = struct{}{}
 	m.noteWrite(pn)
 	return m.pages[pn]
 }
@@ -629,8 +612,7 @@ func (m *Memory) PageDataUnsafe(pn uint64) []byte {
 	return m.pages[pn]
 }
 
-// SetPage installs page contents (the restore path) and marks the page
-// dirty. A page in a VMA that is not writable keeps data, an image
+// SetPage installs page contents (the restore path). A page in a VMA that is not writable keeps data, an image
 // set's immutable page, by reference and copy-on-write; any other page
 // is copied, so a guest's first store does not pay for the copy.
 func (m *Memory) SetPage(pn uint64, data []byte) error {
@@ -644,46 +626,7 @@ func (m *Memory) SetPage(pn uint64, data []byte) error {
 		m.pages[pn] = append([]byte(nil), data...)
 		delete(m.cow, pn)
 	}
-	m.dirty[pn] = struct{}{}
 	m.tlbDrop(pn)
 	m.noteWrite(pn)
 	return nil
-}
-
-// DirtyPages returns the sorted page numbers currently marked dirty
-// WITHOUT clearing the bitmap — the observation the lockstep oracle
-// diffs after every scheduler round (SnapshotDirty would perturb the
-// very state under comparison).
-func (m *Memory) DirtyPages() []uint64 {
-	out := make([]uint64, 0, len(m.dirty))
-	for pn := range m.dirty {
-		out = append(out, pn)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// SnapshotDirty returns the sorted page numbers written since the
-// previous snapshot and clears the bitmap: the caller is taking a
-// checkpoint that, from now on, describes this memory. Pages that
-// were dirtied and then unmapped are not reported (they no longer
-// have backing storage).
-func (m *Memory) SnapshotDirty() []uint64 {
-	out := make([]uint64, 0, len(m.dirty))
-	for pn := range m.dirty {
-		if _, populated := m.pages[pn]; populated {
-			out = append(out, pn)
-		}
-	}
-	slices.Sort(out)
-	m.ClearDirty()
-	return out
-}
-
-// ClearDirty discards the dirty bitmap without reading it — used
-// after a restore, when memory is by construction identical to the
-// image set it was rebuilt from.
-func (m *Memory) ClearDirty() {
-	m.dirty = map[uint64]struct{}{}
-	m.tlbClearWrites() // the next store must mark its page dirty again
 }

@@ -5,11 +5,10 @@ package kernel
 // two identically built memories run the same decoded operations:
 // memory A through the guest accessors (ReadU64, WriteU64, ReadU8,
 // WriteU8, fetch), memory B through the slow path (ReadGuest,
-// WriteGuest), and both through the same host operations (SnapshotDirty,
-// ClearDirty, CloneCoW, SetPage, FlipBits, Write, Protect, Unmap, Map,
-// SharePage) and block-cache recordings. After every operation the two
-// must agree on results and error classes, every page's bytes, the
-// dirty set, the shared page count, the cached blocks and the CoW
+// WriteGuest), and both through the same host operations (CloneCoW,
+// SetPage, FlipBits, Write, Protect, Unmap, Map, SharePage) and
+// block-cache recordings. After every operation the two must agree on
+// results and error classes, every page's bytes, the shared page count, the cached blocks and the CoW
 // sibling's bytes, and every page slice handed out by SharePage or
 // SetPage must still hold the bytes it had then.
 
@@ -37,8 +36,6 @@ const (
 	tlbOpLoad8
 	tlbOpStore8
 	tlbOpFetch
-	tlbOpSnapshotDirty
-	tlbOpClearDirty
 	tlbOpCloneCoW
 	tlbOpSiblingStore
 	tlbOpSetPage
@@ -162,12 +159,12 @@ func samePages(t *testing.T, what string, a, b *Memory) {
 
 func FuzzMemoryTLB(f *testing.F) {
 	seq := func(ops ...[]byte) []byte { return bytes.Join(ops, nil) }
-	f.Add(seq( // store, snapshot, store again: the dirty bit returns
+	f.Add(seq( // store, share, store again: the share drops the fast path
 		tlbFuzzOp(tlbOpStore64, 0, 8, 1),
 		tlbFuzzOp(tlbOpStore64, 0, 16, 2),
-		tlbFuzzOp(tlbOpSnapshotDirty, 0, 0, 0),
+		tlbFuzzOp(tlbOpShare, 0, 0, 0),
 		tlbFuzzOp(tlbOpStore64, 0, 8, 3),
-		tlbFuzzOp(tlbOpClearDirty, 0, 0, 0),
+		tlbFuzzOp(tlbOpShare, 0, 0, 0),
 		tlbFuzzOp(tlbOpStore8, 0, 9, 4)))
 	f.Add(seq( // a store after a CoW clone must not reach the sibling
 		tlbFuzzOp(tlbOpStore64, 1, 0, 1),
@@ -293,11 +290,6 @@ func FuzzMemoryTLB(f *testing.F) {
 				na, ea := a.mem.fetch(addr, ba[:])
 				nb, eb := refFetch(b.mem, addr, bb[:])
 				got, want = [3]any{na, ba, errClass(ea)}, [3]any{nb, bb, errClass(eb)}
-			case tlbOpSnapshotDirty:
-				got, want = a.mem.SnapshotDirty(), b.mem.SnapshotDirty()
-			case tlbOpClearDirty:
-				a.mem.ClearDirty()
-				b.mem.ClearDirty()
 			case tlbOpCloneCoW:
 				a.sib, b.sib = a.mem.CloneCoW(), b.mem.CloneCoW()
 			case tlbOpSiblingStore:
@@ -352,9 +344,6 @@ func FuzzMemoryTLB(f *testing.F) {
 				t.Fatalf("op %d (%d at %#x): guest side %v, slow side %v", i/5, op, addr, got, want)
 			}
 			samePages(t, "memory", a.mem, b.mem)
-			if da, db := a.mem.DirtyPages(), b.mem.DirtyPages(); !slices.Equal(da, db) {
-				t.Fatalf("op %d (%d at %#x): dirty pages %#x, want %#x", i/5, op, addr, da, db)
-			}
 			if sa, sb := a.mem.SharedPageCount(), b.mem.SharedPageCount(); sa != sb {
 				t.Fatalf("op %d (%d at %#x): %d shared pages, want %d", i/5, op, addr, sa, sb)
 			}

@@ -218,64 +218,56 @@ func TestPageDataUnsafeAliases(t *testing.T) {
 	}
 }
 
-// TestDirtyPageTracking: the dirty bitmap records exactly the pages
-// written (or first populated) since the last snapshot, and
-// SnapshotDirty drains it.
+// TestDirtyPageTracking: a page a dump took by SharePage keeps the
+// dump's bytes. The first store after the share, host or guest, gives
+// the page private backing; a later store writes that backing in place
+// and copies nothing, until the next SharePage shares it again.
 func TestDirtyPageTracking(t *testing.T) {
 	m := newMemory()
 	if err := m.Map(rwVMA(0x1000, 0x10000)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Write(0x3000, []byte{1}); err != nil {
-		t.Fatal(err)
+	for _, store := range []struct {
+		name  string
+		write func(addr uint64, v byte) error
+	}{
+		{"host", func(addr uint64, v byte) error { return m.Write(addr, []byte{v}) }},
+		{"guest", m.WriteU8},
+	} {
+		if err := store.write(0x3000, 1); err != nil {
+			t.Fatal(err)
+		}
+		snap := m.SharePage(3)
+		snapped := bytes.Clone(snap)
+		if &snap[0] != &m.PageDataUnsafe(3)[0] || m.SharedPageCount() != 1 {
+			t.Fatalf("%s: SharePage copied the page or did not mark it shared", store.name)
+		}
+		if err := store.write(0x3000, 2); err != nil {
+			t.Fatal(err)
+		}
+		first := m.PageDataUnsafe(3)
+		if &first[0] == &snap[0] || !bytes.Equal(snap, snapped) || first[0] != 2 || m.SharedPageCount() != 0 {
+			t.Fatalf("%s: first store after the share: snapshot %d, live %d, shared %d",
+				store.name, snap[0], first[0], m.SharedPageCount())
+		}
+		if err := store.write(0x3001, snapped[1]+1); err != nil {
+			t.Fatal(err)
+		}
+		if later := m.PageDataUnsafe(3); &later[0] != &first[0] || later[1] != snapped[1]+1 || !bytes.Equal(snap, snapped) {
+			t.Fatalf("%s: a later store copied the page again or reached the snapshot", store.name)
+		}
 	}
-	if err := m.Write(0x5ff8, make([]byte, 16)); err != nil { // crosses into page 6
-		t.Fatal(err)
-	}
-	dirty := m.SnapshotDirty()
-	if len(dirty) != 3 || dirty[0] != 3 || dirty[1] != 5 || dirty[2] != 6 {
-		t.Fatalf("SnapshotDirty = %v, want [3 5 6]", dirty)
-	}
-	if n := len(m.DirtyPages()); n != 0 {
-		t.Fatalf("bitmap not cleared: %d", n)
-	}
-	// No writes since the snapshot: an idle memory reports nothing.
-	if dirty := m.SnapshotDirty(); len(dirty) != 0 {
-		t.Fatalf("idle SnapshotDirty = %v", dirty)
-	}
-	// Reads of already-populated pages stay clean; SetPage dirties.
+	// Reads share nothing and copy nothing.
+	before := &m.PageDataUnsafe(3)[0]
 	if _, err := m.Read(0x3000, 8); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(m.DirtyPages()); n != 0 {
-		t.Fatalf("read dirtied pages: %d", n)
+	if &m.PageDataUnsafe(3)[0] != before || m.SharedPageCount() != 0 {
+		t.Fatal("a read changed the page's backing")
 	}
-	if err := m.SetPage(9, make([]byte, PageSize)); err != nil {
-		t.Fatal(err)
-	}
-	if dirty := m.SnapshotDirty(); len(dirty) != 1 || dirty[0] != 9 {
-		t.Fatalf("SetPage dirty = %v, want [9]", dirty)
-	}
-	// A page dirtied then unmapped is not reported (no backing left).
-	if err := m.Write(0x4000, []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Unmap(0x4000, 0x5000); err != nil {
-		t.Fatal(err)
-	}
-	if dirty := m.SnapshotDirty(); len(dirty) != 0 {
-		t.Fatalf("unmapped page reported dirty: %v", dirty)
-	}
-	// Clone carries the bitmap.
-	if err := m.Write(0x3000, []byte{2}); err != nil {
-		t.Fatal(err)
-	}
-	c := m.CloneCoW()
-	if dirty := c.SnapshotDirty(); len(dirty) != 1 || dirty[0] != 3 {
-		t.Fatalf("clone dirty = %v, want [3]", dirty)
-	}
-	if n := len(m.DirtyPages()); n != 1 {
-		t.Fatalf("clone snapshot leaked into original: %d", n)
+	// An unpopulated page has nothing to share.
+	if m.SharePage(9) != nil {
+		t.Fatal("SharePage populated a page")
 	}
 }
 

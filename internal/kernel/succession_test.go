@@ -45,7 +45,6 @@ func restoreAfter(t *testing.T, m *Machine, p *Process, vmas []VMA, edit func(pn
 	for s, act := range p.Sigactions() {
 		q.SetSigaction(s, act)
 	}
-	q.mem.ClearDirty()
 	q.Succeed(p)
 	m.Remove(p.PID())
 	return q
@@ -116,9 +115,9 @@ func successionRun(t *testing.T, src string, steps uint64, vmas func([]VMA) []VM
 	if machines[0].Clock() != machines[1].Clock() {
 		t.Fatalf("clock diverged: %d vs %d", machines[0].Clock(), machines[1].Clock())
 	}
-	if !slices.Equal(ref.mem.DirtyPages(), tx.mem.DirtyPages()) || !slices.Equal(ref.mem.PopulatedPages(), tx.mem.PopulatedPages()) {
-		t.Fatalf("page state diverged: dirty %#x vs %#x, populated %#x vs %#x",
-			ref.mem.DirtyPages(), tx.mem.DirtyPages(), ref.mem.PopulatedPages(), tx.mem.PopulatedPages())
+	if ref.mem.SharedPageCount() != tx.mem.SharedPageCount() || !slices.Equal(ref.mem.PopulatedPages(), tx.mem.PopulatedPages()) {
+		t.Fatalf("page state diverged: shared %d vs %d, populated %#x vs %#x",
+			ref.mem.SharedPageCount(), tx.mem.SharedPageCount(), ref.mem.PopulatedPages(), tx.mem.PopulatedPages())
 	}
 	if len(s.before) == 0 {
 		t.Fatal("the predecessor cached nothing")

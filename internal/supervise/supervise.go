@@ -245,9 +245,8 @@ func New(m *kernel.Machine, cust *core.Customizer, cfg Config) *Supervisor {
 
 // Attach snapshots the guest's current state as the last-good images
 // and installs the supervisor on the machine's tick watchdog. The
-// snapshot goes through Customizer.Checkpoint, so the customizer's
-// incremental-dump parent stays coherent. Attach before the
-// first DisableFeature: the last-good anchor should be the full,
+// snapshot goes through Customizer.Checkpoint, which validates it
+// against the machine. Attach before the first DisableFeature: the last-good anchor should be the full,
 // known-healthy service.
 func (s *Supervisor) Attach() error {
 	if s.attached {

@@ -91,16 +91,11 @@ func run() error {
 
 	// --- The customization travelled with the image -------------------
 	probe := func(req string) string {
-		conn, err := dst.Dial(app.Config.Port)
+		resp, _, err := dst.Exchange(app.Config.Port, []byte(req), 2_000_000)
 		if err != nil {
-			return "dial error: " + err.Error()
+			return "error: " + err.Error()
 		}
-		defer conn.Close()
-		if _, err := conn.Write([]byte(req)); err != nil {
-			return "write error"
-		}
-		dst.RunUntil(func() bool { return len(conn.ReadAllPeek()) > 0 }, 2_000_000)
-		return strings.TrimSpace(string(conn.ReadAll()))
+		return strings.TrimSpace(string(resp))
 	}
 	fmt.Printf("machine B: %-14q -> %q\n", "GET /", probe("GET /\n"))
 	fmt.Printf("machine B: %-14q -> %q\n", "PUT /f evil", probe("PUT /f evil\n"))

@@ -17,6 +17,14 @@ var (
 	ErrNotListening = errors.New("kernel: no listener on port")
 	ErrConnClosed   = errors.New("kernel: connection closed")
 	ErrBadFD        = errors.New("kernel: bad file descriptor")
+	// ErrNoResponse: the guest closed an exchange's connection without
+	// sending a byte.
+	ErrNoResponse = errors.New("kernel: no response from guest")
+	// ErrTruncatedResponse: an exchange's budget ran out while the
+	// guest was still writing (connection open, no quiet window). The
+	// partial body is returned alongside it, so callers can tell "slow
+	// but correct" from "served and complete".
+	ErrTruncatedResponse = errors.New("kernel: response truncated by request budget")
 )
 
 type network struct {
@@ -142,6 +150,68 @@ func (hc *HostConn) Closed() bool {
 
 // ID returns the connection's stable identifier (used by TCP repair).
 func (hc *HostConn) ID() uint64 { return hc.c.id }
+
+// QuietTicks is the quiet window of an Exchange: once a response has
+// bytes, a window this long with no new byte ends it. It must exceed
+// the longest computation a guest performs between two segments of
+// one response.
+const QuietTicks = 50_000
+
+// Exchange is the synchronous host client: it dials port, sends req
+// and runs the machine until the response is complete, spending at
+// most budget ticks on the whole exchange. It runs until the first
+// byte or a close, then grants QuietTicks windows for as long as
+// bytes keep arriving. The response is complete on a close, on a full
+// quiet window, or when the machine retires no step: a blocked guest
+// can never send another byte. lastByte is the clock when the last
+// byte was seen (the clock at the call if none was).
+//
+// A guest that closes without a byte yields ErrNoResponse; one that
+// goes idle without answering yields an empty response and a nil
+// error, and the caller decides what that means. When the budget runs
+// out mid-response, the partial body comes with ErrTruncatedResponse.
+func (m *Machine) Exchange(port uint16, req []byte, budget uint64) (resp []byte, lastByte uint64, err error) {
+	hc, err := m.Dial(port)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer hc.Close()
+	if _, err := hc.Write(req); err != nil {
+		return nil, 0, err
+	}
+	// Peek, never drain, while running: the peer's close is read from
+	// the connection itself, so the body is handed out once at the end.
+	c := hc.c
+	start := m.clock
+	lastByte = start
+	got, quiet := 0, false
+	arrived := func() bool { return len(c.b2a) > got || c.bClosed }
+	m.RunUntil(arrived, budget)
+	for {
+		if n := len(c.b2a); n > got {
+			got, lastByte = n, m.clock
+		}
+		used := m.clock - start
+		if c.bClosed || used >= budget {
+			break
+		}
+		window := min(QuietTicks, budget-used)
+		before := m.clock
+		m.RunUntil(arrived, window)
+		if len(c.b2a) == got && (window == QuietTicks || m.clock == before) {
+			quiet = true
+			break
+		}
+	}
+	resp = hc.ReadAll()
+	switch {
+	case got == 0 && c.bClosed:
+		err = ErrNoResponse
+	case !c.bClosed && !quiet:
+		err = fmt.Errorf("%w after %d ticks (%d bytes read)", ErrTruncatedResponse, budget, got)
+	}
+	return resp, lastByte, err
+}
 
 // File descriptors ------------------------------------------------------
 

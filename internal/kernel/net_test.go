@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -17,6 +18,73 @@ func bootEcho(t *testing.T) (*Machine, *Process) {
 	m.Run(10000)
 	return m, p
 }
+
+// TestExchangeOutcomes: one exchange per outcome the callers map —
+// a complete response, an idle guest that never answers, a guest that
+// closes without a byte, and a budget that runs out first.
+func TestExchangeOutcomes(t *testing.T) {
+	m, _ := bootEcho(t)
+	start := m.Clock()
+	resp, lastByte, err := m.Exchange(8080, []byte("hello"), 1_000_000)
+	if err != nil || string(resp) != "hello" {
+		t.Fatalf("echo = %q, %v", resp, err)
+	}
+	if lastByte <= start || lastByte > m.Clock() {
+		t.Fatalf("lastByte = %d, want in (%d, %d]", lastByte, start, m.Clock())
+	}
+	// An empty request leaves the echo server blocked in read: the
+	// machine goes idle, and the exchange ends at once without a byte.
+	before := m.Clock()
+	if resp, _, err := m.Exchange(8080, nil, 1_000_000); err != nil || len(resp) != 0 {
+		t.Fatalf("idle guest = %q, %v; want empty, nil", resp, err)
+	}
+	if m.Clock()-before >= QuietTicks {
+		t.Fatalf("idle exchange ran %d ticks", m.Clock()-before)
+	}
+	if _, _, err := m.Exchange(9999, []byte("x"), 1_000_000); !errors.Is(err, ErrNotListening) {
+		t.Fatalf("dial error = %v", err)
+	}
+
+	m, _ = bootEcho(t)
+	if resp, _, err := m.Exchange(8080, []byte("hello"), 10); !errors.Is(err, ErrTruncatedResponse) || len(resp) != 0 {
+		t.Fatalf("tiny budget = %q, %v; want empty, ErrTruncatedResponse", resp, err)
+	}
+
+	m = NewMachine()
+	if _, err := m.Load(buildExe(t, "closer", closerServerSrc)); err != nil {
+		t.Fatal(err)
+	}
+	m.Run(10000)
+	if resp, _, err := m.Exchange(8080, []byte("hello"), 1_000_000); !errors.Is(err, ErrNoResponse) || len(resp) != 0 {
+		t.Fatalf("closer = %q, %v; want empty, ErrNoResponse", resp, err)
+	}
+}
+
+// closerServerSrc accepts each connection and closes it unanswered.
+const closerServerSrc = `
+.text
+.global _start
+_start:
+	mov r0, 4            ; socket
+	syscall
+	mov r8, r0
+	mov r0, 5            ; bind
+	mov r1, r8
+	mov r2, 8080
+	syscall
+	mov r0, 6            ; listen
+	mov r1, r8
+	syscall
+loop:
+	mov r0, 7            ; accept
+	mov r1, r8
+	syscall
+	mov r9, r0
+	mov r0, 8            ; close unanswered
+	mov r1, r9
+	syscall
+	jmp loop
+`
 
 func TestHostConnWriteAfterGuestExit(t *testing.T) {
 	m, p := bootEcho(t)

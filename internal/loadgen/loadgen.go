@@ -198,11 +198,6 @@ type Driver struct {
 	// would burn before timing out — so bucket windows stay aligned no
 	// matter how cheaply a request fails.
 	RequestBudget uint64
-	// DrainTicks is the quiet window: once a response has bytes, the
-	// driver keeps granting DrainTicks-sized windows as long as new
-	// bytes keep arriving, and declares the response complete after a
-	// full window with none (0 = 50_000, matching Session's drain).
-	DrainTicks uint64
 	// Observer, when non-nil, receives per-request trace points
 	// (loadgen.request / loadgen.error) and the loadgen.latency
 	// histogram, so a run lands on the same mergeable timeline as the
@@ -217,12 +212,10 @@ type Driver struct {
 var (
 	ErrNoMix = errors.New("loadgen: driver needs a mix")
 	// ErrTruncated marks a response whose connection was still open and
-	// still mid-write when the request budget ran out.
-	ErrTruncated = errors.New("loadgen: response truncated by request budget")
+	// still mid-write when the request budget ran out; it is the
+	// exchange's own kernel.ErrTruncatedResponse.
+	ErrTruncated = kernel.ErrTruncatedResponse
 )
-
-// defaultDrainTicks matches Session.requestOnce's drain window.
-const defaultDrainTicks = 50_000
 
 // Run drives the workload for the given number of buckets.
 func (d *Driver) Run(buckets int) (*Result, error) {
@@ -284,83 +277,18 @@ func (d *Driver) Run(buckets int) (*Result, error) {
 }
 
 // one issues a single request and returns its latency in guest
-// instructions, measured to the last response byte: the response is
-// drained adaptively (like Session.requestOnce) so multi-segment
-// responses are fully read instead of being scored at time-to-first-
-// byte and closed with unread data.
+// instructions, measured to the last response byte of a full exchange
+// (Machine.Exchange). A guest that goes idle without answering fails
+// the request.
 func (d *Driver) one() (uint64, error) {
-	conn, err := d.Machine.Dial(d.Port)
-	if err != nil {
-		return 0, err
-	}
-	defer conn.Close()
 	payload := d.Mix.Next()
 	t0 := d.Machine.Clock()
-	if _, err := conn.Write([]byte(payload)); err != nil {
-		return 0, err
+	resp, lastByte, err := d.Machine.Exchange(d.Port, []byte(payload), d.RequestBudget)
+	if err == nil && len(resp) == 0 {
+		err = kernel.ErrNoResponse
 	}
-	drain := d.DrainTicks
-	if drain == 0 {
-		drain = defaultDrainTicks
-	}
-	budgetLeft := func() uint64 {
-		used := d.Machine.Clock() - t0
-		if used >= d.RequestBudget {
-			return 0
-		}
-		return d.RequestBudget - used
-	}
-	// Drain response bytes as they arrive (ReadAll, not a peek): the
-	// guest's close is only observable once the buffer is empty, and a
-	// closing server is the fast path — completion at the close, no
-	// quiet window paid.
-	got := 0
-	lastByte := t0
-	collect := func() bool {
-		b := conn.ReadAll()
-		if len(b) == 0 {
-			return false
-		}
-		got += len(b)
-		lastByte = d.Machine.Clock()
-		return true
-	}
-	d.Machine.RunUntil(func() bool {
-		return len(conn.ReadAllPeek()) > 0 || conn.Closed()
-	}, d.RequestBudget)
-	collect()
-	quiet := false // no more bytes are coming: the response is done
-	for !conn.Closed() {
-		left := budgetLeft()
-		if left == 0 {
-			break
-		}
-		window := drain
-		if window > left {
-			window = left
-		}
-		before := d.Machine.Clock()
-		d.Machine.RunUntil(func() bool {
-			return len(conn.ReadAllPeek()) > 0 || conn.Closed()
-		}, window)
-		if collect() {
-			continue
-		}
-		// Quiet when a full drain window passed with no new bytes, or
-		// when the machine went fully idle (no steps executed): a
-		// blocked guest holding our only connection can never produce
-		// another byte, so waiting longer — at any window size — is
-		// pointless and would spin the loop with the clock frozen.
-		if window == drain || d.Machine.Clock() == before {
-			quiet = true
-			break
-		}
-	}
-	if got == 0 {
-		return 0, fmt.Errorf("no response to %q", payload)
-	}
-	if !conn.Closed() && !quiet && budgetLeft() == 0 {
-		return 0, fmt.Errorf("%w: %q got %d bytes in %d ticks", ErrTruncated, payload, got, d.RequestBudget)
+	if err != nil {
+		return 0, fmt.Errorf("request %q: %w", payload, err)
 	}
 	return lastByte - t0, nil
 }

@@ -33,9 +33,6 @@ type OpenDriver struct {
 	// RequestBudget bounds the vticks one request may wait before it is
 	// failed (0 = 2_000_000).
 	RequestBudget uint64
-	// DrainTicks is the quiet window: a response with bytes and no new
-	// ones for DrainTicks is complete (0 = 50_000).
-	DrainTicks uint64
 	// MaxInFlight bounds the in-flight window; arrivals beyond it are
 	// dropped, not queued (0 = 8).
 	MaxInFlight int
@@ -80,9 +77,6 @@ func (d *OpenDriver) Run(horizon uint64) (*Result, error) {
 	}
 	if d.RequestBudget == 0 {
 		d.RequestBudget = 2_000_000
-	}
-	if d.DrainTicks == 0 {
-		d.DrainTicks = defaultDrainTicks
 	}
 	if d.MaxInFlight == 0 {
 		d.MaxInFlight = 8
@@ -202,9 +196,13 @@ func (d *OpenDriver) pumpTo(target uint64, pending *[]*flight, res *Result, star
 }
 
 // poll sweeps the in-flight window: collect newly arrived bytes,
-// resolve completions (guest closed, quiet for a full drain window,
-// or byteful while the machine is idle) and expire requests that
-// outran their budget.
+// resolve completions (guest closed, quiet for a full
+// kernel.QuietTicks window, or byteful while the machine is idle) and
+// expire requests that outran their budget. It is not
+// Machine.Exchange: many requests share the machine here and pumpTo
+// force-advances the clock, so an idle machine does not end a flight
+// that has no byte yet — a later arrival or a hook may still wake the
+// guest before that flight's budget runs out.
 func (d *OpenDriver) poll(pending *[]*flight, res *Result, start uint64, idle bool) {
 	now := d.Machine.Clock()
 	kept := (*pending)[:0]
@@ -220,7 +218,7 @@ func (d *OpenDriver) poll(pending *[]*flight, res *Result, start uint64, idle bo
 			} else {
 				d.complete(f, res, start)
 			}
-		case f.got > 0 && (idle || now-f.lastByte >= d.DrainTicks):
+		case f.got > 0 && (idle || now-f.lastByte >= kernel.QuietTicks):
 			// Quiet for a full drain window — or the machine is idle,
 			// which proves no more bytes are coming: the response is
 			// done even though the guest kept the connection open.

@@ -6,50 +6,28 @@ import (
 	"sync"
 )
 
-// Pool drives per-replica workloads across a fleet: one Driver per
-// replica machine, run concurrently under a bounded worker count.
-// Machines are fully independent (each replica has its own virtual
-// clock and network), so drivers never contend on guest state — the
-// bound only models a load-generation host with finite parallelism.
-type Pool struct {
-	Drivers []*Driver
-	// Workers bounds how many drivers run concurrently (0 = all).
-	Workers int
-}
-
-// Run drives every driver for the given number of buckets and returns
-// the per-replica results in driver order. A driver failure leaves a
-// nil slot; the other replicas still complete, and the returned error
-// joins every per-replica failure (each wrapped with its replica
-// index), so errors.Is/As see all of them, not just the first.
-func (p *Pool) Run(buckets int) ([]*Result, error) {
-	return runPool(len(p.Drivers), p.Workers, func(i int) (*Result, error) {
-		return p.Drivers[i].Run(buckets)
-	})
-}
-
-// OpenPool is Pool for open-loop drivers: every replica is driven by
-// its own schedule-following OpenDriver over the same horizon.
+// OpenPool drives per-replica workloads across a fleet: one
+// schedule-following OpenDriver per replica machine, all over the same
+// horizon, run concurrently under a bounded worker count. Machines are
+// fully independent (each replica has its own virtual clock and
+// network), so drivers never contend on guest state — the bound only
+// models a load-generation host with finite parallelism.
 type OpenPool struct {
 	Drivers []*OpenDriver
 	// Workers bounds how many drivers run concurrently (0 = all).
 	Workers int
 }
 
-// Run drives every open-loop driver for horizon vticks. Same contract
-// as Pool.Run: per-replica results in driver order, nil slots and a
-// joined error for failures.
+// Run drives every open-loop driver for horizon vticks and returns the
+// per-replica results in driver order. A driver failure leaves a nil
+// slot; the other replicas still complete, and the returned error
+// joins every per-replica failure (each wrapped with its replica
+// index), so errors.Is/As see all of them, not just the first.
 func (p *OpenPool) Run(horizon uint64) ([]*Result, error) {
-	return runPool(len(p.Drivers), p.Workers, func(i int) (*Result, error) {
-		return p.Drivers[i].Run(horizon)
-	})
-}
-
-// runPool fans one run function out over n drivers under a bounded
-// worker count and joins the per-replica failures.
-func runPool(n, workers int, run func(i int) (*Result, error)) ([]*Result, error) {
+	n := len(p.Drivers)
 	results := make([]*Result, n)
 	errs := make([]error, n)
+	workers := p.Workers
 	if workers <= 0 || workers > n {
 		workers = n
 	}
@@ -64,7 +42,7 @@ func runPool(n, workers int, run func(i int) (*Result, error)) ([]*Result, error
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			res, err := run(i)
+			res, err := p.Drivers[i].Run(horizon)
 			if err != nil {
 				err = fmt.Errorf("loadgen: replica %d: %w", i, err)
 			}

@@ -71,13 +71,11 @@ type Config struct {
 	Mix *loadgen.Mix
 	// Horizon is the load run length in vticks (required).
 	Horizon uint64
-	// BucketTicks, RequestBudget, MaxInFlight, PollTicks pass through
-	// to each replica's loadgen.OpenDriver (zeros = that driver's
-	// defaults).
-	BucketTicks   uint64
-	RequestBudget uint64
-	MaxInFlight   int
-	PollTicks     uint64
+	// BucketTicks and PollTicks pass through to each replica's
+	// loadgen.OpenDriver (zeros = that driver's defaults); its request
+	// budget and in-flight window keep their defaults.
+	BucketTicks uint64
+	PollTicks   uint64
 }
 
 // Harness errors.
@@ -253,14 +251,12 @@ func SteadyState(f *fleet.Fleet, cfg Config) (*Report, error) {
 	pool := &loadgen.OpenPool{}
 	for _, r := range f.Replicas() {
 		pool.Drivers = append(pool.Drivers, &loadgen.OpenDriver{
-			Machine:       r.Machine.Clone(),
-			Port:          cfg.Port,
-			Schedule:      cfg.Schedule,
-			Mix:           cloneMix(cfg.Mix),
-			BucketTicks:   cfg.BucketTicks,
-			RequestBudget: cfg.RequestBudget,
-			MaxInFlight:   cfg.MaxInFlight,
-			PollTicks:     cfg.PollTicks,
+			Machine:     r.Machine.Clone(),
+			Port:        cfg.Port,
+			Schedule:    cfg.Schedule,
+			Mix:         cloneMix(cfg.Mix),
+			BucketTicks: cfg.BucketTicks,
+			PollTicks:   cfg.PollTicks,
 		})
 	}
 	results, err := pool.Run(cfg.Horizon)
@@ -278,15 +274,13 @@ func SteadyState(f *fleet.Fleet, cfg Config) (*Report, error) {
 func (h *harness) driver(i int, r *fleet.Replica) *loadgen.OpenDriver {
 	held := false
 	return &loadgen.OpenDriver{
-		Machine:       r.Machine,
-		Port:          h.cfg.Port,
-		Schedule:      h.cfg.Schedule,
-		Mix:           cloneMix(h.cfg.Mix),
-		BucketTicks:   h.cfg.BucketTicks,
-		RequestBudget: h.cfg.RequestBudget,
-		MaxInFlight:   h.cfg.MaxInFlight,
-		PollTicks:     h.cfg.PollTicks,
-		Observer:      r.Obs,
+		Machine:     r.Machine,
+		Port:        h.cfg.Port,
+		Schedule:    h.cfg.Schedule,
+		Mix:         cloneMix(h.cfg.Mix),
+		BucketTicks: h.cfg.BucketTicks,
+		PollTicks:   h.cfg.PollTicks,
+		Observer:    r.Obs,
 		Hook: func(offset uint64) error {
 			if held || offset < h.holdAt() {
 				return nil

@@ -1,11 +1,12 @@
 package dynacut
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 
 	"github.com/dynacut/dynacut/internal/coverage"
+	"github.com/dynacut/dynacut/internal/kernel"
 	"github.com/dynacut/dynacut/internal/trace"
 )
 
@@ -33,20 +34,18 @@ type Session struct {
 // Session errors.
 var (
 	ErrBootTimeout = errors.New("dynacut: guest never finished initialization")
-	ErrNoResponse  = errors.New("dynacut: no response from guest")
-	// ErrTruncatedResponse: the per-request instruction budget ran out
-	// before the guest finished writing (no quiet drain window was
-	// observed and the connection is still open). The partial body is
-	// returned alongside the error, so callers can distinguish "slow
-	// but correct" from "served and complete".
-	ErrTruncatedResponse = errors.New("dynacut: response truncated by request budget")
+	// ErrNoResponse and ErrTruncatedResponse are the exchange's own
+	// errors (kernel.ErrNoResponse, kernel.ErrTruncatedResponse), so
+	// errors.Is holds across layers.
+	ErrNoResponse        = kernel.ErrNoResponse
+	ErrTruncatedResponse = kernel.ErrTruncatedResponse
 )
 
-// bootBudget bounds guest instruction counts for boot and request
-// handling.
+// Guest tick budgets: boot, one Session request, one HealthProbe.
 const (
 	bootBudget    = 50_000_000
 	requestBudget = 5_000_000
+	probeBudget   = 2_000_000
 )
 
 // StartServer loads the executable plus libraries into a fresh
@@ -126,78 +125,13 @@ func (s *Session) Root() (*Process, error) {
 }
 
 // Request opens a connection, sends one request, runs the machine
-// until a response (or close) arrives, and returns the response. The
-// outcome is also recorded in s.LastErr.
+// until the response is complete (Machine.Exchange) and returns it. A
+// guest that goes idle without answering yields "" and a nil error.
+// The outcome is also recorded in s.LastErr.
 func (s *Session) Request(req string) (string, error) {
-	resp, err := s.requestOnce(req)
+	resp, _, err := s.Machine.Exchange(s.Port, []byte(req), requestBudget)
 	s.LastErr = err
-	return resp, err
-}
-
-// drainWindow is how long requestOnce keeps running the guest while
-// waiting for the next response byte before concluding the response
-// is complete. It must comfortably exceed the longest inter-segment
-// computation a guest performs mid-response.
-const drainWindow = 50_000
-
-func (s *Session) requestOnce(req string) (string, error) {
-	conn, err := s.Machine.Dial(s.Port)
-	if err != nil {
-		return "", err
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte(req)); err != nil {
-		return "", err
-	}
-	// Run until the first byte (or close), then drain adaptively: as
-	// long as bytes keep arriving, keep granting drain windows — a
-	// fixed post-first-byte budget would truncate responses written in
-	// several segments. The whole exchange stays bounded by
-	// requestBudget of guest ticks.
-	start := s.Machine.Clock()
-	budgetLeft := func() uint64 {
-		used := s.Machine.Clock() - start
-		if used >= requestBudget {
-			return 0
-		}
-		return requestBudget - used
-	}
-	s.Machine.RunUntil(func() bool {
-		return len(conn.ReadAllPeek()) > 0 || conn.Closed()
-	}, requestBudget)
-	got := len(conn.ReadAllPeek())
-	quiet := false // a full drain window passed with no new bytes
-	for !conn.Closed() {
-		left := budgetLeft()
-		if left == 0 {
-			break
-		}
-		window := uint64(drainWindow)
-		if window > left {
-			window = left
-		}
-		s.Machine.RunUntil(func() bool {
-			return len(conn.ReadAllPeek()) > got || conn.Closed()
-		}, window)
-		n := len(conn.ReadAllPeek())
-		if n == got && window == drainWindow {
-			quiet = true // a full quiet window: the response is done
-			break
-		}
-		got = n
-	}
-	resp := string(conn.ReadAll())
-	if resp == "" && conn.Closed() {
-		return "", ErrNoResponse
-	}
-	// Budget exhaustion is not completion: if the guest was still
-	// mid-response (connection open, never a quiet window), the body
-	// is partial — say so instead of passing it off as success.
-	if !conn.Closed() && !quiet && budgetLeft() == 0 {
-		return resp, fmt.Errorf("%w after %d ticks (%d bytes read)",
-			ErrTruncatedResponse, uint64(requestBudget), len(resp))
-	}
-	return resp, nil
+	return string(resp), err
 }
 
 // MustRequest is Request for flows that treat failure as fatal
@@ -224,14 +158,7 @@ func (s *Session) CanaryProbe(req, want string) func(m *Machine, pid int) error 
 		// rewrite, and a routine canary success (or its transient
 		// failure, already reported via the transaction's own error
 		// path) must not clobber the LastErr the caller is tracking.
-		resp, err := s.requestOnce(req)
-		if err != nil {
-			return fmt.Errorf("canary %q: %w", req, err)
-		}
-		if !strings.Contains(resp, want) {
-			return fmt.Errorf("canary %q: response %q does not contain %q", req, resp, want)
-		}
-		return nil
+		return expect(m, s.Port, requestBudget, "canary", req, want)
 	}
 }
 
@@ -240,23 +167,11 @@ func (s *Session) CanaryProbe(req, want string) func(m *Machine, pid int) error 
 // deliberately bound to its session's machine, the probe dials
 // whatever machine it is invoked on — so one probe serves every CoW
 // replica of a fleet rollout. Each call opens a fresh connection,
-// sends req, pumps the virtual clock until the guest answers, and
+// sends req, runs the guest until the response is complete, and
 // fails unless the response contains want.
 func HealthProbe(port uint16, req, want string) func(m *Machine, pid int) error {
 	return func(m *Machine, pid int) error {
-		conn, err := m.Dial(port)
-		if err != nil {
-			return fmt.Errorf("probe %q: %w", req, err)
-		}
-		if _, err := conn.Write([]byte(req)); err != nil {
-			return fmt.Errorf("probe %q: %w", req, err)
-		}
-		m.RunUntil(func() bool { return len(conn.ReadAllPeek()) > 0 || conn.Closed() }, 2_000_000)
-		m.Run(20000)
-		if resp := string(conn.ReadAll()); !strings.Contains(resp, want) {
-			return fmt.Errorf("probe %q: response %q does not contain %q", req, resp, want)
-		}
-		return nil
+		return expect(m, port, probeBudget, "probe", req, want)
 	}
 }
 
@@ -268,15 +183,21 @@ func HealthProbe(port uint16, req, want string) func(m *Machine, pid int) error 
 // application flow is tracking.
 func (s *Session) Canary(req, want string) func() error {
 	return func() error {
-		resp, err := s.requestOnce(req)
-		if err != nil {
-			return fmt.Errorf("canary %q: %w", req, err)
-		}
-		if !strings.Contains(resp, want) {
-			return fmt.Errorf("canary %q: response %q does not contain %q", req, resp, want)
-		}
-		return nil
+		return expect(s.Machine, s.Port, requestBudget, "canary", req, want)
 	}
+}
+
+// expect runs one exchange of req with the guest on port and fails,
+// labelled kind, unless the response contains want.
+func expect(m *Machine, port uint16, budget uint64, kind, req, want string) error {
+	resp, _, err := m.Exchange(port, []byte(req), budget)
+	if err != nil {
+		return fmt.Errorf("%s %q: %w", kind, req, err)
+	}
+	if !bytes.Contains(resp, []byte(want)) {
+		return fmt.Errorf("%s %q: response %q does not contain %q", kind, req, resp, want)
+	}
+	return nil
 }
 
 // SnapshotPhase captures and clears the coverage collected since the

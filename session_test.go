@@ -362,3 +362,103 @@ buf: .space 16
 		t.Fatalf("LastErr = %v, want ErrTruncatedResponse", sess.LastErr)
 	}
 }
+
+// TestRequestEndsWhenGuestIdlesNearBudget: a guest that answers inside
+// the last quiet window of the request budget and then blocks in read
+// with the connection open must end the request with that byte and a
+// nil error. Regression: the drain loop kept granting shrinking
+// windows to an idle machine whose clock no longer moved, and Request
+// never returned.
+func TestRequestEndsWhenGuestIdlesNearBudget(t *testing.T) {
+	exe, err := Assemble("lated", `
+.text
+.global _start
+_start:
+	mov r0, 4
+	syscall
+	mov r8, r0
+	mov r0, 5
+	mov r1, r8
+	mov r2, 7575
+	syscall
+	mov r0, 15
+	mov r1, 0
+	syscall              ; nudge: init done
+	mov r0, 7
+	mov r1, r8
+	syscall
+	mov r9, r0
+	mov r0, 3
+	mov r1, r9
+	mov r2, =buf
+	mov r3, 16
+	syscall
+	mov r10, 0           ; spin ~4.96M ticks of the 5M budget
+spin:
+	add r10, 1
+	cmp r10, 1653000
+	jl spin
+	mov r0, 2
+	mov r1, r9
+	lea r2, ok
+	mov r3, 1
+	syscall
+	mov r0, 3            ; block reading the open connection
+	mov r1, r9
+	mov r2, =buf
+	mov r3, 16
+	syscall
+	jmp spin
+.rodata
+ok: .ascii "!"
+.bss
+buf: .space 16
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := StartServer(exe, nil, 7575)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := sess.Request("ping\n")
+	if err != nil {
+		t.Fatalf("request error = %v, want nil", err)
+	}
+	if resp != "!" {
+		t.Fatalf("response = %q, want %q", resp, "!")
+	}
+}
+
+// TestRequestAllocs pins Request's allocations per exchange with the
+// tracer detached: 9 for a kvstore GET, 8 for a webserv GET.
+func TestRequestAllocs(t *testing.T) {
+	kv, err := BuildKVStore(KVStoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	web, err := BuildWebServer(WebServerConfig{Port: 8080})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		exe, libc *Binary
+		port      uint16
+		req       string
+		max       float64
+	}{
+		{kv.Exe, kv.Libc, kv.Config.Port, "GET a\n", 9},
+		{web.Exe, web.Libc, web.Config.Port, "GET /\n", 8},
+	} {
+		sess, err := StartServer(c.exe, []*Binary{c.libc}, c.port)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.Machine.SetTracer(nil)
+		sess.Machine.SetExecMode(ModeTranslate)
+		sess.MustRequest(c.req)
+		if got := testing.AllocsPerRun(50, func() { sess.MustRequest(c.req) }); got > c.max {
+			t.Errorf("%s %q: %.1f allocs per request, want <= %.0f", c.exe.Name, c.req, got, c.max)
+		}
+	}
+}

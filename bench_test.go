@@ -669,7 +669,7 @@ func BenchmarkFleetControllerScale(b *testing.B) {
 					b.ReportMetric(float64(res.SerialTicks), "serial-vticks")
 					b.ReportMetric(float64(res.FleetTicks), "fleet-vticks")
 					b.ReportMetric(float64(res.SerialTicks)/float64(res.FleetTicks), "vtick-speedup")
-					b.ReportMetric(float64(j.Len()), "journal-records")
+					b.ReportMetric(float64(len(j.Records())), "journal-records")
 					b.ReportMetric(float64(len(j.Bytes())), "journal-bytes")
 				}
 			}

@@ -222,6 +222,9 @@ func dump(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// A dump needs only the guest parked on its accept loop, so it boots
+	// with the paper's §5 automation: the end of initialization is the
+	// guest's first accept, and no nudge from the guest is needed.
 	var (
 		sess *dynacut.Session
 		err  error
@@ -235,13 +238,13 @@ func dump(args []string) error {
 		var app *dynacut.WebServerApp
 		app, err = dynacut.BuildWebServer(dynacut.WebServerConfig{Name: *appName, Port: 8080, Workers: workers})
 		if err == nil {
-			sess, err = dynacut.StartServer(app.Exe, []*dynacut.Binary{app.Libc}, 8080)
+			sess, err = dynacut.StartServerAuto(app.Exe, []*dynacut.Binary{app.Libc}, 8080)
 		}
 	case "kvstore":
 		var app *dynacut.KVStoreApp
 		app, err = dynacut.BuildKVStore(dynacut.KVStoreConfig{})
 		if err == nil {
-			sess, err = dynacut.StartServer(app.Exe, []*dynacut.Binary{app.Libc}, app.Config.Port)
+			sess, err = dynacut.StartServerAuto(app.Exe, []*dynacut.Binary{app.Libc}, app.Config.Port)
 		}
 	default:
 		return fmt.Errorf("unknown app %q", *appName)

@@ -210,7 +210,7 @@ var (
 	// open and under probation.
 	ErrQuarantined = supervise.ErrQuarantined
 	// ErrDisarmed: DisableFeature refused — the degradation ladder
-	// switched patching off; Rearm to resume.
+	// switched patching off for good.
 	ErrDisarmed = supervise.ErrDisarmed
 	// ErrControllerCrashed: the rollout controller died mid-rollout
 	// (injected crash or torn journal append); resume from its journal

@@ -86,17 +86,6 @@ type AttestReport struct {
 // Clean reports whether the sweep found no divergence.
 func (r *AttestReport) Clean() bool { return len(r.Mismatches) == 0 }
 
-// Repairable counts mismatches whose content is a known prior version.
-func (r *AttestReport) Repairable() int {
-	n := 0
-	for _, m := range r.Mismatches {
-		if m.Verdict == PageRepairable {
-			n++
-		}
-	}
-	return n
-}
-
 // Foreign counts mismatches with unknown bytes.
 func (r *AttestReport) Foreign() int {
 	n := 0

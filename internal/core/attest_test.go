@@ -165,7 +165,7 @@ func TestAttestClassifiesPriorVersionRepairable(t *testing.T) {
 func TestAttestInjectedBitflipSiteIsSilent(t *testing.T) {
 	tb, _, c := liveTestbed(t, webserv.Config{Name: "lighttpd", Port: 9323}, Options{})
 	inj := faultinject.New(7)
-	inj.FailOnce(faultinject.SiteTextBitflip)
+	inj.FailAt(faultinject.SiteTextBitflip, 1)
 	tb.m.SetFaultHook(inj)
 	defer tb.m.SetFaultHook(nil)
 
@@ -199,7 +199,7 @@ func TestRepairFaultUnwindsAndRetries(t *testing.T) {
 	p.Mem().FlipBits(blocks[0].Addr, 0x10)
 
 	inj := faultinject.New(3)
-	inj.FailOnce(faultinject.SiteAttestRepair)
+	inj.FailAt(faultinject.SiteAttestRepair, 1)
 	tb.m.SetFaultHook(inj)
 	defer tb.m.SetFaultHook(nil)
 
@@ -244,7 +244,7 @@ func TestRepairSurvivesRottenExpectedBlob(t *testing.T) {
 	// Rot the expected blob on its first read: repair's primary source
 	// dies, the pristine+overlay fallback must carry it.
 	inj := faultinject.New(11)
-	inj.FailOnce(faultinject.SiteStoreRot)
+	inj.FailAt(faultinject.SiteStoreRot, 1)
 	c.attestStore().SetFaultHook(inj)
 	defer c.attestStore().SetFaultHook(nil)
 	_ = tb
@@ -344,9 +344,9 @@ func TestAttestLiveRootMatchesOracleAndReport(t *testing.T) {
 	if rep.LiveRoot != lr2 {
 		t.Fatal("Attest's LiveRoot disagrees with LiveRoot()")
 	}
-	if rep.Foreign() != 1 || rep.Repairable() != 0 || rep.Clean() {
-		t.Fatalf("verdict counters: foreign=%d repairable=%d clean=%v, want 1/0/false",
-			rep.Foreign(), rep.Repairable(), rep.Clean())
+	if rep.Foreign() != 1 || len(rep.Mismatches) != 1 || rep.Clean() {
+		t.Fatalf("verdict counters: foreign=%d mismatches=%d clean=%v, want 1/1/false",
+			rep.Foreign(), len(rep.Mismatches), rep.Clean())
 	}
 	for _, m := range rep.Mismatches {
 		if m.Verdict.String() != "foreign" {
@@ -432,7 +432,7 @@ func TestAttestFlipSurvivesFullDumpRollback(t *testing.T) {
 	pn := untouchedTextPage(t, c, entrySpans(blocks))
 	flipAndExpectForeign(t, tb, c, pn, func() error {
 		inj := faultinject.New(1)
-		inj.FailRestoreAtStep(1)
+		inj.FailAt(faultinject.PrefixRestore, 1)
 		tb.m.SetFaultHook(inj)
 		defer tb.m.SetFaultHook(nil)
 		if _, err := c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry); !errors.Is(err, ErrRolledBack) {
@@ -455,7 +455,7 @@ func TestAttestFlipSurvivesFullDumpCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := faultinject.New(1)
-	inj.FailRestoreAtStep(1)
+	inj.FailAt(faultinject.PrefixRestore, 1)
 	tb.m.SetFaultHook(inj)
 	if _, err := c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry); !errors.Is(err, ErrRolledBack) {
 		t.Fatalf("rewrite error = %v, want rolled back", err)
@@ -554,7 +554,7 @@ func TestAttestCommitSealsOnlyEditedPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lib, ok := p.Mem().VMAAt(c.Handler().HandlerAddr)
+	lib, ok := p.Mem().VMAAt(c.handler.HandlerAddr)
 	if !ok {
 		t.Fatal("handler library not mapped")
 	}

@@ -37,9 +37,6 @@ func NewAutoNudge(m *kernel.Machine, trigger uint64, onInit func(pid int)) *Auto
 // init/serving boundary for server programs.
 const DefaultInitEndSyscall = kernel.SysAccept
 
-// Fired reports whether the transition point was observed.
-func (a *AutoNudge) Fired() bool { return a.fired }
-
 func (a *AutoNudge) hook(pid int, nr uint64) {
 	if a.fired || nr != a.trigger {
 		return

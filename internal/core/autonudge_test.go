@@ -38,9 +38,9 @@ func TestAutoNudgeDetectsInitEnd(t *testing.T) {
 		autoInit = coverage.FromLog(col.Snapshot(p.Modules(), "init-auto"))
 	})
 
-	ok := m.RunUntil(func() bool { return an.Fired() && explicitInit != nil }, 10_000_000)
+	ok := m.RunUntil(func() bool { return an.fired && explicitInit != nil }, 10_000_000)
 	if !ok {
-		t.Fatalf("boot detection failed: auto=%v explicit=%v", an.Fired(), explicitInit != nil)
+		t.Fatalf("boot detection failed: auto=%v explicit=%v", an.fired, explicitInit != nil)
 	}
 	if autoInit == nil {
 		t.Fatal("auto snapshot missing")
@@ -73,7 +73,7 @@ func TestAutoNudgeFiresOnce(t *testing.T) {
 	}
 	fired := 0
 	an := NewAutoNudge(m, DefaultInitEndSyscall, func(pid int) { fired++ })
-	m.RunUntil(func() bool { return an.Fired() }, 10_000_000)
+	m.RunUntil(func() bool { return an.fired }, 10_000_000)
 	// Drive a few requests: each accept must NOT re-fire.
 	for i := 0; i < 3; i++ {
 		conn, err := m.Dial(8096)

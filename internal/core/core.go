@@ -303,9 +303,6 @@ func (c *Customizer) point(name string, n int64) {
 // rewrite, since restore creates fresh processes).
 func (c *Customizer) PID() int { return c.pid }
 
-// Handler returns the injected handler state, if any.
-func (c *Customizer) Handler() *Handler { return c.handler }
-
 // Rewrite runs one full checkpoint → edit → restore cycle, applying
 // edit to the frozen images. It is the paper's core primitive: all
 // customization goes through it, and the target's live TCP

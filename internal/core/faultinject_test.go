@@ -50,14 +50,14 @@ func TestChaosSingleFaultInvariant(t *testing.T) {
 		rollback bool // fault lands past the commit point
 		injected bool // final error chains to faultinject.ErrInjected
 	}{
-		{"dump-proc", func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteDumpProc) }, false, true},
-		{"dump-pagemap", func(in *faultinject.Injector) { in.FailPageMap() }, false, true},
-		{"edit-write", func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteEditWrite) }, false, true},
-		{"restore-proc", func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteRestoreProc) }, true, true},
-		{"restore-vma", func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteRestoreVMA) }, true, true},
-		{"restore-pages", func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteRestorePages) }, true, true},
-		{"restore-files", func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteRestoreFiles) }, true, true},
-		{"health", func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteHealth) }, true, true},
+		{"dump-proc", func(in *faultinject.Injector) { in.FailAt(faultinject.SiteDumpProc, 1) }, false, true},
+		{"dump-pagemap", func(in *faultinject.Injector) { in.FailAt(faultinject.SiteDumpPageMap, 1) }, false, true},
+		{"edit-write", func(in *faultinject.Injector) { in.FailAt(faultinject.SiteEditWrite, 1) }, false, true},
+		{"restore-proc", func(in *faultinject.Injector) { in.FailAt(faultinject.SiteRestoreProc, 1) }, true, true},
+		{"restore-vma", func(in *faultinject.Injector) { in.FailAt(faultinject.SiteRestoreVMA, 1) }, true, true},
+		{"restore-pages", func(in *faultinject.Injector) { in.FailAt(faultinject.SiteRestorePages, 1) }, true, true},
+		{"restore-files", func(in *faultinject.Injector) { in.FailAt(faultinject.SiteRestoreFiles, 1) }, true, true},
+		{"health", func(in *faultinject.Injector) { in.FailAt(faultinject.SiteHealth, 1) }, true, true},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,7 +125,7 @@ func TestChaosSingleFaultInvariant(t *testing.T) {
 }
 
 // TestChaosRestoreStepSweep walks a single fault through consecutive
-// restore steps (the FailRestoreAtStep(n) knob): whichever step dies,
+// restore steps (FailAt(PrefixRestore, n)): whichever step dies,
 // the rollback restores service.
 func TestChaosRestoreStepSweep(t *testing.T) {
 	tb := newTestbed(t, webserv.Config{Name: "lighttpd", Port: 9130})
@@ -133,7 +133,7 @@ func TestChaosRestoreStepSweep(t *testing.T) {
 	errPath := tb.errPathAddr(t)
 	for step := 1; step <= 4; step++ {
 		in := faultinject.New(int64(step))
-		in.FailRestoreAtStep(step)
+		in.FailAt(faultinject.PrefixRestore, step)
 		tb.m.SetFaultHook(in)
 		c, err := New(tb.m, tb.currentRoot(t), Options{RedirectTo: errPath})
 		if err != nil {
@@ -172,7 +172,7 @@ func TestRollbackPreservesLiveConnectionPerPolicy(t *testing.T) {
 			tb.m.Run(50000)
 
 			in := faultinject.New(int64(1000 + i))
-			in.FailRestoreAtStep(1)
+			in.FailAt(faultinject.PrefixRestore, 1)
 			tb.m.SetFaultHook(in)
 			c, err := New(tb.m, tb.proc.PID(), Options{RedirectTo: errPath})
 			if err != nil {
@@ -272,7 +272,7 @@ func TestRollbackRestoresPristineText(t *testing.T) {
 				t.Fatal(err)
 			}
 			in := faultinject.New(int64(1100 + i))
-			in.FailRestoreAtStep(1)
+			in.FailAt(faultinject.PrefixRestore, 1)
 			tb.m.SetFaultHook(in)
 			_, err = c.DisableBlocks("webdav-write", blocks, pol)
 			tb.m.SetFaultHook(nil)

@@ -138,7 +138,7 @@ func TestIncrementalCheckpointAcrossRewrites(t *testing.T) {
 	}
 
 	in := faultinject.New(1)
-	in.FailOnce(faultinject.SiteRestorePages)
+	in.FailAt(faultinject.SiteRestorePages, 1)
 	tb.m.SetFaultHook(in)
 	s3, err := c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry)
 	tb.m.SetFaultHook(nil)
@@ -174,7 +174,7 @@ func TestChaosParentChainSites(t *testing.T) {
 		arm      func(in *faultinject.Injector)
 		rollback bool
 	}{
-		{"dump-parent", func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteDumpProc) }, false},
+		{"dump-parent", func(in *faultinject.Injector) { in.FailAt(faultinject.SiteDumpProc, 1) }, false},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

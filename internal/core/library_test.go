@@ -6,6 +6,7 @@ import (
 
 	"github.com/dynacut/dynacut/internal/apps/webserv"
 	"github.com/dynacut/dynacut/internal/coverage"
+	"github.com/dynacut/dynacut/internal/kernel"
 )
 
 // TestLibraryCodeCustomization exercises the paper's §5 extension:
@@ -51,9 +52,14 @@ func TestLibraryCodeCustomization(t *testing.T) {
 
 	// libc_init itself is now INT3 in the live process.
 	p := tb.m.Processes()[0]
-	mod, ok := p.ModuleAt(0x10000000)
-	if !ok || mod.Name != "libc.so" {
-		t.Fatalf("libc module lookup: %v %v", mod, ok)
+	var mod kernel.Module
+	for _, m := range p.Modules() {
+		if m.Contains(0x10000000) {
+			mod = m
+		}
+	}
+	if mod.Name != "libc.so" {
+		t.Fatalf("libc module lookup: %v", mod)
 	}
 	lib := tb.app.Libc
 	sym, err := lib.Symbol("libc_init")

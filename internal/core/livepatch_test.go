@@ -265,11 +265,11 @@ func TestLivePatchFallbackLadder(t *testing.T) {
 		{"verifier-mode", PolicyBlockEntry, Options{Verifier: true}, true, nil, "verifier mode"},
 		{"no-handler", PolicyBlockEntry, Options{}, false, nil, "handler library not mapped"},
 		{"quiesce-fault", PolicyBlockEntry, Options{}, true,
-			func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteLivePatchQuiesce) }, "quiesce fault"},
+			func(in *faultinject.Injector) { in.FailAt(faultinject.SiteLivePatchQuiesce, 1) }, "quiesce fault"},
 		{"patch-fault", PolicyBlockEntry, Options{}, true,
-			func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteLivePatchPatch) }, "patch fault"},
+			func(in *faultinject.Injector) { in.FailAt(faultinject.SiteLivePatchPatch, 1) }, "patch fault"},
 		{"commit-fault", PolicyBlockEntry, Options{}, true,
-			func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteLivePatchCommit) }, "commit fault"},
+			func(in *faultinject.Injector) { in.FailAt(faultinject.SiteLivePatchCommit, 1) }, "commit fault"},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

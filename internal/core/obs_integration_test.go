@@ -135,19 +135,20 @@ func TestChaosObserverEventsMatchInjections(t *testing.T) {
 	errPath := tb.errPathAddr(t)
 
 	arms := []func(in *faultinject.Injector){
-		func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteDumpProc) },
-		func(in *faultinject.Injector) { in.FailPageMap() },
-		func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteEditWrite) },
-		func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteRestoreProc) },
-		func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteRestoreVMA) },
-		func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteRestorePages) },
-		func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteRestoreFiles) },
-		func(in *faultinject.Injector) { in.FailOnce(faultinject.SiteHealth) },
+		func(in *faultinject.Injector) { in.FailAt(faultinject.SiteDumpProc, 1) },
+		func(in *faultinject.Injector) { in.FailAt(faultinject.SiteDumpPageMap, 1) },
+		func(in *faultinject.Injector) { in.FailAt(faultinject.SiteEditWrite, 1) },
+		func(in *faultinject.Injector) { in.FailAt(faultinject.SiteRestoreProc, 1) },
+		func(in *faultinject.Injector) { in.FailAt(faultinject.SiteRestoreVMA, 1) },
+		func(in *faultinject.Injector) { in.FailAt(faultinject.SiteRestorePages, 1) },
+		func(in *faultinject.Injector) { in.FailAt(faultinject.SiteRestoreFiles, 1) },
+		func(in *faultinject.Injector) { in.FailAt(faultinject.SiteHealth, 1) },
 	}
 
 	// A deliberately small ring: the sweep emits far more events than
 	// this, so staying within Cap proves the buffer is bounded.
-	o := obs.New(128)
+	const ring = 128
+	o := obs.New(ring)
 
 	for seed := int64(1); seed <= 20; seed++ {
 		prevSeq := o.Seq()
@@ -193,8 +194,8 @@ func TestChaosObserverEventsMatchInjections(t *testing.T) {
 				t.Fatalf("seed %d: fault event %d = %q, want %q", seed, i, gotSites[i], wantSites[i])
 			}
 		}
-		if o.Len() > o.Cap() {
-			t.Fatalf("seed %d: ring grew past capacity: %d > %d", seed, o.Len(), o.Cap())
+		if o.Len() > ring {
+			t.Fatalf("seed %d: ring grew past capacity: %d > %d", seed, o.Len(), ring)
 		}
 		tb.assertServing(t)
 	}

@@ -108,7 +108,7 @@ func TestBlockCacheHealthRollbackInherits(t *testing.T) {
 		tb.request(t, r)
 	}
 	in := faultinject.New(1)
-	in.FailOnce(faultinject.SiteHealth)
+	in.FailAt(faultinject.SiteHealth, 1)
 	tb.m.SetFaultHook(in)
 	_, err = c.EnableBlocks("webdav-write")
 	tb.m.SetFaultHook(nil)
@@ -188,7 +188,7 @@ func TestBlockCacheRestoreImagesRetryInherits(t *testing.T) {
 	tb.request(t, "GET /\n")
 	before := tb.m.BlockCacheStats().Inherited
 	in := faultinject.New(1)
-	in.FailOnce(faultinject.SiteRestorePages)
+	in.FailAt(faultinject.SiteRestorePages, 1)
 	tb.m.SetFaultHook(in)
 	failed, err := c.RestoreImages(set)
 	if err != nil {

@@ -83,14 +83,14 @@ func TestVerifierTableExhaustionRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vlen, err := p.Mem().ReadU64(c.Handler().VTableLen)
+	vlen, err := p.Mem().ReadU64(c.handler.VTableLen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := uint64(maxVerifierEntries - len(adopted)); vlen != want {
 		t.Errorf("guest vtable_len = %d after adoption, want %d", vlen, want)
 	}
-	if flen, _ := p.Mem().ReadU64(c.Handler().FLogLen); flen != 0 {
+	if flen, _ := p.Mem().ReadU64(c.handler.FLogLen); flen != 0 {
 		t.Errorf("guest flog_len = %d after adoption, want 0", flen)
 	}
 
@@ -121,7 +121,7 @@ func TestVerifierTableExhaustionRecovers(t *testing.T) {
 func TestInjectHandlerUnwindsOnArmFailure(t *testing.T) {
 	tb := newTestbed(t, webserv.Config{Name: "lighttpd", Port: 8188})
 	in := faultinject.New(1)
-	in.FailOnce(faultinject.SiteInjectArm)
+	in.FailAt(faultinject.SiteInjectArm, 1)
 	tb.m.SetFaultHook(in)
 
 	set, err := criu.Dump(tb.m, tb.proc.PID(), criu.DumpOpts{ExecPages: true})
@@ -203,7 +203,7 @@ func TestDisableRetriesThroughArmFault(t *testing.T) {
 	tb := newTestbed(t, webserv.Config{Name: "lighttpd", Port: 8189})
 	blocks := tb.profileFeatures(t, wantedReqs, undesiredReqs)
 	in := faultinject.New(2)
-	in.FailOnce(faultinject.SiteInjectArm)
+	in.FailAt(faultinject.SiteInjectArm, 1)
 	tb.m.SetFaultHook(in)
 
 	c, err := New(tb.m, tb.proc.PID(), Options{

@@ -90,16 +90,6 @@ func (g *Graph) Contains(module string, off uint64) bool {
 // Count returns the number of distinct blocks.
 func (g *Graph) Count() int { return len(g.blocks) }
 
-// TotalBytes returns the summed size of all blocks — the "code size
-// removed" figures of the paper.
-func (g *Graph) TotalBytes() uint64 {
-	var n uint64
-	for k := range g.blocks {
-		n += k.size
-	}
-	return n
-}
-
 // Blocks lists the covered blocks sorted by (module, offset, size).
 func (g *Graph) Blocks() []Block {
 	out := make([]Block, 0, len(g.blocks))
@@ -163,20 +153,6 @@ func Diff(a, b *Graph) *Graph {
 			m string
 			o uint64
 		}{k.module, k.off}]; !ok {
-			out.blocks[k] = struct{}{}
-		}
-	}
-	return out
-}
-
-// Intersect returns the blocks present in both graphs.
-func Intersect(a, b *Graph) *Graph {
-	out := NewGraph()
-	for name, base := range a.moduleBase {
-		out.moduleBase[name] = base
-	}
-	for k := range a.blocks {
-		if _, ok := b.blocks[k]; ok {
 			out.blocks[k] = struct{}{}
 		}
 	}

@@ -2,7 +2,6 @@ package crit
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"github.com/dynacut/dynacut/internal/criu"
@@ -71,10 +70,9 @@ func TestImageSetCloneIsolatesEdits(t *testing.T) {
 				}
 			}
 			must("write own page", ed.WriteMem(pid, resultSym.Value, []byte{1, 2, 3}))
-			must("write shared page", ed.BlockEntry(pid, featA.Value))
+			must("write shared page", ed.WriteMem(pid, featA.Value, []byte{0xCC}))
 			v := criu.VMAEntry{Start: 0x6000_0000_0000, End: 0x6000_0000_0000 + kernel.PageSize, Perm: 3, Name: "extra", Anon: true}
 			must("add vma", ed.AddVMA(pid, v, []byte{9, 9}))
-			must("grow vma", ed.GrowVMA(pid, v.Start, v.End+kernel.PageSize))
 			must("unmap", ed.UnmapRange(pid, dataPage, dataPage+kernel.PageSize))
 			must("sigaction", ed.SetSigaction(pid, int(kernel.SIGTRAP), 0x1234, 0x5678))
 			must("syscall filter", ed.SetSyscallFilter(pid, []uint64{0, 1}))
@@ -82,23 +80,10 @@ func TestImageSetCloneIsolatesEdits(t *testing.T) {
 			must("insert library", err)
 			must("remove library", ed.RemoveLibrary(pid, lib.Name))
 
-			raw, err := ed.CoreJSON(pid)
-			must("core json", err)
-			var core criu.CoreImage
-			must("decode core", json.Unmarshal(raw, &core))
-			core.RIP++
-			raw, err = json.Marshal(&core)
-			must("encode core", err)
-			must("set core json", ed.SetCoreJSON(pid, raw))
-
-			raw, err = ed.MMJSON(pid)
-			must("mm json", err)
-			var mm criu.MMImage
-			must("decode mm", json.Unmarshal(raw, &mm))
-			mm.Modules = append(mm.Modules, criu.ModuleEntry{Name: "extra.so", Lo: v.Start, Hi: v.End})
-			raw, err = json.Marshal(&mm)
-			must("encode mm", err)
-			must("set mm json", ed.SetMMJSON(pid, raw))
+			pi, err := clone.Proc(pid)
+			must("proc", err)
+			pi.Core.RIP++
+			pi.MM.Modules = append(pi.MM.Modules, criu.ModuleEntry{Name: "extra.so", Lo: v.Start, Hi: v.End})
 
 			if bytes.Equal(clone.Marshal(), before) {
 				t.Fatal("edits did not land in the clone")
@@ -135,14 +120,14 @@ func TestEditorCopiesPageOnce(t *testing.T) {
 	clone := w.set.Clone()
 	ed := NewEditor(clone, w.m)
 
-	if err := ed.BlockEntry(pid, featA.Value); err != nil {
+	if err := ed.WriteMem(pid, featA.Value, []byte{0xCC}); err != nil {
 		t.Fatal(err)
 	}
 	first, _ := clone.Procs[pid].Page(pn)
 	if &first[0] == &orig[0] {
 		t.Fatal("the first patch wrote into the shared page")
 	}
-	if err := ed.BlockEntry(pid, featA.Value+1); err != nil {
+	if err := ed.WriteMem(pid, featA.Value+1, []byte{0xCC}); err != nil {
 		t.Fatal(err)
 	}
 	second, _ := clone.Procs[pid].Page(pn)

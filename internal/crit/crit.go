@@ -53,9 +53,6 @@ func NewEditor(set *criu.ImageSet, store FileStore) *Editor {
 // Set returns the underlying image set.
 func (e *Editor) Set() *criu.ImageSet { return e.set }
 
-// PIDs returns the dumped process IDs in restore order.
-func (e *Editor) PIDs() []int { return append([]int(nil), e.set.PIDs...) }
-
 // faulter matches kernel.Machine's fault-injection hook; the editor
 // consults it through its FileStore so image edits are chaos-testable
 // without crit depending on the kernel's hook registry.
@@ -140,12 +137,6 @@ func (e *Editor) WriteMem(pid int, addr uint64, b []byte) error {
 	return nil
 }
 
-// BlockEntry writes a single INT3 byte at addr: the cheapest feature
-// blocking policy — one byte on the first basic block of the feature.
-func (e *Editor) BlockEntry(pid int, addr uint64) error {
-	return e.WriteMem(pid, addr, []byte{0xCC})
-}
-
 // WipeRange fills [addr, addr+size) with INT3, removing every
 // instruction of a block so mid-block jumps (ROP) trap too — the
 // aggressive policy of §3.2.2.
@@ -191,42 +182,6 @@ func (e *Editor) UnmapRange(pid int, start, end uint64) error {
 	}
 	pi.MM.VMAs = out
 	pi.DropPages(start/kernel.PageSize, end/kernel.PageSize)
-	return nil
-}
-
-// GrowVMA extends the VMA starting at start to newEnd (page aligned),
-// the "enlarge the VMAs" primitive of the paper's CRIT extension —
-// e.g. growing a stack or data region before injecting content.
-func (e *Editor) GrowVMA(pid int, start, newEnd uint64) error {
-	if newEnd%kernel.PageSize != 0 {
-		return fmt.Errorf("%w: new end %#x", ErrAlignment, newEnd)
-	}
-	pi, err := e.set.Proc(pid)
-	if err != nil {
-		return err
-	}
-	idx := -1
-	for i, v := range pi.MM.VMAs {
-		if v.Start == start {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return fmt.Errorf("%w: no VMA starting at %#x", ErrNotMapped, start)
-	}
-	if newEnd <= pi.MM.VMAs[idx].End {
-		return fmt.Errorf("crit: new end %#x does not grow VMA %s", newEnd, pi.MM.VMAs[idx].Name)
-	}
-	for i, v := range pi.MM.VMAs {
-		if i == idx {
-			continue
-		}
-		if v.Start < newEnd && pi.MM.VMAs[idx].End <= v.Start {
-			return fmt.Errorf("crit: growth to %#x collides with %s", newEnd, v.Name)
-		}
-	}
-	pi.MM.VMAs[idx].End = newEnd
 	return nil
 }
 
@@ -298,33 +253,6 @@ func (e *Editor) SetSyscallFilter(pid int, allowed []uint64) error {
 	pi.Core.HasFilter = true
 	pi.Core.SysFilter = append([]uint64(nil), allowed...)
 	return nil
-}
-
-// SyscallFilter reads the allow list from the core image (nil when no
-// filter is installed).
-func (e *Editor) SyscallFilter(pid int) ([]uint64, error) {
-	pi, err := e.set.Proc(pid)
-	if err != nil {
-		return nil, err
-	}
-	if !pi.Core.HasFilter {
-		return nil, nil
-	}
-	return append([]uint64(nil), pi.Core.SysFilter...), nil
-}
-
-// Sigaction reads a signal disposition from the core image.
-func (e *Editor) Sigaction(pid, signo int) (handler, restorer uint64, ok bool) {
-	pi, err := e.set.Proc(pid)
-	if err != nil {
-		return 0, 0, false
-	}
-	for _, sg := range pi.Core.Sigs {
-		if sg.Signo == signo {
-			return sg.Handler, sg.Restorer, true
-		}
-	}
-	return 0, 0, false
 }
 
 // Modules lists the mapped binaries recorded in the mm image.
@@ -513,7 +441,7 @@ func (e *Editor) findFreeRange(pi *criu.ProcImage, span uint64) uint64 {
 	}
 }
 
-// JSON views (the `crit decode` / `crit encode` workflow) -------------
+// JSON views (the `crit decode` workflow) -----------------------------
 
 // CoreJSON renders the core image as JSON.
 func (e *Editor) CoreJSON(pid int) ([]byte, error) {
@@ -524,20 +452,6 @@ func (e *Editor) CoreJSON(pid int) ([]byte, error) {
 	return json.MarshalIndent(&pi.Core, "", "  ")
 }
 
-// SetCoreJSON replaces the core image from JSON.
-func (e *Editor) SetCoreJSON(pid int, data []byte) error {
-	pi, err := e.set.Proc(pid)
-	if err != nil {
-		return err
-	}
-	var c criu.CoreImage
-	if err := json.Unmarshal(data, &c); err != nil {
-		return fmt.Errorf("crit: core json: %w", err)
-	}
-	pi.Core = c
-	return nil
-}
-
 // MMJSON renders the mm image as JSON.
 func (e *Editor) MMJSON(pid int) ([]byte, error) {
 	pi, err := e.set.Proc(pid)
@@ -545,18 +459,4 @@ func (e *Editor) MMJSON(pid int) ([]byte, error) {
 		return nil, err
 	}
 	return json.MarshalIndent(&pi.MM, "", "  ")
-}
-
-// SetMMJSON replaces the mm image from JSON.
-func (e *Editor) SetMMJSON(pid int, data []byte) error {
-	pi, err := e.set.Proc(pid)
-	if err != nil {
-		return err
-	}
-	var mm criu.MMImage
-	if err := json.Unmarshal(data, &mm); err != nil {
-		return fmt.Errorf("crit: mm json: %w", err)
-	}
-	pi.MM = mm
-	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/dynacut/dynacut/internal/criu"
-	"github.com/dynacut/dynacut/internal/delf"
 	"github.com/dynacut/dynacut/internal/kernel"
 )
 
@@ -64,66 +63,17 @@ func TestFindFreeRangeSkipsExistingInjections(t *testing.T) {
 	}
 }
 
-func TestGrowVMA(t *testing.T) {
-	w := setup(t)
-	pid := w.p.PID()
-	vmas, err := w.ed.VMAs(pid)
+// SyscallFilter reads the allow list from the core image (nil when no
+// filter is installed).
+func (e *Editor) SyscallFilter(pid int) ([]uint64, error) {
+	pi, err := e.set.Proc(pid)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	// Grow the stack VMA downward is not supported (fixed start);
-	// grow the bss region instead — find a VMA with free space after.
-	var target criu.VMAEntry
-	for _, v := range vmas {
-		if v.Name == "featured:.data" {
-			target = v
-		}
+	if !pi.Core.HasFilter {
+		return nil, nil
 	}
-	if target.Start == 0 {
-		t.Fatal("no data VMA")
-	}
-	newEnd := target.End + 2*kernel.PageSize
-	if err := w.ed.GrowVMA(pid, target.Start, newEnd); err != nil {
-		t.Fatalf("grow: %v", err)
-	}
-	// New range is writable in the image after supplying pages.
-	if err := w.ed.WriteMem(pid, target.End+8, []byte{1, 2, 3}); err == nil {
-		t.Log("write into grown-but-unbacked page succeeded via SetPage materialization")
-	}
-	vmas, _ = w.ed.VMAs(pid)
-	found := false
-	for _, v := range vmas {
-		if v.Start == target.Start && v.End == newEnd {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("grown VMA not recorded")
-	}
-	// Restore accepts the grown layout.
-	if err := w.m.Kill(pid); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := criu.Restore(w.m, w.set); err != nil {
-		t.Fatalf("restore with grown VMA: %v", err)
-	}
-	// Errors: shrink, unknown start, collision, misalignment.
-	if err := w.ed.GrowVMA(pid, target.Start, target.Start+kernel.PageSize); err == nil {
-		t.Error("shrink accepted")
-	}
-	if err := w.ed.GrowVMA(pid, 0xdead000, newEnd); err == nil {
-		t.Error("unknown VMA accepted")
-	}
-	if err := w.ed.GrowVMA(pid, target.Start, newEnd+7); err == nil {
-		t.Error("unaligned growth accepted")
-	}
-	text, err := w.exe.Section(delf.SecText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.ed.GrowVMA(pid, text.Addr, text.Addr+0x100000); err == nil {
-		t.Error("collision with next VMA accepted")
-	}
+	return append([]uint64(nil), pi.Core.SysFilter...), nil
 }
 
 func TestSyscallFilterImageEdit(t *testing.T) {

@@ -397,51 +397,3 @@ func TestLongIncrementalRunStaysIncremental(t *testing.T) {
 	}
 	assertSameMemory(t, fromDelta[0], fromFull[0])
 }
-
-// TestDeltaHolesDropUnmappedPages: pages the guest unmaps between two
-// dumps are absent from the later table, so they never come back on
-// restore.
-func TestDeltaHolesDropUnmappedPages(t *testing.T) {
-	m, p := loadCounter(t)
-	parent, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Unmap the guest's data VMA (it holds the counter).
-	counter := counterAddr(t)
-	v, ok := p.Mem().VMAAt(counter)
-	if !ok {
-		t.Fatal("counter not mapped")
-	}
-	if _, err := parent.Procs[p.PID()].Page(counter / kernel.PageSize); err != nil {
-		t.Fatalf("the earlier dump lacks the counter page: %v", err)
-	}
-	if err := p.Mem().Unmap(v.Start, v.End); err != nil {
-		t.Fatal(err)
-	}
-
-	delta, err := Dump(m, p.PID(), DumpOpts{ExecPages: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi := delta.Procs[p.PID()]
-	for pn := v.Start / kernel.PageSize; pn < v.End/kernel.PageSize; pn++ {
-		if _, err := pi.Page(pn); !errors.Is(err, ErrPageAbsent) {
-			t.Fatalf("unmapped page %d resolves: %v", pn, err)
-		}
-	}
-
-	if err := m.Kill(p.PID()); err != nil {
-		t.Fatal(err)
-	}
-	restored, _, err := Restore(m, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pn := v.Start / kernel.PageSize; pn < v.End/kernel.PageSize; pn++ {
-		if restored[0].Mem().PageDataUnsafe(pn) != nil {
-			t.Fatalf("unmapped page %d came back on restore", pn)
-		}
-	}
-}

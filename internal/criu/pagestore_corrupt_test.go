@@ -90,7 +90,7 @@ func TestPageStoreCorruptRotFaultSite(t *testing.T) {
 	}
 
 	inj := faultinject.New(1)
-	inj.FailOnce(faultinject.SiteStoreRot)
+	inj.FailAt(faultinject.SiteStoreRot, 1)
 	store.SetFaultHook(inj)
 	if _, err := store.Materialize(ident); !errors.Is(err, ErrStoreCorrupt) {
 		t.Fatalf("Materialize under rot fault: %v, want ErrStoreCorrupt", err)

@@ -53,11 +53,6 @@ func (e *Encoder) Uint(field int, v uint64) {
 	e.varint(v)
 }
 
-// Int emits a signed field using zigzag encoding.
-func (e *Encoder) Int(field int, v int64) {
-	e.Uint(field, uint64(v)<<1^uint64(v>>63))
-}
-
 // Bool emits a boolean varint field.
 func (e *Encoder) Bool(field int, v bool) {
 	if v {
@@ -155,9 +150,6 @@ func (d *Decoder) Err() error { return d.err }
 // Field returns the current field number.
 func (d *Decoder) Field() int { return d.field }
 
-// Wire returns the current wire type.
-func (d *Decoder) Wire() WireType { return d.wt }
-
 // Next advances to the next field, returning false at end of input or
 // on error.
 func (d *Decoder) Next() bool {
@@ -219,12 +211,6 @@ func (d *Decoder) Uint() uint64 {
 	d.consumed = true
 	v, _ := d.readVarint()
 	return v
-}
-
-// Int reads the current zigzag-encoded signed field.
-func (d *Decoder) Int() int64 {
-	v := d.Uint()
-	return int64(v>>1) ^ -int64(v&1)
 }
 
 // Bool reads the current boolean field.

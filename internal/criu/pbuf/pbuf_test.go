@@ -13,9 +13,6 @@ func TestScalarRoundTrip(t *testing.T) {
 	e.Uint(2, 127)
 	e.Uint(3, 128)
 	e.Uint(4, math.MaxUint64)
-	e.Int(5, -1)
-	e.Int(6, math.MinInt64)
-	e.Int(7, math.MaxInt64)
 	e.Bool(8, true)
 	e.Bool(9, false)
 	e.Fixed64(10, 0xdeadbeefcafef00d)
@@ -32,9 +29,6 @@ func TestScalarRoundTrip(t *testing.T) {
 		{2, func() bool { return d.Uint() == 127 }},
 		{3, func() bool { return d.Uint() == 128 }},
 		{4, func() bool { return d.Uint() == math.MaxUint64 }},
-		{5, func() bool { return d.Int() == -1 }},
-		{6, func() bool { return d.Int() == math.MinInt64 }},
-		{7, func() bool { return d.Int() == math.MaxInt64 }},
 		{8, func() bool { return d.Bool() }},
 		{9, func() bool { return !d.Bool() }},
 		{10, func() bool { return d.Fixed64() == 0xdeadbeefcafef00d }},
@@ -153,7 +147,7 @@ func TestTruncationErrors(t *testing.T) {
 	for n := 1; n < len(full); n++ {
 		d := NewDecoder(full[:n])
 		for d.Next() {
-			switch d.Wire() {
+			switch d.wt {
 			case WireVarint:
 				d.Uint()
 			case WireBytes:
@@ -208,18 +202,16 @@ func TestVarintOverflow(t *testing.T) {
 	}
 }
 
-// Property: Uint/Int/Bytes round-trip through encode+decode.
+// Property: Uint/Bytes/String/Fixed64 round-trip through encode+decode.
 func TestQuickRoundTrip(t *testing.T) {
-	f := func(u uint64, i int64, b []byte, s string) bool {
+	f := func(u uint64, b []byte, s string) bool {
 		var e Encoder
 		e.Uint(1, u)
-		e.Int(2, i)
 		e.Bytes(3, b)
 		e.String(4, s)
 		e.Fixed64(5, u)
 		d := NewDecoder(e.Finish())
 		ok := d.Next() && d.Uint() == u &&
-			d.Next() && d.Int() == i &&
 			d.Next() && bytes.Equal(d.Bytes(), b) &&
 			d.Next() && d.String() == s &&
 			d.Next() && d.Fixed64() == u &&
@@ -236,7 +228,7 @@ func TestQuickDecodeRobust(t *testing.T) {
 	f := func(raw []byte) bool {
 		d := NewDecoder(raw)
 		for i := 0; d.Next() && i < 1000; i++ {
-			switch d.Wire() {
+			switch d.wt {
 			case WireVarint:
 				d.Uint()
 			case WireFixed64:

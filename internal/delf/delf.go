@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Magic identifies a serialized DELF file.
@@ -216,16 +215,6 @@ func (f *File) Symbol(name string) (Symbol, error) {
 	return Symbol{}, fmt.Errorf("%w: %q in %s", ErrNoSymbol, name, f.Name)
 }
 
-// SymbolAt returns the function symbol covering addr, if any.
-func (f *File) SymbolAt(addr uint64) (Symbol, bool) {
-	for _, sym := range f.Symbols {
-		if sym.Kind == SymFunc && addr >= sym.Value && addr < sym.Value+sym.Size {
-			return sym, true
-		}
-	}
-	return Symbol{}, false
-}
-
 // TextSize returns the size of .text in bytes, 0 if absent.
 func (f *File) TextSize() uint64 {
 	if s, err := f.Section(SecText); err == nil {
@@ -250,18 +239,6 @@ func (f *File) ImageSpan() (lo, hi uint64) {
 		}
 	}
 	return lo, hi
-}
-
-// SortedFuncs returns global function symbols sorted by address.
-func (f *File) SortedFuncs() []Symbol {
-	var out []Symbol
-	for _, s := range f.Symbols {
-		if s.Kind == SymFunc {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
-	return out
 }
 
 // Marshal serializes the file.

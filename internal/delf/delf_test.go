@@ -131,17 +131,6 @@ func TestSymbolLookup(t *testing.T) {
 	if _, err := f.Symbol("missing"); err == nil {
 		t.Error("Symbol(missing) succeeded")
 	}
-	got, ok := f.SymbolAt(0x400008)
-	if !ok || got.Name != "_start" {
-		t.Errorf("SymbolAt(0x400008) = %v, %v", got, ok)
-	}
-	if _, ok := f.SymbolAt(0x400010); ok {
-		t.Error("SymbolAt past function end succeeded")
-	}
-	// Data symbols are not covered by SymbolAt.
-	if _, ok := f.SymbolAt(0x402000); ok {
-		t.Error("SymbolAt matched a data object")
-	}
 }
 
 func TestImageSpanAndTextSize(t *testing.T) {
@@ -184,17 +173,5 @@ func TestTypeAndRelKindStrings(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("RelKind %d = %q, want %q", k, k.String(), want)
 		}
-	}
-}
-
-func TestSortedFuncs(t *testing.T) {
-	f := &File{Symbols: []Symbol{
-		{Name: "b", Value: 20, Kind: SymFunc},
-		{Name: "a", Value: 10, Kind: SymFunc},
-		{Name: "obj", Value: 5, Kind: SymObject},
-	}}
-	funcs := f.SortedFuncs()
-	if len(funcs) != 2 || funcs[0].Name != "a" || funcs[1].Name != "b" {
-		t.Errorf("SortedFuncs = %v", funcs)
 	}
 }

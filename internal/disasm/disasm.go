@@ -164,15 +164,6 @@ func Analyze(file *delf.File) *CFG {
 // row of Figure 9).
 func (c *CFG) Count() int { return len(c.Blocks) }
 
-// TotalBytes sums the block sizes.
-func (c *CFG) TotalBytes() uint64 {
-	var n uint64
-	for _, b := range c.Blocks {
-		n += b.Size
-	}
-	return n
-}
-
 // Sorted returns blocks in address order.
 func (c *CFG) Sorted() []*Block {
 	out := make([]*Block, 0, len(c.Blocks))
@@ -187,15 +178,4 @@ func (c *CFG) Sorted() []*Block {
 func (c *CFG) BlockAt(addr uint64) (*Block, bool) {
 	b, ok := c.Blocks[addr]
 	return b, ok
-}
-
-// Covering returns the block containing addr (not necessarily at its
-// start), for mapping mid-block fault addresses back to blocks.
-func (c *CFG) Covering(addr uint64) (*Block, bool) {
-	for _, b := range c.Blocks {
-		if addr >= b.Addr && addr < b.Addr+b.Size {
-			return b, true
-		}
-	}
-	return nil, false
 }

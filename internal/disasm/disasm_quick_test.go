@@ -72,7 +72,7 @@ func TestQuickCFGCoverage(t *testing.T) {
 		}
 		code := GenProgram(seed)
 		cfg := Analyze(fileFor(code))
-		if cfg.TotalBytes() > uint64(len(code)) {
+		if blockBytes(cfg) > uint64(len(code)) {
 			return false
 		}
 		_, ok := cfg.BlockAt(0x400000)

@@ -154,22 +154,13 @@ _start:
 	}
 }
 
-func TestCoveringLookup(t *testing.T) {
-	exe := build(t, `
-.text
-.global _start
-_start:
-	mov r1, 1
-	mov r0, 1
-	syscall
-`)
-	cfg := Analyze(exe)
-	if b, ok := cfg.Covering(exe.Entry + 5); !ok || b.Addr != exe.Entry {
-		t.Errorf("Covering mid-block = %v, %v", b, ok)
+// blockBytes sums the sizes of cfg's blocks.
+func blockBytes(cfg *CFG) uint64 {
+	var n uint64
+	for _, b := range cfg.Blocks {
+		n += b.Size
 	}
-	if _, ok := cfg.Covering(0x1); ok {
-		t.Error("Covering outside code succeeded")
-	}
+	return n
 }
 
 func TestLoopBackEdge(t *testing.T) {
@@ -232,7 +223,7 @@ c:
 			t.Errorf("blocks overlap: %#x+%d > %#x", prev.Addr, prev.Size, cur.Addr)
 		}
 	}
-	if cfg.TotalBytes() == 0 {
-		t.Error("TotalBytes = 0")
+	if blockBytes(cfg) == 0 {
+		t.Error("blocks cover no bytes")
 	}
 }

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
 	"github.com/dynacut/dynacut"
 	"github.com/dynacut/dynacut/internal/apps/kvstore"
+	"github.com/dynacut/dynacut/internal/delf"
 	"github.com/dynacut/dynacut/internal/delf/link"
 )
 
@@ -202,6 +204,7 @@ func pltOne(name string, workers int) (*PLTResult, error) {
 	entries := link.PLTEntries(app.Exe)
 	res := &PLTResult{App: name, TotalPLT: len(entries)}
 	var removable []dynacut.AbsBlock
+	var removed []delf.Symbol
 	base, _ := initG.ModuleBase(app.Exe.Name)
 	for _, e := range entries {
 		off := e.Value - base
@@ -214,6 +217,7 @@ func pltOne(name string, workers int) (*PLTResult, error) {
 			res.RemovedPLT++
 			res.RemovedNames = append(res.RemovedNames, e.Name)
 			removable = append(removable, dynacut.AbsBlock{Addr: e.Value, Size: e.Size})
+			removed = append(removed, e)
 			if e.Name == "fork" {
 				res.ForkRemoved = true
 			}
@@ -233,7 +237,69 @@ func pltOne(name string, workers int) (*PLTResult, error) {
 	if got := sess.MustRequest("GET /\n"); !strings.Contains(got, "200") {
 		return nil, fmt.Errorf("GET after PLT removal -> %q", got)
 	}
+	if err := matchStaticTwin(sess, app, entries, removed); err != nil {
+		return nil, err
+	}
 	return res, nil
+}
+
+// matchStaticTwin checks the live cut against static PLT surgery: a
+// copy of the binary with the removed entries cut by RemovePLTEntry
+// and every kept import's GOT slot patched with its export's address
+// in the loaded library must hold the bytes the customized process
+// has at each trampoline and each kept slot.
+func matchStaticTwin(sess *dynacut.Session, app *dynacut.WebServerApp, entries, removed []delf.Symbol) error {
+	twin, err := delf.Unmarshal(app.Exe.Marshal())
+	if err != nil {
+		return err
+	}
+	root, err := sess.Root()
+	if err != nil {
+		return err
+	}
+	var libBase uint64
+	for _, mod := range root.Modules() {
+		if mod.Name == app.Libc.Name {
+			libLo, _ := app.Libc.ImageSpan()
+			libBase = mod.Lo - libLo
+		}
+	}
+	cut := map[string]bool{}
+	for _, e := range removed {
+		cut[e.Name] = true
+		if err := link.RemovePLTEntry(twin, e.Name); err != nil {
+			return err
+		}
+	}
+	var slots []delf.Symbol // the kept imports' GOT slots
+	for _, e := range entries {
+		if cut[e.Name] {
+			continue
+		}
+		for _, rel := range twin.Relocs {
+			if rel.Kind == delf.RelGOT64 && rel.Symbol == e.Name {
+				slots = append(slots, delf.Symbol{Name: e.Name + "@got", Value: rel.Off, Size: 8})
+			}
+		}
+		exp, err := app.Libc.Symbol(e.Name)
+		if err != nil {
+			return err
+		}
+		if err := link.PatchGOTEntry(twin, e.Name, libBase+exp.Value); err != nil {
+			return err
+		}
+	}
+	for _, e := range append(entries, slots...) {
+		sec, err := twin.SectionAt(e.Value)
+		if err != nil {
+			return err
+		}
+		want := sec.Data[e.Value-sec.Addr : e.Value-sec.Addr+e.Size]
+		if live, err := root.Mem().Read(e.Value, int(e.Size)); err != nil || !bytes.Equal(live, want) {
+			return fmt.Errorf("%s: live bytes % x, static twin % x (%v)", e.Name, live, want, err)
+		}
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------

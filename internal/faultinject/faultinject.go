@@ -145,8 +145,8 @@ const (
 	SiteSuperviseScrub = "supervise.scrub"
 )
 
-// Step-prefix groups: a plan armed on a prefix (FailRestoreAtStep
-// arms PrefixRestore) counts every site sharing it.
+// Step-prefix groups: a plan armed on a prefix (FailAt(PrefixRestore,
+// n) fails the nth restore step) counts every site sharing it.
 const (
 	PrefixDump      = "criu.dump."
 	PrefixRestore   = "criu.restore."
@@ -196,9 +196,6 @@ func New(seed int64) *Injector {
 	return &Injector{seed: seed, hits: map[string]int{}}
 }
 
-// Seed returns the seed the injector was built with.
-func (in *Injector) Seed() int64 { return in.seed }
-
 // SetReporter installs a callback invoked for every injected fault —
 // the kernel.FaultReporter contract. A machine with both this injector
 // and an observer installed wires the callback so each injection lands
@@ -226,9 +223,6 @@ func (in *Injector) FailAt(sitePrefix string, n int) {
 	in.FailTransient(sitePrefix, n, 1)
 }
 
-// FailOnce arms the first hit of sitePrefix to fail.
-func (in *Injector) FailOnce(sitePrefix string) { in.FailAt(sitePrefix, 1) }
-
 // FailTransient arms hits [n, n+times) of sitePrefix to fail; later
 // hits succeed again — the transient-fault shape MaxAttempts retries
 // are built for. times < 0 fails every hit from n on (a hard fault).
@@ -240,13 +234,6 @@ func (in *Injector) FailTransient(sitePrefix string, n, times int) {
 	defer in.mu.Unlock()
 	in.plans = append(in.plans, &plan{prefix: sitePrefix, at: n, times: times})
 }
-
-// FailRestoreAtStep arms the nth step of the whole restore phase
-// (cumulative across processes and per-process sub-steps).
-func (in *Injector) FailRestoreAtStep(n int) { in.FailAt(PrefixRestore, n) }
-
-// FailPageMap arms the first pagemap dump to fail.
-func (in *Injector) FailPageMap() { in.FailOnce(SiteDumpPageMap) }
 
 // Fault implements the fault hook: it records the hit and returns a
 // non-nil error when an armed plan matches.

@@ -94,7 +94,7 @@ func assertAttestedOrQuarantined(t *testing.T, f *Fleet, ctl *Controller, res *R
 			t.Errorf("replica %d attested clean but not serving: %q", r.Index, got)
 		}
 	}
-	for _, ev := range f.Observer().Events() {
+	for _, ev := range f.obs.Events() {
 		if ev.Name == "fleet.rollback" {
 			t.Errorf("fleet.rollback observed during a repair-only run")
 		}

@@ -80,7 +80,7 @@ func TestFleetChaosRollbackFaults(t *testing.T) {
 	for seed := int64(0); seed < chaosSeeds; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			inj := faultinject.New(seed)
-			inj.FailOnce(faultinject.SiteRestoreImages)
+			inj.FailAt(faultinject.SiteRestoreImages, 1)
 			f, err := New(tpl.m, tpl.pid, Config{
 				Replicas: 6, Workers: 1, CanaryShards: 1, WaveSize: 2,
 				Core: coreOpts(tpl), FaultHook: inj,

@@ -346,6 +346,9 @@ func (c *Controller) Run(apply func(r *Replica) (core.Stats, error)) (*RolloutRe
 	finished := false
 	var states []priorState
 
+	// The halt belongs to its rollout: an earlier rollout's halt does
+	// not carry over, and a resume halts only if its journal did.
+	f.halted.Store(false)
 	if c.resumed {
 		states, waveFails, haltedAt, finished = c.replay(res)
 	}

@@ -9,8 +9,12 @@ import (
 
 	"github.com/dynacut/dynacut/internal/core"
 	"github.com/dynacut/dynacut/internal/faultinject"
-	"github.com/dynacut/dynacut/internal/supervise"
 )
+
+// Halt stops the rollout in progress from outside the controller:
+// waves that have not started are cancelled and in-flight rewrites
+// abort at their next pre-commit check.
+func (f *Fleet) Halt() { f.halted.Store(true) }
 
 // TestControllerJournalShape: a clean rollout journals a start record,
 // one intent and one outcome per replica, one summary per wave, and a
@@ -89,7 +93,7 @@ func TestControllerJournalShape(t *testing.T) {
 func TestRestorePristineRetryClearsErr(t *testing.T) {
 	tpl := bootTemplate(t)
 	inj := faultinject.New(3)
-	inj.FailOnce(faultinject.SiteRestoreImages)
+	inj.FailAt(faultinject.SiteRestoreImages, 1)
 	f, err := New(tpl.m, tpl.pid, Config{
 		Replicas: 3, Workers: 1, CanaryShards: 1, WaveSize: 2,
 		Core: coreOpts(tpl), FaultHook: inj,
@@ -229,9 +233,8 @@ func TestMidWaveHaltAbortsInFlight(t *testing.T) {
 }
 
 // TestControllerStepStreamAndStatus: the controller streams every
-// scheduling event through Config.OnStep, and the per-replica
-// supervisors attached before the rollout all report a healthy status
-// after it.
+// scheduling event through Config.OnStep, and a clean rollout reports
+// every replica committed.
 func TestControllerStepStreamAndStatus(t *testing.T) {
 	tpl := bootTemplate(t)
 	var events []StepEvent
@@ -239,13 +242,6 @@ func TestControllerStepStreamAndStatus(t *testing.T) {
 		Replicas: 6, Workers: 2, CanaryShards: 1, WaveSize: 2,
 		Core:   coreOpts(tpl),
 		OnStep: func(ev StepEvent) { events = append(events, ev) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = f.AttachSupervisors(func(r *Replica) supervise.Config {
-		rm := r.Machine
-		return supervise.Config{Canary: func() error { return healthProbe(rm, 0) }}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -269,13 +265,4 @@ func TestControllerStepStreamAndStatus(t *testing.T) {
 		t.Fatalf("clean rollout streamed failure events: %v", kinds)
 	}
 
-	sups := f.Supervisors()
-	if len(sups) != 6 {
-		t.Fatalf("supervisors = %d, want 6", len(sups))
-	}
-	for i, s := range sups {
-		if st := s.Status(); !st.Attached || st.Err != nil || st.Level != 0 {
-			t.Fatalf("replica %d supervisor after a clean rollout: %+v", i, st)
-		}
-	}
 }

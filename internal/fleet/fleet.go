@@ -25,7 +25,6 @@ import (
 	"github.com/dynacut/dynacut/internal/faultinject"
 	"github.com/dynacut/dynacut/internal/kernel"
 	"github.com/dynacut/dynacut/internal/obs"
-	"github.com/dynacut/dynacut/internal/supervise"
 )
 
 // Fleet errors.
@@ -187,18 +186,6 @@ func (o Outcome) String() string {
 	}
 }
 
-// OldVersion reports whether the outcome leaves the replica running
-// its pre-rollout code. Exactly one of OldVersion, the committed new
-// version, and OutcomeLost holds for every final outcome.
-func (o Outcome) OldVersion() bool {
-	switch o {
-	case OutcomePending, OutcomeAborted, OutcomeFailed, OutcomeRolledBack, OutcomeRestored:
-		return true
-	default:
-		return false
-	}
-}
-
 // ReplicaOutcome is one replica's rollout result.
 type ReplicaOutcome struct {
 	Index   int
@@ -280,8 +267,11 @@ type Fleet struct {
 	store    *criu.PageStore
 	replicas []*Replica
 	obs      *obs.Observer
-	halted   atomic.Bool
-	sups     []*supervise.Supervisor
+	// halted latches the halt of the rollout in progress: the
+	// pre-commit gate aborts and no later wave starts while it is set.
+	// Controller.Run clears it when a rollout starts, and a resumed
+	// controller sets it again from the journal's RecHalt.
+	halted atomic.Bool
 }
 
 // New clones the template machine into cfg.Replicas independent
@@ -397,16 +387,6 @@ func (f *Fleet) Active() []*Replica {
 // Store returns the shared content-addressed page store.
 func (f *Fleet) Store() *criu.PageStore { return f.store }
 
-// Halt stops the rollout: waves that have not started are cancelled
-// and in-flight rewrites abort at their next pre-commit check.
-func (f *Fleet) Halt() { f.halted.Store(true) }
-
-// Halted reports whether the fleet is in the halted state.
-func (f *Fleet) Halted() bool { return f.halted.Load() }
-
-// Resume clears the halted state so a new rollout can run.
-func (f *Fleet) Resume() { f.halted.Store(false) }
-
 // waves slices the replica indices into the canary wave followed by
 // batches of WaveSize.
 func (f *Fleet) waves() [][]int {
@@ -447,43 +427,6 @@ func (f *Fleet) Rollout(apply func(r *Replica) (core.Stats, error)) (*RolloutRes
 	return NewController(f, nil).Run(apply)
 }
 
-// ResumeRollout finishes a rollout whose controller died, from its
-// journal bytes: committed replicas are skipped, torn journal windows
-// are re-verified against the live replicas, and an interrupted halt
-// protocol is completed. Sugar for ResumeController + Run.
-func (f *Fleet) ResumeRollout(journal []byte, apply func(r *Replica) (core.Stats, error)) (*RolloutResult, error) {
-	c, err := ResumeController(f, journal)
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(apply)
-}
-
-// AttachSupervisors puts one supervisor on every replica. mk builds
-// the per-replica config (canary probes must target that replica's
-// machine). Supervisors observe through the replica's own observer
-// unless mk says otherwise.
-func (f *Fleet) AttachSupervisors(mk func(r *Replica) supervise.Config) error {
-	for _, r := range f.replicas {
-		cfg := mk(r)
-		if cfg.Observer == nil {
-			cfg.Observer = r.Obs
-		}
-		s := supervise.New(r.Machine, r.Cust, cfg)
-		if err := s.Attach(); err != nil {
-			return fmt.Errorf("fleet: attaching supervisor to replica %d: %w", r.Index, err)
-		}
-		f.sups = append(f.sups, s)
-	}
-	return nil
-}
-
-// Supervisors returns the attached per-replica supervisors (empty
-// before AttachSupervisors).
-func (f *Fleet) Supervisors() []*supervise.Supervisor {
-	return append([]*supervise.Supervisor(nil), f.sups...)
-}
-
 // Timeline merges the fleet-level event stream with every replica's,
 // each replica's events tagged "r<i>/", ordered on the shared virtual
 // clock. This is the one-pane-of-glass view of a rollout: wave spans
@@ -495,6 +438,3 @@ func (f *Fleet) Timeline() []obs.Event {
 	}
 	return obs.MergeTimelines(streams...)
 }
-
-// Observer returns the fleet-level observer.
-func (f *Fleet) Observer() *obs.Observer { return f.obs }

@@ -281,13 +281,6 @@ func (j *Journal) Records() []Record {
 	return append([]Record(nil), j.recs...)
 }
 
-// Len returns the committed record count.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.recs)
-}
-
 // DecodeJournal parses a serialized journal. A truncated or CRC-damaged
 // final frame — the signature of a crash mid-append — is dropped
 // silently; the same damage anywhere before the tail returns

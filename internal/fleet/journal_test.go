@@ -29,8 +29,8 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if j.Len() != len(want) {
-		t.Fatalf("Len = %d, want %d", j.Len(), len(want))
+	if len(j.Records()) != len(want) {
+		t.Fatalf("Len = %d, want %d", len(j.Records()), len(want))
 	}
 	got, err := DecodeJournal(j.Bytes())
 	if err != nil {
@@ -136,8 +136,8 @@ func TestJournalTornAppendFault(t *testing.T) {
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("torn append = %v, want injected fault", err)
 	}
-	if j.Len() != 1 {
-		t.Fatalf("torn record counted as committed: Len = %d", j.Len())
+	if len(j.Records()) != 1 {
+		t.Fatalf("torn record counted as committed: Len = %d", len(j.Records()))
 	}
 	data := j.Bytes()
 	wholeFrame := 8 + len(encodeRecord(recs[1]))

@@ -180,7 +180,7 @@ func TestFleetLivePatchTornAppendResume(t *testing.T) {
 		t.Fatalf("torn append: err = %v, want ErrControllerCrashed", err)
 	}
 
-	res2, err := f.ResumeRollout(c.Journal().Bytes(), apply)
+	res2, err := resume(f, c.Journal().Bytes(), apply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestFleetLivePatchTornTextRefusesResume(t *testing.T) {
 	}
 
 	counts := make([]atomic.Int32, 2)
-	_, err = f.ResumeRollout(j.Bytes(), countingApplyLive(tpl, counts))
+	_, err = resume(f, j.Bytes(), countingApplyLive(tpl, counts))
 	if err == nil {
 		t.Fatal("resume classified a half-patched replica")
 	}
@@ -293,7 +293,7 @@ func TestFleetChaosControllerCrashLivePatch(t *testing.T) {
 				t.Fatal("no fault fired")
 			}
 
-			res2, err := f.ResumeRollout(c.Journal().Bytes(), apply)
+			res2, err := resume(f, c.Journal().Bytes(), apply)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,6 +12,16 @@ import (
 	"github.com/dynacut/dynacut/internal/faultinject"
 )
 
+// resume finishes a rollout whose controller died, from its journal
+// bytes: ResumeController, then Run.
+func resume(f *Fleet, journal []byte, apply func(r *Replica) (core.Stats, error)) (*RolloutResult, error) {
+	c, err := ResumeController(f, journal)
+	if err != nil {
+		return nil, err
+	}
+	return c.Run(apply)
+}
+
 // countingApply wraps the standard rollout payload with a per-replica
 // invocation counter — the instrument behind the acceptance invariant
 // "resume never repeats a committed rewrite": across a crash and its
@@ -127,7 +137,7 @@ func TestControllerTornAppendResume(t *testing.T) {
 		t.Fatalf("torn journal must decode to its clean prefix: %v", err)
 	}
 
-	res2, err := f.ResumeRollout(data, apply)
+	res2, err := resume(f, data, apply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +337,7 @@ func TestFleetChaosControllerCrash(t *testing.T) {
 				t.Fatal("no fault fired")
 			}
 
-			res2, err := f.ResumeRollout(c.Journal().Bytes(), apply)
+			res2, err := resume(f, c.Journal().Bytes(), apply)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -426,7 +436,7 @@ func crashThenResume(t *testing.T, tpl *template, cut, step func(r *Replica) (co
 	} else if !errors.Is(err, ErrControllerCrashed) {
 		t.Fatalf("%s hit %d: err = %v, want ErrControllerCrashed", site, n, err)
 	}
-	res, err := f.ResumeRollout(c.Journal().Bytes(), apply)
+	res, err := resume(f, c.Journal().Bytes(), apply)
 	if err != nil {
 		t.Fatalf("%s hit %d: resume: %v", site, n, err)
 	}

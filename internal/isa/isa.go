@@ -131,12 +131,6 @@ func (op Opcode) Name() string {
 	return fmt.Sprintf("db 0x%02x", uint8(op))
 }
 
-// Valid reports whether the byte is a defined opcode.
-func (op Opcode) Valid() bool {
-	_, ok := opNames[op]
-	return ok
-}
-
 // Length returns the encoded length in bytes of an instruction that
 // starts with this opcode, or 0 if the opcode is undefined.
 func (op Opcode) Length() int {

@@ -47,7 +47,7 @@ package kernel
 //     dispatch validates the block's recorded generations against the
 //     live counters, so the next entry to the page re-translates and
 //     executes the flipped bytes exactly as the interpreter would.
-//  3. Layout changes — Map/Unmap/Protect — flush the entire cache:
+//  3. Layout changes — Map is the only one — flush the entire cache:
 //     fetch side effects depend on the VMA table (permission checks,
 //     where an over-fetch window stops, which pages a fetch can
 //     populate), not just on page contents.
@@ -90,7 +90,6 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/dynacut/dynacut/internal/isa"
 )
@@ -427,39 +426,6 @@ func (m *Memory) BlockCacheStats() BlockCacheStats {
 		s.CachedInsts += len(b.insts)
 	}
 	return s
-}
-
-// BlockInfo describes one cached block for introspection (tests, the
-// fuzz harness, debugging).
-type BlockInfo struct {
-	Entry uint64
-	Addrs []uint64
-	Insts []isa.Inst
-	Pages []uint64
-}
-
-// CachedBlocks returns the currently cached blocks sorted by entry
-// address. Slices are copies; mutating them cannot corrupt the cache.
-func (m *Memory) CachedBlocks() []BlockInfo {
-	if m.bc == nil {
-		return nil
-	}
-	out := make([]BlockInfo, 0, len(m.bc.blocks))
-	for _, b := range m.bc.blocks {
-		bi := BlockInfo{
-			Entry: b.entry,
-			Addrs: make([]uint64, len(b.insts)),
-			Insts: make([]isa.Inst, len(b.insts)),
-			Pages: append([]uint64(nil), b.pages...),
-		}
-		for i := range b.insts {
-			bi.Addrs[i] = b.insts[i].addr
-			bi.Insts[i] = b.insts[i].in
-		}
-		out = append(out, bi)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Entry < out[j].Entry })
-	return out
 }
 
 // BlockCacheStats aggregates the translation-cache counters across

@@ -145,8 +145,8 @@ func FuzzBlockCacheDecode(f *testing.F) {
 			if refP.RIP() != txP.RIP() {
 				t.Fatalf("%v: rip diverged: %#x vs %#x", mode, refP.RIP(), txP.RIP())
 			}
-			if refP.Insts() != txP.Insts() {
-				t.Fatalf("%v: insts diverged: %d vs %d", mode, refP.Insts(), txP.Insts())
+			if refP.insts != txP.insts {
+				t.Fatalf("%v: insts diverged: %d vs %d", mode, refP.insts, txP.insts)
 			}
 			if ref.Clock() != tx.Clock() {
 				t.Fatalf("%v: clock diverged: %d vs %d", mode, ref.Clock(), tx.Clock())

@@ -2,11 +2,57 @@ package kernel
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
 	"github.com/dynacut/dynacut/internal/delf"
+	"github.com/dynacut/dynacut/internal/isa"
 )
+
+// BlockInfo describes one cached block for the tests and the fuzz
+// harnesses.
+type BlockInfo struct {
+	Entry uint64
+	Addrs []uint64
+	Insts []isa.Inst
+	Pages []uint64
+}
+
+// CachedBlocks returns the currently cached blocks sorted by entry
+// address. Slices are copies; mutating them cannot corrupt the cache.
+func (m *Memory) CachedBlocks() []BlockInfo {
+	if m.bc == nil {
+		return nil
+	}
+	out := make([]BlockInfo, 0, len(m.bc.blocks))
+	for _, b := range m.bc.blocks {
+		bi := BlockInfo{
+			Entry: b.entry,
+			Addrs: make([]uint64, len(b.insts)),
+			Insts: make([]isa.Inst, len(b.insts)),
+			Pages: append([]uint64(nil), b.pages...),
+		}
+		for i := range b.insts {
+			bi.Addrs[i] = b.insts[i].addr
+			bi.Insts[i] = b.insts[i].in
+		}
+		out = append(out, bi)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Entry < out[j].Entry })
+	return out
+}
+
+// writableText makes exe's text section writable, so the loader maps
+// it read-write-execute and the guest can store into its own code.
+func writableText(t *testing.T, exe *delf.File) {
+	t.Helper()
+	sec, err := exe.Section(".text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec.Perm |= delf.PermW
+}
 
 // runBoth runs the same program to completion on two fresh machines —
 // one interpreting, one in the given cache mode — and asserts the
@@ -35,8 +81,8 @@ func runBoth(t *testing.T, src string, mode ExecMode, maxSteps uint64) (ref, tx 
 		t.Fatalf("%v: exit state diverged: interpreter exited=%v/%d/%v, engine exited=%v/%d/%v",
 			mode, ref.Exited(), ref.ExitCode(), ref.KilledBy(), tx.Exited(), tx.ExitCode(), tx.KilledBy())
 	}
-	if ref.Insts() != tx.Insts() {
-		t.Fatalf("%v: retired insts diverged: interpreter %d, engine %d", mode, ref.Insts(), tx.Insts())
+	if ref.insts != tx.insts {
+		t.Fatalf("%v: retired insts diverged: interpreter %d, engine %d", mode, ref.insts, tx.insts)
 	}
 	if mi.Clock() != mt.Clock() {
 		t.Fatalf("%v: clock diverged: interpreter %d, engine %d", mode, mi.Clock(), mt.Clock())
@@ -444,9 +490,9 @@ loop:
 	}
 }
 
-// TestProtectFlushesCache: a VMA-layout change must flush the whole
-// cache — fetch behavior depends on the layout, not just page bytes.
-func TestProtectFlushesCache(t *testing.T) {
+// TestMapFlushesCache: a VMA-layout change must flush the whole cache
+// — fetch behavior depends on the layout, not just page bytes.
+func TestMapFlushesCache(t *testing.T) {
 	m := NewMachine()
 	m.SetExecMode(ModeTranslate)
 	exe := buildExe(t, "test", corpusPrograms["loop-arith"])
@@ -459,8 +505,8 @@ func TestProtectFlushesCache(t *testing.T) {
 		t.Fatal("nothing cached")
 	}
 	vmas := p.Mem().VMAs()
-	v := vmas[0]
-	if err := p.Mem().Protect(v.Start, v.End, v.Perm); err != nil {
+	end := vmas[len(vmas)-1].End
+	if err := p.Mem().Map(VMA{Start: end, End: end + PageSize, Perm: delf.PermR | delf.PermW, Anon: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(p.Mem().CachedBlocks()); got != 0 {
@@ -502,8 +548,8 @@ func TestCloneDoesNotShareCache(t *testing.T) {
 	}
 	c.Run(200_000)
 	m.Run(200_000)
-	if cp.ExitCode() != p.ExitCode() || cp.Insts() != p.Insts() {
-		t.Fatalf("clone diverged: %d/%d vs %d/%d", cp.ExitCode(), cp.Insts(), p.ExitCode(), p.Insts())
+	if cp.ExitCode() != p.ExitCode() || cp.insts != p.insts {
+		t.Fatalf("clone diverged: %d/%d vs %d/%d", cp.ExitCode(), cp.insts, p.ExitCode(), p.insts)
 	}
 }
 
@@ -619,6 +665,7 @@ high:
 .bss
 far: .space 8
 `)
+		writableText(t, exe) // so the guest can store into its text
 		m := NewMachine()
 		m.SetExecMode(ModeTranslate)
 		p, err := m.Load(exe)
@@ -632,11 +679,6 @@ far: .space 8
 		entry := sym.Value
 		if off := entry % PageSize; off+maxInstLen <= PageSize {
 			t.Fatalf("entry %#x does not straddle a page boundary", entry)
-		}
-		// Make the text writable so the guest can store into it.
-		start := entry / PageSize * PageSize
-		if err := p.Mem().Protect(start, start+2*PageSize, delf.PermR|delf.PermW|delf.PermX); err != nil {
-			t.Fatal(err)
 		}
 		return m, p, entry
 	}
@@ -758,6 +800,7 @@ slot:
 .bss
 buf: .space 8
 `)
+	writableText(t, exe)
 	m := NewMachine()
 	m.SetExecMode(ModeTranslate)
 	p, err := m.Load(exe)
@@ -775,9 +818,6 @@ buf: .space 8
 	pn := loop / PageSize
 	if victim/PageSize != pn || slot/PageSize != pn {
 		t.Fatalf("loop, victim and slot straddle pages: %#x %#x %#x", loop, victim, slot)
-	}
-	if err := p.Mem().Protect(pn*PageSize, (pn+1)*PageSize, delf.PermR|delf.PermW|delf.PermX); err != nil {
-		t.Fatal(err)
 	}
 
 	// A guest store into the text page: it evicts the page's blocks

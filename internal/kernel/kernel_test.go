@@ -517,7 +517,7 @@ bad:
 		t.Fatalf("exit = %d", p.ExitCode())
 	}
 	// The library is recorded as a module at LibBase.
-	mod, ok := p.ModuleAt(LibBase)
+	mod, ok := moduleAt(p, LibBase)
 	if !ok || mod.Name != "libten.so" {
 		t.Errorf("ModuleAt(LibBase) = %v, %v", mod, ok)
 	}
@@ -835,7 +835,7 @@ _start:
 m1: .ascii "out"
 m2: .ascii "err"
 `, 1000)
-	if string(p.Stdout()) != "out" || string(p.Stderr()) != "err" {
-		t.Fatalf("stdout=%q stderr=%q", p.Stdout(), p.Stderr())
+	if string(p.Stdout()) != "out" || string(p.stderr) != "err" {
+		t.Fatalf("stdout=%q stderr=%q", p.Stdout(), p.stderr)
 	}
 }

@@ -35,16 +35,6 @@ func (p *Process) Modules() []Module { return append([]Module(nil), p.modules...
 // AddModule records a mapped binary (restore/injection path).
 func (p *Process) AddModule(mod Module) { p.modules = append(p.modules, mod) }
 
-// ModuleAt returns the module containing addr.
-func (p *Process) ModuleAt(addr uint64) (Module, bool) {
-	for _, mod := range p.modules {
-		if mod.Contains(addr) {
-			return mod, true
-		}
-	}
-	return Module{}, false
-}
-
 // Load maps an executable and its shared libraries into a fresh
 // process, applies dynamic relocations (GOT fill), sets up the stack,
 // and leaves the process runnable at the entry point.

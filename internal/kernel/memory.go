@@ -22,7 +22,6 @@ var (
 	ErrUnmapped   = errors.New("kernel: address not mapped")
 	ErrPerm       = errors.New("kernel: permission denied")
 	ErrVMAOverlap = errors.New("kernel: VMA overlap")
-	ErrNoVMA      = errors.New("kernel: no VMA at address")
 )
 
 // VMA is one virtual memory area. Start/End are page aligned.
@@ -41,9 +40,6 @@ type VMA struct {
 	BackSection string
 	Anon        bool
 }
-
-// Size returns the VMA length in bytes.
-func (v VMA) Size() uint64 { return v.End - v.Start }
 
 // Contains reports whether addr falls inside the VMA.
 func (v VMA) Contains(addr uint64) bool { return addr >= v.Start && addr < v.End }
@@ -70,8 +66,8 @@ type Memory struct {
 	// machine executes this memory in a translating mode; gens is the
 	// per-page mutation generation counter the cache validates against
 	// (allocated with bc, so pure-interpreter runs pay nothing); and
-	// layoutGen counts VMA-layout changes (Map/Unmap/Protect), any of
-	// which flushes the whole cache — instruction-fetch side effects
+	// layoutGen counts VMA-layout changes (Map, the only one), each
+	// of which flushes the whole cache — instruction-fetch side effects
 	// depend on the mapping, not just the bytes. A clone starts with an
 	// empty cache and a zeroed generation space, which is trivially
 	// consistent. A restored successor takes bc and gens from the dead
@@ -102,7 +98,7 @@ const tlbSize = 32
 
 // tlbEntry caches one page's translation for guest accesses: its
 // backing and its VMA's permission. It is valid while tag ==
-// layoutGen+1, so every Map/Unmap/Protect invalidates the whole TLB
+// layoutGen+1, so every Map invalidates the whole TLB
 // and a zero entry is empty. Anything that replaces a page's backing
 // (breakCoW, SetPage) drops the page's entry.
 //
@@ -215,12 +211,11 @@ func (m *Memory) noteSilentWrite(pn uint64) {
 	}
 }
 
-// noteLayoutChange records a VMA-table change (Map/Unmap/Protect) and
-// flushes the entire block cache. Layout changes can alter fetch
-// behavior without touching any page contents — revoking execute
-// permission, unmapping a page a block's over-fetch window touched,
-// mapping fresh pages where a fetch previously stopped — so per-page
-// generations are not enough; every cached block is invalidated.
+// noteLayoutChange records a VMA-table change (Map) and flushes the
+// entire block cache. A layout change can alter fetch behavior without
+// touching any page contents — mapping fresh pages where a fetch
+// previously stopped lets the fetch run on — so per-page generations
+// are not enough; every cached block is invalidated.
 func (m *Memory) noteLayoutChange() {
 	m.layoutGen++
 	if m.bc != nil {
@@ -262,95 +257,6 @@ func (m *Memory) Map(v VMA) error {
 	m.vmas = slices.Insert(m.vmas, i, v)
 	m.noteLayoutChange()
 	return nil
-}
-
-// Unmap removes the page-aligned range [start, end) from the VMA map
-// and drops its pages. Partial overlaps split the surviving VMA.
-func (m *Memory) Unmap(start, end uint64) error {
-	if !pageAligned(start) || !pageAligned(end) || end <= start {
-		return fmt.Errorf("kernel: bad unmap bounds %#x-%#x", start, end)
-	}
-	var out []VMA
-	touched := false
-	for _, v := range m.vmas {
-		if end <= v.Start || v.End <= start {
-			out = append(out, v)
-			continue
-		}
-		touched = true
-		if v.Start < start {
-			left := v
-			left.End = start
-			out = append(out, left)
-		}
-		if end < v.End {
-			right := v
-			right.Start = end
-			out = append(out, right)
-		}
-	}
-	if !touched {
-		return fmt.Errorf("%w: %#x-%#x", ErrNoVMA, start, end)
-	}
-	m.vmas = out
-	for pn := start / PageSize; pn < end/PageSize; pn++ {
-		delete(m.pages, pn)
-		delete(m.cow, pn)
-		m.noteSilentWrite(pn) // generation keeps advancing across unmap/remap
-	}
-	m.noteLayoutChange()
-	return nil
-}
-
-// Protect changes the permissions of the VMA(s) fully covering
-// [start, end), splitting as needed.
-func (m *Memory) Protect(start, end uint64, perm delf.Perm) error {
-	if !pageAligned(start) || !pageAligned(end) || end <= start {
-		return fmt.Errorf("kernel: bad protect bounds %#x-%#x", start, end)
-	}
-	var out []VMA
-	covered := uint64(0)
-	for _, v := range m.vmas {
-		if end <= v.Start || v.End <= start {
-			out = append(out, v)
-			continue
-		}
-		lo, hi := max64(v.Start, start), min64(v.End, end)
-		covered += hi - lo
-		if v.Start < lo {
-			left := v
-			left.End = lo
-			out = append(out, left)
-		}
-		mid := v
-		mid.Start, mid.End, mid.Perm = lo, hi, perm
-		out = append(out, mid)
-		if hi < v.End {
-			right := v
-			right.Start = hi
-			out = append(out, right)
-		}
-	}
-	if covered != end-start {
-		return fmt.Errorf("%w: protect %#x-%#x not fully mapped", ErrNoVMA, start, end)
-	}
-	m.vmas = out // split in place, so still sorted
-	m.noteLayoutChange()
-	return nil
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // tlbLookup returns page pn's valid TLB entry, or nil.

@@ -50,53 +50,15 @@ func TestMapValidation(t *testing.T) {
 	}
 }
 
-func TestUnmapSplitsVMA(t *testing.T) {
-	m := newMemory()
-	if err := m.Map(rwVMA(0x1000, 0x5000)); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Write(0x1000, []byte{9}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Write(0x4000, []byte{8}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Unmap(0x2000, 0x4000); err != nil {
-		t.Fatal(err)
-	}
-	vmas := m.VMAs()
-	if len(vmas) != 2 || vmas[0].End != 0x2000 || vmas[1].Start != 0x4000 {
-		t.Fatalf("vmas after unmap = %v", vmas)
-	}
-	if _, err := m.Read(0x3000, 1); !errors.Is(err, ErrUnmapped) {
-		t.Error("unmapped middle still readable")
-	}
-	// Data outside the hole survives.
-	if b, _ := m.Read(0x1000, 1); b[0] != 9 {
-		t.Error("left data lost")
-	}
-	if b, _ := m.Read(0x4000, 1); b[0] != 8 {
-		t.Error("right data lost")
-	}
-	if err := m.Unmap(0x8000, 0x9000); !errors.Is(err, ErrNoVMA) {
-		t.Errorf("unmap nothing err = %v", err)
-	}
-}
-
 func TestProtect(t *testing.T) {
 	m := newMemory()
-	if err := m.Map(VMA{Start: 0x1000, End: 0x4000, Perm: delf.PermR | delf.PermX, Name: "text"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Protect(0x2000, 0x3000, delf.PermR); err != nil {
-		t.Fatal(err)
-	}
-	vmas := m.VMAs()
-	if len(vmas) != 3 {
-		t.Fatalf("vmas = %v", vmas)
-	}
-	if vmas[1].Perm != delf.PermR {
-		t.Errorf("middle perm = %v", vmas[1].Perm)
+	for _, v := range []VMA{
+		{Start: 0x1000, End: 0x2000, Perm: delf.PermR | delf.PermX, Name: "text"},
+		{Start: 0x2000, End: 0x3000, Perm: delf.PermR, Name: "rodata"},
+	} {
+		if err := m.Map(v); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var buf [1]byte
 	if _, err := m.fetch(0x2000, buf[:]); !errors.Is(err, ErrPerm) {
@@ -104,9 +66,6 @@ func TestProtect(t *testing.T) {
 	}
 	if _, err := m.fetch(0x1000, buf[:]); err != nil {
 		t.Errorf("fetch from X err = %v", err)
-	}
-	if err := m.Protect(0x3000, 0x6000, delf.PermR); !errors.Is(err, ErrNoVMA) {
-		t.Errorf("partial protect err = %v", err)
 	}
 }
 
@@ -142,11 +101,11 @@ func TestCloneIsDeep(t *testing.T) {
 	if b, _ := m.Read(0x1000, 1); b[0] != 42 {
 		t.Error("clone write leaked into original")
 	}
-	if err := c.Unmap(0x1000, 0x2000); err != nil {
+	if err := c.Map(rwVMA(0x2000, 0x3000)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Read(0x1000, 1); err != nil {
-		t.Error("clone unmap affected original")
+	if _, ok := m.VMAAt(0x2000); ok {
+		t.Error("clone map affected original")
 	}
 }
 
@@ -297,19 +256,15 @@ func TestQuickMemoryRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: VMA table stays sorted and non-overlapping under
-// map/unmap sequences.
+// Property: VMA table stays sorted and non-overlapping under map
+// sequences, overlapping ones refused.
 func TestQuickVMAInvariants(t *testing.T) {
 	f := func(ops []uint16) bool {
 		m := newMemory()
 		for _, op := range ops {
 			start := uint64(op%64) * PageSize
 			n := uint64(op/64%8+1) * PageSize
-			if op%2 == 0 {
-				_ = m.Map(VMA{Start: start, End: start + n, Perm: delf.PermR, Name: "q"})
-			} else {
-				_ = m.Unmap(start, start+n)
-			}
+			_ = m.Map(VMA{Start: start, End: start + n, Perm: delf.PermR, Name: "q"})
 			vmas := m.VMAs()
 			for i := 1; i < len(vmas); i++ {
 				if vmas[i-1].End > vmas[i].Start {

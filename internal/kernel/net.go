@@ -148,9 +148,6 @@ func (hc *HostConn) Closed() bool {
 	return hc.c.bClosed && len(hc.c.b2a) == 0
 }
 
-// ID returns the connection's stable identifier (used by TCP repair).
-func (hc *HostConn) ID() uint64 { return hc.c.id }
-
 // QuietTicks is the quiet window of an Exchange: once a response has
 // bytes, a window this long with no new byte ends it. It must exceed
 // the longest computation a guest performs between two segments of

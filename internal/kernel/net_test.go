@@ -149,7 +149,7 @@ func TestHostConnCloseStopsWrites(t *testing.T) {
 	if _, err := conn.Write([]byte("x")); err == nil {
 		t.Fatal("write after close succeeded")
 	}
-	if conn.ID() == 0 {
+	if conn.c.id == 0 {
 		t.Error("connection has no ID")
 	}
 }

@@ -115,9 +115,6 @@ func (p *Process) KilledBy() Signal { return p.killedBy }
 // Stdout returns everything the process wrote to fd 1.
 func (p *Process) Stdout() []byte { return append([]byte(nil), p.stdout...) }
 
-// Stderr returns everything the process wrote to fd 2.
-func (p *Process) Stderr() []byte { return append([]byte(nil), p.stderr...) }
-
 // Mem exposes the address space (debugger/checkpoint view).
 func (p *Process) Mem() *Memory { return p.mem }
 
@@ -150,9 +147,6 @@ func (p *Process) SetFlags(f uint64) {
 	p.zf = f&1 != 0
 	p.lf = f&2 != 0
 }
-
-// Insts returns the number of retired instructions.
-func (p *Process) Insts() uint64 { return p.insts }
 
 // Sigactions returns a copy of the registered signal handlers.
 func (p *Process) Sigactions() map[Signal]Sigaction {

@@ -34,7 +34,7 @@ func TestSchedulerFairness(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Run(100_000)
-	i1, i2 := p1.Insts(), p2.Insts()
+	i1, i2 := p1.insts, p2.insts
 	if i1 == 0 || i2 == 0 {
 		t.Fatalf("starvation: %d vs %d", i1, i2)
 	}
@@ -98,11 +98,11 @@ _start:
 	if !p.Exited() {
 		t.Fatal("did not exit")
 	}
-	insts := p.Insts()
+	insts := p.insts
 	if m.Run(1000) != 0 {
 		t.Fatal("dead machine made progress")
 	}
-	if p.Insts() != insts {
+	if p.insts != insts {
 		t.Fatal("exited process executed instructions")
 	}
 	if got := len(m.Processes()); got != 0 {
@@ -179,8 +179,8 @@ func TestRunRoundMatchesRun(t *testing.T) {
 	if m.Clock()-before != 128 {
 		t.Fatalf("clock advanced %d, want 128", m.Clock()-before)
 	}
-	if p1.Insts() != 64 || p2.Insts() != 64 {
-		t.Fatalf("unfair round: %d vs %d", p1.Insts(), p2.Insts())
+	if p1.insts != 64 || p2.insts != 64 {
+		t.Fatalf("unfair round: %d vs %d", p1.insts, p2.insts)
 	}
 
 	// k rounds must land in the same state as one Run of the same
@@ -194,9 +194,9 @@ func TestRunRoundMatchesRun(t *testing.T) {
 	}
 	mb, b1, b2 := build(t)
 	mb.Run(5 * 128)
-	if r1.Insts() != b1.Insts() || r2.Insts() != b2.Insts() || mr.Clock() != mb.Clock() {
+	if r1.insts != b1.insts || r2.insts != b2.insts || mr.Clock() != mb.Clock() {
 		t.Fatalf("RunRound diverged from Run: insts %d/%d vs %d/%d, clock %d vs %d",
-			r1.Insts(), r2.Insts(), b1.Insts(), b2.Insts(), mr.Clock(), mb.Clock())
+			r1.insts, r2.insts, b1.insts, b2.insts, mr.Clock(), mb.Clock())
 	}
 
 	// No runnable work: a round retires nothing and says so.
@@ -246,24 +246,24 @@ loop:
 		}
 		m.Remove(doomed.PID())
 		m.Run(200) // a nested round: the newcomer may run here
-		nestedLast = last.Insts()
+		nestedLast = last.insts
 	})
 	m.RunRound()
 	if nudges != 1 {
 		t.Fatalf("nudge callback ran %d times, want 1", nudges)
 	}
-	if late.Insts() == 0 {
+	if late.insts == 0 {
 		t.Fatal("the nested Run never scheduled the new process")
 	}
-	lateAfterNested := late.Insts()
-	if got := last.Insts(); got != nestedLast+64 {
+	lateAfterNested := late.insts
+	if got := last.insts; got != nestedLast+64 {
 		t.Fatalf("the outer round gave pid %d %d instructions after the nested Run, want one 64-step slice", last.PID(), got-nestedLast)
 	}
-	if late.Insts() != lateAfterNested || nudger.Insts() == 0 {
-		t.Fatalf("outer round ran a process created mid-round: late=%d", late.Insts())
+	if late.insts != lateAfterNested || nudger.insts == 0 {
+		t.Fatalf("outer round ran a process created mid-round: late=%d", late.insts)
 	}
 	m.RunRound()
-	if late.Insts() != lateAfterNested+64 {
-		t.Fatalf("next round gave the new process %d instructions, want 64", late.Insts()-lateAfterNested)
+	if late.insts != lateAfterNested+64 {
+		t.Fatalf("next round gave the new process %d instructions, want 64", late.insts-lateAfterNested)
 	}
 }

@@ -103,9 +103,9 @@ func successionRun(t *testing.T, src string, steps uint64, vmas func([]VMA) []VM
 		machines[i] = m
 	}
 	ref, tx := succ[0], succ[1]
-	if ref.Exited() != tx.Exited() || ref.KilledBy() != tx.KilledBy() || ref.RIP() != tx.RIP() || ref.Insts() != tx.Insts() {
+	if ref.Exited() != tx.Exited() || ref.KilledBy() != tx.KilledBy() || ref.RIP() != tx.RIP() || ref.insts != tx.insts {
 		t.Fatalf("successors diverged: interpreter exited=%v/%v rip %#x insts %d, engine exited=%v/%v rip %#x insts %d",
-			ref.Exited(), ref.KilledBy(), ref.RIP(), ref.Insts(), tx.Exited(), tx.KilledBy(), tx.RIP(), tx.Insts())
+			ref.Exited(), ref.KilledBy(), ref.RIP(), ref.insts, tx.Exited(), tx.KilledBy(), tx.RIP(), tx.insts)
 	}
 	for r := 0; r < isa.NumRegisters; r++ {
 		if ref.Reg(isa.Register(r)) != tx.Reg(isa.Register(r)) {

@@ -91,12 +91,6 @@ func (h *Histogram) Add(v uint64) {
 // Count returns the number of samples.
 func (h *Histogram) Count() int { return len(h.samples) }
 
-// Samples returns a copy of the recorded latencies (insertion order is
-// not preserved once a percentile query has sorted them).
-func (h *Histogram) Samples() []uint64 {
-	return append([]uint64(nil), h.samples...)
-}
-
 // Percentile returns the p-th percentile (0 < p <= 100) by the
 // ceiling nearest-rank method: the smallest sample v such that at
 // least ceil(p/100 * N) samples are <= v. The previous truncating
@@ -161,14 +155,6 @@ type Result struct {
 	Dropped  int
 	Total    int
 	Failures []string // first few failure descriptions
-}
-
-// Throughput returns responses in bucket i (0 outside the run).
-func (r *Result) Throughput(i int) int {
-	if i < 0 || i >= len(r.Buckets) {
-		return 0
-	}
-	return r.Buckets[i].Responses
 }
 
 // Served counts completed requests (latency samples).

@@ -436,7 +436,7 @@ func TestDriverLatencyCoversFullResponse(t *testing.T) {
 	if res.Latency.Count() == 0 {
 		t.Fatal("no completions")
 	}
-	for _, lat := range res.Latency.Samples() {
+	for _, lat := range res.Latency.samples {
 		if lat < 60_000 {
 			t.Fatalf("latency %d < 60000: scored at first byte, not last", lat)
 		}

@@ -115,7 +115,7 @@ func TestOpenDriverTracePayloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := &OpenDriver{Machine: m, Port: port, Schedule: trace}
-	res, err := d.Run(trace.Ticks())
+	res, err := d.Run(uint64(len(trace.slots)) * trace.SlotTicks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestOpenDriverDeterministicRuns(t *testing.T) {
 			a.Total, a.Served(), a.Dropped, a.Errors,
 			b.Total, b.Served(), b.Dropped, b.Errors)
 	}
-	as, bs := a.Latency.Samples(), b.Latency.Samples()
+	as, bs := a.Latency.samples, b.Latency.samples
 	for i := range as {
 		if as[i] != bs[i] {
 			t.Fatalf("latency sample %d: %d vs %d", i, as[i], bs[i])

@@ -7,6 +7,14 @@ import (
 	"testing/quick"
 )
 
+// Throughput returns responses in bucket i (0 outside the run).
+func (r *Result) Throughput(i int) int {
+	if i < 0 || i >= len(r.Buckets) {
+		return 0
+	}
+	return r.Buckets[i].Responses
+}
+
 // TestPoolDrivesClonedReplicas is the fleet traffic shape: one booted
 // template cloned into N replicas, each driven by its own OpenDriver
 // under a bounded worker count, results merged into one fleet view.

@@ -15,8 +15,6 @@ import (
 // time, so a load run is exactly reproducible and two replicas given
 // the same schedule see the same traffic.
 type Schedule interface {
-	// Name identifies the schedule in results and traces.
-	Name() string
 	// Arrivals materializes the arrival sequence for a run of horizon
 	// vticks: offsets in [0, horizon), nondecreasing.
 	Arrivals(horizon uint64) []Arrival
@@ -52,10 +50,6 @@ func NewConstant(interval uint64) *ConstantSchedule {
 	return &ConstantSchedule{Interval: interval}
 }
 
-func (s *ConstantSchedule) Name() string {
-	return fmt.Sprintf("constant(interval=%d)", s.interval())
-}
-
 func (s *ConstantSchedule) interval() uint64 {
 	if s.Interval == 0 {
 		return 10_000
@@ -88,10 +82,6 @@ type StepSchedule struct {
 // SlotTicks-sized slot, step more in each following slot.
 func NewStepRamp(start, step int, slotTicks uint64) *StepSchedule {
 	return &StepSchedule{Start: start, Step: step, SlotTicks: slotTicks}
-}
-
-func (s *StepSchedule) Name() string {
-	return fmt.Sprintf("step(start=%d,step=%d,slot=%d)", s.start(), s.Step, s.slot())
 }
 
 func (s *StepSchedule) start() int {
@@ -153,10 +143,6 @@ type PoissonSchedule struct {
 // inter-arrival gap in vticks.
 func NewPoisson(meanInterval uint64, seed int64) *PoissonSchedule {
 	return &PoissonSchedule{MeanInterval: meanInterval, Seed: seed}
-}
-
-func (s *PoissonSchedule) Name() string {
-	return fmt.Sprintf("poisson(mean=%d,seed=%d)", s.mean(), s.Seed)
 }
 
 func (s *PoissonSchedule) mean() uint64 {
@@ -250,16 +236,6 @@ func ParseTraceCSV(data string, slotTicks uint64) (*TraceSchedule, error) {
 		return nil, fmt.Errorf("%w: no slots", ErrBadTrace)
 	}
 	return ts, nil
-}
-
-// Slots returns how many trace rows the schedule carries.
-func (s *TraceSchedule) Slots() int { return len(s.slots) }
-
-// Ticks returns the trace's own length on the virtual-clock axis.
-func (s *TraceSchedule) Ticks() uint64 { return uint64(len(s.slots)) * s.SlotTicks }
-
-func (s *TraceSchedule) Name() string {
-	return fmt.Sprintf("trace(slots=%d,slot=%d)", len(s.slots), s.SlotTicks)
 }
 
 func (s *TraceSchedule) Arrivals(horizon uint64) []Arrival {

@@ -25,22 +25,22 @@ func TestSchedulesDeterministic(t *testing.T) {
 		NewPoisson(9_000, 424242),
 		trace,
 	}
-	for _, s := range schedules {
+	for k, s := range schedules {
 		a1 := s.Arrivals(horizon)
 		a2 := s.Arrivals(horizon)
 		if !reflect.DeepEqual(a1, a2) {
-			t.Errorf("%s: two materializations differ", s.Name())
+			t.Errorf("schedule %d (%T): two materializations differ", k, s)
 		}
 		if len(a1) == 0 {
-			t.Errorf("%s: no arrivals", s.Name())
+			t.Errorf("schedule %d (%T): no arrivals", k, s)
 			continue
 		}
 		for i, a := range a1 {
 			if a.At >= horizon {
-				t.Errorf("%s: arrival %d at %d outside horizon %d", s.Name(), i, a.At, horizon)
+				t.Errorf("schedule %d (%T): arrival %d at %d outside horizon %d", k, s, i, a.At, horizon)
 			}
 			if i > 0 && a.At < a1[i-1].At {
-				t.Errorf("%s: arrival %d at %d before predecessor %d", s.Name(), i, a.At, a1[i-1].At)
+				t.Errorf("schedule %d (%T): arrival %d at %d before predecessor %d", k, s, i, a.At, a1[i-1].At)
 			}
 		}
 	}
@@ -106,8 +106,8 @@ func TestParseTraceCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ts.Slots() != 3 || ts.Ticks() != 3_000 {
-		t.Fatalf("slots = %d, ticks = %d", ts.Slots(), ts.Ticks())
+	if len(ts.slots) != 3 || ts.SlotTicks != 1_000 {
+		t.Fatalf("slots = %d, slot ticks = %d", len(ts.slots), ts.SlotTicks)
 	}
 	got := ts.Arrivals(10_000)
 	if len(got) != 5 {

@@ -265,13 +265,6 @@ func (o *Observer) SetGauge(name string, v int64) {
 	o.mu.Unlock()
 }
 
-// Gauge reads a gauge (0 if never set).
-func (o *Observer) Gauge(name string) int64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.gauges[name]
-}
-
 // Gauges returns a copy of all gauges.
 func (o *Observer) Gauges() map[string]int64 {
 	o.mu.Lock()
@@ -310,17 +303,6 @@ func (o *Observer) observeLocked(name string, v int64) {
 	h.Buckets[bits.Len64(uint64(v))]++
 }
 
-// Histogram returns a snapshot of one histogram and whether it exists.
-func (o *Observer) Histogram(name string) (Hist, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	h, ok := o.hists[name]
-	if !ok {
-		return Hist{}, false
-	}
-	return *h, true
-}
-
 // Events returns the buffered events, oldest first.
 func (o *Observer) Events() []Event {
 	o.mu.Lock()
@@ -337,10 +319,6 @@ func (o *Observer) Len() int {
 	defer o.mu.Unlock()
 	return o.n
 }
-
-// Cap returns the ring's bound: the most events it holds before it
-// overwrites the oldest.
-func (o *Observer) Cap() int { return o.bound }
 
 // Dropped returns how many events were overwritten by ring overflow.
 func (o *Observer) Dropped() uint64 {

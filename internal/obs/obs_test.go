@@ -16,8 +16,8 @@ func TestObserverRingBounded(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		o.Point("p", int64(i))
 	}
-	if o.Len() != 4 || o.Cap() != 4 {
-		t.Fatalf("len=%d cap=%d, want 4/4", o.Len(), o.Cap())
+	if o.Len() != 4 || o.bound != 4 {
+		t.Fatalf("len=%d cap=%d, want 4/4", o.Len(), o.bound)
 	}
 	if o.Dropped() != 6 {
 		t.Fatalf("dropped = %d, want 6", o.Dropped())
@@ -38,8 +38,8 @@ func TestObserverRingBounded(t *testing.T) {
 func TestObserverRingGrowsOnDemand(t *testing.T) {
 	for _, bound := range []int{3, 8, 100} {
 		o := New(bound)
-		if cap(o.ring) != 0 || o.Cap() != bound {
-			t.Fatalf("bound %d: after New cap(ring)=%d Cap()=%d, want 0/%d", bound, cap(o.ring), o.Cap(), bound)
+		if cap(o.ring) != 0 || o.bound != bound {
+			t.Fatalf("bound %d: after New cap(ring)=%d bound=%d, want 0/%d", bound, cap(o.ring), o.bound, bound)
 		}
 		total := 2*bound + 5
 		for i := 0; i < total; i++ {
@@ -57,8 +57,8 @@ func TestObserverRingGrowsOnDemand(t *testing.T) {
 			}
 		}
 	}
-	if o := New(0); cap(o.ring) != 0 || o.Cap() != DefaultCapacity {
-		t.Fatalf("New(0): cap(ring)=%d Cap()=%d", cap(o.ring), o.Cap())
+	if o := New(0); cap(o.ring) != 0 || o.bound != DefaultCapacity {
+		t.Fatalf("New(0): cap(ring)=%d bound=%d", cap(o.ring), o.bound)
 	}
 	// Below the bound the ring holds exactly what was emitted, in order.
 	o := New(DefaultCapacity)
@@ -89,6 +89,17 @@ func TestClockStamping(t *testing.T) {
 	}
 }
 
+// Histogram returns a snapshot of one histogram and whether it exists.
+func (o *Observer) Histogram(name string) (Hist, bool) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	h, ok := o.hists[name]
+	if !ok {
+		return Hist{}, false
+	}
+	return *h, true
+}
+
 // TestCountersGaugesHistograms exercises the metric registries.
 func TestCountersGaugesHistograms(t *testing.T) {
 	o := New(0)
@@ -97,8 +108,8 @@ func TestCountersGaugesHistograms(t *testing.T) {
 		t.Fatalf("counter = %d / %d", got, o.Counter("c"))
 	}
 	o.SetGauge("g", -7)
-	if o.Gauge("g") != -7 {
-		t.Fatalf("gauge = %d", o.Gauge("g"))
+	if g := o.Gauges()["g"]; g != -7 {
+		t.Fatalf("gauge = %d", g)
 	}
 	for _, v := range []int64{1, 2, 3, 1000} {
 		o.Observe("h", v)

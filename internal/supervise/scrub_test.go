@@ -58,7 +58,7 @@ func TestStormLadderScrubRepairsCorruptText(t *testing.T) {
 	if lvl := sup.Level(); lvl != 4 {
 		t.Fatalf("ladder level %d, want 4 (scrub)", lvl)
 	}
-	if sup.Restored() {
+	if sup.Status().Restored {
 		t.Fatal("scrub rung escalated to a pristine restore anyway")
 	}
 	rep, err := cust.Attest()
@@ -106,9 +106,9 @@ func TestStormLadderScrubFallsThroughOnCleanText(t *testing.T) {
 	}
 	sup.Step(b.m.Clock())
 
-	if !sup.Restored() || !sup.Disarmed() {
+	if !sup.Status().Restored || !sup.Status().Disarmed {
 		t.Fatalf("clean-text storm: restored=%v disarmed=%v, want both (scrub must not absorb it)",
-			sup.Restored(), sup.Disarmed())
+			sup.Status().Restored, sup.Status().Disarmed)
 	}
 }
 
@@ -150,7 +150,7 @@ func TestScrubRungFaultFallsThrough(t *testing.T) {
 	}
 	sup.Step(b.m.Clock())
 
-	if !sup.Restored() {
+	if !sup.Status().Restored {
 		t.Fatal("faulted scrub rung did not fall through to restore")
 	}
 	// The restore rebound the customizer to pristine text; its fresh

@@ -39,7 +39,7 @@ import (
 // Supervisor errors.
 var (
 	// ErrDisarmed: the degradation ladder reached rung 3 (or beyond)
-	// and switched patching off; DisableFeature refuses until Rearm.
+	// and switched patching off; DisableFeature refuses from then on.
 	ErrDisarmed = errors.New("supervise: patching disarmed by degradation ladder")
 	// ErrQuarantined: the feature's breaker is open and its probation
 	// has not expired yet.
@@ -192,9 +192,9 @@ type Supervisor struct {
 	attached bool
 	busy     bool // a step is running; suppress reentrant steps
 
-	// lastGood is the self-contained pristine image set
-	// taken at Attach (or the last Rearm) — the degradation ladder's
-	// final anchor. Restore only reads it, so it serves every try.
+	// lastGood is the self-contained pristine image set taken at
+	// Attach — the degradation ladder's final anchor. Restore only
+	// reads it, so it serves every try.
 	lastGood *criu.ImageSet
 
 	breakers map[string]*Breaker
@@ -591,7 +591,7 @@ func (s *Supervisor) reenableWorst(now uint64) bool {
 }
 
 // disarmAll re-enables every disabled feature in one rewrite and
-// switches patching off until Rearm.
+// switches patching off for good.
 func (s *Supervisor) disarmAll(now uint64) bool {
 	if err := s.m.Fault(faultinject.SiteSuperviseDisarm, 0); err != nil {
 		s.point("supervise.degrade.disarm.fail", 0)
@@ -624,7 +624,7 @@ func (s *Supervisor) restorePristine(now uint64) bool {
 		return false
 	}
 	s.restored = true
-	s.disarmed = true // pristine images predate all edits; stay off until Rearm
+	s.disarmed = true // pristine images predate all edits; stay off
 	s.lastHits = 0
 	s.samples = nil
 	end(nil)
@@ -666,31 +666,6 @@ func (s *Supervisor) DisableFeature(name string, blocks []coverage.AbsBlock, pol
 	}
 	s.noteDisabled(name)
 	return stats, nil
-}
-
-// Rearm re-enables supervised patching after the ladder disarmed it
-// (rung 3) or restored pristine images (rung 5): the current guest
-// state is snapshotted as the new last-good anchor and the ladder
-// resets to normal. Breaker ledgers survive — quarantines outlive the
-// incident that caused them.
-func (s *Supervisor) Rearm() error {
-	if s.fatal != nil {
-		return s.fatal
-	}
-	if !s.attached {
-		return ErrNotAttached
-	}
-	set, err := s.cust.Checkpoint()
-	if err != nil {
-		return fmt.Errorf("supervise: rearm: %w", err)
-	}
-	s.lastGood = set
-	s.disarmed = false
-	s.restored = false
-	s.level = 0
-	s.calmSince = s.m.Clock()
-	s.point("supervise.rearm", int64(s.lastGood.TotalBytes()))
-	return nil
 }
 
 // breaker returns (creating if needed) the feature's breaker and
@@ -761,28 +736,8 @@ func (s *Supervisor) Status() Status {
 	}
 }
 
-// Breaker state accessors (for tests and demos).
-
-// FeatureBreaker returns a copy of the feature's breaker ledger.
-func (s *Supervisor) FeatureBreaker(name string) (Breaker, bool) {
-	br, ok := s.breakers[name]
-	if !ok {
-		return Breaker{}, false
-	}
-	return *br, true
-}
-
 // Level returns the degradation rung currently reached (0 = normal).
 func (s *Supervisor) Level() int { return s.level }
-
-// Disarmed reports whether the ladder switched patching off.
-func (s *Supervisor) Disarmed() bool { return s.disarmed }
-
-// Restored reports whether the ladder restored the last-good images.
-func (s *Supervisor) Restored() bool { return s.restored }
-
-// Err returns the unrecoverable error, if the guest was lost.
-func (s *Supervisor) Err() error { return s.fatal }
 
 func (s *Supervisor) span(name string) func(error) {
 	o := s.cfg.Observer

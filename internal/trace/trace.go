@@ -81,12 +81,6 @@ func (c *Collector) OnBlock(pid int, start, size uint64) {
 	*slot = b
 }
 
-// Hits returns the total (non-deduplicated) block executions seen.
-func (c *Collector) Hits() uint64 { return c.hits }
-
-// Unique returns the number of distinct blocks recorded so far.
-func (c *Collector) Unique() int { return len(c.blocks) }
-
 // Reset clears the recorded coverage (the post-nudge cache clear).
 func (c *Collector) Reset() {
 	c.blocks = map[RawBlock]struct{}{}

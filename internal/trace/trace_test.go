@@ -23,11 +23,11 @@ func TestCollectorDedup(t *testing.T) {
 	c.OnBlock(1, 0x400010, 7)   // the same entry, cut short by a trap
 	c.OnBlock(1, 0x400110, 4)   // shares 0x400010's memo slot
 	c.OnBlock(1, 0x400010, 15)
-	if c.Unique() != 5 {
-		t.Fatalf("Unique = %d, want 5", c.Unique())
+	if len(c.blocks) != 5 {
+		t.Fatalf("Unique = %d, want 5", len(c.blocks))
 	}
-	if c.Hits() != 7 {
-		t.Fatalf("Hits = %d, want 7", c.Hits())
+	if c.hits != 7 {
+		t.Fatalf("Hits = %d, want 7", c.hits)
 	}
 	l := c.Snapshot(sampleModules(), "full")
 	if len(l.Blocks) != 5 {
@@ -48,7 +48,7 @@ func TestNudgeSnapshotAndReset(t *testing.T) {
 	if len(initLog.Blocks) != 1 || initLog.Phase != "init" {
 		t.Fatalf("init log = %+v", initLog)
 	}
-	if c.Unique() != 0 {
+	if len(c.blocks) != 0 {
 		t.Fatal("collector not reset")
 	}
 	c.OnBlock(1, 0x400000, 10) // seen before the reset: counts again

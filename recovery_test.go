@@ -54,7 +54,7 @@ func TestCanaryDetectsBadCustomization(t *testing.T) {
 	}
 	cust, err := NewCustomizer(sess.Machine, sess.PID(), CustomizerOptions{
 		RedirectTo:  errAddr,
-		HealthCheck: sess.CanaryProbe("GET /\n", "200"),
+		HealthCheck: HealthProbe(sess.Port, "GET /\n", "200"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,12 +82,12 @@ func TestCanaryDetectsBadCustomization(t *testing.T) {
 func TestFaultInjectedRestoreRollsBackThenSucceeds(t *testing.T) {
 	sess, blocks, errAddr := profileWebDAV(t, 8091)
 	in := NewFaultInjector(42)
-	in.FailRestoreAtStep(2)
+	in.FailAt(faultinject.PrefixRestore, 2)
 	sess.Machine.SetFaultHook(in)
 
 	cust, err := NewCustomizer(sess.Machine, sess.PID(), CustomizerOptions{
 		RedirectTo:  errAddr,
-		HealthCheck: sess.CanaryProbe("GET /\n", "200"),
+		HealthCheck: HealthProbe(sess.Port, "GET /\n", "200"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestFaultInjectedRestoreRollsBackThenSucceeds(t *testing.T) {
 	// The injector is spent (one-shot plan): the retry commits.
 	cust, err = NewCustomizer(sess.Machine, cust.PID(), CustomizerOptions{
 		RedirectTo:  errAddr,
-		HealthCheck: sess.CanaryProbe("GET /\n", "200"),
+		HealthCheck: HealthProbe(sess.Port, "GET /\n", "200"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestMaxAttemptsRetriesTransientFault(t *testing.T) {
 	cust, err := NewCustomizer(sess.Machine, sess.PID(), CustomizerOptions{
 		RedirectTo:  errAddr,
 		MaxAttempts: 2,
-		HealthCheck: sess.CanaryProbe("GET /\n", "200"),
+		HealthCheck: HealthProbe(sess.Port, "GET /\n", "200"),
 	})
 	if err != nil {
 		t.Fatal(err)

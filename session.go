@@ -145,30 +145,14 @@ func (s *Session) MustRequest(req string) string {
 	return resp
 }
 
-// CanaryProbe returns a health-check function suitable for
-// CustomizerOptions.HealthCheck: after every restore it sends req
-// over a fresh connection and fails the transaction — triggering
-// rollback — unless the response contains want.
-func (s *Session) CanaryProbe(req, want string) func(m *Machine, pid int) error {
-	return func(m *Machine, pid int) error {
-		if m != s.Machine {
-			return errors.New("dynacut: canary probe bound to a different machine")
-		}
-		// Deliberately not s.Request: the probe runs in the middle of a
-		// rewrite, and a routine canary success (or its transient
-		// failure, already reported via the transaction's own error
-		// path) must not clobber the LastErr the caller is tracking.
-		return expect(m, s.Port, requestBudget, "canary", req, want)
-	}
-}
-
-// HealthProbe returns a machine-generic end-to-end probe for use as
-// CustomizerOptions.HealthCheck: unlike Session.CanaryProbe, which is
-// deliberately bound to its session's machine, the probe dials
-// whatever machine it is invoked on — so one probe serves every CoW
-// replica of a fleet rollout. Each call opens a fresh connection,
-// sends req, runs the guest until the response is complete, and
-// fails unless the response contains want.
+// HealthProbe returns the post-restore canary for
+// CustomizerOptions.HealthCheck. Each call opens a fresh connection to
+// the machine it is invoked on (so one probe serves every CoW replica
+// of a fleet rollout), sends req, runs the guest until the response is
+// complete, and fails the transaction — triggering rollback — unless
+// the response contains want. It bypasses Session.LastErr: the probe
+// runs in the middle of a rewrite and must not clobber the error the
+// caller is tracking.
 func HealthProbe(port uint16, req, want string) func(m *Machine, pid int) error {
 	return func(m *Machine, pid int) error {
 		return expect(m, port, probeBudget, "probe", req, want)
@@ -178,7 +162,7 @@ func HealthProbe(port uint16, req, want string) func(m *Machine, pid int) error 
 // Canary returns a zero-argument end-to-end probe for the
 // supervisor's closed loop (SupervisorConfig.Canary): each invocation
 // sends req over a fresh connection and fails unless the response
-// contains want. Like CanaryProbe it bypasses LastErr — supervisor
+// contains want. Like HealthProbe it bypasses LastErr — supervisor
 // probes run on their own cadence and must not clobber the error the
 // application flow is tracking.
 func (s *Session) Canary(req, want string) func() error {

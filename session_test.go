@@ -154,10 +154,11 @@ func TestSessionSymbolAddrErrors(t *testing.T) {
 	}
 }
 
-// TestCanaryProbePreservesLastErr: the canary health probe runs in
-// the middle of a rewrite transaction; it must not clobber the
-// LastErr a caller is tracking across the rewrite (regression: the
-// probe used to go through s.Request, which overwrites LastErr).
+// TestCanaryProbePreservesLastErr: the canary health probe
+// (HealthProbe) runs in the middle of a rewrite transaction; it must
+// not clobber the LastErr a caller is tracking across the rewrite
+// (regression: the probe used to go through s.Request, which
+// overwrites LastErr).
 func TestCanaryProbePreservesLastErr(t *testing.T) {
 	app, err := BuildWebServer(WebServerConfig{Port: 8080})
 	if err != nil {
@@ -178,7 +179,7 @@ func TestCanaryProbePreservesLastErr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := sess.CanaryProbe("GET /\n", "200")
+	probe := HealthProbe(sess.Port, "GET /\n", "200")
 	probeRan := false
 	cust, err := NewCustomizer(sess.Machine, sess.PID(), CustomizerOptions{
 		RedirectTo: errAddr,

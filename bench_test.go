@@ -250,6 +250,27 @@ func BenchmarkMicro_CheckpointDump(b *testing.B) {
 	}
 }
 
+// BenchmarkMicro_CheckpointDumpLongLived dumps lighttpd after it has
+// served (accepted and closed) 0 and 10,000 connections. A dump reads
+// the open descriptors only, so its cost does not grow with the
+// connections the guest has closed.
+func BenchmarkMicro_CheckpointDumpLongLived(b *testing.B) {
+	for _, conns := range []int{0, 10_000} {
+		b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) {
+			sess := buildBenchSession(b)
+			for i := 0; i < conns; i++ {
+				sess.MustRequest("GET /\n")
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := dynacut.Dump(sess.Machine, sess.PID(), dynacut.DumpOpts{ExecPages: true}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Observer overhead: the same rewrite and dump loops with
 // the observability layer detached (nil — the zero-overhead contract)

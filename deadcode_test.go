@@ -129,52 +129,75 @@ func hasProgramFiles(dir string) bool {
 	return false
 }
 
-// funcName names fn as its package's directory (the root package as
-// "dynacut"), its receiver's type if any, and its own name.
-func funcName(fn *types.Func) string {
-	pkg := strings.TrimPrefix(fn.Pkg().Path(), modulePath+"/")
+// declName names obj as its package's directory (the root package as
+// "dynacut"), a method's receiver type if any, and its own name.
+func declName(obj types.Object) string {
+	pkg := strings.TrimPrefix(obj.Pkg().Path(), modulePath+"/")
 	if pkg == modulePath {
 		pkg = "dynacut"
 	}
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		rt := recv.Type()
-		if p, ok := rt.(*types.Pointer); ok {
-			rt = p.Elem()
-		}
-		if n, ok := rt.(*types.Named); ok {
-			return pkg + "." + n.Obj().Name() + "." + fn.Name()
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			rt := recv.Type()
+			if p, ok := rt.(*types.Pointer); ok {
+				rt = p.Elem()
+			}
+			if n, ok := rt.(*types.Named); ok {
+				return pkg + "." + n.Obj().Name() + "." + fn.Name()
+			}
 		}
 	}
-	return pkg + "." + fn.Name()
+	return pkg + "." + obj.Name()
 }
 
-// testOnlyFuncs lists, sorted, every function and method declared in
-// the module's non-test sources that no non-test source uses: not the
-// module's own packages, cmd/, examples/ or the benchmark module. A
-// use inside the function's own body does not count. A method counts
-// as used when its type implements an interface, declared here or
-// named by the program, that carries the method and is called
-// through: the call then names the interface's method, not this one.
-func testOnlyFuncs(t *testing.T) []string {
+// testOnlyDecls lists, sorted, every function, method and exported
+// package-level variable or constant declared in the module's
+// non-test sources that no non-test source uses: not the module's own
+// packages, cmd/, examples/ or the benchmark module. A use inside the
+// function's own body does not count. A method counts as used when
+// its type implements an interface, declared here or named by the
+// program, that carries the method and is called through: the call
+// then names the interface's method, not this one.
+func testOnlyDecls(t *testing.T) []string {
 	c := checkModule(t)
-	used := map[*types.Func]bool{}
-	var decls []*types.Func
+	used := map[types.Object]bool{}
+	var decls []types.Object
 	for p, files := range c.files {
+		program := !strings.HasPrefix(p, modulePath+"/"+benchDir)
 		for _, f := range files {
 			for _, d := range f.Decls {
 				var self *types.Func
-				if fd, ok := d.(*ast.FuncDecl); ok {
-					self, _ = c.info.Defs[fd.Name].(*types.Func)
-					if self != nil && !strings.HasPrefix(p, modulePath+"/"+benchDir) &&
-						fd.Name.Name != "main" && fd.Name.Name != "init" && fd.Name.Name != "_" {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					self, _ = c.info.Defs[d.Name].(*types.Func)
+					if self != nil && program &&
+						d.Name.Name != "main" && d.Name.Name != "init" && d.Name.Name != "_" {
 						decls = append(decls, self)
+					}
+				case *ast.GenDecl:
+					if !program || (d.Tok != token.VAR && d.Tok != token.CONST) {
+						break
+					}
+					for _, spec := range d.Specs {
+						for _, name := range spec.(*ast.ValueSpec).Names {
+							if name.IsExported() {
+								decls = append(decls, c.info.Defs[name])
+							}
+						}
 					}
 				}
 				ast.Inspect(d, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						if fn, ok := c.info.Uses[id].(*types.Func); ok && fn.Origin() != self {
-							used[fn.Origin()] = true
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					switch obj := c.info.Uses[id].(type) {
+					case *types.Func:
+						if obj.Origin() != self {
+							used[obj.Origin()] = true
 						}
+					case *types.Var, *types.Const:
+						used[obj] = true
 					}
 					return true
 				})
@@ -232,17 +255,22 @@ func testOnlyFuncs(t *testing.T) []string {
 	}
 
 	var names []string
-	for _, fn := range decls {
-		if !used[fn] && !viaIface(fn) {
-			names = append(names, funcName(fn))
+	for _, obj := range decls {
+		if used[obj] {
+			continue
 		}
+		if fn, ok := obj.(*types.Func); ok && viaIface(fn) {
+			continue
+		}
+		names = append(names, declName(obj))
 	}
 	sort.Strings(names)
 	return names
 }
 
 // TestNoTestOnlyFuncs fails on any function or method that only tests
-// call, unless testdata/test_only_funcs.golden lists it with a reason
+// call, or exported package-level variable or constant that only tests
+// read, unless testdata/test_only_funcs.golden lists it with a reason
 // ("name: reason", one a line). Code no program path runs is deleted,
 // not kept for its tests. Run with -update after a deletion: the file
 // keeps the reasons of the names still found, and a new name is
@@ -256,9 +284,9 @@ func TestNoTestOnlyFuncs(t *testing.T) {
 		}
 	}
 	var lines []string
-	for _, name := range testOnlyFuncs(t) {
+	for _, name := range testOnlyDecls(t) {
 		if reasons[name] == "" {
-			t.Errorf("%s: only tests call it; delete it, or give it a reason in testdata/test_only_funcs.golden", name)
+			t.Errorf("%s: only tests use it; delete it, or give it a reason in testdata/test_only_funcs.golden", name)
 			lines = append(lines, name)
 			continue
 		}

@@ -29,18 +29,6 @@ var ServingSyscalls = []uint64{
 	kernel.SysNudge,
 }
 
-// MasterSyscalls is the allow list for a master process that only
-// supervises workers (no I/O, no new sockets, but wait and fork if
-// respawn is desired).
-var MasterSyscalls = []uint64{
-	kernel.SysExit,
-	kernel.SysWait,
-	kernel.SysYield,
-	kernel.SysGetPID,
-	kernel.SysSigreturn,
-	kernel.SysClock,
-}
-
 // RestrictSyscalls installs the allow list on every process of the
 // target through one rewrite cycle. nil removes the filter (the
 // dynamic re-enable direction the paper's §5 highlights).

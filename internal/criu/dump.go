@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 
 	"github.com/dynacut/dynacut/internal/faultinject"
 	"github.com/dynacut/dynacut/internal/isa"
@@ -28,10 +27,9 @@ type DumpOpts struct {
 // The process is left running; callers that want the
 // checkpoint-kill-rewrite-restore flow use Machine.Kill afterwards.
 //
-// All fault hooks run in a serial prepass before any per-process
-// serialization starts — so a failed Dump shares no page, and the
-// subsequent per-process fan-out is infallible and free to run in
-// parallel.
+// All fault hooks run in a prepass before any process is serialized,
+// so a failed Dump shares no page and the serialization that follows
+// is infallible. Both run on the caller's goroutine.
 func Dump(m *kernel.Machine, pid int, opts DumpOpts) (*ImageSet, error) {
 	root, err := m.Process(pid)
 	if err != nil {
@@ -53,32 +51,20 @@ func Dump(m *kernel.Machine, pid int, opts DumpOpts) (*ImageSet, error) {
 		}
 	}
 
-	// Parallel phase: pure per-process serialization, one goroutine
-	// per process, results assembled back in traversal order.
-	pis := make([]*ProcImage, len(procs))
-	var wg sync.WaitGroup
-	for i, p := range procs {
-		wg.Add(1)
-		go func(i int, p *kernel.Process) {
-			defer wg.Done()
-			pis[i] = dumpOne(p, opts)
-		}(i, p)
-	}
-	wg.Wait()
-
+	// Serialize each process in traversal order.
 	set := &ImageSet{Procs: map[int]*ProcImage{}}
 	parent := map[int]int{}
-	for i, p := range procs {
+	for _, p := range procs {
+		pi := dumpOne(p, opts)
 		set.PIDs = append(set.PIDs, p.PID())
-		set.Procs[p.PID()] = pis[i]
-		set.PagesDumped += len(pis[i].Pages)
+		set.Procs[p.PID()] = pi
+		set.PagesDumped += len(pi.Pages)
 		parent[p.PID()] = p.Parent()
 	}
 	sortPIDsParentFirst(set.PIDs, parent)
 	if o := m.Observer(); o != nil {
 		o.Add("criu.dumps", 1)
 		o.Add("criu.pages.dumped", int64(set.PagesDumped))
-		o.Observe("criu.dump.pages", int64(set.PagesDumped))
 	}
 	return set, nil
 }
@@ -104,8 +90,7 @@ func dumpEligible(mem *kernel.Memory, pn uint64, opts DumpOpts) bool {
 }
 
 // dumpOne serializes one process. It is infallible by design: every
-// fault hook already ran in Dump's prepass, so this can execute on a
-// goroutine with nothing shared but its own process.
+// fault hook already ran in Dump's prepass.
 func dumpOne(p *kernel.Process, opts DumpOpts) *ProcImage {
 	pi := &ProcImage{}
 

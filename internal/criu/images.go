@@ -20,20 +20,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sync"
 
 	"github.com/dynacut/dynacut/internal/criu/pbuf"
 	"github.com/dynacut/dynacut/internal/kernel"
-)
-
-// Image file names within an ImageSet, per PID (mirroring CRIU's
-// core-<pid>.img etc.).
-const (
-	CoreImg    = "core"
-	MMImg      = "mm"
-	PageMapImg = "pagemap"
-	PagesImg   = "pages"
-	FilesImg   = "files"
 )
 
 // Package errors.
@@ -310,9 +299,8 @@ const (
 )
 
 // marshalProcBody encodes the checksummed portion of one proc entry.
-// It must stay deterministic: the parallel pipeline relies on
-// per-proc bodies being byte-identical run to run so the assembled
-// blob (and its CRCs) never wobbles.
+// It must stay deterministic: per-proc bodies are byte-identical run
+// to run, so the assembled blob (and its CRCs) never wobbles.
 func marshalProcBody(pid int, pi *ProcImage) []byte {
 	var e pbuf.Encoder
 	e.Uint(1, uint64(pid))
@@ -330,24 +318,12 @@ func marshalProcBody(pid int, pi *ProcImage) []byte {
 // set holds its complete page table, so the blob is always a full,
 // self-contained set.
 //
-// Per-proc bodies are marshaled in parallel and assembled in PID
-// order, so the output is byte-identical run to run regardless of
-// goroutine scheduling.
+// Proc entries are written in PID order, so the output is
+// byte-identical run to run.
 func (s *ImageSet) Marshal() []byte {
-	bodies := make([][]byte, len(s.PIDs))
-	var wg sync.WaitGroup
-	for i, pid := range s.PIDs {
-		wg.Add(1)
-		go func(i, pid int) {
-			defer wg.Done()
-			bodies[i] = marshalProcBody(pid, s.Procs[pid])
-		}(i, pid)
-	}
-	wg.Wait()
-
 	var e pbuf.Encoder
-	for _, body := range bodies {
-		body := body
+	for _, pid := range s.PIDs {
+		body := marshalProcBody(pid, s.Procs[pid])
 		e.Msg(1, func(pe *pbuf.Encoder) {
 			pe.Raw(body)
 			pe.Uint(checksumField, uint64(crc32.Checksum(body, crcTable)))
@@ -357,8 +333,7 @@ func (s *ImageSet) Marshal() []byte {
 }
 
 // unmarshalProcEntry decodes and checksum-verifies one raw proc
-// entry. It is pure (no shared state), so the pipeline can fan
-// entries out across goroutines.
+// entry.
 func unmarshalProcEntry(raw []byte) (int, *ProcImage, error) {
 	pi := &ProcImage{}
 	var pages []byte
@@ -460,16 +435,15 @@ func splitPages(buf []byte) [][]byte {
 // Unmarshal decodes an image set blob, verifying every proc entry's
 // checksum. Corruption — truncation, bit flips, a missing checksum —
 // yields an error wrapping ErrCorruptImage or ErrBadImage; no partial
-// set is ever returned. Proc entries are decoded in parallel and
-// reassembled in blob order. A blob carrying any field of the retired
-// incremental format, or a pagemap that is not strictly ascending, is
-// rejected with ErrBadImage: blobs come from outside the program, and
-// every decoded set must hold a complete, sorted page table.
+// set is ever returned. Proc entries are decoded in blob order, and
+// the first bad entry fails the blob. A blob carrying any field of the
+// retired incremental format, or a pagemap that is not strictly
+// ascending, is rejected with ErrBadImage: blobs come from outside the
+// program, and every decoded set must hold a complete, sorted page
+// table.
 func Unmarshal(data []byte) (*ImageSet, error) {
 	s := &ImageSet{Procs: map[int]*ProcImage{}}
 
-	// Phase 1 (serial): split the blob into raw proc entries.
-	var raws [][]byte
 	d := pbuf.NewDecoder(data)
 	for d.Next() {
 		switch d.Field() {
@@ -478,7 +452,15 @@ func Unmarshal(data []byte) (*ImageSet, error) {
 			if d.Err() != nil {
 				break
 			}
-			raws = append(raws, raw)
+			pid, pi, err := unmarshalProcEntry(raw)
+			if err != nil {
+				return nil, err
+			}
+			if _, dup := s.Procs[pid]; dup {
+				return nil, fmt.Errorf("%w: duplicate proc entry for pid %d", ErrBadImage, pid)
+			}
+			s.PIDs = append(s.PIDs, pid)
+			s.Procs[pid] = pi
 		case refField:
 			return nil, fmt.Errorf("%w: blob carries a parent reference", ErrBadImage)
 		default:
@@ -487,36 +469,6 @@ func Unmarshal(data []byte) (*ImageSet, error) {
 	}
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadImage, err)
-	}
-
-	// Phase 2 (parallel): decode and verify each entry.
-	type result struct {
-		pid int
-		pi  *ProcImage
-		err error
-	}
-	results := make([]result, len(raws))
-	var wg sync.WaitGroup
-	for i, raw := range raws {
-		wg.Add(1)
-		go func(i int, raw []byte) {
-			defer wg.Done()
-			pid, pi, err := unmarshalProcEntry(raw)
-			results[i] = result{pid: pid, pi: pi, err: err}
-		}(i, raw)
-	}
-	wg.Wait()
-
-	// Phase 3 (serial): assemble in blob order, first error wins.
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		if _, dup := s.Procs[r.pid]; dup {
-			return nil, fmt.Errorf("%w: duplicate proc entry for pid %d", ErrBadImage, r.pid)
-		}
-		s.PIDs = append(s.PIDs, r.pid)
-		s.Procs[r.pid] = r.pi
 	}
 	if len(s.PIDs) == 0 {
 		return nil, fmt.Errorf("%w: empty image set", ErrBadImage)

@@ -203,9 +203,10 @@ func TestFullVsDeltaRestoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelMarshalDeterministic: the fan-out marshal/unmarshal must
-// keep the blob byte-identical — across repeated Marshal calls and
-// across independent dumps of the same machine state.
+// TestParallelMarshalDeterministic: marshal and unmarshal must keep
+// the blob byte-identical — across repeated Marshal calls and across
+// independent dumps of the same machine state. (The name predates the
+// serial pipeline: marshal and unmarshal once fanned out per process.)
 func TestParallelMarshalDeterministic(t *testing.T) {
 	m, p := loadCounter(t)
 

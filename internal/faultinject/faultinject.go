@@ -148,7 +148,6 @@ const (
 // Step-prefix groups: a plan armed on a prefix (FailAt(PrefixRestore,
 // n) fails the nth restore step) counts every site sharing it.
 const (
-	PrefixDump      = "criu.dump."
 	PrefixRestore   = "criu.restore."
 	PrefixLivePatch = "core.livepatch."
 )

@@ -59,7 +59,7 @@ func TestHardFaultNeverRecovers(t *testing.T) {
 
 func TestPrefixDoesNotMatchOtherSites(t *testing.T) {
 	in := New(1)
-	in.FailAt(PrefixDump, 1)
+	in.FailAt("criu.dump.", 1)
 	if err := in.Fault(SiteRestoreProc, 0); err != nil {
 		t.Errorf("restore site matched dump prefix: %v", err)
 	}

@@ -16,7 +16,6 @@ var (
 	ErrPortInUse    = errors.New("kernel: port already bound")
 	ErrNotListening = errors.New("kernel: no listener on port")
 	ErrConnClosed   = errors.New("kernel: connection closed")
-	ErrBadFD        = errors.New("kernel: bad file descriptor")
 	// ErrNoResponse: the guest closed an exchange's connection without
 	// sending a byte.
 	ErrNoResponse = errors.New("kernel: no response from guest")

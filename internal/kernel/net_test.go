@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -297,5 +298,48 @@ func TestAttachConnSynthesizesMissingConnection(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("synthesized conn missing: %+v", fds)
+	}
+}
+
+// TestFDsListsOpenDescriptorsAfterManyConns: after a guest has
+// accepted and closed many connections, FDs lists exactly its open
+// descriptors (stdio and the listener) in fd order, and the guest's
+// descriptor numbering still never reuses a closed number.
+func TestFDsListsOpenDescriptorsAfterManyConns(t *testing.T) {
+	m := NewMachine()
+	p, err := m.Load(buildExe(t, "closer", closerServerSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Run(10000)
+	const conns = 500
+	for i := 0; i < conns; i++ {
+		if _, _, err := m.Exchange(8080, []byte("x"), 1_000_000); !errors.Is(err, ErrNoResponse) {
+			t.Fatalf("exchange %d: %v, want ErrNoResponse", i, err)
+		}
+	}
+	if p.nextFD < 4+conns {
+		t.Fatalf("nextFD = %d after %d accepts, want >= %d", p.nextFD, conns, 4+conns)
+	}
+	want := []FDInfo{
+		{FD: 0, Kind: FDStdio, StdNo: 0},
+		{FD: 1, Kind: FDStdio, StdNo: 1},
+		{FD: 2, Kind: FDStdio, StdNo: 2},
+		{FD: 3, Kind: FDListener, Port: 8080},
+	}
+	if got := p.FDs(); !slices.Equal(got, want) {
+		t.Fatalf("FDs = %+v, want %+v", got, want)
+	}
+	// Descriptors attached out of order still list in fd order.
+	q := m.NewRawProcess("restored", 0)
+	for _, fd := range []int{40, 7, 12} {
+		m.AttachConn(q, fd, uint64(1000+fd), 8080, false)
+	}
+	var fds []int
+	for _, d := range q.FDs() {
+		fds = append(fds, d.FD)
+	}
+	if want := []int{0, 1, 2, 7, 12, 40}; !slices.Equal(fds, want) {
+		t.Fatalf("restored FDs = %v, want %v", fds, want)
 	}
 }

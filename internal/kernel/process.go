@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"github.com/dynacut/dynacut/internal/isa"
 )
@@ -204,13 +206,11 @@ func sortU64(v []uint64) {
 }
 
 // FDs describes the open descriptors for checkpointing, sorted by fd.
+// It walks the open table, not every number allocFD ever handed out,
+// so its cost does not grow with the connections a guest has closed.
 func (p *Process) FDs() []FDInfo {
 	out := make([]FDInfo, 0, len(p.fds))
-	for fd := 0; fd < p.nextFD; fd++ {
-		d, ok := p.fds[fd]
-		if !ok {
-			continue
-		}
+	for fd, d := range p.fds {
 		info := FDInfo{FD: fd, Kind: d.kind}
 		switch d.kind {
 		case FDStdio:
@@ -224,6 +224,7 @@ func (p *Process) FDs() []FDInfo {
 		}
 		out = append(out, info)
 	}
+	slices.SortFunc(out, func(a, b FDInfo) int { return cmp.Compare(a.FD, b.FD) })
 	return out
 }
 

@@ -185,9 +185,8 @@ type Driver struct {
 	// matter how cheaply a request fails.
 	RequestBudget uint64
 	// Observer, when non-nil, receives per-request trace points
-	// (loadgen.request / loadgen.error) and the loadgen.latency
-	// histogram, so a run lands on the same mergeable timeline as the
-	// rewrite pipeline's own spans.
+	// (loadgen.request / loadgen.error), so a run lands on the same
+	// mergeable timeline as the rewrite pipeline's own spans.
 	Observer *obs.Observer
 	// Hook, when set, runs before each bucket (e.g. to trigger a
 	// rewrite at a specific point in the timeline).
@@ -252,7 +251,6 @@ func (d *Driver) Run(buckets int) (*Result, error) {
 			count++
 			if d.Observer != nil {
 				d.Observer.Point("loadgen.request", int64(lat))
-				d.Observer.Observe("loadgen.latency", int64(lat))
 			}
 		}
 		res.Buckets = append(res.Buckets, Bucket{

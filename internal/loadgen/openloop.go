@@ -41,7 +41,7 @@ type OpenDriver struct {
 	// work.
 	PollTicks uint64
 	// Observer, when non-nil, receives loadgen.request/error/drop
-	// points and the loadgen.latency histogram.
+	// points.
 	Observer *obs.Observer
 	// Hook, when set, runs at every arrival boundary (before the
 	// arrival fires) with the arrival's scheduled offset. The slo
@@ -252,6 +252,5 @@ func (d *OpenDriver) complete(f *flight, res *Result, start uint64) {
 	res.bucketAt(f.lastByte-start, d.BucketTicks).Responses++
 	if d.Observer != nil {
 		d.Observer.Point("loadgen.request", int64(lat))
-		d.Observer.Observe("loadgen.latency", int64(lat))
 	}
 }

@@ -69,6 +69,16 @@ type TraceSummary struct {
 	Points map[string]int `json:"points,omitempty"`
 }
 
+type spanKey struct {
+	name    string
+	attempt int
+}
+
+type spanStart struct {
+	wall   int64
+	vclock uint64
+}
+
 // Summarize reconstructs the phase timeline from a flat event list:
 // phase-start/phase-end pairs are matched by (name, attempt), nesting
 // and retries included. Unmatched starts (a crash mid-phase) count as

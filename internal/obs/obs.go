@@ -7,15 +7,14 @@
 // An Observer holds a bounded ring buffer of typed events, grown on
 // demand up to its bound — each stamped with both the wall clock and
 // the machine's virtual clock, so traces are deterministic under test
-// — plus named counters, gauges and log2-bucketed histograms. Exporters (jsonl.go) turn the ring
-// into a JSONL trace or a human-readable phase summary.
+// — plus named counters and gauges. Exporters (jsonl.go) turn the
+// ring into a JSONL trace or a human-readable phase summary.
 //
 // A nil *Observer is the off switch: every emit site checks for nil
 // before doing any work, so an unobserved rewrite pays nothing.
 package obs
 
 import (
-	"math/bits"
 	"sync"
 	"time"
 )
@@ -65,29 +64,6 @@ type Event struct {
 // DefaultCapacity is the ring size used when New is given 0.
 const DefaultCapacity = 4096
 
-// histBuckets is the number of log2 latency buckets (bucket i holds
-// values v with bits.Len64(v) == i, i.e. [2^(i-1), 2^i)).
-const histBuckets = 64
-
-// Hist is a snapshot of one log2-bucketed histogram.
-type Hist struct {
-	Count   int64
-	Sum     int64
-	Min     int64
-	Max     int64
-	Buckets [histBuckets]int64
-}
-
-type spanKey struct {
-	name    string
-	attempt int
-}
-
-type spanStart struct {
-	wall   int64
-	vclock uint64
-}
-
 // Observer is the sink. All methods are safe for concurrent use; the
 // zero value is not usable — construct with New. Callers hold a
 // *Observer that may be nil, and nil checks at the emit sites are the
@@ -108,8 +84,6 @@ type Observer struct {
 
 	counters map[string]int64
 	gauges   map[string]int64
-	hists    map[string]*Hist
-	open     map[spanKey]spanStart
 }
 
 // New creates an observer whose event ring holds at most capacity
@@ -124,8 +98,6 @@ func New(capacity int) *Observer {
 		bound:    capacity,
 		counters: map[string]int64{},
 		gauges:   map[string]int64{},
-		hists:    map[string]*Hist{},
-		open:     map[spanKey]spanStart{},
 	}
 }
 
@@ -187,33 +159,20 @@ func (o *Observer) Emit(ev Event) {
 	o.mu.Unlock()
 }
 
-// PhaseStart opens a span for one rewrite phase. Matching PhaseEnd
-// (same name and attempt) closes it and feeds the wall-clock duration
-// into the "phase.<name>" histogram.
+// PhaseStart opens a span for one rewrite phase; the PhaseEnd with the
+// same name and attempt closes it. Summarize pairs the two events.
 func (o *Observer) PhaseStart(name string, attempt int) {
-	o.mu.Lock()
-	ev := Event{Kind: KindPhaseStart, Name: name, Attempt: attempt}
-	o.stamp(&ev)
-	o.push(ev)
-	o.open[spanKey{name, attempt}] = spanStart{wall: ev.WallNS, vclock: ev.VClock}
-	o.mu.Unlock()
+	o.Emit(Event{Kind: KindPhaseStart, Name: name, Attempt: attempt})
 }
 
 // PhaseEnd closes a span; err ("" on success) is recorded on the
 // event, so failed phases are visible in the trace.
 func (o *Observer) PhaseEnd(name string, attempt int, err error) {
-	o.mu.Lock()
 	ev := Event{Kind: KindPhaseEnd, Name: name, Attempt: attempt}
 	if err != nil {
 		ev.Err = err.Error()
 	}
-	o.stamp(&ev)
-	if st, ok := o.open[spanKey{name, attempt}]; ok {
-		delete(o.open, spanKey{name, attempt})
-		o.observeLocked("phase."+name, ev.WallNS-st.wall)
-	}
-	o.push(ev)
-	o.mu.Unlock()
+	o.Emit(ev)
 }
 
 // Point records an instantaneous named event with a numeric payload.
@@ -274,33 +233,6 @@ func (o *Observer) Gauges() map[string]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// Observe feeds one value into a named histogram.
-func (o *Observer) Observe(name string, v int64) {
-	o.mu.Lock()
-	o.observeLocked(name, v)
-	o.mu.Unlock()
-}
-
-func (o *Observer) observeLocked(name string, v int64) {
-	h, ok := o.hists[name]
-	if !ok {
-		h = &Hist{}
-		o.hists[name] = h
-	}
-	if v < 0 {
-		v = 0
-	}
-	if h.Count == 0 || v < h.Min {
-		h.Min = v
-	}
-	if v > h.Max {
-		h.Max = v
-	}
-	h.Count++
-	h.Sum += v
-	h.Buckets[bits.Len64(uint64(v))]++
 }
 
 // Events returns the buffered events, oldest first.

@@ -89,18 +89,8 @@ func TestClockStamping(t *testing.T) {
 	}
 }
 
-// Histogram returns a snapshot of one histogram and whether it exists.
-func (o *Observer) Histogram(name string) (Hist, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	h, ok := o.hists[name]
-	if !ok {
-		return Hist{}, false
-	}
-	return *h, true
-}
-
-// TestCountersGaugesHistograms exercises the metric registries.
+// TestCountersGaugesHistograms exercises the metric registries:
+// counters and gauges (the observer keeps no histograms).
 func TestCountersGaugesHistograms(t *testing.T) {
 	o := New(0)
 	o.Add("c", 2)
@@ -110,31 +100,6 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	o.SetGauge("g", -7)
 	if g := o.Gauges()["g"]; g != -7 {
 		t.Fatalf("gauge = %d", g)
-	}
-	for _, v := range []int64{1, 2, 3, 1000} {
-		o.Observe("h", v)
-	}
-	h, ok := o.Histogram("h")
-	if !ok || h.Count != 4 || h.Sum != 1006 || h.Min != 1 || h.Max != 1000 {
-		t.Fatalf("hist = %+v ok=%v", h, ok)
-	}
-	if _, ok := o.Histogram("absent"); ok {
-		t.Fatal("phantom histogram")
-	}
-}
-
-// TestPhaseSpansFeedHistogram: PhaseEnd closes the span opened by
-// PhaseStart and records the duration in phase.<name>.
-func TestPhaseSpansFeedHistogram(t *testing.T) {
-	o := New(0)
-	now := time.Unix(0, 0)
-	o.SetWallClock(func() time.Time { return now })
-	o.PhaseStart("checkpoint", 1)
-	now = now.Add(5 * time.Millisecond)
-	o.PhaseEnd("checkpoint", 1, nil)
-	h, ok := o.Histogram("phase.checkpoint")
-	if !ok || h.Count != 1 || h.Sum != int64(5*time.Millisecond) {
-		t.Fatalf("hist = %+v ok=%v", h, ok)
 	}
 }
 

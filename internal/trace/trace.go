@@ -55,7 +55,6 @@ type Collector struct {
 	// hot block's repeat executions skip the map insert. A slot is
 	// trusted only for a nonzero address, so the zero value is empty.
 	memo [memoSlots]RawBlock
-	hits uint64
 }
 
 // memoSlots is the size of the collector's memo: a power of two, so
@@ -71,7 +70,6 @@ var _ kernel.Tracer = (*Collector)(nil)
 
 // OnBlock records one executed basic block.
 func (c *Collector) OnBlock(pid int, start, size uint64) {
-	c.hits++
 	b := RawBlock{Addr: start, Size: size}
 	slot := &c.memo[start%memoSlots]
 	if *slot == b && start != 0 {
@@ -81,11 +79,12 @@ func (c *Collector) OnBlock(pid int, start, size uint64) {
 	*slot = b
 }
 
-// Reset clears the recorded coverage (the post-nudge cache clear).
+// Reset clears the recorded coverage (the post-nudge cache clear). The
+// block set is emptied in place, so the blocks recorded after a nudge
+// reuse its buckets instead of regrowing a fresh map.
 func (c *Collector) Reset() {
-	c.blocks = map[RawBlock]struct{}{}
+	clear(c.blocks)
 	c.memo = [memoSlots]RawBlock{}
-	c.hits = 0
 }
 
 // Snapshot produces a Log of the coverage collected so far, labelled

@@ -463,3 +463,26 @@ func TestRequestAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestDumpAllocs pins the allocations of one checkpoint of the booted
+// kvstore guest at 14. Dump serializes on the caller's goroutine; a
+// goroutine per process would add its own allocations here.
+func TestDumpAllocs(t *testing.T) {
+	kv, err := BuildKVStore(KVStoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := StartServer(kv.Exe, []*Binary{kv.Libc}, kv.Config.Port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump := func() {
+		if _, err := Dump(sess.Machine, sess.PID(), DumpOpts{ExecPages: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dump()
+	if got := testing.AllocsPerRun(50, dump); got > 14 {
+		t.Errorf("%.1f allocs per dump, want <= 14", got)
+	}
+}

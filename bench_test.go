@@ -590,6 +590,69 @@ func BenchmarkFleetRollout(b *testing.B) {
 	}
 }
 
+// BenchmarkFleetRolloutPair is the rewrite's garbage profile: a
+// 32-replica lighttpd fleet with two worker lanes rolls out the
+// webdav-write cut and then its re-enable, once per iteration, after a
+// warm-up pair (the first cut injects the handler library). B/op and
+// allocs/op count one steady-state pair across the whole fleet.
+func BenchmarkFleetRolloutPair(b *testing.B) {
+	const replicas = 32
+	app, err := dynacut.BuildWebServer(dynacut.WebServerConfig{Name: "lighttpd", Port: 8080})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess, err := dynacut.StartServer(app.Exe, []*dynacut.Binary{app.Libc}, app.Config.Port)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blocks, err := sess.ProfileFeatures(
+		[]string{"GET /\n", "HEAD /\n", "OPTIONS /\n", "POST /\n"},
+		[]string{"PUT /f data\n", "DELETE /f\n"},
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	errAddr, err := sess.SymbolAddr("resp_403")
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := dynacut.NewFleetFromSession(sess, dynacut.FleetConfig{
+		Replicas: replicas,
+		Workers:  2,
+		WaveSize: replicas, // one canary, then everything in one wave
+		Core: dynacut.CustomizerOptions{
+			RedirectTo:  errAddr,
+			HealthCheck: dynacut.HealthProbe(app.Config.Port, "GET /\n", "200"),
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rollout := func(apply func(r *dynacut.FleetReplica) (dynacut.RewriteStats, error)) {
+		res, err := f.Rollout(apply)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := res.Committed(); got != replicas {
+			b.Fatalf("committed %d/%d: %+v", got, replicas, res.Outcomes)
+		}
+	}
+	pair := func() {
+		rollout(func(r *dynacut.FleetReplica) (dynacut.RewriteStats, error) {
+			return r.Cust.DisableBlocks("webdav-write", blocks, dynacut.PolicyBlockEntry)
+		})
+		rollout(func(r *dynacut.FleetReplica) (dynacut.RewriteStats, error) {
+			return r.Cust.EnableBlocks("webdav-write")
+		})
+	}
+	pair()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pair()
+	}
+}
+
 // BenchmarkFleetSpawn is the spawn profile: a booted lighttpd template
 // cloned into a 16-replica fleet, each replica with its customizer and
 // its pristine checkpoint deposited in the shared page store. It

@@ -355,7 +355,7 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 		if o := c.opts.Observer; o != nil {
 			o.Add("core.rollbacks", 1)
 		}
-		procs, err := c.replace(&stats, preds, set, "rollback", "", attempt)
+		procs, _, err := c.replace(&stats, preds, set, "rollback", "", attempt)
 		restores++
 		if err != nil {
 			return fmt.Errorf("%w: %v (while recovering from: %v)", ErrRollbackFailed, err, cause)
@@ -424,7 +424,7 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 		// guest is down until a restore (of the edited images or, on
 		// rollback, the pristine ones) completes — that window is the
 		// measured Downtime.
-		procs, err := c.replace(&stats, curPIDs, work, "restore", "", attempt)
+		procs, dead, err := c.replace(&stats, curPIDs, work, "restore", "", attempt)
 		restores++
 		if err != nil {
 			// Restore is atomic: its partial procs are already gone.
@@ -466,6 +466,16 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 			err = c.seal(pns)
 		}
 		endReseal(err)
+		// set is no longer the rollback anchor, and set and work die
+		// with this call, so the restored tree takes over the pages its
+		// dead predecessors held privately until the dump: their next
+		// stores copy nothing. Every other restored page stays
+		// copy-on-write.
+		for i, p := range procs[:len(dead)] {
+			if dead[i] != nil {
+				p.Adopt(dead[i])
+			}
+		}
 		if o := c.opts.Observer; o != nil {
 			o.Add("core.commits", 1)
 		}
@@ -493,11 +503,12 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 // cache — procs[i] replaces preds[i], both root first, and any pairing
 // is sound since Succeed keeps only what the successor's layout and
 // pages still validate — and only then are preds removed from the
-// process table. A failed restore leaves nothing behind of its own,
-// and leaves preds dead in the table as c.orphans, so the next replace
-// can still hand their caches on. The spans are attempt's kill and
-// phase.
-func (c *Customizer) replace(st *Stats, preds []int, set *criu.ImageSet, phase, site string, attempt int) ([]*kernel.Process, error) {
+// process table. dead[i] is the removed process procs[i] replaced (nil
+// if there was none), for a commit to hand its pages on (Adopt). A
+// failed restore leaves nothing behind of its own, and leaves preds
+// dead in the table as c.orphans, so the next replace can still hand
+// their caches on. The spans are attempt's kill and phase.
+func (c *Customizer) replace(st *Stats, preds []int, set *criu.ImageSet, phase, site string, attempt int) (procs, dead []*kernel.Process, err error) {
 	tKill := time.Now()
 	endKill := c.span("kill", attempt)
 	for i := len(preds) - 1; i >= 0; i-- {
@@ -506,8 +517,6 @@ func (c *Customizer) replace(st *Stats, preds []int, set *criu.ImageSet, phase, 
 	endKill(nil)
 	t := time.Now()
 	endRestore := c.span(phase, attempt)
-	var procs []*kernel.Process
-	var err error
 	if site != "" {
 		err = c.machine.Fault(site, attempt)
 	}
@@ -519,11 +528,13 @@ func (c *Customizer) replace(st *Stats, preds []int, set *criu.ImageSet, phase, 
 	st.Downtime += time.Since(tKill)
 	if err != nil {
 		c.orphans = preds
-		return nil, err
+		return nil, nil, err
 	}
-	for i, pid := range preds[:min(len(preds), len(procs))] {
-		if pred, err := c.machine.Process(pid); err == nil {
+	dead = make([]*kernel.Process, min(len(preds), len(procs)))
+	for i := range dead {
+		if pred, err := c.machine.Process(preds[i]); err == nil {
 			procs[i].Succeed(pred)
+			dead[i] = pred
 		}
 	}
 	// Removed only now: Remove counts a process's cache counters once
@@ -532,7 +543,7 @@ func (c *Customizer) replace(st *Stats, preds []int, set *criu.ImageSet, phase, 
 		c.machine.Remove(pid)
 	}
 	c.orphans = nil
-	return procs, nil
+	return procs, dead, nil
 }
 
 // pidsOf returns the PIDs of procs, in order.
@@ -573,9 +584,13 @@ func (c *Customizer) healthCheck(root int, procs []*kernel.Process) error {
 // from the per-layer medians of `bash benchmark/run.sh --workload
 // kv-cut --seed 1 --trace 1` on a 2-vCPU x86-64 host (interpreter):
 // one process with 14 pages (criu.pages_dumped) took criu.restore_us
-// 147.4 plus a 6.0 µs kill span. A Memory.SetPage loop there cost 3–5
-// µs a page; 5 µs is the per-page share, and the other 83 µs (page
-// tables, backing files, registers, descriptors) is per process.
+// 147.4 plus a 6.0 µs kill span. A Memory.SetPage loop there, which
+// then copied every writable page, cost 3–5 µs a page; 5 µs is the
+// per-page share, and the other 83 µs (page tables, backing files,
+// registers, descriptors) is per process. SetPage now shares every page
+// and copies none, so the per-page share overstates a page's cost; the
+// coefficients stay until a refit from measured restores, so no
+// charged vtick moves.
 const (
 	downtimeNsPerProc = 83_000
 	downtimeNsPerPage = 5_000
@@ -886,7 +901,7 @@ func (c *Customizer) RestoreImages(set *criu.ImageSet) (failed []error, err erro
 			preds = append(preds, p.PID())
 		}
 		var procs []*kernel.Process
-		procs, err = c.replace(&Stats{}, preds, set, "restore", faultinject.SiteRestoreImages, try)
+		procs, _, err = c.replace(&Stats{}, preds, set, "restore", faultinject.SiteRestoreImages, try)
 		if err != nil {
 			failed = append(failed, err)
 			continue

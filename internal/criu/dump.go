@@ -138,7 +138,9 @@ func dumpOne(p *kernel.Process, opts DumpOpts) *ProcImage {
 	// pagemap + pages: the complete table of eligible pages. Each takes
 	// the live page's slice, which memory marks copy-on-write, so no
 	// page is copied here; a page the guest has not written since the
-	// previous dump is still that dump's slice.
+	// previous dump is still that dump's slice. SharePage also records
+	// which pages were private until now: those a committed rewrite
+	// hands to the restored process (kernel.Process.Adopt).
 	populated := mem.PopulatedPages()
 	pi.PageMap.PageNumbers = make([]uint64, 0, len(populated))
 	pi.Pages = make([][]byte, 0, len(populated))

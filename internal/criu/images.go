@@ -115,8 +115,10 @@ type FilesImage struct {
 //
 // Page slices are immutable once they are in a table, so tables and
 // guest memory share them: Dump takes live pages copy-on-write, Clone
-// shares the source's, and Restore installs read-only pages by
-// reference. SetPage takes ownership of its slice; the only writer is
+// shares the source's, and Restore installs every page by reference,
+// copy-on-write. Only a committed rewrite, whose dumped sets die with
+// it, hands a restored guest the pages its killed predecessor alone
+// held (kernel.Process.Adopt). SetPage takes ownership of its slice; the only writer is
 // a crit.Editor patching the copies it made, before the set is shared. The two table slices
 // themselves belong to one image.
 type ProcImage struct {

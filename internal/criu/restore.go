@@ -21,9 +21,9 @@ import (
 // reconstruction — and therefore reverting any code patches unless
 // the dump used ExecPages.
 //
-// Pages of VMAs that are not writable are shared with the set
-// copy-on-write (kernel.Memory.SetPage), writable ones copied; the set
-// stays intact for a rollback or the next dump either way.
+// Every page is shared with the set copy-on-write
+// (kernel.Memory.SetPage), so a restore copies no page and the set
+// stays intact for a rollback or the next dump.
 //
 // Restore is atomic with respect to the machine's process table: if
 // restoring any process fails, every process this call created is
@@ -67,18 +67,20 @@ func Restore(m *kernel.Machine, set *ImageSet) ([]*kernel.Process, map[int]int, 
 }
 
 func restoreOne(m *kernel.Machine, p *kernel.Process, pi *ProcImage, boundHere map[uint16]bool) error {
-	// VMAs.
+	// VMAs: the table is built once and handed to the address space.
 	if err := m.Fault(faultinject.SiteRestoreVMA, p.PID()); err != nil {
 		return err
 	}
-	for _, v := range pi.MM.VMAs {
-		if err := p.Mem().Map(kernel.VMA{
+	vmas := make([]kernel.VMA, len(pi.MM.VMAs))
+	for i, v := range pi.MM.VMAs {
+		vmas[i] = kernel.VMA{
 			Start: v.Start, End: v.End, Perm: delf.Perm(v.Perm),
 			Name: v.Name, Backing: v.Backing, BackSection: v.BackSection,
 			Anon: v.Anon,
-		}); err != nil {
-			return err
 		}
+	}
+	if err := p.Mem().Map(vmas...); err != nil {
+		return err
 	}
 
 	// File-backed contents from disk (vanilla CRIU page-fault

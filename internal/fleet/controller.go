@@ -440,6 +440,8 @@ func (c *Controller) Run(apply func(r *Replica) (core.Stats, error)) (*RolloutRe
 		return c.finish(res)
 	}
 
+	lanes := c.startLanes(apply)
+	defer lanes.stop()
 	for wi, wave := range waves {
 		if fails, ok := waveFails[wi]; ok {
 			// Wave fully resolved before the crash.
@@ -454,7 +456,7 @@ func (c *Controller) Run(apply func(r *Replica) (core.Stats, error)) (*RolloutRe
 			break
 		}
 		f.obs.PhaseStart("fleet.wave", wi)
-		c.runWave(wi, wave, res, apply)
+		c.runWave(wi, wave, res, lanes)
 		if c.isCrashed() {
 			f.obs.PhaseEnd("fleet.wave", wi, ErrControllerCrashed)
 			break
@@ -517,8 +519,57 @@ func (c *Controller) Run(apply func(r *Replica) (core.Stats, error)) (*RolloutRe
 	return c.finish(res)
 }
 
+// lanePool is one long-lived worker goroutine per lane, kept for a
+// whole Run: a worker's stack grows once, not once per lease. The
+// dispatcher hands each surviving lease of a round to its lane's worker
+// and waits for all of them before it journals the round.
+type lanePool struct {
+	work  []chan *lease
+	round sync.WaitGroup // the leases of the round in flight
+	exit  sync.WaitGroup // the workers
+}
+
+// startLanes starts one worker per lane, each running execute with
+// apply on the leases handed to it.
+func (c *Controller) startLanes(apply func(r *Replica) (core.Stats, error)) *lanePool {
+	p := &lanePool{work: make([]chan *lease, len(c.lanes))}
+	for i := range p.work {
+		ch := make(chan *lease)
+		p.work[i] = ch
+		p.exit.Add(1)
+		go func() {
+			defer p.exit.Done()
+			for l := range ch {
+				c.execute(l, apply)
+				p.round.Done()
+			}
+		}()
+	}
+	return p
+}
+
+// run executes the round's surviving leases, each on its lane's
+// worker, and returns once all of them have.
+func (p *lanePool) run(round []*lease) {
+	for _, l := range round {
+		if !l.died {
+			p.round.Add(1)
+			p.work[l.lane] <- l
+		}
+	}
+	p.round.Wait()
+}
+
+// stop ends every worker and waits for them to exit.
+func (p *lanePool) stop() {
+	for _, ch := range p.work {
+		close(ch)
+	}
+	p.exit.Wait()
+}
+
 // runWave drains one wave's step queue through the worker lanes.
-func (c *Controller) runWave(wi int, wave []int, res *RolloutResult, apply func(r *Replica) (core.Stats, error)) {
+func (c *Controller) runWave(wi int, wave []int, res *RolloutResult, lanes *lanePool) {
 	f := c.f
 	var pending []*step
 	for _, ri := range wave {
@@ -586,18 +637,7 @@ func (c *Controller) runWave(wi int, wave []int, res *RolloutResult, apply func(
 		}
 
 		// Run the surviving leases concurrently for real.
-		var wg sync.WaitGroup
-		for _, l := range round {
-			if l.died {
-				continue
-			}
-			wg.Add(1)
-			go func(l *lease) {
-				defer wg.Done()
-				c.execute(l, apply)
-			}(l)
-		}
-		wg.Wait()
+		lanes.run(round)
 
 		// Commit the round in lane order.
 		for _, l := range round {

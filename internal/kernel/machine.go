@@ -365,8 +365,9 @@ func (m *Machine) ShareListener(p *Process, fd int, port uint16) error {
 // AttachConn re-attaches a restored connection descriptor. If a live
 // connection with the given ID still exists in the machine (the
 // normal same-host rewrite flow), it is reused so host clients keep
-// their endpoint — the TCP_REPAIR behaviour. Otherwise a fresh,
-// already-closed-on-the-far-side connection is materialized.
+// their endpoint — the TCP_REPAIR behaviour. Otherwise (the ID is
+// unknown, or both sides had closed and the machine dropped it) a
+// fresh, already-closed-on-the-far-side connection is materialized.
 func (m *Machine) AttachConn(p *Process, fd int, connID uint64, port uint16, sideA bool) {
 	c, ok := m.net.conns[connID]
 	if !ok {
@@ -420,6 +421,7 @@ func (m *Machine) closeFD(p *Process, d *fdesc) {
 		} else {
 			d.cn.bClosed = true
 		}
+		m.net.dropClosed(d.cn)
 	}
 }
 

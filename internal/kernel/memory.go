@@ -55,11 +55,11 @@ type Memory struct {
 	vmas  []VMA             // sorted by Start, non-overlapping
 
 	// cow marks pages whose backing slice is shared with a clone
-	// (CloneCoW) or an image set (SharePage, SetPage). A shared page is
-	// copied privately the first time it is written, so clones, dumps
-	// and restores copy no page until someone writes it. nil when
-	// nothing is shared.
-	cow map[uint64]struct{}
+	// (CloneCoW) or an image set (SharePage, SetPage), and says with
+	// what. A shared page is copied privately the first time it is
+	// written, so clones, dumps and restores copy no page until someone
+	// writes it. nil when nothing is shared.
+	cow map[uint64]cowState
 
 	// Block-cache state (bcache.go). bc is the per-address-space
 	// basic-block translation cache, created lazily the first time the
@@ -91,6 +91,23 @@ type Memory struct {
 	// while wgen is unchanged.
 	wgen uint64
 }
+
+// cowState says what a copy-on-write page may share its slice with.
+// Only the two narrow states let a restored successor take a page
+// over (Process.Adopt); every other way of sharing makes it cowShared.
+type cowState uint8
+
+const (
+	// cowShared: clones or any number of image sets may hold the slice.
+	cowShared cowState = iota
+	// cowDumped: the page was private until a dump took it (SharePage),
+	// so that dump's image set is the only other holder.
+	cowDumped
+	// cowRestored: a restore installed the slice from an image set
+	// (SetPage), and no clone or dump of this memory has shared it
+	// since.
+	cowRestored
+)
 
 // tlbSize is the number of software-TLB entries: a power of two, so
 // the slot is the page number's low bits.
@@ -129,12 +146,12 @@ func (m *Memory) CloneCoW() *Memory {
 	c := &Memory{
 		pages: make(map[uint64][]byte, len(m.pages)),
 		vmas:  append([]VMA(nil), m.vmas...),
-		cow:   make(map[uint64]struct{}, len(m.pages)),
+		cow:   make(map[uint64]cowState, len(m.pages)),
 	}
 	for pn, pg := range m.pages {
 		c.pages[pn] = pg
-		c.cow[pn] = struct{}{}
-		m.markShared(pn)
+		c.cow[pn] = cowShared
+		m.markCoW(pn, cowShared)
 	}
 	m.tlbClearWrites() // m's pages are shared now
 	return c
@@ -154,23 +171,30 @@ func (m *Memory) breakCoW(pn uint64) {
 	m.tlbDrop(pn)
 }
 
-// markShared marks page pn copy-on-write.
-func (m *Memory) markShared(pn uint64) {
+// markCoW marks page pn copy-on-write in state st.
+func (m *Memory) markCoW(pn uint64, st cowState) {
 	if m.cow == nil {
-		m.cow = make(map[uint64]struct{}, len(m.pages))
+		m.cow = make(map[uint64]cowState, len(m.pages))
 	}
-	m.cow[pn] = struct{}{}
+	m.cow[pn] = st
 }
 
 // SharePage returns page pn's backing (nil if unpopulated) for the
 // caller to keep as an immutable snapshot, marking the page
 // copy-on-write: the dump path takes pages this way, without a copy.
+// It records whether the page was private until now (cowDumped), the
+// one state in which a restored successor may later take the page
+// over (Process.Adopt); a page already shared becomes cowShared.
 func (m *Memory) SharePage(pn uint64) []byte {
 	pg, ok := m.pages[pn]
 	if !ok {
 		return nil
 	}
-	m.markShared(pn)
+	st := cowDumped
+	if _, shared := m.cow[pn]; shared {
+		st = cowShared
+	}
+	m.markCoW(pn, st)
 	m.tlbClearWrite(pn)
 	return pg
 }
@@ -239,10 +263,41 @@ func (m *Memory) VMAAt(addr uint64) (VMA, bool) {
 
 func pageAligned(v uint64) bool { return v%PageSize == 0 }
 
-// Map installs a new VMA. Start and End must be page aligned and the
-// range must not overlap an existing VMA. The table stays sorted by
-// Start, so only the VMAs either side of v's position can overlap it.
-func (m *Memory) Map(v VMA) error {
+// Map installs new VMAs. Start and End must be page aligned and no
+// range may overlap an existing VMA or another of vs. The table stays
+// sorted by Start, so only the VMAs either side of a VMA's position can
+// overlap it. An address space that maps nothing yet takes a sorted vs
+// as its table, so a restore builds the table once: the caller must
+// not touch vs afterwards. Otherwise the table grows once per call. On
+// an error the VMAs before the bad one stay mapped.
+func (m *Memory) Map(vs ...VMA) error {
+	defer m.noteLayoutChange()
+	if len(m.vmas) == 0 && sortedVMAs(vs) {
+		m.vmas = vs
+		return nil
+	}
+	m.vmas = slices.Grow(m.vmas, len(vs))
+	for _, v := range vs {
+		if err := m.mapOne(v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sortedVMAs reports whether vs is a valid VMA table as it stands:
+// page-aligned, non-empty ranges in ascending, non-overlapping order.
+func sortedVMAs(vs []VMA) bool {
+	for i, v := range vs {
+		if !pageAligned(v.Start) || !pageAligned(v.End) || v.End <= v.Start || i > 0 && vs[i-1].End > v.Start {
+			return false
+		}
+	}
+	return true
+}
+
+// mapOne inserts one VMA into the table (see Map).
+func (m *Memory) mapOne(v VMA) error {
 	if !pageAligned(v.Start) || !pageAligned(v.End) || v.End <= v.Start {
 		return fmt.Errorf("kernel: bad VMA bounds %#x-%#x", v.Start, v.End)
 	}
@@ -255,7 +310,6 @@ func (m *Memory) Map(v VMA) error {
 		}
 	}
 	m.vmas = slices.Insert(m.vmas, i, v)
-	m.noteLayoutChange()
 	return nil
 }
 
@@ -518,21 +572,51 @@ func (m *Memory) PageDataUnsafe(pn uint64) []byte {
 	return m.pages[pn]
 }
 
-// SetPage installs page contents (the restore path). A page in a VMA that is not writable keeps data, an image
-// set's immutable page, by reference and copy-on-write; any other page
-// is copied, so a guest's first store does not pay for the copy.
+// SetPage installs page contents (the restore path). The page keeps
+// data, an image set's immutable page, by reference and copy-on-write
+// (cowRestored), so a restore copies no page: the first store into a
+// page still shared copies it. A committed rewrite hands the restored
+// process the pages its dead predecessor held privately (Process.Adopt),
+// so those take no copy at all.
 func (m *Memory) SetPage(pn uint64, data []byte) error {
 	if len(data) != PageSize {
 		return fmt.Errorf("kernel: page data must be %d bytes, got %d", PageSize, len(data))
 	}
-	if v, ok := m.VMAAt(pn * PageSize); ok && v.Perm&delf.PermW == 0 {
-		m.pages[pn] = data[:PageSize:PageSize]
-		m.markShared(pn)
-	} else {
-		m.pages[pn] = append([]byte(nil), data...)
-		delete(m.cow, pn)
-	}
+	m.pages[pn] = data[:PageSize:PageSize]
+	m.markCoW(pn, cowRestored)
 	m.tlbDrop(pn)
 	m.noteWrite(pn)
 	return nil
+}
+
+// Adopt hands p, a restored process, the pages it shares with pred, the
+// dead process it was restored in place of, through pred's last dump
+// alone: each page a restore installed in p and no clone or dump of p
+// has shared since, whose slice pred held privately until that dump.
+// p then stores into those pages in place. It returns how many pages p
+// adopted. The caller must hold every image set that still carries the
+// dump's pages and drop them all: the pages stop being immutable.
+func (p *Process) Adopt(pred *Process) int {
+	if !pred.exited {
+		return 0
+	}
+	return p.mem.adopt(pred.mem)
+}
+
+// adopt makes m the sole owner of every page a restore installed in m
+// (cowRestored) whose slice old, the dead memory m was restored in
+// place of, held privately until its last dump took it (cowDumped).
+// old forgets those pages. It returns how many m adopted.
+func (m *Memory) adopt(old *Memory) int {
+	n := 0
+	for pn, st := range m.cow {
+		if st != cowRestored || old.cow[pn] != cowDumped || &old.pages[pn][0] != &m.pages[pn][0] {
+			continue
+		}
+		delete(m.cow, pn)
+		delete(old.cow, pn)
+		delete(old.pages, pn)
+		n++
+	}
+	return n
 }

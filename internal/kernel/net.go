@@ -63,6 +63,16 @@ func (n *network) newConn(port uint16) *conn {
 	return c
 }
 
+// dropClosed forgets c once both its sides are closed, so the machine
+// keeps only connections still open on at least one side. A restore of
+// an image that names a dropped connection gets a fresh one, closed on
+// the far side (Machine.AttachConn).
+func (n *network) dropClosed(c *conn) {
+	if c.aClosed && c.bClosed {
+		delete(n.conns, c.id)
+	}
+}
+
 func (n *network) bind(port uint16) (*listener, error) {
 	if _, ok := n.listeners[port]; ok {
 		return nil, fmt.Errorf("%w: %d", ErrPortInUse, port)
@@ -140,6 +150,7 @@ func (hc *HostConn) ReadAll() []byte {
 // Close shuts the host side.
 func (hc *HostConn) Close() {
 	hc.c.aClosed = true
+	hc.m.net.dropClosed(hc.c)
 }
 
 // Closed reports whether the guest side has closed the connection.

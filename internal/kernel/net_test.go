@@ -343,3 +343,52 @@ func TestFDsListsOpenDescriptorsAfterManyConns(t *testing.T) {
 		t.Fatalf("restored FDs = %v, want %v", fds, want)
 	}
 }
+
+// TestClosedConnectionsLeaveTheTable: a connection leaves the
+// machine's table once both sides have closed it, whichever closes
+// last, so a guest that served 10,000 exchanges keeps only its open
+// connections and a clone copies none of the closed ones. An image
+// that names a dropped connection gets a fresh one, closed on the far
+// side.
+func TestClosedConnectionsLeaveTheTable(t *testing.T) {
+	m := NewMachine()
+	if _, err := m.Load(buildExe(t, "closer", closerServerSrc)); err != nil {
+		t.Fatal(err)
+	}
+	m.Run(10000)
+	for i := 0; i < 10_000; i++ {
+		if _, _, err := m.Exchange(8080, []byte("x"), 1_000_000); !errors.Is(err, ErrNoResponse) {
+			t.Fatalf("exchange %d: %v, want ErrNoResponse", i, err)
+		}
+	}
+	if n := len(m.net.conns); n != 0 || m.net.nextConn != 10_000 {
+		t.Fatalf("%d connections in the table after %d closed exchanges, want 0 after 10,000", n, m.net.nextConn)
+	}
+
+	// The guest closes first; the connection stays until the host does.
+	hc, err := m.Dial(8080)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.RunUntil(hc.Closed, 1_000_000)
+	if !hc.Closed() || len(m.net.conns) != 1 || m.net.conns[hc.c.id] != hc.c {
+		t.Fatalf("guest-closed connection: closed=%v table=%v, want it alone in the table", hc.Closed(), m.net.conns)
+	}
+	if n := len(m.Clone().net.conns); n != 1 {
+		t.Fatalf("clone copied %d connections, want the 1 still open", n)
+	}
+	hc.Close()
+	if n := len(m.net.conns); n != 0 {
+		t.Fatalf("%d connections in the table after both sides closed, want 0", n)
+	}
+	if n := len(m.Clone().net.conns); n != 0 {
+		t.Fatalf("clone copied %d closed connections", n)
+	}
+
+	q := m.NewRawProcess("restored", 0)
+	m.AttachConn(q, 5, hc.c.id, 8080, false)
+	c := q.fds[5].cn
+	if c == hc.c || !c.aClosed || c.bClosed || m.net.conns[hc.c.id] != c {
+		t.Fatalf("attached a dropped connection: %+v, want a fresh one closed on the far side", c)
+	}
+}

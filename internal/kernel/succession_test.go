@@ -265,3 +265,64 @@ func TestBlockCacheSuccessionRefusesLayoutChange(t *testing.T) {
 		})
 	}
 }
+
+// TestAdoptTakesOnlyPagesTheDumpAloneHeld: a restored process adopts a
+// page only if its dead predecessor held that very slice privately
+// until the dump took it. A page a caller-kept snapshot also holds, a
+// page the edit replaced and a page the successor already copied stay
+// as they are, and nothing is adopted from a live predecessor.
+func TestAdoptTakesOnlyPagesTheDumpAloneHeld(t *testing.T) {
+	m := NewMachine()
+	p := m.NewRawProcess("guest", 0)
+	if err := p.mem.Map(rwVMA(0x1000, 0x5000)); err != nil {
+		t.Fatal(err)
+	}
+	for pn := uint64(1); pn <= 4; pn++ {
+		if err := p.mem.Write(pn*PageSize, []byte{byte(pn)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kept := p.mem.SharePage(2) // a checkpoint the caller keeps
+	dump := map[uint64][]byte{}
+	for pn := uint64(1); pn <= 4; pn++ {
+		dump[pn] = p.mem.SharePage(pn)
+	}
+
+	q := m.NewRawProcess("guest", 0)
+	if err := q.mem.Map(rwVMA(0x1000, 0x5000)); err != nil {
+		t.Fatal(err)
+	}
+	for pn, pg := range dump {
+		if pn == 3 {
+			pg = bytes.Clone(pg) // the edit replaced page 3
+		}
+		if err := q.mem.SetPage(pn, pg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := q.mem.Write(4*PageSize, []byte{0x44}); err != nil { // copies page 4
+		t.Fatal(err)
+	}
+	if n := q.Adopt(p); n != 0 {
+		t.Fatalf("adopted %d pages from a live predecessor", n)
+	}
+	m.Kill(p.PID())
+	if n := q.Adopt(p); n != 1 {
+		t.Fatalf("adopted %d pages, want page 1 alone", n)
+	}
+	if got := q.mem.SharedPageCount(); got != 2 {
+		t.Fatalf("%d copy-on-write pages after the adoption, want pages 2 and 3", got)
+	}
+
+	for pn := uint64(1); pn <= 4; pn++ {
+		if err := q.mem.Write(pn*PageSize, []byte{0xEE}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dump[1][0] != 0xEE {
+		t.Fatal("a store into the adopted page copied it")
+	}
+	if kept[0] != 2 || dump[2][0] != 2 || dump[3][0] != 3 || dump[4][0] != 4 {
+		t.Fatal("a store reached a page the successor did not adopt")
+	}
+}

@@ -218,6 +218,7 @@ func (d *OpenDriver) poll(pending *[]*flight, res *Result, start uint64, idle bo
 			} else {
 				d.complete(f, res, start)
 			}
+			f.conn.Close()
 		case f.got > 0 && (idle || now-f.lastByte >= kernel.QuietTicks):
 			// Quiet for a full drain window — or the machine is idle,
 			// which proves no more bytes are coming: the response is

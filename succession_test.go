@@ -1,6 +1,9 @@
 package dynacut
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // startKVCut boots the kvstore guest, profiles STRALGO against the
 // serving mix and returns the session, a customizer redirecting traps
@@ -77,5 +80,51 @@ func TestBlockCacheKVCutKeepsWantedBlocks(t *testing.T) {
 	}
 	if p, _ := sess.Machine.Process(cust.PID()); p == nil || p.Exited() {
 		t.Fatal("guest died")
+	}
+}
+
+// TestFirstRequestAfterCutAllocs pins what the first kvstore request
+// after a DisableBlocks allocates, averaged over cut cycles. A restore
+// shares every page with the images, and the commit hands the restored
+// guest the pages the killed guest held privately, so the request
+// copies none of the pages it writes: 8 allocations and about 200
+// bytes, as when the restore copied every writable page. A restore
+// that only shared them put two page copies on it (10 allocations,
+// 8 KiB).
+func TestFirstRequestAfterCutAllocs(t *testing.T) {
+	sess, cust, blocks := startKVCut(t)
+	const cycles = 20
+	var allocs, bytes uint64
+	for i := 0; i < cycles; i++ {
+		if _, err := cust.DisableBlocks("STRALGO", blocks, PolicyBlockEntry); err != nil {
+			t.Fatal(err)
+		}
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		resp, err := sess.Request("SET a v\n")
+		runtime.ReadMemStats(&ms1)
+		if err != nil || resp != "+OK\n" {
+			t.Fatalf("cycle %d: first request -> %q, %v", i, resp, err)
+		}
+		if i > 0 { // the first cut injects the handler library
+			allocs += ms1.Mallocs - ms0.Mallocs
+			bytes += ms1.TotalAlloc - ms0.TotalAlloc
+		}
+		for _, req := range []string{"GET a\n", "INCR n\n", "SET b w\n", "DEL b\n", "EXISTS a\n", "PING\n"} {
+			sess.MustRequest(req)
+		}
+		mustAnswer(t, sess, "STRALGO LCS ab\n", "-ERR\n")
+		if _, err := cust.EnableBlocks("STRALGO"); err != nil {
+			t.Fatal(err)
+		}
+		mustAnswer(t, sess, "STRALGO LCS ab\n", "+OK\n")
+	}
+	n := float64(cycles - 1)
+	t.Logf("first request after a cut: %.1f allocs, %.0f B", float64(allocs)/n, float64(bytes)/n)
+	if got := float64(allocs) / n; got >= 8.5 {
+		t.Errorf("%.1f allocs per first request after a cut, want 8", got)
+	}
+	if got := float64(bytes) / n; got >= 2048 {
+		t.Errorf("%.0f bytes per first request after a cut, want < 2048", got)
 	}
 }
